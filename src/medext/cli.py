@@ -267,8 +267,8 @@ def _load_init(args) -> Checkpoint | None:
 
 
 def cmd_gen_corpus(config: dict, args) -> int:
-    out = _output_dir(config)
     corpus = generate_synthetic_corpus(config["corpus"]["size"], config["corpus"]["seed"])
+    out = _output_dir(config)
     save_conll(corpus, out / "corpus.tsv")
     save_annotations(corpus, out / "annotations.jsonl")
     _echo_config(config, out)
@@ -277,12 +277,11 @@ def cmd_gen_corpus(config: dict, args) -> int:
 
 
 def cmd_pretrain(config: dict, args) -> int:
-    out = _output_dir(config)
     corpus = load_experiment_corpus(config)
+    pretrain_config, encoder_config = _pretrain_config(config), _encoder_config(config)
+    out = _output_dir(config)
     log: list = []
-    checkpoint = pretrain(
-        corpus, _pretrain_config(config), encoder_config=_encoder_config(config), log=log
-    )
+    checkpoint = pretrain(corpus, pretrain_config, encoder_config=encoder_config, log=log)
     save_checkpoint(checkpoint, out / "encoder.json")
     _write_csv(out / "pretrain_log.csv", "step,loss", log)
     _echo_config(config, out)
@@ -291,16 +290,12 @@ def cmd_pretrain(config: dict, args) -> int:
 
 
 def cmd_train(config: dict, args) -> int:
-    out = _output_dir(config)
     corpus = load_experiment_corpus(config)
+    train_config, init = _train_config(config), _load_init(args)
+    encoder_config = _encoder_config(config)
+    out = _output_dir(config)
     log: list = []
-    checkpoint = train(
-        corpus,
-        _train_config(config),
-        init=_load_init(args),
-        encoder_config=_encoder_config(config),
-        log=log,
-    )
+    checkpoint = train(corpus, train_config, init=init, encoder_config=encoder_config, log=log)
     save_checkpoint(checkpoint, out / "model.json")
     _write_csv(out / "loss_log.csv", "step,loss,ner_loss,re_loss", log)
     _echo_config(config, out)
@@ -309,12 +304,12 @@ def cmd_train(config: dict, args) -> int:
 
 
 def cmd_eval(config: dict, args) -> int:
-    out = _output_dir(config)
     path = Path(args.checkpoint)
     if not path.exists():
         raise ConfigError(f"checkpoint not found: {path}")
     checkpoint = load_checkpoint(path)
     corpus = load_experiment_corpus(config)
+    out = _output_dir(config)
     result = evaluate_split(checkpoint.model, corpus, args.split)
     (out / "report.json").write_text(
         json.dumps(result.as_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -330,14 +325,11 @@ def cmd_eval(config: dict, args) -> int:
 
 
 def cmd_fewshot_curve(config: dict, args) -> int:
-    out = _output_dir(config)
     corpus = load_experiment_corpus(config)
-    result = run_curve(
-        corpus,
-        _curve_config(config, _train_config(config)),
-        init=_load_init(args),
-        encoder_config=_encoder_config(config),
-    )
+    curve_config, init = _curve_config(config, _train_config(config)), _load_init(args)
+    encoder_config = _encoder_config(config)
+    out = _output_dir(config)
+    result = run_curve(corpus, curve_config, init=init, encoder_config=encoder_config)
     (out / "curve.csv").write_text(curve_csv(result), encoding="utf-8")
     (out / "curve_summary.csv").write_text(summary_csv(result), encoding="utf-8")
     _echo_config(config, out)
@@ -347,18 +339,16 @@ def cmd_fewshot_curve(config: dict, args) -> int:
 
 
 def cmd_compare_heads(config: dict, args) -> int:
-    out = _output_dir(config)
     corpus = load_experiment_corpus(config)
     init = _load_init(args)
     base = _train_config(config)
+    encoder_config = _encoder_config(config)
+    out = _output_dir(config)
     rows = []
     details = {}
     for head in ("crf", "span", "seq2seq"):
         checkpoint = train(
-            corpus,
-            replace(base, head=head),
-            init=init,
-            encoder_config=_encoder_config(config),
+            corpus, replace(base, head=head), init=init, encoder_config=encoder_config
         )
         result = evaluate_split(checkpoint.model, corpus, args.split)
         rows.append((head, result.entities))

@@ -1,10 +1,11 @@
 """Mini transformer encoder and a masked-token pretraining objective.
 
-The encoder maps a subword-id sequence to contextual representations through
+The encoder maps subword-id sequences to contextual representations through
 stacked self-attention blocks (post-norm, learned positional embeddings,
-ReLU feed-forward).  ``mlm_step`` is the small-scale stand-in for domain
-pretraining: corrupt a seeded subset of positions and score the model's
-reconstruction.
+ReLU feed-forward).  A batch runs in one pass: its sequences are packed into
+one matrix and attention stays within each sequence.  ``mlm_step`` is the
+small-scale stand-in for domain pretraining: corrupt a seeded subset of
+positions and score the model's reconstruction.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .corpus import MASK
 from .errors import ContractError
-from .tensor import Tensor
+from .tensor import MASK_BIAS, Tensor
 
 
 @dataclass(frozen=True)
@@ -111,9 +112,6 @@ def init_params(config: EncoderConfig, seed: int) -> EncoderParams:
     return params
 
 
-MASK_BIAS = -1e9  # additive stand-in for -inf; keeps arithmetic finite
-
-
 def attention(
     q: Tensor,
     k: Tensor,
@@ -143,65 +141,81 @@ def attention(
     return (out, weights) if return_weights else out
 
 
+def encode_batch(
+    seqs: Sequence[Sequence[int]],
+    params: EncoderParams,
+    config: EncoderConfig,
+    training: bool = False,
+    dropout_seeds: Sequence[int] | None = None,
+    attn_sink: list | None = None,
+) -> Tensor:
+    """Run the encoder stack over a batch of subword-id sequences in one pass.
+
+    The sequences are packed into one [sum(n), d_model] matrix, one block of
+    rows per sequence in batch order, and positions restart at 0 for each.
+    Attention stays within a sequence, so every block equals what a
+    one-sequence call gives.  Each sequence is checked against ``max_len``
+    on its own.  Deterministic when ``training`` is false; dropout requires
+    one seed per sequence, and each sequence draws its masks from its own
+    generator.  ``attn_sink``, when given, collects every attention weight
+    matrix, per layer, per sequence, per head (diagnostics only).
+    """
+    lengths = [len(ids) for ids in seqs]
+    if not lengths:
+        raise ContractError("encode_batch requires at least one sequence")
+    for n in lengths:
+        if n == 0:
+            raise ContractError("encode requires a nonempty sequence")
+        if n > config.max_len:
+            raise ContractError(f"sequence length {n} exceeds max_len {config.max_len}")
+    dropping = training and config.dropout_rate > 0.0
+    if dropping and (dropout_seeds is None or len(dropout_seeds) != len(lengths)):
+        raise ContractError("training with dropout requires a dropout_seed per sequence")
+    rngs = (
+        [np.random.default_rng(np.random.SeedSequence([seed])) for seed in dropout_seeds]
+        if dropping
+        else None
+    )
+
+    ids = [i for seq in seqs for i in seq]
+    positions = np.concatenate([np.arange(n) for n in lengths])
+    x = T.add(T.rows(params.tok_emb, ids), T.rows(params.pos_emb, positions))
+    for layer in params.layers:
+        attn = T.segment_attention(
+            T.matmul(x, layer.w_q),
+            T.matmul(x, layer.w_k),
+            T.matmul(x, layer.w_v),
+            lengths,
+            config.heads,
+            sink=attn_sink,
+        )
+        attn = T.matmul(attn, layer.w_o)
+        if dropping:
+            attn = T.dropout(attn, config.dropout_rate, rngs, lengths)
+        x = T.layer_norm(T.add(x, attn), layer.ln1_gain, layer.ln1_bias)
+
+        hidden = T.relu(T.add_rowwise(T.matmul(x, layer.ff_w1), layer.ff_b1))
+        ff = T.add_rowwise(T.matmul(hidden, layer.ff_w2), layer.ff_b2)
+        if dropping:
+            ff = T.dropout(ff, config.dropout_rate, rngs, lengths)
+        x = T.layer_norm(T.add(x, ff), layer.ln2_gain, layer.ln2_bias)
+    return x
+
+
 def encode(
     ids: Sequence[int],
     params: EncoderParams,
     config: EncoderConfig,
     training: bool = False,
     dropout_seed: int | None = None,
-    mask: Sequence[bool] | None = None,
     attn_sink: list | None = None,
 ) -> Tensor:
-    """Run the full encoder stack over one subword-id sequence -> [n, d_model].
-
-    Deterministic when ``training`` is false; dropout requires an explicit
-    seed so training runs stay reproducible.  ``attn_sink``, when given,
-    collects every per-head attention weight matrix (diagnostics only).
-    """
-    n = len(ids)
-    if n == 0:
-        raise ContractError("encode requires a nonempty sequence")
-    if n > config.max_len:
-        raise ContractError(f"sequence length {n} exceeds max_len {config.max_len}")
-    dropping = training and config.dropout_rate > 0.0
-    if dropping and dropout_seed is None:
-        raise ContractError("training with dropout requires a dropout_seed")
-    rng = (
-        np.random.default_rng(np.random.SeedSequence([dropout_seed]))
-        if dropping
-        else None
+    """Run the full encoder stack over one subword-id sequence -> [n, d_model]."""
+    return encode_batch(
+        [ids], params, config, training=training,
+        dropout_seeds=None if dropout_seed is None else [dropout_seed],
+        attn_sink=attn_sink,
     )
-
-    x = T.add(T.rows(params.tok_emb, ids), T.rows(params.pos_emb, range(n)))
-    d_k = config.d_k
-    for layer in params.layers:
-        q = T.matmul(x, layer.w_q)
-        k = T.matmul(x, layer.w_k)
-        v = T.matmul(x, layer.w_v)
-        heads = []
-        for h in range(config.heads):
-            lo, hi = h * d_k, (h + 1) * d_k
-            head_out, weights = attention(
-                T.slice_cols(q, lo, hi),
-                T.slice_cols(k, lo, hi),
-                T.slice_cols(v, lo, hi),
-                mask=mask,
-                return_weights=True,
-            )
-            if attn_sink is not None:
-                attn_sink.append(weights)
-            heads.append(head_out)
-        attn = T.matmul(T.concat_cols(heads), layer.w_o)
-        if dropping:
-            attn = T.dropout(attn, config.dropout_rate, rng)
-        x = T.layer_norm(T.add(x, attn), layer.ln1_gain, layer.ln1_bias)
-
-        hidden = T.relu(T.add_rowwise(T.matmul(x, layer.ff_w1), layer.ff_b1))
-        ff = T.add_rowwise(T.matmul(hidden, layer.ff_w2), layer.ff_b2)
-        if dropping:
-            ff = T.dropout(ff, config.dropout_rate, rng)
-        x = T.layer_norm(T.add(x, ff), layer.ln2_gain, layer.ln2_bias)
-    return x
 
 
 def plan_masking(
@@ -242,23 +256,16 @@ def mlm_step(
     if not 0.0 < mask_prob < 1.0:
         raise ContractError(f"mask_prob must be in (0, 1), got {mask_prob}")
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    per_position_losses = []
-    total_positions = 0
-    for i, ids in enumerate(batch):
-        corrupted, positions = plan_masking(ids, mask_prob, config.vocab_size, rng)
-        h = encode(
-            corrupted, params, config, training=True,
-            dropout_seed=None if config.dropout_rate == 0.0 else seed * 100003 + i,
-        )
-        logits = T.matmul(T.rows(h, positions), params.mlm_proj)
-        targets = [ids[p] for p in positions]
-        ce = T.sub(
-            T.logsumexp_rows(logits),
-            T.take2d(logits, range(len(positions)), targets),
-        )
-        per_position_losses.append(ce.sum())
-        total_positions += len(positions)
-    total = per_position_losses[0]
-    for extra in per_position_losses[1:]:
-        total = T.add(total, extra)
-    return T.scale(total, 1.0 / total_positions)
+    corrupted, rows, targets = [], [], []
+    offset = 0
+    for ids in batch:
+        sequence, positions = plan_masking(ids, mask_prob, config.vocab_size, rng)
+        corrupted.append(sequence)
+        rows.extend(offset + p for p in positions)
+        targets.extend(ids[p] for p in positions)
+        offset += len(ids)
+    seeds = (
+        None if config.dropout_rate == 0.0 else [seed * 100003 + i for i in range(len(batch))]
+    )
+    h = encode_batch(corrupted, params, config, training=True, dropout_seeds=seeds)
+    return T.mean_cross_entropy(T.matmul(T.rows(h, rows), params.mlm_proj), targets)

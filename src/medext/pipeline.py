@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import tensor as T
 from .corpus import (
@@ -24,7 +25,7 @@ from .corpus import (
     tokenize_subword,
 )
 from .crf_head import CRFParams, crf_nll, emissions, init_crf, viterbi
-from .encoder import EncoderConfig, EncoderParams, encode
+from .encoder import EncoderConfig, EncoderParams, encode, encode_batch
 from .errors import ContractError
 from .evaluation import (
     EvalReport,
@@ -45,6 +46,7 @@ from .span_head import SpanHeadParams, decode_spans, init_span, score_all_spans,
 from .tensor import Tensor
 
 HEAD_KINDS = ("crf", "span", "seq2seq")
+EVAL_CHUNK = 16  # sentences per packed encoder pass in evaluate_split
 
 HeadParams = CRFParams | SpanHeadParams | Seq2SeqParams
 
@@ -130,6 +132,29 @@ def encode_words(
     return T.rows(h, starts)
 
 
+def encode_words_batch(
+    model: Model,
+    sentences: Sequence[Sentence],
+    training: bool = False,
+    dropout_seeds: Sequence[int] | None = None,
+) -> list[Tensor]:
+    """``encode_words`` for a batch in one packed encoder pass.
+
+    Returns one [n_words, d_model] matrix per sentence, each one row gather
+    from the packed output; they equal per-sentence ``encode_words`` calls.
+    """
+    flat = [word_ids(sentence, model.vocab) for sentence in sentences]
+    h = encode_batch(
+        [ids for ids, _ in flat], model.encoder, model.config,
+        training=training, dropout_seeds=dropout_seeds,
+    )
+    out, offset = [], 0
+    for ids, starts in flat:
+        out.append(T.rows(h, [offset + s for s in starts]))
+        offset += len(ids)
+    return out
+
+
 def ner_loss(model: Model, h_words: Tensor, sentence: Sentence, seed: int = 0) -> Tensor:
     """Per-sentence extraction loss for the model's configured head."""
     head = model.head
@@ -193,25 +218,30 @@ class SplitEvaluation:
 
 
 def evaluate_split(model: Model, corpus: Corpus, split: str = "test") -> SplitEvaluation:
-    """Decode every sentence of a split and score entities (and relations)."""
+    """Decode every sentence of a split and score entities (and relations).
+
+    Sentences are encoded EVAL_CHUNK at a time in one packed pass each, and
+    the tape is reset after every chunk.
+    """
     T.reset_tape()
     sentences = [corpus.sentences[i] for i in corpus.split_indices(split)]
     gold_spans, pred_spans = [], []
     gold_tags, pred_tags = [], []
     gold_rel, pred_rel_gold_spans, pred_rel_pred_spans = [], [], []
-    for sentence in sentences:
-        h = encode_words(model, sentence)
-        spans, tags = decode_entities(model, h)
-        gold_spans.append(sentence.spans)
-        pred_spans.append(spans)
-        gold_tags.append(sentence.tags)
-        pred_tags.append(tags)
-        if model.relation is not None:
-            gold_rel.append(resolve_relations(sentence.spans, sentence.relations))
-            on_gold = predict_relations(h, sentence.spans, model.relation)
-            pred_rel_gold_spans.append(resolve_relations(sentence.spans, on_gold))
-            on_pred = predict_relations(h, spans, model.relation)
-            pred_rel_pred_spans.append(resolve_relations(spans, on_pred))
+    for lo in range(0, len(sentences), EVAL_CHUNK):
+        chunk = sentences[lo:lo + EVAL_CHUNK]
+        for sentence, h in zip(chunk, encode_words_batch(model, chunk)):
+            spans, tags = decode_entities(model, h)
+            gold_spans.append(sentence.spans)
+            pred_spans.append(spans)
+            gold_tags.append(sentence.tags)
+            pred_tags.append(tags)
+            if model.relation is not None:
+                gold_rel.append(resolve_relations(sentence.spans, sentence.relations))
+                on_gold = predict_relations(h, sentence.spans, model.relation)
+                pred_rel_gold_spans.append(resolve_relations(sentence.spans, on_gold))
+                on_pred = predict_relations(h, spans, model.relation)
+                pred_rel_pred_spans.append(resolve_relations(spans, on_pred))
         T.reset_tape()
 
     report = entity_prf(gold_spans, pred_spans)

@@ -194,13 +194,22 @@ def relu(a: Tensor) -> Tensor:
     return out
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout with a caller-supplied generator (seeded upstream)."""
+def dropout(
+    a: Tensor, rate: float, rngs: Sequence[np.random.Generator], lengths: Sequence[int]
+) -> Tensor:
+    """Inverted dropout over blocks of rows, one seeded generator per block.
+
+    Block i is the next ``lengths[i]`` rows and draws its mask from
+    ``rngs[i]``, so its mask is the one it would get if dropped on its own.
+    """
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
+    if len(rngs) != len(lengths) or sum(lengths) != a.shape[0]:
+        raise ContractError(f"dropout: {len(rngs)} generators for row blocks {list(lengths)}")
     if rate == 0.0:
         return a
-    mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
+    draws = np.concatenate([g.random((n, *a.shape[1:])) for g, n in zip(rngs, lengths)])
+    mask = (draws >= rate) / (1.0 - rate)
     out = Tensor(a.values * mask, a.requires_grad)
     _record(out, (a,), lambda g: (g * mask,))
     return out
@@ -307,6 +316,73 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return out
 
 
+MASK_BIAS = -1e9  # additive stand-in for -inf; keeps arithmetic finite
+
+
+def segment_attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    lengths: Sequence[int],
+    heads: int,
+    sink: list | None = None,
+) -> Tensor:
+    """Multi-head scaled dot-product attention within each segment of packed rows.
+
+    ``q``, ``k`` and ``v`` are [sum(lengths), d]: consecutive blocks of rows,
+    one per segment, with head h in columns h*d_k:(h+1)*d_k.  Every row
+    attends only to the rows of its own segment, so each segment's output
+    equals ``softmax(q kᵀ / sqrt(d_k)) v`` per head over that segment alone.
+
+    One tape record for all segments and heads.  The segments are padded to
+    [B, heads, L_max, d_k] inside the op and padded key columns get a
+    MASK_BIAS score, so the work is B·heads·L_max², not (sum(lengths))².
+    ``sink``, when given, receives each segment's per-head weight matrices
+    as constant tensors, segment by segment.
+    """
+    if q.values.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(f"segment_attention: shapes {q.shape}, {k.shape}, {v.shape} disagree")
+    n_rows, d = q.shape
+    if heads < 1 or d % heads:
+        raise ShapeError(f"segment_attention: width {d} is not divisible by {heads} heads")
+    sizes = np.asarray(lengths, dtype=np.intp)
+    if sizes.ndim != 1 or sizes.size == 0 or sizes.min() < 1 or sizes.sum() != n_rows:
+        raise ContractError(
+            f"segment_attention: segment lengths {list(lengths)} do not tile {n_rows} rows"
+        )
+    batch, longest, d_k = sizes.size, int(sizes.max()), d // heads
+    segment = np.repeat(np.arange(batch), sizes)
+    position = np.arange(n_rows) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    c = 1.0 / np.sqrt(d_k)
+
+    def pad(a: Array) -> Array:  # [N, d] -> [B, H, L, d_k], padded rows zero
+        out = np.zeros((batch, longest, d))
+        out[segment, position] = a
+        return out.reshape(batch, longest, heads, d_k).transpose(0, 2, 1, 3)
+
+    def unpad(a: Array) -> Array:  # [B, H, L, d_k] -> [N, d]
+        return a.transpose(0, 2, 1, 3).reshape(batch, longest, d)[segment, position]
+
+    qp, kp, vp = pad(q.values), pad(k.values), pad(v.values)
+    visible = np.arange(longest) < sizes[:, None]  # [B, L] real key columns
+    scores = np.where(visible[:, None, None, :], (qp @ kp.swapaxes(-1, -2)) * c, MASK_BIAS)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    out = Tensor(unpad(p @ vp), _needs_grad(q, k, v))
+    if sink is not None:
+        for b, n in enumerate(sizes):
+            sink.extend(Tensor(p[b, h, :n, :n]) for h in range(heads))
+
+    def rule(g):
+        gp = pad(g)
+        dp = gp @ vp.swapaxes(-1, -2)
+        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * c
+        return unpad(ds @ kp), unpad(ds.swapaxes(-1, -2) @ qp), unpad(p.swapaxes(-1, -2) @ gp)
+
+    _record(out, (q, k, v), rule)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -373,20 +449,6 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     def rule(g):
         da = np.zeros_like(a.values)
         da[start:stop] = g
-        return (da,)
-
-    _record(out, (a,), rule)
-    return out
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    if not 0 <= start < stop <= a.shape[1]:
-        raise ContractError(f"slice_cols [{start}:{stop}] out of range for {a.shape}")
-    out = Tensor(a.values[:, start:stop].copy(), a.requires_grad)
-
-    def rule(g):
-        da = np.zeros_like(a.values)
-        da[:, start:stop] = g
         return (da,)
 
     _record(out, (a,), rule)

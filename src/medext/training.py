@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,8 @@ from .errors import CheckpointError, ContractError, NumericError
 from .pipeline import (
     HEAD_KINDS,
     Model,
-    encode_words,
+    encode_words,  # noqa: F401  (perfbench/tracer.py wraps training.encode_words)
+    encode_words_batch,
     gold_relation_pairs,
     init_head,
     ner_loss,
@@ -235,18 +236,14 @@ def train(
         T.reset_tape()
         for p in params.values():
             p.zero_grad()
-        batch = sampler.batch(step)
+        sentences = [corpus.sentences[index] for index in sampler.batch(step)]
+        seeds = [(config.seed * 1_000_003 + step) * 64 + slot for slot in range(len(sentences))]
+        words = encode_words_batch(
+            model, sentences, training=dropping, dropout_seeds=seeds if dropping else None
+        )
         ner_losses = []
         pairs = []
-        for slot, index in enumerate(batch):
-            sentence = corpus.sentences[index]
-            seed = (config.seed * 1_000_003 + step) * 64 + slot
-            h = encode_words(
-                model,
-                sentence,
-                training=dropping,
-                dropout_seed=seed if dropping else None,
-            )
+        for sentence, h, seed in zip(sentences, words, seeds):
             ner_losses.append(ner_loss(model, h, sentence, seed=seed))
             if config.lambda_re > 0.0:
                 pairs.extend(gold_relation_pairs(model, h, sentence))
@@ -348,15 +345,7 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
         head_extras["relation_labels"] = model.relation.labels
     payload = {
         "format_version": FORMAT_VERSION,
-        "encoder_config": {
-            "vocab_size": model.config.vocab_size,
-            "d_model": model.config.d_model,
-            "heads": model.config.heads,
-            "layers": model.config.layers,
-            "d_ff": model.config.d_ff,
-            "max_len": model.config.max_len,
-            "dropout_rate": model.config.dropout_rate,
-        },
+        "encoder_config": asdict(model.config),
         "scheme_classes": model.scheme.classes,
         "vocab_entries": model.vocab.entries,
         "vocab_min_freq": model.vocab.min_freq,
@@ -378,17 +367,47 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
     )
 
 
+_PAYLOAD_KEYS = (
+    "encoder_config", "scheme_classes", "vocab_entries", "vocab_min_freq",
+    "head_kind", "head_extras", "arrays", "optimizer", "step", "seed_lineage",
+)
+_ENCODER_KEYS = tuple(f.name for f in fields(EncoderConfig))
+
+
+def _load_encoder_config(section, path) -> EncoderConfig:
+    """The checkpoint's encoder config; every field present, nothing extra."""
+    if not isinstance(section, dict):
+        raise CheckpointError(f"checkpoint {path}: encoder_config must be a JSON object")
+    for key in _ENCODER_KEYS:
+        if key not in section:
+            raise CheckpointError(f"checkpoint {path}: encoder_config is missing key {key!r}")
+    for key in section:
+        if key not in _ENCODER_KEYS:
+            raise CheckpointError(f"checkpoint {path}: unknown encoder_config key {key!r}")
+    try:
+        return EncoderConfig(**section)
+    except ContractError as exc:
+        raise CheckpointError(f"checkpoint {path}: encoder_config: {exc}") from None
+
+
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Rebuild a checkpoint, validating the version and every array shape."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise CheckpointError(
+            f"checkpoint {path}: expected a JSON object, got {type(payload).__name__}"
+        )
     if payload.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version {payload.get('format_version')!r}"
         )
-    config = EncoderConfig(**payload["encoder_config"])
+    for key in _PAYLOAD_KEYS:
+        if key not in payload:
+            raise CheckpointError(f"checkpoint {path}: missing key {key!r}")
+    config = _load_encoder_config(payload["encoder_config"], path)
     vocab = Vocab(payload["vocab_entries"], payload["vocab_min_freq"])
     if len(vocab) != config.vocab_size:
         raise CheckpointError(

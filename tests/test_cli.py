@@ -82,6 +82,28 @@ class TestExitCodes:
         assert run("train", "--set", "train.learning_rate=-1") == 1
         assert "learning_rate" in capsys.readouterr().err
 
+    def test_non_object_checkpoint(self, tmp_path, capsys):
+        ckpt = tmp_path / "listed.json"
+        ckpt.write_text("[]")
+        assert run("eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "out")) == 1
+        assert "listed.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--checkpoint", "missing.json"),
+            ("train", "--init", "missing.json"),
+            ("train", "--set", "train.learning_rate=-1"),
+            ("pretrain", "--tags", "missing.tsv"),
+            ("fewshot-curve", "--set", "curve.seeds_per_k=0"),
+            ("compare-heads", "--init", "missing.json"),
+        ],
+    )
+    def test_failed_run_creates_nothing(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv) == 1
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestConfigPrecedence:
     def test_flags_win_over_file(self, tmp_path):

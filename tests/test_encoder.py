@@ -9,11 +9,12 @@ from medext.encoder import (
     EncoderConfig,
     attention,
     encode,
+    encode_batch,
     init_params,
     mlm_step,
     plan_masking,
 )
-from medext.errors import ContractError
+from medext.errors import ContractError, ShapeError
 from medext.tensor import Tensor
 
 
@@ -25,6 +26,66 @@ def tiny_config(**overrides):
 
 def setup_function(_):
     T.reset_tape()
+
+
+def head_columns(a, h, d_k):
+    """Columns h*d_k:(h+1)*d_k of ``a``, as an exact 0/1 selector product."""
+    return T.matmul(a, Tensor(np.eye(a.shape[1])[:, h * d_k:(h + 1) * d_k]))
+
+
+def reference_encode(ids, params, config, training=False, dropout_seed=None):
+    """The per-sentence, per-head encoder built on ``attention``: the packed path's oracle."""
+    dropping = training and config.dropout_rate > 0.0
+    rng = np.random.default_rng(np.random.SeedSequence([dropout_seed])) if dropping else None
+    n, d_k = len(ids), config.d_k
+    x = T.add(T.rows(params.tok_emb, ids), T.rows(params.pos_emb, range(n)))
+    for layer in params.layers:
+        q, k, v = (T.matmul(x, w) for w in (layer.w_q, layer.w_k, layer.w_v))
+        heads = [
+            attention(head_columns(q, h, d_k), head_columns(k, h, d_k), head_columns(v, h, d_k))
+            for h in range(config.heads)
+        ]
+        attn = T.matmul(T.concat_cols(heads), layer.w_o)
+        if dropping:
+            attn = T.dropout(attn, config.dropout_rate, [rng], [n])
+        x = T.layer_norm(T.add(x, attn), layer.ln1_gain, layer.ln1_bias)
+        hidden = T.relu(T.add_rowwise(T.matmul(x, layer.ff_w1), layer.ff_b1))
+        ff = T.add_rowwise(T.matmul(hidden, layer.ff_w2), layer.ff_b2)
+        if dropping:
+            ff = T.dropout(ff, config.dropout_rate, [rng], [n])
+        x = T.layer_norm(T.add(x, ff), layer.ln2_gain, layer.ln2_bias)
+    return x
+
+
+def per_sentence_mlm(batch, params, config, mask_prob, seed):
+    """``mlm_step`` one sentence per encoder call: the packed step's oracle."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    total, count = None, 0
+    for i, ids in enumerate(batch):
+        corrupted, positions = plan_masking(ids, mask_prob, config.vocab_size, rng)
+        dropout_seed = None if config.dropout_rate == 0.0 else seed * 100003 + i
+        h = reference_encode(corrupted, params, config, training=True, dropout_seed=dropout_seed)
+        logits = T.matmul(T.rows(h, positions), params.mlm_proj)
+        targets = [ids[p] for p in positions]
+        ce = T.sub(T.logsumexp_rows(logits), T.take2d(logits, range(len(positions)), targets))
+        total = ce.sum() if total is None else T.add(total, ce.sum())
+        count += len(positions)
+    return T.scale(total, 1.0 / count)
+
+
+def loss_and_grads(loss_fn, params):
+    T.reset_tape()
+    named = params.named()
+    for p in named.values():
+        p.zero_grad()
+    loss = loss_fn()
+    T.backward(loss)
+    grads = {
+        k: np.zeros_like(p.values) if p.grad is None else p.grad.copy()
+        for k, p in named.items()
+    }
+    T.reset_tape()
+    return loss.item(), grads
 
 
 class TestConfig:
@@ -95,6 +156,116 @@ class TestAttention:
         x = Tensor(np.zeros((2, 2)))
         with pytest.raises(ContractError):
             attention(x, x, x, mask=[False, False])
+
+
+def packed(rng, lengths, d):
+    return [Tensor(rng.standard_normal((sum(lengths), d)), requires_grad=True) for _ in range(3)]
+
+
+class TestSegmentAttention:
+    @pytest.mark.parametrize("lengths", [[3, 5, 1], [1], [4, 4], [1, 1, 2], [7]])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_matches_attention_per_segment(self, lengths, heads):
+        rng = np.random.default_rng(len(lengths) * 10 + heads)
+        d = 8
+        d_k = d // heads
+        q, k, v = packed(rng, lengths, d)
+        sink = []
+        out = T.segment_attention(q, k, v, lengths, heads, sink=sink)
+        assert out.shape == (sum(lengths), d)
+        assert len(sink) == len(lengths) * heads
+        offset = 0
+        for b, n in enumerate(lengths):
+            for h in range(heads):
+                rows, cols = slice(offset, offset + n), slice(h * d_k, (h + 1) * d_k)
+                want, weights = attention(
+                    Tensor(q.values[rows, cols]), Tensor(k.values[rows, cols]),
+                    Tensor(v.values[rows, cols]), return_weights=True,
+                )
+                assert np.abs(out.values[rows, cols] - want.values).max() < 1e-12
+                assert np.abs(sink[b * heads + h].values - weights.values).max() < 1e-12
+            offset += n
+
+    def test_no_attention_across_segments(self):
+        rng = np.random.default_rng(3)
+        lengths = [2, 3]
+        q, k, v = packed(rng, lengths, 4)
+        before = T.segment_attention(q, k, v, lengths, 2).values
+        v.values[2:] += 50.0  # second segment only
+        after = T.segment_attention(q, k, v, lengths, 2).values
+        assert np.array_equal(before[:2], after[:2])
+
+    @pytest.mark.parametrize("lengths", [[3, 5, 1], [1, 2]])
+    def test_gradients_match_finite_differences(self, lengths):
+        rng = np.random.default_rng(11)
+        q, k, v = packed(rng, lengths, 4)
+        weights = Tensor(rng.standard_normal((sum(lengths), 4)))
+        err = T.finite_diff_check(
+            lambda: T.sum_all(T.mul(T.segment_attention(q, k, v, lengths, 2), weights)),
+            [q, k, v],
+        )
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("lengths", [[2, 1], [0, 4], [], [5]])
+    def test_lengths_must_tile_the_rows(self, lengths):
+        x = Tensor(np.zeros((4, 4)))
+        with pytest.raises(ContractError, match="lengths"):
+            T.segment_attention(x, x, x, lengths, 2)
+
+    def test_width_must_split_into_heads(self):
+        x = Tensor(np.zeros((2, 6)))
+        with pytest.raises(ShapeError):
+            T.segment_attention(x, x, x, [2], 4)
+
+
+class TestEncodeBatch:
+    BATCH = [[4, 5, 6], [7, 8, 9, 10, 11], [3], [5, 6, 7, 8, 9, 10, 11, 4]]
+
+    def test_matches_per_sentence_oracle(self):
+        config = tiny_config(layers=2)
+        params = init_params(config, seed=6)
+        h = encode_batch(self.BATCH, params, config)
+        assert h.shape == (sum(map(len, self.BATCH)), config.d_model)
+        offset = 0
+        for ids in self.BATCH:
+            block = h.values[offset:offset + len(ids)]
+            assert np.abs(block - reference_encode(ids, params, config).values).max() < 1e-12
+            assert np.abs(block - encode(ids, params, config).values).max() < 1e-12
+            offset += len(ids)
+
+    def test_dropout_masks_follow_each_sentence_seed(self):
+        config = tiny_config(layers=2, dropout_rate=0.3)
+        params = init_params(config, seed=6)
+        seeds = [11, 12, 13, 14]
+        h = encode_batch(self.BATCH, params, config, training=True, dropout_seeds=seeds)
+        offset = 0
+        for ids, seed in zip(self.BATCH, seeds):
+            want = reference_encode(ids, params, config, training=True, dropout_seed=seed)
+            assert np.abs(h.values[offset:offset + len(ids)] - want.values).max() < 1e-12
+            offset += len(ids)
+
+    def test_dropout_requires_a_seed_per_sentence(self):
+        config = tiny_config(dropout_rate=0.5)
+        params = init_params(config, seed=0)
+        with pytest.raises(ContractError, match="seed"):
+            encode_batch([[1, 2], [3]], params, config, training=True, dropout_seeds=[1])
+
+    def test_each_sentence_checked_against_max_len(self):
+        config = tiny_config(max_len=4)
+        params = init_params(config, seed=0)
+        with pytest.raises(ContractError, match="max_len"):
+            encode_batch([[1, 2], [1] * 5, [3]], params, config)
+        with pytest.raises(ContractError, match="nonempty"):
+            encode_batch([[1, 2], []], params, config)
+        with pytest.raises(ContractError):
+            encode_batch([], params, config)
+
+    def test_attention_sink_per_layer_sentence_and_head(self):
+        config = tiny_config(layers=2)
+        params = init_params(config, seed=5)
+        sink = []
+        encode_batch([[1, 2, 3], [4, 5]], params, config, attn_sink=sink)
+        assert [w.shape for w in sink] == [(3, 3), (3, 3), (2, 2), (2, 2)] * config.layers
 
 
 class TestEncode:
@@ -197,6 +368,31 @@ class TestMlmStep:
         config = tiny_config(vocab_size=10, d_model=8, heads=2, layers=1, d_ff=8, max_len=4)
         params = init_params(config, seed=2)
         batch = [[4, 5, 6]]
+        err = T.finite_diff_check(
+            lambda: mlm_step(batch, params, config, mask_prob=0.4, seed=0),
+            list(params.named().values()),
+        )
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("dropout_rate", [0.0, 0.2])
+    def test_packed_step_matches_per_sentence_oracle(self, dropout_rate):
+        config = tiny_config(vocab_size=20, layers=2, dropout_rate=dropout_rate)
+        params = init_params(config, seed=3)
+        batch = [[4, 5, 6, 7, 8, 9], [10, 11, 12], [13], [14, 15, 16, 17, 18, 19, 4, 5]]
+        packed_loss, packed_grads = loss_and_grads(
+            lambda: mlm_step(batch, params, config, mask_prob=0.3, seed=5), params
+        )
+        oracle_loss, oracle_grads = loss_and_grads(
+            lambda: per_sentence_mlm(batch, params, config, 0.3, 5), params
+        )
+        assert abs(packed_loss - oracle_loss) < 1e-12
+        for key, grad in oracle_grads.items():
+            assert np.abs(packed_grads[key] - grad).max() < 1e-12, key
+
+    def test_gradient_through_ragged_batch(self):
+        config = tiny_config(vocab_size=10, d_model=4, heads=2, layers=1, d_ff=4, max_len=5)
+        params = init_params(config, seed=2)
+        batch = [[4, 5, 6], [7], [8, 9, 4, 5, 6]]
         err = T.finite_diff_check(
             lambda: mlm_step(batch, params, config, mask_prob=0.4, seed=0),
             list(params.named().values()),

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from medext import tensor as T
+from medext import pipeline, training
 from medext.corpus import Corpus, generate_synthetic_corpus, build_vocab, tokenize_corpus
 from medext.encoder import EncoderConfig, init_params, mlm_step
 from medext.errors import CheckpointError, ContractError
-from medext.pipeline import evaluate_split
+from medext.pipeline import EVAL_CHUNK, encode_words, evaluate_split
 from medext.tensor import Tensor
 from medext.training import (
     OptimizerState,
@@ -189,6 +190,39 @@ class TestTrain:
         assert 0.0 <= report.entities.micro.f1 <= 1.0
 
 
+def per_sentence_words(model, sentences, training=False, dropout_seeds=None):
+    """``encode_words_batch`` one sentence per encoder call: the packed path's oracle."""
+    seeds = dropout_seeds if dropout_seeds is not None else [None] * len(sentences)
+    return [
+        encode_words(model, sentence, training=training, dropout_seed=seed)
+        for sentence, seed in zip(sentences, seeds)
+    ]
+
+
+class TestPackedEncoding:
+    @pytest.mark.parametrize("head", ["crf", "span", "seq2seq"])
+    def test_train_with_dropout_matches_per_sentence(self, monkeypatch, head):
+        corpus = small_corpus()
+        encoder_config = EncoderConfig(vocab_size=5, dropout_rate=0.2)
+        cfg = TrainConfig(steps=6, batch_size=4, seed=3, head=head)
+        packed, oracle = [], []
+        train(corpus, cfg, encoder_config=encoder_config, log=packed)
+        monkeypatch.setattr(training, "encode_words_batch", per_sentence_words)
+        train(corpus, cfg, encoder_config=encoder_config, log=oracle)
+        assert [row[0] for row in packed] == [row[0] for row in oracle]
+        np.testing.assert_allclose(
+            [row[1:] for row in packed], [row[1:] for row in oracle], rtol=1e-12, atol=1e-14
+        )
+
+    def test_chunked_evaluation_matches_per_sentence(self, monkeypatch):
+        corpus = generate_synthetic_corpus(2 * EVAL_CHUNK + 5, seed=4)
+        model = train(corpus, TrainConfig(steps=10, seed=2)).model
+        assert len(corpus.split_indices("train")) > EVAL_CHUNK
+        packed = evaluate_split(model, corpus, "train").as_dict()
+        monkeypatch.setattr(pipeline, "encode_words_batch", per_sentence_words)
+        assert evaluate_split(model, corpus, "train").as_dict() == packed
+
+
 class TestPretrain:
     def test_deterministic(self):
         corpus = small_corpus(15, seed=2)
@@ -277,3 +311,27 @@ class TestCheckpointIO:
             corpus, TrainConfig(steps=10, batch_size=4, seed=6), init=first
         )
         assert params_equal(resumed_disk.model, resumed_memory.model)
+
+    def test_non_object_payload_names_the_file(self, tmp_path):
+        path = tmp_path / "listed.json"
+        path.write_text("[]")
+        with pytest.raises(CheckpointError, match="listed.json.*JSON object"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda c: c.pop("d_ff"), "missing key 'd_ff'"),
+            (lambda c: c.update(d_hidden=3), "unknown encoder_config key 'd_hidden'"),
+            (lambda c: c.update(heads=5), "divisible"),
+        ],
+    )
+    def test_encoder_config_keys_checked(self, tmp_path, edit, message):
+        path = tmp_path / "model.json"
+        save_checkpoint(train(small_corpus(), TrainConfig(steps=1, seed=0)), path)
+        payload = json.loads(path.read_text())
+        edit(payload["encoder_config"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=message) as info:
+            load_checkpoint(path)
+        assert "model.json" in str(info.value)
