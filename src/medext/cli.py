@@ -19,6 +19,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
+from . import tensor as T
 from .corpus import (
     Corpus,
     Sentence,
@@ -373,19 +374,20 @@ def cmd_predict(config: dict, args) -> int:
     if not input_path.exists():
         raise ConfigError(f"input file not found: {input_path}")
     records = []
-    for line in input_path.read_text(encoding="utf-8").splitlines():
-        words = line.split()
-        if not words:
-            continue
-        sentence = Sentence([Token(w) for w in words], [0] * len(words))
-        h = encode_words(checkpoint.model, sentence)
-        spans, _ = decode_entities(checkpoint.model, h)
-        records.append(
-            {
-                "tokens": words,
-                "spans": [{"start": s.start, "end": s.end, "cls": s.cls} for s in spans],
-            }
-        )
+    with T.no_grad():
+        for line in input_path.read_text(encoding="utf-8").splitlines():
+            words = line.split()
+            if not words:
+                continue
+            sentence = Sentence([Token(w) for w in words], [0] * len(words))
+            h = encode_words(checkpoint.model, sentence)
+            spans, _ = decode_entities(checkpoint.model, h)
+            records.append(
+                {
+                    "tokens": words,
+                    "spans": [{"start": s.start, "end": s.end, "cls": s.cls} for s in spans],
+                }
+            )
     payload = "\n".join(json.dumps(r, separators=(",", ":")) for r in records)
     payload = payload + "\n" if payload else ""
     if args.out_file:

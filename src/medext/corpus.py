@@ -292,22 +292,54 @@ def load_annotations(corpus: Corpus, path: str | Path) -> Corpus:
         )
     sentences = []
     for i, (line, sentence) in enumerate(zip(lines, corpus.sentences)):
+        where = f"annotation file {path} line {i + 1}"
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"annotation line {i + 1}: {exc}") from None
-        spans = [EntitySpan(s["start"], s["end"], s["cls"]) for s in record.get("spans", [])]
+            raise ParseError(f"{where}: {exc}") from None
+        if not isinstance(record, dict):
+            raise ParseError(f"{where}: expected a JSON object, got {type(record).__name__}")
+        spans = [
+            EntitySpan(*_fields(item, _SPAN_FIELDS, "span", where))
+            for item in _records(record, "spans", where)
+        ]
         relations = [
-            RelationInstance(r["head"], r["tail"], r["label"])
-            for r in record.get("relations", [])
+            RelationInstance(*_fields(item, _RELATION_FIELDS, "relation", where))
+            for item in _records(record, "relations", where)
         ]
         updated = replace(sentence, spans=spans, relations=relations)
         try:
             validate_sentence(updated, corpus.scheme)
         except ValidationError as exc:
-            raise ParseError(f"annotation line {i + 1}: {exc}") from None
+            raise ParseError(f"{where}: {exc}") from None
         sentences.append(updated)
     return Corpus(sentences, corpus.scheme, list(corpus.splits))
+
+
+_SPAN_FIELDS = (("start", int), ("end", int), ("cls", str))
+_RELATION_FIELDS = (("head", int), ("tail", int), ("label", str))
+
+
+def _records(record: dict, key: str, where: str) -> list:
+    items = record.get(key, [])
+    if not isinstance(items, list):
+        raise ParseError(f"{where}: {key!r} must be a JSON list")
+    return items
+
+
+def _fields(item, fields: tuple, what: str, where: str) -> list:
+    """The values of one span or relation record, checked key by key."""
+    if not isinstance(item, dict):
+        raise ParseError(f"{where}: each {what} must be a JSON object, got {type(item).__name__}")
+    values = []
+    for key, kind in fields:
+        if key not in item:
+            raise ParseError(f"{where}: {what} record is missing key {key!r}")
+        value = item[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ParseError(f"{where}: {what} key {key!r} must be {kind.__name__}, got {value!r}")
+        values.append(value)
+    return values
 
 
 def save_annotations(corpus: Corpus, path: str | Path) -> None:
@@ -419,12 +451,20 @@ def tokenize_subword(surface: str, vocab: Vocab) -> list[int]:
 
 
 def tokenize_corpus(corpus: Corpus, vocab: Vocab) -> Corpus:
-    """Fill every token's subword_ids; returns a new corpus."""
+    """Fill every token's subword_ids; returns a new corpus.
+
+    Each distinct surface is segmented once per call; every token still gets
+    its own list.
+    """
+    pieces: dict[str, list[int]] = {}
     sentences = []
     for sentence in corpus.sentences:
-        tokens = [
-            Token(t.surface, tokenize_subword(t.surface, vocab)) for t in sentence.tokens
-        ]
+        tokens = []
+        for t in sentence.tokens:
+            ids = pieces.get(t.surface)
+            if ids is None:
+                ids = pieces[t.surface] = tokenize_subword(t.surface, vocab)
+            tokens.append(Token(t.surface, list(ids)))
         sentences.append(replace(sentence, tokens=tokens))
     return Corpus(sentences, corpus.scheme, list(corpus.splits))
 

@@ -34,7 +34,7 @@ from .evaluation import (
     resolve_relations,
     token_accuracy,
 )
-from .relation_head import RelationHeadParams, entity_pool, predict_relations
+from .relation_head import RelationHeadParams, ordered_pairs, predict_relations
 from .seq2seq_head import (
     Seq2SeqParams,
     greedy_decode,
@@ -42,7 +42,13 @@ from .seq2seq_head import (
     invalid_transition_rate,
     teacher_forced_loss,
 )
-from .span_head import SpanHeadParams, decode_spans, init_span, score_all_spans, span_loss
+from .span_head import (
+    SpanHeadParams,
+    batch_span_loss,
+    decode_spans,
+    init_span,
+    score_all_spans,
+)
 from .tensor import Tensor
 
 HEAD_KINDS = ("crf", "span", "seq2seq")
@@ -137,35 +143,54 @@ def encode_words_batch(
     sentences: Sequence[Sentence],
     training: bool = False,
     dropout_seeds: Sequence[int] | None = None,
-) -> list[Tensor]:
+) -> Tensor:
     """``encode_words`` for a batch in one packed encoder pass.
 
-    Returns one [n_words, d_model] matrix per sentence, each one row gather
-    from the packed output; they equal per-sentence ``encode_words`` calls.
+    Returns the sentences' word rows packed one after another,
+    [sum of n_words, d_model], as one row gather from the packed encoder
+    output; sentence b's block equals its own ``encode_words`` call.
     """
     flat = [word_ids(sentence, model.vocab) for sentence in sentences]
     h = encode_batch(
         [ids for ids, _ in flat], model.encoder, model.config,
         training=training, dropout_seeds=dropout_seeds,
     )
-    out, offset = [], 0
+    rows, offset = [], 0
     for ids, starts in flat:
-        out.append(T.rows(h, [offset + s for s in starts]))
+        rows.extend(offset + s for s in starts)
         offset += len(ids)
+    return T.rows(h, rows)
+
+
+def sentence_rows(h_words: Tensor, sentences: Sequence[Sentence]) -> list[Tensor]:
+    """Split packed word rows back into one [n_words, d_model] matrix per sentence."""
+    out, offset = [], 0
+    for sentence in sentences:
+        out.append(T.rows(h_words, range(offset, offset + len(sentence.tokens))))
+        offset += len(sentence.tokens)
     return out
 
 
-def ner_loss(model: Model, h_words: Tensor, sentence: Sentence, seed: int = 0) -> Tensor:
-    """Per-sentence extraction loss for the model's configured head."""
+def ner_loss(
+    model: Model, h_words: Tensor, sentences: Sequence[Sentence], seeds: Sequence[int]
+) -> Tensor:
+    """Mean over a batch of each sentence's extraction loss for the model's head.
+
+    ``h_words`` packs the sentences' word rows as ``encode_words_batch``
+    returns them; ``seeds`` (one per sentence) drive the span head's
+    negative subsampling.  One head pass over the whole batch.
+    """
     head = model.head
+    lengths = [len(sentence.tokens) for sentence in sentences]
+    tags = [tag for sentence in sentences for tag in sentence.tags]
     if isinstance(head, CRFParams):
         e = emissions(h_words, head)
-        return crf_nll(e, head.trans, head.start, head.stop, sentence.tags)
+        return crf_nll(e, head.trans, head.start, head.stop, tags, lengths)
     if isinstance(head, SpanHeadParams):
-        candidates = score_all_spans(h_words, head)
-        return span_loss(candidates, sentence.spans, head.classes, seed=seed)
+        table = score_all_spans(h_words, head, lengths)
+        return batch_span_loss(table, [s.spans for s in sentences], head.classes, seeds)
     if isinstance(head, Seq2SeqParams):
-        return teacher_forced_loss(h_words, sentence.tags, head)
+        return teacher_forced_loss(h_words, tags, head, lengths)
     raise ContractError(f"model has no trainable head (kind={model.head_kind!r})")
 
 
@@ -187,19 +212,35 @@ def decode_entities(model: Model, h_words: Tensor) -> tuple[list[EntitySpan], li
 
 
 def gold_relation_pairs(
-    model: Model, h_words: Tensor, sentence: Sentence
-) -> list[tuple[Tensor, Tensor, str]]:
-    """Training pairs over gold spans; unannotated ordered pairs are no-relation."""
-    if len(sentence.spans) < 2:
-        return []
-    annotated = {(r.head, r.tail): r.label for r in sentence.relations}
-    pooled = [entity_pool(h_words, span) for span in sentence.spans]
-    pairs = []
-    for i in range(len(sentence.spans)):
-        for j in range(len(sentence.spans)):
-            if i != j:
-                pairs.append((pooled[i], pooled[j], annotated.get((i, j), NO_RELATION)))
-    return pairs
+    h_words: Tensor, sentences: Sequence[Sentence]
+) -> tuple[Tensor, Tensor, list[str]] | None:
+    """Training pairs over a batch's gold spans, from its packed word rows.
+
+    Every ordered pair of distinct gold spans within a sentence is one pair;
+    unannotated pairs are no-relation.  Returns the head rows, tail rows and
+    labels, or None when no sentence has two spans.  All gold entities of
+    the batch are pooled at once and the pair rows are two gathers.
+    """
+    starts: list[int] = []
+    stops: list[int] = []
+    heads: list[int] = []
+    tails: list[int] = []
+    labels: list[str] = []
+    offset = 0
+    for sentence in sentences:
+        if len(sentence.spans) >= 2:
+            annotated = {(r.head, r.tail): r.label for r in sentence.relations}
+            first, second = ordered_pairs(len(sentence.spans))
+            heads.extend(len(starts) + i for i in first)
+            tails.extend(len(starts) + j for j in second)
+            labels.extend(annotated.get(pair, NO_RELATION) for pair in zip(first, second))
+            starts.extend(offset + span.start for span in sentence.spans)
+            stops.extend(offset + span.end + 1 for span in sentence.spans)
+        offset += len(sentence.tokens)
+    if not labels:
+        return None
+    pooled = T.range_means(h_words, starts, stops)
+    return T.rows(pooled, heads), T.rows(pooled, tails), labels
 
 
 @dataclass
@@ -220,29 +261,29 @@ class SplitEvaluation:
 def evaluate_split(model: Model, corpus: Corpus, split: str = "test") -> SplitEvaluation:
     """Decode every sentence of a split and score entities (and relations).
 
-    Sentences are encoded EVAL_CHUNK at a time in one packed pass each, and
-    the tape is reset after every chunk.
+    Sentences are encoded EVAL_CHUNK at a time in one packed pass each.
+    Nothing is recorded on the tape.
     """
-    T.reset_tape()
     sentences = [corpus.sentences[i] for i in corpus.split_indices(split)]
     gold_spans, pred_spans = [], []
     gold_tags, pred_tags = [], []
     gold_rel, pred_rel_gold_spans, pred_rel_pred_spans = [], [], []
-    for lo in range(0, len(sentences), EVAL_CHUNK):
-        chunk = sentences[lo:lo + EVAL_CHUNK]
-        for sentence, h in zip(chunk, encode_words_batch(model, chunk)):
-            spans, tags = decode_entities(model, h)
-            gold_spans.append(sentence.spans)
-            pred_spans.append(spans)
-            gold_tags.append(sentence.tags)
-            pred_tags.append(tags)
-            if model.relation is not None:
-                gold_rel.append(resolve_relations(sentence.spans, sentence.relations))
-                on_gold = predict_relations(h, sentence.spans, model.relation)
-                pred_rel_gold_spans.append(resolve_relations(sentence.spans, on_gold))
-                on_pred = predict_relations(h, spans, model.relation)
-                pred_rel_pred_spans.append(resolve_relations(spans, on_pred))
-        T.reset_tape()
+    with T.no_grad():
+        for lo in range(0, len(sentences), EVAL_CHUNK):
+            chunk = sentences[lo:lo + EVAL_CHUNK]
+            words = sentence_rows(encode_words_batch(model, chunk), chunk)
+            for sentence, h in zip(chunk, words):
+                spans, tags = decode_entities(model, h)
+                gold_spans.append(sentence.spans)
+                pred_spans.append(spans)
+                gold_tags.append(sentence.tags)
+                pred_tags.append(tags)
+                if model.relation is not None:
+                    gold_rel.append(resolve_relations(sentence.spans, sentence.relations))
+                    on_gold = predict_relations(h, sentence.spans, model.relation)
+                    pred_rel_gold_spans.append(resolve_relations(sentence.spans, on_gold))
+                    on_pred = predict_relations(h, spans, model.relation)
+                    pred_rel_pred_spans.append(resolve_relations(spans, on_pred))
 
     report = entity_prf(gold_spans, pred_spans)
     report.token_accuracy = token_accuracy(gold_tags, pred_tags)

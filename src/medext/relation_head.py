@@ -1,9 +1,9 @@
 """Relation extraction over entity pairs.
 
-Each entity is summarized by the mean of its encoder rows; an ordered pair is
-scored by an affine map over the concatenated pair representation and trained
-with cross-entropy.  Label index 0 is always "no-relation" and is never
-emitted as a prediction.
+Each entity is summarized by the mean of its encoder rows; ordered pairs are
+scored together by one affine map over their concatenated representations
+(``pair_logits``) and trained with cross-entropy.  Label index 0 is always
+"no-relation" and is never emitted as a prediction.
 """
 
 from __future__ import annotations
@@ -51,13 +51,33 @@ def entity_pool(h: Tensor, span: EntitySpan) -> Tensor:
     return T.mean0(T.slice_rows(h, span.start, span.end + 1))
 
 
+def pair_logits(heads: Tensor, tails: Tensor, params: RelationHeadParams) -> Tensor:
+    """Affine scores of P ordered pairs: concat(heads, tails) @ w + b -> [P, R]."""
+    if (
+        heads.values.ndim != 2
+        or heads.shape != tails.shape
+        or 2 * heads.shape[1] != params.w.shape[0]
+    ):
+        raise ContractError(f"pair_logits: rows {heads.shape}/{tails.shape} vs w {params.w.shape}")
+    return T.add_rowwise(T.matmul(T.concat_cols([heads, tails]), params.w), params.b)
+
+
 def relation_logits(h_e1: Tensor, h_e2: Tensor, params: RelationHeadParams) -> Tensor:
     """Affine score of the ordered pair: w.T @ concat(h_e1, h_e2) + b -> (R,)."""
-    if h_e1.shape != h_e2.shape or 2 * h_e1.shape[0] != params.w.shape[0]:
-        raise ContractError(
-            f"relation_logits: vectors {h_e1.shape}/{h_e2.shape} vs w {params.w.shape}"
-        )
-    return T.add(T.vecmat(T.concat1d([h_e1, h_e2]), params.w), params.b)
+    if h_e1.values.ndim != 1 or h_e1.shape != h_e2.shape:
+        raise ContractError(f"relation_logits: vectors {h_e1.shape}/{h_e2.shape}")
+    return T.row1d(pair_logits(T.stack_rows([h_e1]), T.stack_rows([h_e2]), params), 0)
+
+
+def pair_loss(
+    heads: Tensor, tails: Tensor, labels: Sequence[str], params: RelationHeadParams
+) -> Tensor:
+    """Mean cross-entropy of the P pairs' ``pair_logits`` against their gold labels."""
+    index = {label: r for r, label in enumerate(params.labels)}
+    for label in labels:
+        if label not in index:
+            raise ContractError(f"unknown relation label {label!r}")
+    return T.mean_cross_entropy(pair_logits(heads, tails, params), [index[l] for l in labels])
 
 
 def relation_loss(
@@ -66,27 +86,32 @@ def relation_loss(
     """Mean cross-entropy of softmax(relation_logits) against gold labels."""
     if not pairs:
         raise ContractError("relation_loss requires a nonempty pair list")
-    targets = []
-    for _, _, label in pairs:
-        if label not in params.labels:
-            raise ContractError(f"unknown relation label {label!r}")
-        targets.append(params.labels.index(label))
-    logits = T.stack_rows([relation_logits(h1, h2, params) for h1, h2, _ in pairs])
-    return T.mean_cross_entropy(logits, targets)
+    heads = T.stack_rows([h1 for h1, _, _ in pairs])
+    tails = T.stack_rows([h2 for _, h2, _ in pairs])
+    return pair_loss(heads, tails, [label for _, _, label in pairs], params)
+
+
+def ordered_pairs(k: int) -> tuple[list[int], list[int]]:
+    """(heads, tails) of the k*(k-1) ordered pairs of distinct indices, row-major."""
+    pairs = [(i, j) for i in range(k) for j in range(k) if i != j]
+    return [i for i, _ in pairs], [j for _, j in pairs]
 
 
 def predict_relations(
     h: Tensor, spans: Sequence[EntitySpan], params: RelationHeadParams
 ) -> list[RelationInstance]:
     """Argmax label for every ordered pair of distinct spans; no-relation omitted."""
-    pooled = [entity_pool(h, span) for span in spans]
-    predictions: list[RelationInstance] = []
-    for i in range(len(spans)):
-        for j in range(len(spans)):
-            if i == j:
-                continue
-            logits = relation_logits(pooled[i], pooled[j], params)
-            label = int(np.argmax(logits.values))
-            if label != 0:
-                predictions.append(RelationInstance(i, j, params.labels[label]))
-    return predictions
+    for span in spans:
+        if not 0 <= span.start <= span.end < h.shape[0]:
+            raise ContractError(f"span {span} out of range for {h.shape[0]} positions")
+    heads, tails = ordered_pairs(len(spans))
+    if not heads:
+        return []
+    pooled = T.range_means(h, [s.start for s in spans], [s.end + 1 for s in spans])
+    logits = pair_logits(T.rows(pooled, heads), T.rows(pooled, tails), params)
+    best = logits.values.argmax(axis=1).tolist()
+    return [
+        RelationInstance(i, j, params.labels[label])
+        for i, j, label in zip(heads, tails, best)
+        if label != 0
+    ]

@@ -45,15 +45,23 @@ def init_seq2seq(d_model: int, num_tags: int, seed: int, d_t: int = 8) -> Seq2Se
     )
 
 
-def teacher_forced_loss(h: Tensor, y: Sequence[int], params: Seq2SeqParams) -> Tensor:
-    """Mean cross-entropy with gold previous tags fed as conditioning input."""
+def teacher_forced_loss(
+    h: Tensor, y: Sequence[int], params: Seq2SeqParams, lengths: Sequence[int] | None = None
+) -> Tensor:
+    """Mean cross-entropy with gold previous tags fed as conditioning input.
+
+    With ``lengths``, ``h`` and ``y`` pack several sentences; each one's mean
+    is weighted 1/B, so the result is the mean of per-sentence means.
+    """
     n = h.shape[0]
     if len(y) != n or n < 1:
         raise ContractError(f"{len(y)} tags for {n} positions")
-    previous = [params.bos] + list(y[:-1])
+    sizes, _, position = T.segments([n] if lengths is None else lengths, n, "teacher_forced_loss")
+    previous = np.roll(np.asarray(y, dtype=np.intp), 1)
+    previous[position == 0] = params.bos
     feats = T.concat_cols([h, T.rows(params.tag_emb, previous)])
     logits = T.add_rowwise(T.matmul(feats, params.w_out), params.b_out)
-    return T.mean_cross_entropy(logits, y)
+    return T.cross_entropy(logits, y, np.repeat(1.0 / (sizes.size * sizes), sizes))
 
 
 def greedy_decode(h: Tensor, params: Seq2SeqParams) -> list[int]:

@@ -7,6 +7,7 @@ non-overlapping span set greedily by score.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 from typing import Sequence
@@ -55,43 +56,63 @@ def init_span(
 
 
 @dataclass
-class ScoredSpan:
-    start: int
-    end: int
-    logits: Tensor  # (C+1,), differentiable
+class SpanTable:
+    """Every candidate span of one or more sentences, scored in one matrix.
+
+    Row r scores the span starts[r]..ends[r] (word indices inside its own
+    sentence, inclusive) of sentence ``sentence[r]``; a sentence's rows are
+    contiguous and ordered by (start, end).
+    """
+
+    logits: Tensor  # [M, C+1], differentiable
+    starts: np.ndarray  # [M]
+    ends: np.ndarray  # [M]
+    sentence: np.ndarray  # [M]
+
+    def __len__(self) -> int:
+        return int(self.starts.size)
 
 
-def score_all_spans(h: Tensor, params: SpanHeadParams) -> list[ScoredSpan]:
-    """Classify every span (i, j) with j - i < max_width -> one ScoredSpan each.
+@functools.lru_cache(maxsize=256)
+def _candidates(n: int, max_width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, ends) of every span of an n-word sentence up to max_width wide."""
+    first, extra = np.divmod(np.arange(n * max_width), max_width)
+    keep = first + extra < n
+    return first[keep], (first + extra)[keep]
+
+
+def score_all_spans(
+    h: Tensor, params: SpanHeadParams, lengths: Sequence[int] | None = None
+) -> SpanTable:
+    """Classify every span (i, j) with j - i < max_width -> one table row each.
 
     Representation per span: concat(h[i], h[j], mean(h[i..j]), width_emb[j-i]).
-    All candidates are scored in one batched affine map; each ScoredSpan's
-    logits stay differentiable back to h and the head parameters.
+    With ``lengths``, ``h`` packs several sentences' word rows and spans stay
+    inside their sentence.  All candidates are scored in one batched affine
+    map; the logits stay differentiable back to h and the head parameters.
     """
-    n = h.shape[0]
-    if n < 1:
+    rows = h.shape[0]
+    if rows < 1:
         raise ContractError("score_all_spans requires at least one position")
-    bounds = [
-        (i, j) for i in range(n) for j in range(i, min(n, i + params.max_width))
-    ]
-    starts = [i for i, _ in bounds]
-    ends = [j for _, j in bounds]
-    widths = np.array([j - i + 1 for i, j in bounds], dtype=np.float64)
-
-    prefix = T.prefix_sums0(h)
-    sums = T.sub(T.rows(prefix, [j + 1 for j in ends]), T.rows(prefix, starts))
-    means = T.scale_rows(sums, 1.0 / widths)
-    rep = T.concat_cols(
-        [T.rows(h, starts), T.rows(h, ends), means, T.rows(params.width_emb, [w - 1 for w in widths.astype(int)])]
-    )
+    sizes, _, _ = T.segments([rows] if lengths is None else lengths, rows, "score_all_spans")
+    bounds = [_candidates(int(n), params.max_width) for n in sizes]
+    counts = [len(first) for first, _ in bounds]
+    starts = np.concatenate([first for first, _ in bounds])
+    ends = np.concatenate([last for _, last in bounds])
+    offsets = np.repeat(np.cumsum(sizes) - sizes, counts)
+    first, last = starts + offsets, ends + offsets
+    rep = T.concat_cols([
+        T.rows(h, first),
+        T.rows(h, last),
+        T.range_means(h, first, last + 1),
+        T.rows(params.width_emb, ends - starts),
+    ])
     logits = T.add_rowwise(T.matmul(rep, params.w_cls), params.b_cls)
-    return [
-        ScoredSpan(i, j, T.row1d(logits, r)) for r, (i, j) in enumerate(bounds)
-    ]
+    return SpanTable(logits, starts, ends, np.repeat(np.arange(sizes.size), counts))
 
 
 def span_loss(
-    candidates: Sequence[ScoredSpan],
+    table: SpanTable,
     gold: Sequence[EntitySpan],
     classes: Sequence[str],
     neg_ratio: float = 3.0,
@@ -104,21 +125,47 @@ def span_loss(
     wider than the candidate cap cannot be matched and are dropped with a
     warning.
     """
-    if not candidates:
+    return batch_span_loss(table, [gold], classes, [seed], neg_ratio)
+
+
+def batch_span_loss(
+    table: SpanTable,
+    golds: Sequence[Sequence[EntitySpan]],
+    classes: Sequence[str],
+    seeds: Sequence[int],
+    neg_ratio: float = 3.0,
+) -> Tensor:
+    """Mean over sentences of each one's ``span_loss``, from one table.
+
+    Each sentence keeps its own seeded negative subsampling; its retained
+    rows are weighted 1 / (B * retained), and all of them are taken with one
+    gather into one weighted cross-entropy.
+    """
+    if not len(table):
         raise ContractError("span_loss requires at least one candidate")
     class_index = {cls: c + 1 for c, cls in enumerate(classes)}
-    max_width = max(c.end - c.start + 1 for c in candidates)
-    gold_by_bounds = {}
-    for span in gold:
-        if span.end - span.start + 1 > max_width:
-            logger.warning("gold span %s wider than max_width %d; dropped", span, max_width)
-            continue
-        gold_by_bounds[(span.start, span.end)] = class_index[span.cls]
-
-    labels = [gold_by_bounds.get((c.start, c.end), NULL) for c in candidates]
-    retained = subsample_negatives(labels, neg_ratio, seed)
-    logits = T.stack_rows([candidates[i].logits for i in retained])
-    return T.mean_cross_entropy(logits, [labels[i] for i in retained])
+    bounds = np.searchsorted(table.sentence, np.arange(len(golds) + 1)).tolist()
+    picked: list[int] = []
+    targets: list[int] = []
+    weights: list[float] = []
+    for b, (gold, seed) in enumerate(zip(golds, seeds)):
+        lo, hi = bounds[b], bounds[b + 1]
+        if lo == hi:
+            raise ContractError("span_loss requires at least one candidate")
+        rows = list(zip(table.starts[lo:hi].tolist(), table.ends[lo:hi].tolist()))
+        max_width = max(end - start + 1 for start, end in rows)
+        gold_by_bounds = {}
+        for span in gold:
+            if span.end - span.start + 1 > max_width:
+                logger.warning("gold span %s wider than max_width %d; dropped", span, max_width)
+                continue
+            gold_by_bounds[(span.start, span.end)] = class_index[span.cls]
+        labels = [gold_by_bounds.get(bound, NULL) for bound in rows]
+        retained = subsample_negatives(labels, neg_ratio, seed)
+        picked.extend(lo + i for i in retained)
+        targets.extend(labels[i] for i in retained)
+        weights.extend([1.0 / (len(golds) * len(retained))] * len(retained))
+    return T.cross_entropy(T.rows(table.logits, picked), targets, weights)
 
 
 def subsample_negatives(labels: Sequence[int], neg_ratio: float, seed: int) -> list[int]:
@@ -133,24 +180,26 @@ def subsample_negatives(labels: Sequence[int], neg_ratio: float, seed: int) -> l
     return sorted(positives + negatives)
 
 
-def decode_spans(
-    candidates: Sequence[ScoredSpan], classes: Sequence[str]
-) -> list[EntitySpan]:
-    """Greedy non-overlapping decode: best winning logit first, ties by (start, end)."""
-    winners = []
-    for c in candidates:
-        values = c.logits.values
-        cls = int(values.argmax())
-        if cls != NULL:
-            winners.append((-float(values[cls]), c.start, c.end, cls))
-    winners.sort()
+def decode_spans(table: SpanTable, classes: Sequence[str]) -> list[EntitySpan]:
+    """Greedy non-overlapping decode of one sentence's table: best winning
+    logit first, ties by (start, end)."""
+    values = table.logits.values
+    cls = values.argmax(axis=1)
+    best = values[np.arange(len(table)), cls]
+    winners = sorted(
+        (-score, start, end, c)
+        for score, start, end, c in zip(
+            best.tolist(), table.starts.tolist(), table.ends.tolist(), cls.tolist()
+        )
+        if c != NULL
+    )
     taken: list[EntitySpan] = []
     occupied: set[int] = set()
-    for _, start, end, cls in winners:
+    for _, start, end, c in winners:
         positions = range(start, end + 1)
         if any(p in occupied for p in positions):
             continue
         occupied.update(positions)
-        taken.append(EntitySpan(start, end, classes[cls - 1]))
+        taken.append(EntitySpan(start, end, classes[c - 1]))
     taken.sort(key=lambda s: (s.start, s.end))
     return taken

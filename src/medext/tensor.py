@@ -5,7 +5,7 @@ execution order (which is already a topological order).  ``backward`` seeds
 the root gradient and replays the tape in reverse, accumulating gradients by
 summation so that multiple uses of one tensor add their contributions.
 ``reset_tape`` must be called between training steps; nothing is freed
-implicitly.
+implicitly.  Inside ``no_grad()`` nothing is recorded (inference).
 
 Everything is double precision.  Shapes are 0-d (scalars), 1-d (vectors) or
 2-d (matrices); there is no broadcasting beyond row-wise affine maps.
@@ -13,7 +13,8 @@ Everything is double precision.  Shapes are 0-d (scalars), 1-d (vectors) or
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -86,10 +87,11 @@ class Tape:
     reverse replay visits every node exactly once.
     """
 
-    __slots__ = ("records",)
+    __slots__ = ("records", "recording")
 
     def __init__(self):
         self.records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        self.recording = True
 
     def reset(self) -> None:
         self.records.clear()
@@ -119,9 +121,28 @@ def reset_tape() -> None:
     _TAPE.reset()
 
 
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Record nothing on the tape inside the block (inference: nothing is replayed)."""
+    previous = _TAPE.recording
+    _TAPE.recording = False
+    try:
+        yield
+    finally:
+        _TAPE.recording = previous
+
+
 def _record(out: Tensor, inputs: tuple[Tensor, ...], rule: Callable) -> None:
-    if out.requires_grad:
+    if out.requires_grad and _TAPE.recording:
         _TAPE.records.append((out, inputs, rule))
+
+
+def record_op(values: Array, inputs: Sequence[Tensor], rule: Callable) -> Tensor:
+    """A hand-written op: ``values`` computed outside, ``rule`` maps the output
+    gradient to one gradient (or None) per input.  One tape record."""
+    out = Tensor(values, _needs_grad(*inputs))
+    _record(out, tuple(inputs), rule)
+    return out
 
 
 def _needs_grad(*tensors: Tensor) -> bool:
@@ -227,15 +248,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def vecmat(v: Tensor, w: Tensor) -> Tensor:
-    """(d,) row vector times (d, k) matrix -> (k,)."""
-    if v.values.ndim != 1 or w.values.ndim != 2 or v.shape[0] != w.shape[0]:
-        raise ShapeError(f"vecmat: incompatible shapes {v.shape} x {w.shape}")
-    out = Tensor(v.values @ w.values, _needs_grad(v, w))
-    _record(out, (v, w), lambda g: (w.values @ g, np.outer(v.values, g)))
-    return out
-
-
 def transpose(a: Tensor) -> Tensor:
     if a.values.ndim != 2:
         raise ShapeError(f"transpose expects a matrix, got shape {a.shape}")
@@ -319,6 +331,21 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 MASK_BIAS = -1e9  # additive stand-in for -inf; keeps arithmetic finite
 
 
+def segments(lengths: Sequence[int], n_rows: int, what: str) -> tuple[Array, Array, Array]:
+    """Check that ``lengths`` tile ``n_rows`` packed rows, each block nonempty.
+
+    Returns (sizes, segment, position): the block lengths as an array, and
+    for every packed row its block index and its position inside the block,
+    so ``padded[segment, position] = rows`` pads to [B, max(lengths), ...].
+    """
+    sizes = np.asarray(lengths, dtype=np.intp)
+    if sizes.ndim != 1 or sizes.size == 0 or sizes.min() < 1 or sizes.sum() != n_rows:
+        raise ContractError(f"{what}: segment lengths {list(lengths)} do not tile {n_rows} rows")
+    segment = np.repeat(np.arange(sizes.size), sizes)
+    position = np.arange(n_rows) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return sizes, segment, position
+
+
 def segment_attention(
     q: Tensor,
     k: Tensor,
@@ -345,14 +372,8 @@ def segment_attention(
     n_rows, d = q.shape
     if heads < 1 or d % heads:
         raise ShapeError(f"segment_attention: width {d} is not divisible by {heads} heads")
-    sizes = np.asarray(lengths, dtype=np.intp)
-    if sizes.ndim != 1 or sizes.size == 0 or sizes.min() < 1 or sizes.sum() != n_rows:
-        raise ContractError(
-            f"segment_attention: segment lengths {list(lengths)} do not tile {n_rows} rows"
-        )
+    sizes, segment, position = segments(lengths, n_rows, "segment_attention")
     batch, longest, d_k = sizes.size, int(sizes.max()), d // heads
-    segment = np.repeat(np.arange(batch), sizes)
-    position = np.arange(n_rows) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     c = 1.0 / np.sqrt(d_k)
 
     def pad(a: Array) -> Array:  # [N, d] -> [B, H, L, d_k], padded rows zero
@@ -465,16 +486,6 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     return out
 
 
-def concat1d(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise ContractError("concat1d of an empty sequence")
-    out = Tensor(np.concatenate([p.values for p in parts]), _needs_grad(*parts))
-    lengths = [p.shape[0] for p in parts]
-    splits = np.cumsum(lengths)[:-1]
-    _record(out, tuple(parts), lambda g: tuple(np.split(g, splits)))
-    return out
-
-
 def stack_rows(parts: Sequence[Tensor]) -> Tensor:
     """Stack k vectors of length n into a k-by-n matrix."""
     if not parts:
@@ -512,43 +523,64 @@ def take2d(a: Tensor, row_idx: Sequence[int], col_idx: Sequence[int]) -> Tensor:
     return out
 
 
-def prefix_sums0(a: Tensor) -> Tensor:
-    """Exclusive cumulative row sums: out[t] = sum of rows before t.
+def range_means(a: Tensor, starts: Sequence[int], stops: Sequence[int]) -> Tensor:
+    """Mean of rows starts[s]:stops[s] of a matrix for every range s -> [S, n].
 
-    Output has one more row than the input (row 0 is zero), so row ranges
-    pool as out[stop] - out[start].
+    Forward pools each range as a difference of prefix sums; backward spreads
+    g[s] / width over the range.  One tape record however many ranges.
     """
-    if a.values.ndim != 2:
-        raise ShapeError(f"prefix_sums0 expects a matrix, got {a.shape}")
-    body = np.cumsum(a.values, axis=0)
-    out_values = np.vstack([np.zeros((1, a.shape[1])), body])
-    out = Tensor(out_values, a.requires_grad)
+    lo = np.asarray(starts, dtype=np.intp)
+    hi = np.asarray(stops, dtype=np.intp)
+    if a.values.ndim != 2 or lo.ndim != 1 or lo.shape != hi.shape:
+        raise ShapeError(f"range_means: matrix {a.shape} with ranges {lo.shape}/{hi.shape}")
+    if lo.size and (lo.min() < 0 or (hi <= lo).any() or hi.max() > a.shape[0]):
+        raise ContractError(f"range_means: empty or out-of-range row range for {a.shape[0]} rows")
+    prefix = np.vstack([np.zeros((1, a.shape[1])), np.cumsum(a.values, axis=0)])
+    inverse = 1.0 / (hi - lo)
+    out_values = (prefix[hi] - prefix[lo]) * inverse[:, None]
 
     def rule(g):
-        # d out[t] / d a[r] = 1 for t > r, so grad is a suffix sum of g[1:]
-        return (np.cumsum(g[:0:-1], axis=0)[::-1],)
+        share = g * inverse[:, None]
+        steps = np.zeros((a.shape[0] + 1, a.shape[1]))
+        np.add.at(steps, lo, share)
+        np.add.at(steps, hi, -share)
+        return (np.cumsum(steps[:-1], axis=0),)
 
-    _record(out, (a,), rule)
-    return out
+    return record_op(out_values, (a,), rule)
 
 
-def scale_rows(a: Tensor, factors: Array) -> Tensor:
-    """Multiply row i by the constant factors[i] (factors carry no grad)."""
-    f = np.asarray(factors, dtype=np.float64)
-    if a.values.ndim != 2 or f.shape != (a.shape[0],):
-        raise ShapeError(f"scale_rows: shapes {a.shape} and {f.shape}")
-    out = Tensor(a.values * f[:, None], a.requires_grad)
-    _record(out, (a,), lambda g: (g * f[:, None],))
-    return out
+def cross_entropy(logits: Tensor, targets: Sequence[int], weights: Sequence[float]) -> Tensor:
+    """Weighted sum of row-wise softmax cross-entropies of an m-by-k logit matrix.
+
+    Returns sum_i weights[i] * (logsumexp(logits[i]) - logits[i, targets[i]])
+    as a scalar; the weights are constants.  One tape record.
+    """
+    if logits.values.ndim != 2 or min(logits.shape) < 1:
+        raise ShapeError(f"cross_entropy expects a nonempty matrix, got {logits.shape}")
+    m = logits.shape[0]
+    t = np.asarray(targets, dtype=np.intp)
+    w = np.asarray(weights, dtype=np.float64)
+    if t.shape != (m,) or w.shape != (m,):
+        raise ShapeError(f"{t.size} targets and {w.size} weights for {m} logit rows")
+    x = logits.values
+    peak = x.max(axis=1, keepdims=True)
+    e = np.exp(x - peak)
+    total = e.sum(axis=1, keepdims=True)
+    index = np.arange(m)
+    ce = (peak + np.log(total)).reshape(-1) - x[index, t]
+
+    def rule(g):
+        d = e / total
+        d[index, t] -= 1.0
+        return (d * (w * g)[:, None],)
+
+    return record_op(w @ ce, (logits,), rule)
 
 
 def mean_cross_entropy(logits: Tensor, targets: Sequence[int]) -> Tensor:
     """Mean softmax cross-entropy of an m-by-k logit matrix against targets."""
     m = logits.shape[0]
-    if len(targets) != m:
-        raise ShapeError(f"{len(targets)} targets for {m} logit rows")
-    ce = sub(logsumexp_rows(logits), take2d(logits, range(m), targets))
-    return mean_all(ce)
+    return cross_entropy(logits, targets, np.full(m, 1.0 / max(m, 1)))
 
 
 # ---------------------------------------------------------------------------

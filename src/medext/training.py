@@ -12,11 +12,20 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from . import tensor as T
-from .corpus import RELATION_LABELS, Corpus, TagScheme, Vocab, build_vocab, tokenize_corpus
+from .corpus import (
+    RELATION_LABELS,
+    Corpus,
+    Sentence,
+    TagScheme,
+    Vocab,
+    build_vocab,
+    tokenize_corpus,
+)
 from .encoder import EncoderConfig, init_params, mlm_step
 from .errors import CheckpointError, ContractError, NumericError
 from .pipeline import (
@@ -28,7 +37,11 @@ from .pipeline import (
     init_head,
     ner_loss,
 )
-from .relation_head import init_relation, relation_loss
+from .relation_head import (  # noqa: F401  (perfbench/tracer.py wraps training.relation_loss)
+    init_relation,
+    pair_loss,
+    relation_loss,
+)
 from .tensor import Tensor
 
 FORMAT_VERSION = 1
@@ -103,6 +116,28 @@ def adam_step(
         m += (1.0 - state.beta1) * (g - m)
         v += (1.0 - state.beta2) * (g * g - v)
         p.values -= learning_rate * (m / correction1) / (np.sqrt(v / correction2) + state.eps)
+
+
+def step_losses(
+    model: Model,
+    sentences: Sequence[Sentence],
+    seeds: Sequence[int],
+    lambda_re: float,
+    dropping: bool,
+) -> tuple[Tensor, Tensor]:
+    """(ner, re) losses of one batch: one packed encoder pass, one head pass
+    and one relation pass over the batch's packed word rows.
+
+    ``seeds`` (one per sentence) drive dropout and negative subsampling.
+    The relation loss is 0 when lambda_re is 0 or no sentence has two spans.
+    """
+    words = encode_words_batch(
+        model, sentences, training=dropping, dropout_seeds=seeds if dropping else None
+    )
+    ner = ner_loss(model, words, sentences, seeds)
+    pairs = gold_relation_pairs(words, sentences) if lambda_re > 0.0 else None
+    re = pair_loss(*pairs, model.relation) if pairs else Tensor(0.0)
+    return ner, re
 
 
 def joint_loss(ner: Tensor, re: Tensor, lambda_re: float) -> Tensor:
@@ -238,20 +273,7 @@ def train(
             p.zero_grad()
         sentences = [corpus.sentences[index] for index in sampler.batch(step)]
         seeds = [(config.seed * 1_000_003 + step) * 64 + slot for slot in range(len(sentences))]
-        words = encode_words_batch(
-            model, sentences, training=dropping, dropout_seeds=seeds if dropping else None
-        )
-        ner_losses = []
-        pairs = []
-        for sentence, h, seed in zip(sentences, words, seeds):
-            ner_losses.append(ner_loss(model, h, sentence, seed=seed))
-            if config.lambda_re > 0.0:
-                pairs.extend(gold_relation_pairs(model, h, sentence))
-        ner = ner_losses[0]
-        for extra in ner_losses[1:]:
-            ner = T.add(ner, extra)
-        ner = T.scale(ner, 1.0 / len(ner_losses))
-        re = relation_loss(pairs, model.relation) if pairs else Tensor(0.0)
+        ner, re = step_losses(model, sentences, seeds, config.lambda_re, dropping)
         loss = joint_loss(ner, re, config.lambda_re)
         if not np.isfinite(loss.values):
             raise NumericError(f"non-finite loss at step {step}")
@@ -416,6 +438,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     scheme = TagScheme(payload["scheme_classes"])
     arrays = payload["arrays"]
 
+    if payload["head_kind"] is not None and payload["head_kind"] not in HEAD_KINDS:
+        raise CheckpointError(
+            f"checkpoint {path}: unknown head_kind {payload['head_kind']!r}; "
+            f"expected one of {HEAD_KINDS} or null"
+        )
     model = Model(
         config=config,
         encoder=init_params(config, seed=0),
@@ -444,10 +471,25 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         T.assert_finite(loaded, f"checkpoint array {key}")
         tensor.values = loaded
 
-    optimizer = None
-    if payload["optimizer"] is not None:
-        optimizer = OptimizerState(step=payload["optimizer"]["step"])
-        for name, store in (("m", optimizer.m), ("v", optimizer.v)):
-            for key, value in payload["optimizer"][name].items():
-                store[key] = np.asarray(value, dtype=np.float64)
+    optimizer = _load_optimizer(payload["optimizer"], path)
     return Checkpoint(model, optimizer, payload["step"], payload["seed_lineage"])
+
+
+def _load_optimizer(section, path) -> OptimizerState | None:
+    """Adam state from the checkpoint's optimizer section (null for none)."""
+    if section is None:
+        return None
+    if not isinstance(section, dict):
+        raise CheckpointError(f"checkpoint {path}: optimizer must be a JSON object or null")
+    for key in ("step", "m", "v"):
+        if key not in section:
+            raise CheckpointError(f"checkpoint {path}: optimizer is missing key {key!r}")
+    optimizer = OptimizerState(step=section["step"])
+    for name, store in (("m", optimizer.m), ("v", optimizer.v)):
+        if not isinstance(section[name], dict):
+            raise CheckpointError(
+                f"checkpoint {path}: optimizer key {name!r} must be a JSON object"
+            )
+        for key, value in section[name].items():
+            store[key] = np.asarray(value, dtype=np.float64)
+    return optimizer

@@ -1,8 +1,10 @@
+import contextlib
 import json
 from pathlib import Path
 
 import pytest
 
+from medext import tensor as T
 from medext.cli import main
 from medext.corpus import TagScheme, load_annotations, load_conll
 
@@ -87,6 +89,41 @@ class TestExitCodes:
         ckpt.write_text("[]")
         assert run("eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "out")) == 1
         assert "listed.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p["optimizer"].pop("m"), "optimizer is missing key 'm'"),
+            (lambda p: p["optimizer"].pop("step"), "optimizer is missing key 'step'"),
+            (lambda p: p.update(optimizer=[]), "optimizer must be a JSON object"),
+            (lambda p: p.update(head_kind="bogus"), "unknown head_kind 'bogus'"),
+        ],
+    )
+    def test_malformed_checkpoint_exits_1(self, tmp_path, capsys, trained_model, edit, message):
+        payload = json.loads(trained_model.read_text())
+        edit(payload)
+        ckpt = tmp_path / "edited.json"
+        ckpt.write_text(json.dumps(payload))
+        assert run("eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert "edited.json" in err and message in err
+        assert "runtime error" not in err
+
+    def test_malformed_annotation_exits_1(self, tmp_path, capsys, corpus_files):
+        tags, ann = corpus_files
+        lines = ann.read_text().split("\n")
+        record = json.loads(lines[0])
+        record["spans"] = [{"start": 0, "cls": "Disease"}]
+        lines[0] = json.dumps(record)
+        edited = tmp_path / "edited.jsonl"
+        edited.write_text("\n".join(lines))
+        code = run(
+            "train", "--tags", str(tags), "--annotations", str(edited),
+            "--steps", "1", "--out", str(tmp_path / "out"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "edited.jsonl line 1:" in err and "missing key 'end'" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -238,6 +275,25 @@ class TestPredict:
         assert record["tokens"][0] == "the"
         for span in record["spans"]:
             assert set(span) == {"start", "end", "cls"}
+
+    def test_records_no_tape_and_matches_recording_run(self, tmp_path, monkeypatch, trained_model):
+        text = tmp_path / "raw.txt"
+        text.write_text("the patient presented with influenza\naspirin treats migraine today\n")
+        outputs = []
+        for recording in (False, True):
+            if recording:
+                monkeypatch.setattr(T, "no_grad", contextlib.nullcontext)
+            T.reset_tape()
+            out_file = tmp_path / f"pred-{recording}.jsonl"
+            code = run(
+                "predict", "--checkpoint", str(trained_model),
+                "--input", str(text), "--out-file", str(out_file),
+            )
+            assert code == 0
+            assert bool(T.active_tape().records) == recording
+            outputs.append(out_file.read_bytes())
+        T.reset_tape()
+        assert outputs[0] == outputs[1]
 
     def test_missing_input_file(self, trained_model):
         assert run("predict", "--checkpoint", str(trained_model), "--input", "/nope.txt") == 1

@@ -21,6 +21,7 @@ from medext.corpus import (
     save_conll,
     spans_to_tags,
     tags_to_spans,
+    tokenize_corpus,
     tokenize_subword,
 )
 from medext.errors import ContractError, ParseError, ValidationError
@@ -173,6 +174,34 @@ class TestConllIO:
         with pytest.raises(ParseError, match="5 sentences"):
             load_annotations(corpus, ann)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda r: r["spans"][0].pop("end"), "span record is missing key 'end'"),
+            (lambda r: r["spans"][0].pop("cls"), "span record is missing key 'cls'"),
+            (lambda r: r["relations"][0].pop("label"), "relation record is missing key 'label'"),
+            (lambda r: r["spans"].insert(0, 5), "each span must be a JSON object"),
+            (lambda r: r["spans"][0].update(start="0"), "span key 'start' must be int"),
+            (lambda r: r.update(relations={}), "'relations' must be a JSON list"),
+            (lambda r: [1, 2], "expected a JSON object, got list"),
+        ],
+    )
+    def test_malformed_record_names_file_and_line(self, tmp_path, edit, message):
+        corpus = generate_synthetic_corpus(30, seed=3)
+        ann = tmp_path / "c.jsonl"
+        save_annotations(corpus, ann)
+        lines = ann.read_text().split("\n")
+        row = next(i for i, s in enumerate(corpus.sentences) if s.relations)
+        record = json.loads(lines[row])
+        edited = edit(record)
+        lines[row] = json.dumps(edited if isinstance(edited, list) else record)
+        ann.write_text("\n".join(lines))
+        with pytest.raises(ParseError) as info:
+            load_annotations(corpus, ann)
+        assert str(ann) in str(info.value)
+        assert f"line {row + 1}:" in str(info.value)
+        assert message in str(info.value)
+
 
 class TestVocab:
     def test_empty_corpus_reserved_only(self, scheme_d):
@@ -224,6 +253,28 @@ class TestTokenizeSubword:
                 ids = tokenize_subword(token.surface, vocab)
                 if C.UNK not in ids:
                     assert "".join(vocab.entries[i] for i in ids) == token.surface
+
+
+class TestTokenizeCorpus:
+    def test_equals_per_token_segmentation(self):
+        corpus = generate_synthetic_corpus(80, seed=6)
+        vocab = build_vocab(corpus.sentences[:40])  # later sentences have unseen words
+        tokenized = tokenize_corpus(corpus, vocab)
+        for before, after in zip(corpus.sentences, tokenized.sentences):
+            assert after.surfaces() == before.surfaces()
+            for token in after.tokens:
+                assert token.subword_ids == tokenize_subword(token.surface, vocab)
+
+    def test_each_token_owns_its_list(self):
+        corpus = generate_synthetic_corpus(10, seed=6)
+        tokenized = tokenize_corpus(corpus, build_vocab(corpus))
+        tokens = [t for sentence in tokenized.sentences for t in sentence.tokens]
+        first = next(t for t in tokens if sum(u.surface == t.surface for u in tokens) > 1)
+        twin = next(t for t in tokens if t is not first and t.surface == first.surface)
+        assert first.subword_ids == twin.subword_ids
+        assert first.subword_ids is not twin.subword_ids
+        first.subword_ids.append(C.UNK)
+        assert twin.subword_ids != first.subword_ids
 
 
 class TestGenerator:

@@ -11,6 +11,7 @@ from medext.crf_head import (
     emissions,
     init_crf,
     log_partition,
+    log_partition_batch,
     sequence_score,
     viterbi,
 )
@@ -291,3 +292,74 @@ class TestOracleEquivalence:
             base_score + 1.75, abs=1e-10
         )
         assert viterbi(shifted, trans, start, stop)[0] == viterbi(e, trans, start, stop)[0]
+
+
+def ragged_batch(rng, lengths, k, requires_grad=False):
+    """Packed emissions for sentences of the given lengths, plus shared params."""
+    make = lambda *shape: Tensor(rng.standard_normal(shape), requires_grad=requires_grad)
+    return make(sum(lengths), k), make(k, k), make(k), make(k)
+
+
+def blocks(e, lengths):
+    offsets = np.cumsum([0] + list(lengths))
+    return [Tensor(e.values[a:b]) for a, b in zip(offsets[:-1], offsets[1:])]
+
+
+class TestLogPartitionBatch:
+    def test_matches_brute_force_per_sentence(self):
+        rng = np.random.default_rng(30)
+        for _ in range(25):
+            lengths = [int(n) for n in rng.integers(1, 6, size=int(rng.integers(1, 5)))]
+            lengths[int(rng.integers(len(lengths)))] = 1  # every batch has a length-1 sentence
+            e, trans, start, stop = ragged_batch(rng, lengths, int(rng.integers(1, 5)))
+            got = log_partition_batch(e, lengths, trans, start, stop).values
+            assert got.shape == (len(lengths),)
+            for value, block in zip(got, blocks(e, lengths)):
+                log_z, _, _ = brute_force_oracle(block, trans, start, stop)
+                assert abs(value - log_z) < 1e-10
+
+    def test_finite_differences_on_ragged_batch(self):
+        rng = np.random.default_rng(31)
+        e, trans, start, stop = ragged_batch(rng, [3, 1, 4], 3, requires_grad=True)
+        upstream = Tensor(rng.standard_normal(3))  # distinct weight per sentence
+
+        def f():
+            return T.mul(log_partition_batch(e, [3, 1, 4], trans, start, stop), upstream).sum()
+
+        assert T.finite_diff_check(f, [e, trans, start, stop]) < 1e-4
+
+    def test_emission_gradient_is_node_marginals(self):
+        rng = np.random.default_rng(32)
+        lengths = [2, 1, 3]
+        e, trans, start, stop = ragged_batch(rng, lengths, 3, requires_grad=True)
+        T.backward(log_partition_batch(e, lengths, trans, start, stop).sum())
+        expected = np.vstack([brute_marginals(b, trans, start, stop) for b in blocks(e, lengths)])
+        assert np.abs(e.grad - expected).max() < 1e-10
+
+    def test_nll_and_score_of_packed_batch(self):
+        rng = np.random.default_rng(33)
+        lengths = [4, 1, 2]
+        e, trans, start, stop = ragged_batch(rng, lengths, 3)
+        y = [int(t) for t in rng.integers(3, size=sum(lengths))]
+        offsets = np.cumsum([0] + lengths)
+        tags = [y[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
+        parts = blocks(e, lengths)
+        nll = crf_nll(e, trans, start, stop, y, lengths).item()
+        score = sequence_score(e, trans, start, stop, y, lengths).item()
+        assert nll == pytest.approx(
+            np.mean([crf_nll(b, trans, start, stop, t).item() for b, t in zip(parts, tags)]),
+            rel=1e-12,
+        )
+        assert score == pytest.approx(
+            sum(sequence_score(b, trans, start, stop, t).item() for b, t in zip(parts, tags)),
+            rel=1e-12,
+        )
+
+    def test_lengths_must_tile_rows(self):
+        rng = np.random.default_rng(34)
+        e, trans, start, stop = ragged_batch(rng, [2, 2], 2)
+        for lengths in ([3], [2, 1], [4, 0]):
+            with pytest.raises(ContractError):
+                log_partition_batch(e, lengths, trans, start, stop)
+        with pytest.raises(ShapeError):
+            log_partition_batch(e, [2, 2], Tensor(np.zeros((3, 3))), start, stop)

@@ -181,6 +181,85 @@ class TestTape:
         assert not T.active_tape().records
 
 
+class TestNoGrad:
+    def test_nothing_recorded_inside(self):
+        T.reset_tape()
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        with T.no_grad():
+            T.matmul(x, x).sum()
+        assert not T.active_tape().records
+        T.matmul(x, x)
+        assert len(T.active_tape().records) == 1
+
+    def test_restored_after_exception_and_nesting(self):
+        T.reset_tape()
+        x = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(ShapeError):
+            with T.no_grad():
+                with T.no_grad():
+                    pass
+                T.add(x, Tensor(np.ones(3)))
+        T.add(x, x)
+        assert len(T.active_tape().records) == 1
+
+
+class TestCrossEntropy:
+    def test_weighted_value(self):
+        logits = Tensor([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
+        w = [0.5, 1.0, 2.0]
+        expected = sum(
+            wi * (math.log(math.exp(row[0]) + math.exp(row[1])) - row[t])
+            for wi, row, t in zip(w, logits.values.tolist(), [0, 1, 1])
+        )
+        assert T.cross_entropy(logits, [0, 1, 1], w).item() == pytest.approx(expected, rel=1e-14)
+
+    def test_mean_is_uniform_weights(self):
+        rng = np.random.default_rng(5)
+        logits = Tensor(rng.standard_normal((4, 3)))
+        ce = T.sub(T.logsumexp_rows(logits), T.take2d(logits, range(4), [0, 2, 1, 1]))
+        assert T.mean_cross_entropy(logits, [0, 2, 1, 1]).item() == pytest.approx(
+            ce.values.mean(), rel=1e-14
+        )
+
+    def test_gradient(self):
+        rng = np.random.default_rng(6)
+        logits = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+        w = rng.random(5)
+        err = T.finite_diff_check(lambda: T.cross_entropy(logits, [0, 1, 2, 2, 0], w), logits)
+        assert err < 1e-6
+
+    def test_shape_checks(self):
+        with pytest.raises(ShapeError):
+            T.cross_entropy(Tensor(np.zeros((2, 3))), [0], [1.0, 1.0])
+        with pytest.raises(ShapeError):
+            T.cross_entropy(Tensor(np.zeros((0, 3))), [], [])
+
+
+class TestRangeMeans:
+    def test_values(self):
+        rng = np.random.default_rng(7)
+        a = Tensor(rng.standard_normal((6, 3)))
+        starts, stops = [0, 2, 5, 1], [2, 6, 6, 4]
+        got = T.range_means(a, starts, stops).values
+        for row, (lo, hi) in enumerate(zip(starts, stops)):
+            expected = a.values[lo:hi].mean(axis=0)
+            np.testing.assert_allclose(got[row], expected, rtol=1e-12, atol=1e-14)
+
+    def test_gradient_with_overlapping_ranges(self):
+        rng = np.random.default_rng(8)
+        a = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 2)))
+        assert T.finite_diff_check(
+            lambda: T.mul(T.range_means(a, [0, 1, 1, 4], [3, 2, 5, 5]), w).sum(), a
+        ) < 1e-6
+
+    def test_range_checks(self):
+        a = Tensor(np.zeros((3, 2)))
+        for starts, stops in (([0], [4]), ([1], [1]), ([-1], [2])):
+            with pytest.raises(ContractError):
+                T.range_means(a, starts, stops)
+
+
 class TestFiniteDiffCheck:
     def test_sum_of_squares_against_analytic(self):
         p = Tensor([1.0, 2.0, 3.0], requires_grad=True)
@@ -221,11 +300,13 @@ class TestFiniteDiffCheck:
 
         def f():
             g = T.rows(a, [0, 2, 2, 4])
-            s = T.prefix_sums0(T.concat_cols([T.slice_rows(a, 0, 5), b]))
-            picked = T.take2d(s, [1, 3, 5], [0, 2, 4])
-            pooled = T.mean0(T.scale_rows(g, np.array([0.5, 1.0, 2.0, 1.5])))
-            joined = T.concat1d([picked, pooled, T.row1d(b, 1)])
-            return T.vecmat(joined, Tensor(np.ones((joined.shape[0], 1)))).sum()
+            s = T.range_means(T.concat_cols([T.slice_rows(a, 0, 5), b]), [0, 1, 2], [2, 5, 3])
+            picked = T.take2d(s, [0, 1, 2], [0, 2, 4])
+            pooled = T.mean0(T.range_means(g, [0, 1], [3, 4]))
+            joined = T.concat_cols(
+                [T.stack_rows([picked]), T.stack_rows([pooled]), T.stack_rows([T.row1d(b, 1)])]
+            )
+            return T.matmul(joined, Tensor(np.ones((joined.shape[1], 1)))).sum()
 
         err = T.finite_diff_check(f, [a, b])
         assert err < 1e-4

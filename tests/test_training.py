@@ -1,3 +1,4 @@
+import contextlib
 import json
 from collections import Counter
 
@@ -6,10 +7,20 @@ import pytest
 
 from medext import tensor as T
 from medext import pipeline, training
-from medext.corpus import Corpus, generate_synthetic_corpus, build_vocab, tokenize_corpus
+from medext.corpus import (
+    NO_RELATION,
+    Corpus,
+    build_vocab,
+    generate_synthetic_corpus,
+    tokenize_corpus,
+)
+from medext.crf_head import CRFParams, emissions, sequence_score
 from medext.encoder import EncoderConfig, init_params, mlm_step
 from medext.errors import CheckpointError, ContractError
 from medext.pipeline import EVAL_CHUNK, encode_words, evaluate_split
+from medext.relation_head import entity_pool, relation_loss
+from medext.seq2seq_head import teacher_forced_loss
+from medext.span_head import SpanHeadParams, score_all_spans, span_loss
 from medext.tensor import Tensor
 from medext.training import (
     OptimizerState,
@@ -193,10 +204,93 @@ class TestTrain:
 def per_sentence_words(model, sentences, training=False, dropout_seeds=None):
     """``encode_words_batch`` one sentence per encoder call: the packed path's oracle."""
     seeds = dropout_seeds if dropout_seeds is not None else [None] * len(sentences)
-    return [
+    blocks = [
         encode_words(model, sentence, training=training, dropout_seed=seed)
         for sentence, seed in zip(sentences, seeds)
     ]
+    return T.stack_rows([T.row1d(h, i) for h in blocks for i in range(h.shape[0])])
+
+
+def oracle_log_partition(e, trans, start, stop):
+    """The per-word forward recursion that the fused CRF op replaced."""
+    alpha = T.add(start, T.row1d(e, 0))
+    trans_t = T.transpose(trans)
+    for i in range(1, e.shape[0]):
+        alpha = T.add(T.row1d(e, i), T.logsumexp_rows(T.add_rowwise(trans_t, alpha)))
+    return T.logsumexp(T.add(alpha, stop))
+
+
+def per_sentence_losses(model, sentences, seeds, lambda_re, dropping):
+    """``training.step_losses`` one sentence, one word and one pair at a time."""
+    head = model.head
+    terms, pairs = [], []
+    for sentence, seed in zip(sentences, seeds):
+        h = encode_words(
+            model, sentence, training=dropping, dropout_seed=seed if dropping else None
+        )
+        if isinstance(head, CRFParams):
+            e = emissions(h, head)
+            terms.append(T.sub(
+                oracle_log_partition(e, head.trans, head.start, head.stop),
+                sequence_score(e, head.trans, head.start, head.stop, sentence.tags),
+            ))
+        elif isinstance(head, SpanHeadParams):
+            table = score_all_spans(h, head)
+            terms.append(span_loss(table, sentence.spans, head.classes, seed=seed))
+        else:
+            terms.append(teacher_forced_loss(h, sentence.tags, head))
+        if lambda_re > 0.0 and len(sentence.spans) >= 2:
+            annotated = {(r.head, r.tail): r.label for r in sentence.relations}
+            pooled = [entity_pool(h, span) for span in sentence.spans]
+            pairs.extend(
+                (pooled[i], pooled[j], annotated.get((i, j), NO_RELATION))
+                for i in range(len(pooled))
+                for j in range(len(pooled))
+                if i != j
+            )
+    ner = terms[0]
+    for extra in terms[1:]:
+        ner = T.add(ner, extra)
+    ner = T.scale(ner, 1.0 / len(terms))
+    return ner, relation_loss(pairs, model.relation) if pairs else Tensor(0.0)
+
+
+class TestBatchedHeads:
+    @pytest.mark.parametrize("lambda_re", [0.0, 1.0])
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    @pytest.mark.parametrize("head", ["crf", "span", "seq2seq"])
+    def test_train_matches_per_sentence_oracle(self, monkeypatch, head, dropout, lambda_re):
+        corpus = small_corpus()
+        encoder_config = EncoderConfig(vocab_size=5, dropout_rate=dropout)
+        cfg = TrainConfig(steps=6, batch_size=4, seed=3, head=head, lambda_re=lambda_re)
+        batched, oracle = [], []
+        first = train(corpus, cfg, encoder_config=encoder_config, log=batched)
+        monkeypatch.setattr(training, "step_losses", per_sentence_losses)
+        second = train(corpus, cfg, encoder_config=encoder_config, log=oracle)
+        assert [row[0] for row in batched] == [row[0] for row in oracle]
+        np.testing.assert_allclose(
+            [row[1:] for row in batched], [row[1:] for row in oracle], rtol=1e-12, atol=1e-14
+        )
+        if lambda_re > 0.0:
+            assert any(row[3] > 0.0 for row in batched)
+        for key, value in first.model.parameters().items():
+            np.testing.assert_allclose(
+                value.values, second.model.parameters()[key].values, rtol=1e-9, atol=1e-12
+            )
+
+    @pytest.mark.parametrize("head", ["crf", "span", "seq2seq"])
+    def test_tape_nodes_per_step_do_not_grow_with_batch(self, head):
+        corpus = generate_synthetic_corpus(40, seed=5)
+        model = train(corpus, TrainConfig(steps=0, seed=1, head=head)).model
+        tokenized = tokenize_corpus(corpus, model.vocab)
+        counts = []
+        for size in (2, 8):
+            T.reset_tape()
+            sentences = tokenized.sentences[:size]
+            training.step_losses(model, sentences, list(range(size)), 1.0, False)
+            counts.append(len(T.active_tape().records))
+        T.reset_tape()
+        assert counts[0] == counts[1]
 
 
 class TestPackedEncoding:
@@ -221,6 +315,20 @@ class TestPackedEncoding:
         packed = evaluate_split(model, corpus, "train").as_dict()
         monkeypatch.setattr(pipeline, "encode_words_batch", per_sentence_words)
         assert evaluate_split(model, corpus, "train").as_dict() == packed
+
+
+class TestNoRecordEvaluation:
+    def test_tape_stays_empty_and_report_matches_recording_run(self, monkeypatch):
+        corpus = generate_synthetic_corpus(30, seed=4)
+        model = train(corpus, TrainConfig(steps=5, seed=2, head="span")).model
+        T.reset_tape()
+        quiet = evaluate_split(model, corpus, "train").as_dict()
+        assert not T.active_tape().records
+        monkeypatch.setattr(T, "no_grad", contextlib.nullcontext)
+        recorded = evaluate_split(model, corpus, "train").as_dict()
+        assert T.active_tape().records
+        T.reset_tape()
+        assert quiet == recorded
 
 
 class TestPretrain:
