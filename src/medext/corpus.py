@@ -299,14 +299,8 @@ def load_annotations(corpus: Corpus, path: str | Path) -> Corpus:
             raise ParseError(f"{where}: {exc}") from None
         if not isinstance(record, dict):
             raise ParseError(f"{where}: expected a JSON object, got {type(record).__name__}")
-        spans = [
-            EntitySpan(*_fields(item, _SPAN_FIELDS, "span", where))
-            for item in _records(record, "spans", where)
-        ]
-        relations = [
-            RelationInstance(*_fields(item, _RELATION_FIELDS, "relation", where))
-            for item in _records(record, "relations", where)
-        ]
+        spans = _records(record, "spans", _SPAN_FIELDS, EntitySpan, where)
+        relations = _records(record, "relations", _RELATION_FIELDS, RelationInstance, where)
         updated = replace(sentence, spans=spans, relations=relations)
         try:
             validate_sentence(updated, corpus.scheme)
@@ -320,26 +314,37 @@ _SPAN_FIELDS = (("start", int), ("end", int), ("cls", str))
 _RELATION_FIELDS = (("head", int), ("tail", int), ("label", str))
 
 
-def _records(record: dict, key: str, where: str) -> list:
+def _records(record: dict, key: str, fields: tuple, make, where: str) -> list:
+    """One ``make(...)`` per span or relation record of ``record[key]``.
+
+    Every record must be an object holding each field with its type; the
+    first one that is not raises ParseError naming the field.
+    """
     items = record.get(key, [])
     if not isinstance(items, list):
         raise ParseError(f"{where}: {key!r} must be a JSON list")
-    return items
+    (a, kind_a), (b, kind_b), (c, kind_c) = fields
+    out = []
+    for item in items:
+        try:
+            x, y, z = item[a], item[b], item[c]
+        except (KeyError, TypeError):
+            x = y = z = None
+        if type(x) is not kind_a or type(y) is not kind_b or type(z) is not kind_c:
+            _reject(item, fields, key[:-1], where)
+        out.append(make(x, y, z))
+    return out
 
 
-def _fields(item, fields: tuple, what: str, where: str) -> list:
-    """The values of one span or relation record, checked key by key."""
+def _reject(item, fields: tuple, what: str, where: str) -> None:
     if not isinstance(item, dict):
         raise ParseError(f"{where}: each {what} must be a JSON object, got {type(item).__name__}")
-    values = []
     for key, kind in fields:
         if key not in item:
             raise ParseError(f"{where}: {what} record is missing key {key!r}")
         value = item[key]
-        if not isinstance(value, kind) or isinstance(value, bool):
+        if type(value) is not kind:
             raise ParseError(f"{where}: {what} key {key!r} must be {kind.__name__}, got {value!r}")
-        values.append(value)
-    return values
 
 
 def save_annotations(corpus: Corpus, path: str | Path) -> None:
