@@ -96,9 +96,9 @@ def score_all_spans(
         raise ContractError("score_all_spans requires at least one position")
     sizes, _, _ = T.segments([rows] if lengths is None else lengths, rows, "score_all_spans")
     bounds = [_candidates(int(n), params.max_width) for n in sizes]
-    counts = [len(first) for first, _ in bounds]
-    starts = np.concatenate([first for first, _ in bounds])
-    ends = np.concatenate([last for _, last in bounds])
+    counts = [len(i) for i, _ in bounds]
+    starts = np.concatenate([i for i, _ in bounds])
+    ends = np.concatenate([j for _, j in bounds])
     offsets = np.repeat(np.cumsum(sizes) - sizes, counts)
     first, last = starts + offsets, ends + offsets
     rep = T.concat_cols([
