@@ -156,12 +156,12 @@ def sequence_score(
     y = np.asarray(y, dtype=np.intp)
     ends = np.cumsum(sizes)
     score = T.add(
-        T.take2d(e, range(n), y).sum(),
-        T.add(T.take1d(start, y[ends - sizes]).sum(), T.take1d(stop, y[ends - 1]).sum()),
+        T.gather(e, (np.arange(n), y)).sum(),
+        T.add(T.gather(start, y[ends - sizes]).sum(), T.gather(stop, y[ends - 1]).sum()),
     )
     inner = np.flatnonzero(position > 0)
     if inner.size:
-        score = T.add(score, T.take2d(trans, y[inner - 1], y[inner]).sum())
+        score = T.add(score, T.gather(trans, (y[inner - 1], y[inner])).sum())
     return score
 
 

@@ -179,7 +179,7 @@ def encode_batch(
 
     ids = [i for seq in seqs for i in seq]
     positions = np.concatenate([np.arange(n) for n in lengths])
-    x = T.add(T.rows(params.tok_emb, ids), T.rows(params.pos_emb, positions))
+    x = T.add(T.gather(params.tok_emb, ids), T.gather(params.pos_emb, positions))
     for layer in params.layers:
         attn = T.segment_attention(
             T.matmul(x, layer.w_q),
@@ -268,4 +268,4 @@ def mlm_step(
         None if config.dropout_rate == 0.0 else [seed * 100003 + i for i in range(len(batch))]
     )
     h = encode_batch(corrupted, params, config, training=True, dropout_seeds=seeds)
-    return T.mean_cross_entropy(T.matmul(T.rows(h, rows), params.mlm_proj), targets)
+    return T.mean_cross_entropy(T.matmul(T.gather(h, rows), params.mlm_proj), targets)

@@ -78,29 +78,12 @@ class Model:
         return out
 
     def clone(self) -> "Model":
-        """Deep-copy every parameter tensor (configs/vocab/scheme are shared)."""
-
-        def copy_container(container):
-            if container is None:
-                return None
-            duplicate = copy.copy(container)
-            for name, value in vars(container).items():
-                if isinstance(value, Tensor):
-                    fresh = Tensor(value.values.copy(), value.requires_grad)
-                    setattr(duplicate, name, fresh)
-                elif isinstance(value, list) and value and not isinstance(value[0], (str, int, float)):
-                    setattr(duplicate, name, [copy_container(item) for item in value])
-            return duplicate
-
-        return Model(
-            config=self.config,
-            encoder=copy_container(self.encoder),
-            vocab=self.vocab,
-            scheme=self.scheme,
-            head_kind=self.head_kind,
-            head=copy_container(self.head),
-            relation=copy_container(self.relation),
-        )
+        """Copy every parameter tensor (without its gradient); the encoder
+        config, vocab and tag scheme are shared with the original."""
+        memo = {id(shared): shared for shared in (self.config, self.vocab, self.scheme)}
+        for p in self.parameters().values():
+            memo[id(p)] = Tensor(p.values.copy(), p.requires_grad)
+        return copy.deepcopy(self, memo)
 
 
 def init_head(kind: str, config: EncoderConfig, scheme: TagScheme, seed: int) -> HeadParams:
@@ -135,7 +118,7 @@ def encode_words(
     h = encode(
         ids, model.encoder, model.config, training=training, dropout_seed=dropout_seed
     )
-    return T.rows(h, starts)
+    return T.gather(h, starts)
 
 
 def encode_words_batch(
@@ -159,14 +142,14 @@ def encode_words_batch(
     for ids, starts in flat:
         rows.extend(offset + s for s in starts)
         offset += len(ids)
-    return T.rows(h, rows)
+    return T.gather(h, rows)
 
 
 def sentence_rows(h_words: Tensor, sentences: Sequence[Sentence]) -> list[Tensor]:
     """Split packed word rows back into one [n_words, d_model] matrix per sentence."""
     out, offset = [], 0
     for sentence in sentences:
-        out.append(T.rows(h_words, range(offset, offset + len(sentence.tokens))))
+        out.append(T.gather(h_words, slice(offset, offset + len(sentence.tokens))))
         offset += len(sentence.tokens)
     return out
 
@@ -240,7 +223,7 @@ def gold_relation_pairs(
     if not labels:
         return None
     pooled = T.range_means(h_words, starts, stops)
-    return T.rows(pooled, heads), T.rows(pooled, tails), labels
+    return T.gather(pooled, heads), T.gather(pooled, tails), labels
 
 
 @dataclass

@@ -48,7 +48,7 @@ def entity_pool(h: Tensor, span: EntitySpan) -> Tensor:
     """Mean of the encoder rows covered by the span -> (d_model,)."""
     if not 0 <= span.start <= span.end < h.shape[0]:
         raise ContractError(f"span {span} out of range for {h.shape[0]} positions")
-    return T.mean0(T.slice_rows(h, span.start, span.end + 1))
+    return T.mean0(T.gather(h, slice(span.start, span.end + 1)))
 
 
 def pair_logits(heads: Tensor, tails: Tensor, params: RelationHeadParams) -> Tensor:
@@ -59,14 +59,14 @@ def pair_logits(heads: Tensor, tails: Tensor, params: RelationHeadParams) -> Ten
         or 2 * heads.shape[1] != params.w.shape[0]
     ):
         raise ContractError(f"pair_logits: rows {heads.shape}/{tails.shape} vs w {params.w.shape}")
-    return T.add_rowwise(T.matmul(T.concat_cols([heads, tails]), params.w), params.b)
+    return T.add_rowwise(T.matmul(T.concat([heads, tails], axis=1), params.w), params.b)
 
 
 def relation_logits(h_e1: Tensor, h_e2: Tensor, params: RelationHeadParams) -> Tensor:
     """Affine score of the ordered pair: w.T @ concat(h_e1, h_e2) + b -> (R,)."""
     if h_e1.values.ndim != 1 or h_e1.shape != h_e2.shape:
         raise ContractError(f"relation_logits: vectors {h_e1.shape}/{h_e2.shape}")
-    return T.row1d(pair_logits(T.stack_rows([h_e1]), T.stack_rows([h_e2]), params), 0)
+    return T.gather(pair_logits(T.gather(h_e1, None), T.gather(h_e2, None), params), 0)
 
 
 def pair_loss(
@@ -86,8 +86,8 @@ def relation_loss(
     """Mean cross-entropy of softmax(relation_logits) against gold labels."""
     if not pairs:
         raise ContractError("relation_loss requires a nonempty pair list")
-    heads = T.stack_rows([h1 for h1, _, _ in pairs])
-    tails = T.stack_rows([h2 for _, h2, _ in pairs])
+    heads = T.concat([T.gather(h1, None) for h1, _, _ in pairs], axis=0)
+    tails = T.concat([T.gather(h2, None) for _, h2, _ in pairs], axis=0)
     return pair_loss(heads, tails, [label for _, _, label in pairs], params)
 
 
@@ -108,7 +108,7 @@ def predict_relations(
     if not heads:
         return []
     pooled = T.range_means(h, [s.start for s in spans], [s.end + 1 for s in spans])
-    logits = pair_logits(T.rows(pooled, heads), T.rows(pooled, tails), params)
+    logits = pair_logits(T.gather(pooled, heads), T.gather(pooled, tails), params)
     best = logits.values.argmax(axis=1).tolist()
     return [
         RelationInstance(i, j, params.labels[label])

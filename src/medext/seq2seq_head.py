@@ -59,7 +59,7 @@ def teacher_forced_loss(
     sizes, _, position = T.segments([n] if lengths is None else lengths, n, "teacher_forced_loss")
     previous = np.roll(np.asarray(y, dtype=np.intp), 1)
     previous[position == 0] = params.bos
-    feats = T.concat_cols([h, T.rows(params.tag_emb, previous)])
+    feats = T.concat([h, T.gather(params.tag_emb, previous)], axis=1)
     logits = T.add_rowwise(T.matmul(feats, params.w_out), params.b_out)
     return T.cross_entropy(logits, y, np.repeat(1.0 / (sizes.size * sizes), sizes))
 

@@ -101,12 +101,12 @@ def score_all_spans(
     ends = np.concatenate([j for _, j in bounds])
     offsets = np.repeat(np.cumsum(sizes) - sizes, counts)
     first, last = starts + offsets, ends + offsets
-    rep = T.concat_cols([
-        T.rows(h, first),
-        T.rows(h, last),
+    rep = T.concat([
+        T.gather(h, first),
+        T.gather(h, last),
         T.range_means(h, first, last + 1),
-        T.rows(params.width_emb, ends - starts),
-    ])
+        T.gather(params.width_emb, ends - starts),
+    ], axis=1)
     logits = T.add_rowwise(T.matmul(rep, params.w_cls), params.b_cls)
     return SpanTable(logits, starts, ends, np.repeat(np.arange(sizes.size), counts))
 
@@ -165,7 +165,7 @@ def batch_span_loss(
         picked.extend(lo + i for i in retained)
         targets.extend(labels[i] for i in retained)
         weights.extend([1.0 / (len(golds) * len(retained))] * len(retained))
-    return T.cross_entropy(T.rows(table.logits, picked), targets, weights)
+    return T.cross_entropy(T.gather(table.logits, picked), targets, weights)
 
 
 def subsample_negatives(labels: Sequence[int], neg_ratio: float, seed: int) -> list[int]:

@@ -435,91 +435,32 @@ def mean0(a: Tensor) -> Tensor:
 # indexing, slicing, concatenation
 
 
-def rows(a: Tensor, indices: Sequence[int]) -> Tensor:
-    """Gather rows by index (repeats allowed; gradients sum per row)."""
-    idx = np.asarray(indices, dtype=np.intp)
-    out = Tensor(a.values[idx], a.requires_grad)
+def gather(a: Tensor, index) -> Tensor:
+    """``a.values[index]`` for any numpy index: an int, a slice, an index
+    array (repeats allowed), a tuple of index arrays, or None (a new leading
+    axis).  A basic index gives a view, as in numpy.  Backward scatters the
+    gradient into zeros with ``np.add.at``, so repeated entries sum.
+    """
+    if isinstance(index, (list, range)):
+        index = np.asarray(index, dtype=np.intp)
+    out = Tensor(a.values[index], a.requires_grad)
 
     def rule(g):
         da = np.zeros_like(a.values)
-        np.add.at(da, idx, g)
+        np.add.at(da, index, g)
         return (da,)
 
     _record(out, (a,), rule)
     return out
 
 
-def row1d(a: Tensor, i: int) -> Tensor:
-    """Extract row i of a matrix as a vector."""
-    out = Tensor(a.values[i], a.requires_grad)
-
-    def rule(g):
-        da = np.zeros_like(a.values)
-        da[i] = g
-        return (da,)
-
-    _record(out, (a,), rule)
-    return out
-
-
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    if not 0 <= start < stop <= a.shape[0]:
-        raise ContractError(f"slice_rows [{start}:{stop}] out of range for {a.shape}")
-    out = Tensor(a.values[start:stop].copy(), a.requires_grad)
-
-    def rule(g):
-        da = np.zeros_like(a.values)
-        da[start:stop] = g
-        return (da,)
-
-    _record(out, (a,), rule)
-    return out
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
+def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
+    """Join tensors along an existing axis; backward splits the gradient."""
     if not parts:
-        raise ContractError("concat_cols of an empty sequence")
-    out = Tensor(np.concatenate([p.values for p in parts], axis=1), _needs_grad(*parts))
-    widths = [p.shape[1] for p in parts]
-    splits = np.cumsum(widths)[:-1]
-    _record(out, tuple(parts), lambda g: tuple(np.split(g, splits, axis=1)))
-    return out
-
-
-def stack_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack k vectors of length n into a k-by-n matrix."""
-    if not parts:
-        raise ContractError("stack_rows of an empty sequence")
-    out = Tensor(np.stack([p.values for p in parts]), _needs_grad(*parts))
-    _record(out, tuple(parts), lambda g: tuple(g[i] for i in range(len(parts))))
-    return out
-
-
-def take1d(v: Tensor, indices: Sequence[int]) -> Tensor:
-    idx = np.asarray(indices, dtype=np.intp)
-    out = Tensor(v.values[idx], v.requires_grad)
-
-    def rule(g):
-        dv = np.zeros_like(v.values)
-        np.add.at(dv, idx, g)
-        return (dv,)
-
-    _record(out, (v,), rule)
-    return out
-
-
-def take2d(a: Tensor, row_idx: Sequence[int], col_idx: Sequence[int]) -> Tensor:
-    """Gather a[r, c] pairs -> vector (repeats allowed)."""
-    ri = np.asarray(row_idx, dtype=np.intp)
-    ci = np.asarray(col_idx, dtype=np.intp)
-    out = Tensor(a.values[ri, ci], a.requires_grad)
-
-    def rule(g):
-        da = np.zeros_like(a.values)
-        np.add.at(da, (ri, ci), g)
-        return (da,)
-
-    _record(out, (a,), rule)
+        raise ContractError("concat of an empty sequence")
+    out = Tensor(np.concatenate([p.values for p in parts], axis=axis), _needs_grad(*parts))
+    splits = np.cumsum([p.shape[axis] for p in parts])[:-1]
+    _record(out, tuple(parts), lambda g: tuple(np.split(g, splits, axis=axis)))
     return out
 
 

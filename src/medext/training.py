@@ -8,11 +8,13 @@ been.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -160,24 +162,19 @@ class Checkpoint:
 
 
 class _BatchSampler:
-    """Deterministic batch index streams; both modes are pure in (seed, step)."""
+    """Batch indices from seeded epoch permutations, or from class-balanced
+    draws when ``balanced``; both modes are pure in (seed, step)."""
 
-    def __init__(self, corpus: Corpus, config: TrainConfig):
+    def __init__(self, corpus: Corpus, batch_size: int, seed: int, balanced: bool = False):
         self._n = len(corpus)
-        self._seed = config.seed
-        self._batch = config.batch_size
-        self._balanced = config.class_balanced
+        self._seed = seed
+        self._batch = batch_size
         self._epoch_cache: dict[int, np.ndarray] = {}
-        if self._balanced:
-            self._by_class = {
-                cls: [
-                    i
-                    for i, sentence in enumerate(corpus.sentences)
-                    if any(s.cls == cls for s in sentence.spans)
-                ]
-                for cls in corpus.scheme.classes
-            }
-            self._classes = [cls for cls, ids in self._by_class.items() if ids]
+        self._by_class = {
+            cls: [i for i, s in enumerate(corpus.sentences) if any(e.cls == cls for e in s.spans)]
+            for cls in (corpus.scheme.classes if balanced else ())
+        }
+        self._classes = [cls for cls, ids in self._by_class.items() if ids]
 
     def _epoch_order(self, epoch: int) -> np.ndarray:
         if epoch not in self._epoch_cache:
@@ -186,7 +183,7 @@ class _BatchSampler:
         return self._epoch_cache[epoch]
 
     def batch(self, step: int) -> list[int]:
-        if self._balanced and self._classes:
+        if self._classes:
             rng = np.random.default_rng(np.random.SeedSequence([self._seed, 1, step]))
             out = []
             for _ in range(self._batch):
@@ -205,41 +202,61 @@ class _BatchSampler:
 # training loops
 
 
+def _fresh_model(corpus: Corpus, encoder_config: EncoderConfig | None, seed: int) -> Model:
+    """A headless model: vocab from the train split, encoder initialized from seed."""
+    vocab = build_vocab(corpus.subset("train"))
+    if encoder_config is None:
+        encoder_config = EncoderConfig(vocab_size=len(vocab))
+    elif encoder_config.vocab_size != len(vocab):
+        encoder_config = replace(encoder_config, vocab_size=len(vocab))
+    return Model(encoder_config, init_params(encoder_config, seed), vocab, corpus.scheme)
+
+
+def _attach_head(model: Model, kind: str, seed: int) -> None:
+    """Give ``model`` a fresh extraction head of ``kind`` and a fresh relation head."""
+    model.head_kind = kind
+    model.head = init_head(kind, model.config, model.scheme, seed)
+    model.relation = init_relation(model.config.d_model, seed + 1)
+
+
 def _prepare_model(
     corpus: Corpus,
     config: TrainConfig,
     init: Checkpoint | None,
     encoder_config: EncoderConfig | None,
 ) -> tuple[Model, OptimizerState, int, list[str]]:
-    if init is not None:
-        model = init.model.clone()
-        lineage = list(init.seed_lineage)
-        start_step = init.step if init.model.head_kind == config.head else 0
-        if model.head_kind != config.head or model.head is None:
-            model.head_kind = config.head
-            model.head = init_head(config.head, model.config, model.scheme, config.seed)
-            model.relation = init_relation(model.config.d_model, config.seed + 1)
-            lineage.append(f"head-init:{config.seed}")
-            optimizer = OptimizerState()
-        else:
-            optimizer = init.optimizer or OptimizerState()
-        return model, optimizer, start_step, lineage
+    if init is None:
+        model = _fresh_model(corpus, encoder_config, config.seed)
+        _attach_head(model, config.head, config.seed)
+        return model, OptimizerState(), 0, [f"fresh-init:{config.seed}"]
+    model = init.model.clone()
+    lineage = list(init.seed_lineage)
+    if model.head_kind == config.head and model.head is not None:
+        # resume: continue the step count from a copy of init's Adam moments
+        return model, copy.deepcopy(init.optimizer or OptimizerState()), init.step, lineage
+    _attach_head(model, config.head, config.seed)
+    return model, OptimizerState(), 0, lineage + [f"head-init:{config.seed}"]
 
-    vocab = build_vocab(corpus.subset("train"))
-    if encoder_config is None:
-        encoder_config = EncoderConfig(vocab_size=len(vocab))
-    elif encoder_config.vocab_size != len(vocab):
-        encoder_config = replace(encoder_config, vocab_size=len(vocab))
-    model = Model(
-        config=encoder_config,
-        encoder=init_params(encoder_config, config.seed),
-        vocab=vocab,
-        scheme=corpus.scheme,
-        head_kind=config.head,
-        head=init_head(config.head, encoder_config, corpus.scheme, config.seed),
-        relation=init_relation(encoder_config.d_model, config.seed + 1),
-    )
-    return model, OptimizerState(), 0, [f"fresh-init:{config.seed}"]
+
+def _optimize(
+    model: Model, optimizer: OptimizerState, steps: range, learning_rate: float,
+    clip_norm: float, loss_at: Callable[[int], tuple[Tensor, tuple]], log: list | None,
+) -> None:
+    """One Adam update per step: ``loss_at(step)`` builds the step's graph and
+    returns (loss, log row); a non-finite loss stops the run."""
+    params = model.parameters()
+    for step in steps:
+        T.reset_tape()
+        for p in params.values():
+            p.zero_grad()
+        loss, row = loss_at(step)
+        if not np.isfinite(loss.values):
+            raise NumericError(f"non-finite loss at step {step}")
+        T.backward(loss)
+        adam_step(params, optimizer, learning_rate, clip_norm)
+        if log is not None:
+            log.append(row)
+    T.reset_tape()
 
 
 def train(
@@ -253,8 +270,9 @@ def train(
     relation head) for config.steps Adam updates.
 
     ``init`` may be a pretraining checkpoint (head initialized fresh) or a
-    previous run with the same head (training resumes, including optimizer
-    moments).  ``log`` collects (step, loss, ner_loss, re_loss) rows.
+    previous run with the same head (training resumes from a copy of its
+    optimizer moments; ``init`` itself is left unchanged).  ``log`` collects
+    (step, loss, ner_loss, re_loss) rows.
     """
     if len(corpus) == 0:
         raise ContractError("cannot train on an empty corpus")
@@ -263,26 +281,19 @@ def train(
     )
     lineage.append(f"train:{config.seed}")
     corpus = tokenize_corpus(corpus, model.vocab)
-    sampler = _BatchSampler(corpus, config)
-    params = model.parameters()
+    sampler = _BatchSampler(corpus, config.batch_size, config.seed, config.class_balanced)
     dropping = model.config.dropout_rate > 0.0
 
-    for step in range(start_step, start_step + config.steps):
-        T.reset_tape()
-        for p in params.values():
-            p.zero_grad()
+    def loss_at(step: int):
         sentences = [corpus.sentences[index] for index in sampler.batch(step)]
         seeds = [(config.seed * 1_000_003 + step) * 64 + slot for slot in range(len(sentences))]
         ner, re = step_losses(model, sentences, seeds, config.lambda_re, dropping)
         loss = joint_loss(ner, re, config.lambda_re)
-        if not np.isfinite(loss.values):
-            raise NumericError(f"non-finite loss at step {step}")
-        T.backward(loss)
-        adam_step(params, optimizer, config.learning_rate, config.clip_norm)
-        if log is not None:
-            log.append((step, float(loss.values), float(ner.values), float(re.values)))
-    T.reset_tape()
-    return Checkpoint(model, optimizer, start_step + config.steps, lineage)
+        return loss, (step, float(loss.values), float(ner.values), float(re.values))
+
+    steps = range(start_step, start_step + config.steps)
+    _optimize(model, optimizer, steps, config.learning_rate, config.clip_norm, loss_at, log)
+    return Checkpoint(model, optimizer, steps.stop, lineage)
 
 
 def pretrain(
@@ -294,56 +305,27 @@ def pretrain(
     """Masked-token pretraining of a fresh encoder on the train split."""
     if len(corpus) == 0:
         raise ContractError("cannot pretrain on an empty corpus")
-    vocab = build_vocab(corpus.subset("train"))
-    if encoder_config is None:
-        encoder_config = EncoderConfig(vocab_size=len(vocab))
-    elif encoder_config.vocab_size != len(vocab):
-        encoder_config = replace(encoder_config, vocab_size=len(vocab))
-    model = Model(
-        config=encoder_config,
-        encoder=init_params(encoder_config, config.seed),
-        vocab=vocab,
-        scheme=corpus.scheme,
-    )
-    train_corpus = tokenize_corpus(corpus.subset("train"), vocab)
+    model = _fresh_model(corpus, encoder_config, config.seed)
+    train_corpus = tokenize_corpus(corpus.subset("train"), model.vocab)
     sequences = [
         [piece for token in sentence.tokens for piece in token.subword_ids]
         for sentence in train_corpus.sentences
     ]
     if not sequences:
         raise ContractError("train split is empty; nothing to pretrain on")
-    optimizer = OptimizerState()
-    params = model.parameters()
-    n = len(sequences)
-    epoch_cache: dict[int, np.ndarray] = {}
+    sampler = _BatchSampler(train_corpus, config.batch_size, config.seed)
 
-    def order(epoch: int) -> np.ndarray:
-        if epoch not in epoch_cache:
-            rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0, epoch]))
-            epoch_cache.clear()
-            epoch_cache[epoch] = rng.permutation(n)
-        return epoch_cache[epoch]
-
-    for step in range(config.steps):
-        T.reset_tape()
-        for p in params.values():
-            p.zero_grad()
-        offset = step * config.batch_size
-        batch = [
-            sequences[int(order((offset + i) // n)[(offset + i) % n])]
-            for i in range(config.batch_size)
-        ]
+    def loss_at(step: int):
+        batch = [sequences[index] for index in sampler.batch(step)]
         loss = mlm_step(
             batch, model.encoder, model.config, config.mask_prob,
             seed=config.seed * 1_000_003 + step,
         )
-        if not np.isfinite(loss.values):
-            raise NumericError(f"non-finite pretraining loss at step {step}")
-        T.backward(loss)
-        adam_step(params, optimizer, config.learning_rate, config.clip_norm)
-        if log is not None:
-            log.append((step, float(loss.values)))
-    T.reset_tape()
+        return loss, (step, float(loss.values))
+
+    optimizer = OptimizerState()
+    steps = range(config.steps)
+    _optimize(model, optimizer, steps, config.learning_rate, config.clip_norm, loss_at, log)
     return Checkpoint(model, optimizer, config.steps, [f"pretrain:{config.seed}"])
 
 
@@ -351,20 +333,22 @@ def pretrain(
 # checkpoint I/O
 
 
-def _array_payload(params: dict[str, Tensor]) -> dict[str, list]:
-    return {key: value.values.tolist() for key, value in params.items()}
-
-
 def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
-    """Write a versioned JSON container; floats round-trip exactly via repr."""
+    """Write a versioned JSON container; floats round-trip exactly via repr.
+
+    The JSON goes to a temporary file in the same directory, which then
+    replaces ``path``, so a failed write leaves an existing checkpoint intact.
+    """
     model = checkpoint.model
-    for key, value in model.parameters().items():
+    params = model.parameters()
+    for key, value in params.items():
         T.assert_finite(value.values, f"checkpoint array {key}")
     head_extras = {}
     if model.head_kind == "span" and model.head is not None:
         head_extras["classes"] = model.head.classes
     if model.relation is not None:
         head_extras["relation_labels"] = model.relation.labels
+    optimizer = checkpoint.optimizer
     payload = {
         "format_version": FORMAT_VERSION,
         "encoder_config": asdict(model.config),
@@ -373,20 +357,24 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
         "vocab_min_freq": model.vocab.min_freq,
         "head_kind": model.head_kind,
         "head_extras": head_extras,
-        "arrays": _array_payload(model.parameters()),
+        "arrays": {key: value.values.tolist() for key, value in params.items()},
         "optimizer": None
-        if checkpoint.optimizer is None
+        if optimizer is None
         else {
-            "step": checkpoint.optimizer.step,
-            "m": {k: v.tolist() for k, v in checkpoint.optimizer.m.items()},
-            "v": {k: v.tolist() for k, v in checkpoint.optimizer.v.items()},
+            "step": optimizer.step,
+            "m": {k: v.tolist() for k, v in optimizer.m.items()},
+            "v": {k: v.tolist() for k, v in optimizer.v.items()},
         },
         "step": checkpoint.step,
         "seed_lineage": checkpoint.seed_lineage,
     }
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, allow_nan=False), encoding="utf-8"
-    )
+    path = Path(path)
+    partial = path.with_name(path.name + ".tmp")
+    try:
+        partial.write_text(json.dumps(payload, sort_keys=True, allow_nan=False), encoding="utf-8")
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 _PAYLOAD_KEYS = (
@@ -396,100 +384,112 @@ _PAYLOAD_KEYS = (
 _ENCODER_KEYS = tuple(f.name for f in fields(EncoderConfig))
 
 
+def _check(ok: bool, path, message: str) -> None:
+    """Raise CheckpointError naming the checkpoint file unless ``ok``."""
+    if not ok:
+        raise CheckpointError(f"checkpoint {path}: {message}")
+
+
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _load_array(value, shape: tuple[int, ...], path, what: str) -> np.ndarray:
+    """A checkpoint array: numbers only, of the expected shape, all finite."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # ragged nesting
+        array = np.asarray(None)
+    _check(array.dtype.kind in "if", path, f"{what} must be an array of numbers")
+    _check(array.shape == shape, path, f"{what} has shape {array.shape}, expected {shape}")
+    _check(bool(np.isfinite(array).all()), path, f"{what} has non-finite values")
+    return np.asarray(array, dtype=np.float64)
+
+
 def _load_encoder_config(section, path) -> EncoderConfig:
     """The checkpoint's encoder config; every field present, nothing extra."""
-    if not isinstance(section, dict):
-        raise CheckpointError(f"checkpoint {path}: encoder_config must be a JSON object")
+    _check(isinstance(section, dict), path, "encoder_config must be a JSON object")
     for key in _ENCODER_KEYS:
-        if key not in section:
-            raise CheckpointError(f"checkpoint {path}: encoder_config is missing key {key!r}")
+        _check(key in section, path, f"encoder_config is missing key {key!r}")
     for key in section:
-        if key not in _ENCODER_KEYS:
-            raise CheckpointError(f"checkpoint {path}: unknown encoder_config key {key!r}")
+        _check(key in _ENCODER_KEYS, path, f"unknown encoder_config key {key!r}")
     try:
         return EncoderConfig(**section)
-    except ContractError as exc:
+    except (ContractError, TypeError) as exc:
         raise CheckpointError(f"checkpoint {path}: encoder_config: {exc}") from None
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Rebuild a checkpoint, validating the version and every array shape."""
+    """Rebuild a checkpoint, checking every section against ``Model.parameters()``.
+
+    A malformed section raises CheckpointError naming the file and the key.
+    """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from None
-    if not isinstance(payload, dict):
-        raise CheckpointError(
-            f"checkpoint {path}: expected a JSON object, got {type(payload).__name__}"
-        )
-    if payload.get("format_version") != FORMAT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {payload.get('format_version')!r}"
-        )
+    kind = type(payload).__name__
+    _check(isinstance(payload, dict), path, f"expected a JSON object, got {kind}")
+    version = payload.get("format_version")
+    _check(version == FORMAT_VERSION, path, f"unsupported checkpoint version {version!r}")
     for key in _PAYLOAD_KEYS:
-        if key not in payload:
-            raise CheckpointError(f"checkpoint {path}: missing key {key!r}")
+        _check(key in payload, path, f"missing key {key!r}")
     config = _load_encoder_config(payload["encoder_config"], path)
-    vocab = Vocab(payload["vocab_entries"], payload["vocab_min_freq"])
-    if len(vocab) != config.vocab_size:
-        raise CheckpointError(
-            f"vocab has {len(vocab)} entries but config declares {config.vocab_size}"
-        )
-    scheme = TagScheme(payload["scheme_classes"])
-    arrays = payload["arrays"]
+    for key in ("scheme_classes", "vocab_entries", "seed_lineage"):
+        _check(_is_strings(payload[key]), path, f"{key} must be a JSON list of strings")
+    _check(_is_count(payload["step"]), path, "step must be an integer >= 0")
+    extras, arrays, head_kind = payload["head_extras"], payload["arrays"], payload["head_kind"]
+    _check(isinstance(extras, dict), path, "head_extras must be a JSON object")
+    for key in ("classes", "relation_labels"):
+        _check(_is_strings(extras.get(key, [])), path, f"head_extras key {key!r} must be a list")
+    _check(isinstance(arrays, dict), path, "arrays must be a JSON object")
+    known = head_kind in (None, *HEAD_KINDS)
+    _check(known, path, f"unknown head_kind {head_kind!r}; expected one of {HEAD_KINDS} or null")
 
-    if payload["head_kind"] is not None and payload["head_kind"] not in HEAD_KINDS:
-        raise CheckpointError(
-            f"checkpoint {path}: unknown head_kind {payload['head_kind']!r}; "
-            f"expected one of {HEAD_KINDS} or null"
-        )
-    model = Model(
-        config=config,
-        encoder=init_params(config, seed=0),
-        vocab=vocab,
-        scheme=scheme,
-        head_kind=payload["head_kind"],
-    )
-    if model.head_kind is not None:
-        model.head = init_head(model.head_kind, config, scheme, seed=0)
-        if model.head_kind == "span":
-            model.head.classes = payload["head_extras"].get("classes", scheme.classes)
-    if any(key.startswith("relation/") for key in arrays):
-        labels = payload["head_extras"].get("relation_labels") or RELATION_LABELS
-        model.relation = init_relation(config.d_model, seed=0, labels=labels)
-
+    try:
+        vocab = Vocab(payload["vocab_entries"], payload["vocab_min_freq"])
+        scheme = TagScheme(payload["scheme_classes"])
+        model = Model(config, init_params(config, seed=0), vocab, scheme, head_kind)
+        if head_kind is not None:
+            model.head = init_head(head_kind, config, scheme, seed=0)
+            if head_kind == "span":
+                model.head.classes = extras.get("classes", scheme.classes)
+        if any(key.startswith("relation/") for key in arrays):
+            labels = extras.get("relation_labels") or RELATION_LABELS
+            model.relation = init_relation(config.d_model, seed=0, labels=labels)
+    except ContractError as exc:
+        raise CheckpointError(f"checkpoint {path}: {exc}") from None
+    size = f"vocab has {len(vocab)} entries but config declares {config.vocab_size}"
+    _check(len(vocab) == config.vocab_size, path, size)
     params = model.parameters()
-    if set(params) != set(arrays):
-        missing = sorted(set(params) ^ set(arrays))
-        raise CheckpointError(f"checkpoint arrays do not match model: {missing}")
+    mismatch = sorted(set(params) ^ set(arrays))
+    _check(not mismatch, path, f"arrays do not match the model: {mismatch}")
     for key, tensor in params.items():
-        loaded = np.asarray(arrays[key], dtype=np.float64)
-        if loaded.shape != tensor.values.shape:
-            raise CheckpointError(
-                f"array {key} has shape {loaded.shape}, expected {tensor.values.shape}"
-            )
-        T.assert_finite(loaded, f"checkpoint array {key}")
-        tensor.values = loaded
-
-    optimizer = _load_optimizer(payload["optimizer"], path)
+        tensor.values = _load_array(arrays[key], tensor.shape, path, f"array {key!r}")
+    optimizer = _load_optimizer(payload["optimizer"], params, path)
     return Checkpoint(model, optimizer, payload["step"], payload["seed_lineage"])
 
 
-def _load_optimizer(section, path) -> OptimizerState | None:
-    """Adam state from the checkpoint's optimizer section (null for none)."""
+def _load_optimizer(section, params: dict[str, Tensor], path) -> OptimizerState | None:
+    """Adam state from the optimizer section (null for none); ``m`` and ``v``
+    each hold one moment per parameter, or none before the first step."""
     if section is None:
         return None
-    if not isinstance(section, dict):
-        raise CheckpointError(f"checkpoint {path}: optimizer must be a JSON object or null")
+    _check(isinstance(section, dict), path, "optimizer must be a JSON object or null")
     for key in ("step", "m", "v"):
-        if key not in section:
-            raise CheckpointError(f"checkpoint {path}: optimizer is missing key {key!r}")
+        _check(key in section, path, f"optimizer is missing key {key!r}")
+    _check(_is_count(section["step"]), path, "optimizer step must be an integer >= 0")
     optimizer = OptimizerState(step=section["step"])
     for name, store in (("m", optimizer.m), ("v", optimizer.v)):
-        if not isinstance(section[name], dict):
-            raise CheckpointError(
-                f"checkpoint {path}: optimizer key {name!r} must be a JSON object"
-            )
-        for key, value in section[name].items():
-            store[key] = np.asarray(value, dtype=np.float64)
+        moments = section[name]
+        _check(isinstance(moments, dict), path, f"optimizer key {name!r} must be a JSON object")
+        mismatch = sorted(set(params) ^ set(moments))
+        keys = f"optimizer {name!r} does not match the parameters: {mismatch}"
+        _check(not moments or not mismatch, path, keys)
+        for key, value in moments.items():
+            store[key] = _load_array(value, params[key].shape, path, f"optimizer {name} {key!r}")
     return optimizer

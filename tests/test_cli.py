@@ -97,6 +97,30 @@ class TestExitCodes:
             (lambda p: p["optimizer"].pop("step"), "optimizer is missing key 'step'"),
             (lambda p: p.update(optimizer=[]), "optimizer must be a JSON object"),
             (lambda p: p.update(head_kind="bogus"), "unknown head_kind 'bogus'"),
+            (lambda p: p.update(head_extras=[]), "head_extras must be a JSON object"),
+            (
+                lambda p: p["arrays"]["head/start"].__setitem__(0, "x"),
+                "array 'head/start' must be an array of numbers",
+            ),
+            (
+                lambda p: p["optimizer"]["v"]["head/stop"].__setitem__(0, "x"),
+                "optimizer v 'head/stop' must be an array of numbers",
+            ),
+            (lambda p: p.update(vocab_entries=3), "vocab_entries must be a JSON list of strings"),
+            (
+                lambda p: p["optimizer"]["m"].pop("head/trans"),
+                "optimizer 'm' does not match the parameters: ['head/trans']",
+            ),
+            (
+                lambda p: p["optimizer"]["v"].update(bogus=[0.0]),
+                "optimizer 'v' does not match the parameters: ['bogus']",
+            ),
+            (
+                lambda p: p["optimizer"]["m"].update({"relation/b": [0.0]}),
+                "optimizer m 'relation/b' has shape (1,), expected",
+            ),
+            (lambda p: p.update(step="x"), "step must be an integer >= 0"),
+            (lambda p: p["optimizer"].update(step=-1), "optimizer step must be an integer >= 0"),
         ],
     )
     def test_malformed_checkpoint_exits_1(self, tmp_path, capsys, trained_model, edit, message):

@@ -38,14 +38,14 @@ def reference_encode(ids, params, config, training=False, dropout_seed=None):
     dropping = training and config.dropout_rate > 0.0
     rng = np.random.default_rng(np.random.SeedSequence([dropout_seed])) if dropping else None
     n, d_k = len(ids), config.d_k
-    x = T.add(T.rows(params.tok_emb, ids), T.rows(params.pos_emb, range(n)))
+    x = T.add(T.gather(params.tok_emb, ids), T.gather(params.pos_emb, slice(0, n)))
     for layer in params.layers:
         q, k, v = (T.matmul(x, w) for w in (layer.w_q, layer.w_k, layer.w_v))
         heads = [
             attention(head_columns(q, h, d_k), head_columns(k, h, d_k), head_columns(v, h, d_k))
             for h in range(config.heads)
         ]
-        attn = T.matmul(T.concat_cols(heads), layer.w_o)
+        attn = T.matmul(T.concat(heads, axis=1), layer.w_o)
         if dropping:
             attn = T.dropout(attn, config.dropout_rate, [rng], [n])
         x = T.layer_norm(T.add(x, attn), layer.ln1_gain, layer.ln1_bias)
@@ -65,9 +65,10 @@ def per_sentence_mlm(batch, params, config, mask_prob, seed):
         corrupted, positions = plan_masking(ids, mask_prob, config.vocab_size, rng)
         dropout_seed = None if config.dropout_rate == 0.0 else seed * 100003 + i
         h = reference_encode(corrupted, params, config, training=True, dropout_seed=dropout_seed)
-        logits = T.matmul(T.rows(h, positions), params.mlm_proj)
+        logits = T.matmul(T.gather(h, positions), params.mlm_proj)
         targets = [ids[p] for p in positions]
-        ce = T.sub(T.logsumexp_rows(logits), T.take2d(logits, range(len(positions)), targets))
+        picked = T.gather(logits, (np.arange(len(positions)), np.asarray(targets)))
+        ce = T.sub(T.logsumexp_rows(logits), picked)
         total = ce.sum() if total is None else T.add(total, ce.sum())
         count += len(positions)
     return T.scale(total, 1.0 / count)

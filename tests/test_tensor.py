@@ -216,7 +216,8 @@ class TestCrossEntropy:
     def test_mean_is_uniform_weights(self):
         rng = np.random.default_rng(5)
         logits = Tensor(rng.standard_normal((4, 3)))
-        ce = T.sub(T.logsumexp_rows(logits), T.take2d(logits, range(4), [0, 2, 1, 1]))
+        picked = T.gather(logits, (np.arange(4), np.array([0, 2, 1, 1])))
+        ce = T.sub(T.logsumexp_rows(logits), picked)
         assert T.mean_cross_entropy(logits, [0, 2, 1, 1]).item() == pytest.approx(
             ce.values.mean(), rel=1e-14
         )
@@ -299,16 +300,42 @@ class TestFiniteDiffCheck:
         b = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
 
         def f():
-            g = T.rows(a, [0, 2, 2, 4])
-            s = T.range_means(T.concat_cols([T.slice_rows(a, 0, 5), b]), [0, 1, 2], [2, 5, 3])
-            picked = T.take2d(s, [0, 1, 2], [0, 2, 4])
+            g = T.gather(a, [0, 2, 2, 4])
+            joint = T.concat([T.gather(a, slice(0, 5)), b], axis=1)
+            s = T.range_means(joint, [0, 1, 2], [2, 5, 3])
+            picked = T.gather(s, (np.array([0, 1, 2]), np.array([0, 2, 4])))
             pooled = T.mean0(T.range_means(g, [0, 1], [3, 4]))
-            joined = T.concat_cols(
-                [T.stack_rows([picked]), T.stack_rows([pooled]), T.stack_rows([T.row1d(b, 1)])]
+            joined = T.concat(
+                [T.gather(picked, None), T.gather(pooled, None), T.gather(T.gather(b, 1), None)],
+                axis=1,
             )
             return T.matmul(joined, Tensor(np.ones((joined.shape[1], 1)))).sum()
 
         err = T.finite_diff_check(f, [a, b])
+        assert err < 1e-4
+
+    @pytest.mark.parametrize(
+        "index",
+        [2, slice(1, 4), np.array([0, 3, 3, 1]), (np.array([0, 2, 2]), np.array([1, 0, 1])), None],
+        ids=["int", "slice", "repeats", "pairs", "none"],
+    )
+    def test_gather_index_forms(self, index):
+        rng = np.random.default_rng(7)
+        a = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+        got = T.gather(a, index)
+        assert np.array_equal(got.values, a.values[index])
+        w = Tensor(rng.standard_normal(got.shape))
+        assert T.finite_diff_check(lambda: T.mul(T.gather(a, index), w).sum(), a) < 1e-4
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_concat_axes(self, axis):
+        rng = np.random.default_rng(9)
+        shapes = [(2, 3), (4, 3)] if axis == 0 else [(2, 3), (2, 1)]
+        parts = [Tensor(rng.standard_normal(shape), requires_grad=True) for shape in shapes]
+        got = T.concat(parts, axis=axis)
+        assert np.array_equal(got.values, np.concatenate([p.values for p in parts], axis=axis))
+        w = Tensor(rng.standard_normal(got.shape))
+        err = T.finite_diff_check(lambda: T.mul(T.concat(parts, axis=axis), w).sum(), parts)
         assert err < 1e-4
 
     def test_stack_and_take1d_graph(self):
@@ -317,8 +344,8 @@ class TestFiniteDiffCheck:
         v = Tensor(rng.standard_normal(4), requires_grad=True)
 
         def f():
-            m = T.stack_rows([u, v, T.add(u, v)])
-            picked = T.take1d(T.logsumexp_rows(m), [0, 2, 2])
+            m = T.concat([T.gather(x, None) for x in (u, v, T.add(u, v))], axis=0)
+            picked = T.gather(T.logsumexp_rows(m), [0, 2, 2])
             return picked.mean()
 
         assert T.finite_diff_check(f, [u, v]) < 1e-4

@@ -1,10 +1,14 @@
 import contextlib
+import importlib.util
 import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import medext
+import medext.cli
 from medext import tensor as T
 from medext import pipeline, training
 from medext.corpus import (
@@ -103,15 +107,13 @@ class TestAdam:
 class TestBatchSampler:
     def test_uniform_mode_covers_epoch(self):
         corpus = small_corpus(10)
-        sampler = _BatchSampler(corpus, TrainConfig(batch_size=5, seed=3))
+        sampler = _BatchSampler(corpus, batch_size=5, seed=3)
         seen = sampler.batch(0) + sampler.batch(1)
         assert sorted(seen) == list(range(10))
 
     def test_balanced_mode_equalizes_classes(self):
         corpus = small_corpus(60, seed=9)
-        sampler = _BatchSampler(
-            corpus, TrainConfig(batch_size=8, seed=0, class_balanced=True)
-        )
+        sampler = _BatchSampler(corpus, batch_size=8, seed=0, balanced=True)
         counts = Counter()
         for step in range(200):
             for idx in sampler.batch(step):
@@ -123,8 +125,8 @@ class TestBatchSampler:
 
     def test_deterministic(self):
         corpus = small_corpus(10)
-        a = _BatchSampler(corpus, TrainConfig(batch_size=4, seed=5))
-        b = _BatchSampler(corpus, TrainConfig(batch_size=4, seed=5))
+        a = _BatchSampler(corpus, batch_size=4, seed=5)
+        b = _BatchSampler(corpus, batch_size=4, seed=5)
         assert [a.batch(s) for s in range(6)] == [b.batch(s) for s in range(6)]
 
 
@@ -148,6 +150,16 @@ class TestTrain:
         resumed = train(corpus, TrainConfig(steps=15, batch_size=4, seed=6), init=first)
         assert params_equal(one_shot.model, resumed.model)
         assert resumed.step == 40
+
+    def test_resume_leaves_init_optimizer_unchanged(self):
+        corpus = small_corpus()
+        init = train(corpus, TrainConfig(steps=5, batch_size=4, seed=6))
+        before = (init.optimizer.step, {k: v.copy() for k, v in init.optimizer.m.items()})
+        cfg = TrainConfig(steps=5, batch_size=4, seed=9)
+        first, second = train(corpus, cfg, init=init), train(corpus, cfg, init=init)
+        assert params_equal(first.model, second.model)
+        assert init.optimizer.step == before[0] == 5
+        assert all(np.array_equal(v, before[1][k]) for k, v in init.optimizer.m.items())
 
     def test_loss_halves_in_300_steps(self):
         log = []
@@ -208,15 +220,15 @@ def per_sentence_words(model, sentences, training=False, dropout_seeds=None):
         encode_words(model, sentence, training=training, dropout_seed=seed)
         for sentence, seed in zip(sentences, seeds)
     ]
-    return T.stack_rows([T.row1d(h, i) for h in blocks for i in range(h.shape[0])])
+    return T.concat(blocks, axis=0)
 
 
 def oracle_log_partition(e, trans, start, stop):
     """The per-word forward recursion that the fused CRF op replaced."""
-    alpha = T.add(start, T.row1d(e, 0))
+    alpha = T.add(start, T.gather(e, 0))
     trans_t = T.transpose(trans)
     for i in range(1, e.shape[0]):
-        alpha = T.add(T.row1d(e, i), T.logsumexp_rows(T.add_rowwise(trans_t, alpha)))
+        alpha = T.add(T.gather(e, i), T.logsumexp_rows(T.add_rowwise(trans_t, alpha)))
     return T.logsumexp(T.add(alpha, stop))
 
 
@@ -420,6 +432,23 @@ class TestCheckpointIO:
         )
         assert params_equal(resumed_disk.model, resumed_memory.model)
 
+    def test_failed_write_keeps_existing_checkpoint(self, tmp_path, monkeypatch):
+        corpus = small_corpus()
+        path = tmp_path / "model.json"
+        save_checkpoint(train(corpus, TrainConfig(steps=1, seed=0)), path)
+        saved = path.read_bytes()
+        real_write = type(path).write_text
+
+        def write_half_then_fail(self, text, *args, **kwargs):
+            real_write(self, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(type(path), "write_text", write_half_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(train(corpus, TrainConfig(steps=2, seed=0)), path)
+        assert path.read_bytes() == saved
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
     def test_non_object_payload_names_the_file(self, tmp_path):
         path = tmp_path / "listed.json"
         path.write_text("[]")
@@ -443,3 +472,26 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match=message) as info:
             load_checkpoint(path)
         assert "model.json" in str(info.value)
+
+
+class TestBenchmarkHooks:
+    def test_tracer_wraps_a_traced_pass_and_unwraps(self):
+        """The benchmark's tracer patches training, pipeline and cli entry points
+        by name and reads adam_step's arguments by position; a traced pretrain
+        and fine-tune must run through them, and uninstall must restore all."""
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        corpus = small_corpus(8)
+        tr = tracer.install(medext)
+        try:
+            tr.on = tr.counting = True
+            pre = pretrain(corpus, PretrainConfig(steps=1, batch_size=2, seed=0))
+            train(corpus, TrainConfig(steps=1, batch_size=2, seed=0), init=pre)
+        finally:
+            tr.uninstall()
+        assert tracer.leaked_wrappers(medext) == []
+        for name in ("encoder.mlm", "training.clone", "crf_head.loss", "pipeline.gold_pairs"):
+            assert tr.calls(name) == 1, name
+        assert tr.calls("training.adam") == 2 and tr.counts["adam_steps"] == 2
