@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -52,37 +53,39 @@ from .training import (
     train,
 )
 
-DEFAULT_CONFIG: dict = {
-    "corpus": {"tags": None, "annotations": None, "size": 200, "seed": 7},
-    "encoder": {
-        "d_model": 32,
-        "heads": 2,
-        "layers": 2,
-        "d_ff": 64,
-        "max_len": 64,
-        "dropout_rate": 0.0,
-    },
-    "train": {
-        "learning_rate": 1e-3,
-        "steps": 300,
-        "batch_size": 4,
-        "lambda_re": 1.0,
-        "seed": 0,
-        "head": "crf",
-        "class_balanced": False,
-        "clip_norm": 1.0,
-    },
-    "pretrain": {
-        "learning_rate": 1e-3,
-        "steps": 200,
-        "batch_size": 8,
-        "mask_prob": 0.15,
-        "seed": 0,
-        "clip_norm": 1.0,
-    },
-    "curve": {"k_values": [1, 5, 10, 20, 50, 100], "seeds_per_k": 5},
-    "output_dir": "medext-run",
+
+@dataclass(frozen=True)
+class CorpusConfig:
+    """A tag file with an optional annotation sidecar, or, with no tag file,
+    a synthetic corpus of ``size`` sentences drawn from ``seed``."""
+
+    tags: str | None = None
+    annotations: str | None = None
+    size: int = 200
+    seed: int = 7
+
+    def __post_init__(self):
+        if self.size < 0:
+            raise ContractError(f"size must be >= 0, got {self.size}")
+
+
+SECTIONS = {
+    "corpus": CorpusConfig,
+    "encoder": EncoderConfig,
+    "train": TrainConfig,
+    "pretrain": PretrainConfig,
+    "curve": CurveConfig,
 }
+# Each section's field defaults as JSON values, without the two fields
+# _section fills in itself.
+DEFAULT_CONFIG: dict = {
+    name: {
+        f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+        for f in fields(cls)
+        if f.name not in ("vocab_size", "base")
+    }
+    for name, cls in SECTIONS.items()
+} | {"output_dir": "medext-run"}
 
 VALIDATION_ERRORS = (
     ConfigError,
@@ -107,46 +110,57 @@ class _Parser(argparse.ArgumentParser):
 # config resolution
 
 
-def _merge(defaults: dict, override: dict, path: str = "") -> dict:
-    out = dict(defaults)
+def _check_type(name: str, value, default) -> None:
+    """Raise ConfigError naming ``name`` unless ``value`` has the JSON type of
+    its default; a number default also takes an integer, a null one a string."""
+    if isinstance(default, bool):
+        ok, kind = isinstance(value, bool), "a boolean"
+    elif isinstance(default, int):
+        ok, kind = type(value) is int, "an integer"
+    elif isinstance(default, float):
+        ok = type(value) is int or type(value) is float and math.isfinite(value)
+        kind = "a finite number"
+    elif isinstance(default, list):
+        ok = isinstance(value, list) and all(type(v) is int for v in value)
+        kind = "a list of integers"
+    elif default is None:
+        ok, kind = value is None or isinstance(value, str), "a string or null"
+    else:
+        ok, kind = isinstance(value, str), "a string"
+    if not ok:
+        raise ConfigError(f"config key {name!r} must be {kind}, got {json.dumps(value)}")
+
+
+def _merge(config: dict, override: dict, defaults: dict = DEFAULT_CONFIG, path: str = "") -> dict:
+    """``config`` with ``override``'s values put in key by key, each checked
+    against the type of its default; neither input is changed."""
+    out = dict(config)
     for key, value in override.items():
+        name = path + key
         if key not in defaults:
-            raise ConfigError(f"unknown config key {path + key!r}")
+            raise ConfigError(f"unknown config key {name!r}")
         if isinstance(defaults[key], dict):
             if not isinstance(value, dict):
-                raise ConfigError(f"config key {path + key!r} must be a section")
-            out[key] = _merge(defaults[key], value, f"{path}{key}.")
+                raise ConfigError(f"config key {name!r} must be a section")
+            out[key] = _merge(config[key], value, defaults[key], name + ".")
         else:
+            _check_type(name, value, defaults[key])
             out[key] = value
     return out
 
 
-def _apply_set(config: dict, assignment: str) -> None:
-    if "=" not in assignment:
-        raise ConfigError(f"--set expects section.key=value, got {assignment!r}")
-    dotted, raw = assignment.split("=", 1)
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    keys = dotted.split(".")
-    node = config
-    for key in keys[:-1]:
-        if key not in node or not isinstance(node[key], dict):
-            raise ConfigError(f"unknown config key {dotted!r}")
-        node = node[key]
-    if keys[-1] not in node:
-        raise ConfigError(f"unknown config key {dotted!r}")
-    node[keys[-1]] = value
+def _nested(dotted: str, value) -> dict:
+    """The override that sets ``a.b`` to ``value``: {"a": {"b": value}}."""
+    for key in reversed(dotted.split(".")):
+        value = {key: value}
+    return value
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    config = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
-    config_path = getattr(args, "config", None)
-    if config_path:
-        path = Path(config_path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
+    """Defaults, then the config file, then each --set, then the direct flags."""
+    config = DEFAULT_CONFIG
+    if args.config:
+        path = _existing(args.config, "config file")
         try:
             loaded = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
@@ -154,82 +168,58 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
         config = _merge(config, loaded)
-    for assignment in getattr(args, "set", None) or []:
-        _apply_set(config, assignment)
-    # direct flags win over --set and the file
-    flag_paths = {
-        "size": ("corpus", "size"),
-        "corpus_seed": ("corpus", "seed"),
-        "tags": ("corpus", "tags"),
-        "annotations": ("corpus", "annotations"),
-        "steps": None,  # per-command section, handled below
-        "seed": None,
-        "head": ("train", "head"),
-        "out": ("output_dir",),
-    }
-    section = "pretrain" if args.command == "pretrain" else "train"
-    for flag, target in flag_paths.items():
-        value = getattr(args, flag, None)
-        if value is None:
-            continue
-        if flag == "steps":
-            config[section]["steps"] = value
-        elif flag == "seed":
-            config[section]["seed"] = value
-        elif len(target) == 1:
-            config[target[0]] = value
-        else:
-            config[target[0]][target[1]] = value
+    for assignment in args.set or []:
+        if "=" not in assignment:
+            raise ConfigError(f"--set expects section.key=value, got {assignment!r}")
+        dotted, raw = assignment.split("=", 1)
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw
+        config = _merge(config, _nested(dotted, value))
+    # direct flags, whose dest is the config key they set, win over both
+    for dest, value in vars(args).items():
+        if dest.split(".")[0] in DEFAULT_CONFIG and value is not None:
+            config = _merge(config, _nested(dest, value))
     return config
 
 
-def _encoder_config(config: dict) -> EncoderConfig:
+def _section(config: dict, name: str):
+    """Section ``name`` of a resolved config as its config class.  The
+    fields DEFAULT_CONFIG leaves out are filled in here: vocab_size with a
+    placeholder that train and pretrain replace from the vocabulary, and
+    the curve's base with the train section.  A failed check names the key,
+    as every check message opens with its field's name."""
+    values = {k: tuple(v) if isinstance(v, list) else v for k, v in config[name].items()}
+    if name == "encoder":
+        values["vocab_size"] = 5
+    elif name == "curve":
+        values["base"] = _section(config, "train")
     try:
-        # vocab_size is a placeholder; train/pretrain rebuild it from the vocab
-        return EncoderConfig(vocab_size=5, **config["encoder"])
-    except (TypeError, ContractError) as exc:
-        raise ConfigError(f"encoder config: {exc}") from None
+        return SECTIONS[name](**values)
+    except ContractError as exc:
+        raise ConfigError(f"{name}.{exc}") from None
 
 
-def _train_config(config: dict) -> TrainConfig:
-    try:
-        return TrainConfig(**config["train"])
-    except (TypeError, ContractError) as exc:
-        raise ConfigError(f"train config: {exc}") from None
+def _existing(path: str, what: str) -> Path:
+    """``path`` if it names something other than a directory that exists."""
+    if not Path(path).exists() or Path(path).is_dir():  # Path("") is "."
+        raise ConfigError(f"{what} not found: {path!r}")
+    return Path(path)
 
 
-def _pretrain_config(config: dict) -> PretrainConfig:
-    try:
-        return PretrainConfig(**config["pretrain"])
-    except (TypeError, ContractError) as exc:
-        raise ConfigError(f"pretrain config: {exc}") from None
-
-
-def _curve_config(config: dict, base: TrainConfig) -> CurveConfig:
-    try:
-        return CurveConfig(
-            k_values=tuple(config["curve"]["k_values"]),
-            seeds_per_k=config["curve"]["seeds_per_k"],
-            base=base,
-        )
-    except (TypeError, ContractError) as exc:
-        raise ConfigError(f"curve config: {exc}") from None
+def _open_checkpoint(path: str | None) -> Checkpoint | None:
+    return None if path is None else load_checkpoint(_existing(path, "checkpoint"))
 
 
 def load_experiment_corpus(config: dict) -> Corpus:
-    section = config["corpus"]
-    if section["tags"]:
-        tags_path = Path(section["tags"])
-        if not tags_path.exists():
-            raise ConfigError(f"corpus tag file not found: {tags_path}")
-        corpus = load_conll(tags_path, TagScheme())
-        if section["annotations"]:
-            ann_path = Path(section["annotations"])
-            if not ann_path.exists():
-                raise ConfigError(f"annotation file not found: {ann_path}")
-            corpus = load_annotations(corpus, ann_path)
-        return corpus
-    return generate_synthetic_corpus(section["size"], section["seed"])
+    section = _section(config, "corpus")
+    if not section.tags:
+        return generate_synthetic_corpus(section.size, section.seed)
+    corpus = load_conll(_existing(section.tags, "corpus tag file"), TagScheme())
+    if section.annotations:
+        corpus = load_annotations(corpus, _existing(section.annotations, "annotation file"))
+    return corpus
 
 
 def _output_dir(config: dict) -> Path:
@@ -238,12 +228,14 @@ def _output_dir(config: dict) -> Path:
     return out
 
 
+def _write_json(path: Path, value) -> None:
+    path.write_text(json.dumps(value, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def _echo_config(config: dict, out: Path) -> None:
     # output_dir is omitted so re-runs into different directories match
     echo = {key: value for key, value in config.items() if key != "output_dir"}
-    (out / "resolved_config.json").write_text(
-        json.dumps(echo, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out / "resolved_config.json", echo)
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -253,22 +245,13 @@ def _write_csv(path: Path, header: str, rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _load_init(args) -> Checkpoint | None:
-    init_path = getattr(args, "init", None)
-    if not init_path:
-        return None
-    path = Path(init_path)
-    if not path.exists():
-        raise ConfigError(f"checkpoint not found: {path}")
-    return load_checkpoint(path)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_gen_corpus(config: dict, args) -> int:
-    corpus = generate_synthetic_corpus(config["corpus"]["size"], config["corpus"]["seed"])
+    section = _section(config, "corpus")
+    corpus = generate_synthetic_corpus(section.size, section.seed)
     out = _output_dir(config)
     save_conll(corpus, out / "corpus.tsv")
     save_annotations(corpus, out / "annotations.jsonl")
@@ -279,7 +262,7 @@ def cmd_gen_corpus(config: dict, args) -> int:
 
 def cmd_pretrain(config: dict, args) -> int:
     corpus = load_experiment_corpus(config)
-    pretrain_config, encoder_config = _pretrain_config(config), _encoder_config(config)
+    pretrain_config, encoder_config = _section(config, "pretrain"), _section(config, "encoder")
     out = _output_dir(config)
     log: list = []
     checkpoint = pretrain(corpus, pretrain_config, encoder_config=encoder_config, log=log)
@@ -292,8 +275,8 @@ def cmd_pretrain(config: dict, args) -> int:
 
 def cmd_train(config: dict, args) -> int:
     corpus = load_experiment_corpus(config)
-    train_config, init = _train_config(config), _load_init(args)
-    encoder_config = _encoder_config(config)
+    train_config, encoder_config = _section(config, "train"), _section(config, "encoder")
+    init = _open_checkpoint(args.init)
     out = _output_dir(config)
     log: list = []
     checkpoint = train(corpus, train_config, init=init, encoder_config=encoder_config, log=log)
@@ -305,16 +288,11 @@ def cmd_train(config: dict, args) -> int:
 
 
 def cmd_eval(config: dict, args) -> int:
-    path = Path(args.checkpoint)
-    if not path.exists():
-        raise ConfigError(f"checkpoint not found: {path}")
-    checkpoint = load_checkpoint(path)
+    checkpoint = _open_checkpoint(args.checkpoint)
     corpus = load_experiment_corpus(config)
     out = _output_dir(config)
     result = evaluate_split(checkpoint.model, corpus, args.split)
-    (out / "report.json").write_text(
-        json.dumps(result.as_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out / "report.json", result.as_dict())
     rows = [(f"{checkpoint.model.head_kind} entities", result.entities)]
     if result.relations_gold_spans is not None:
         rows.append(("relations (gold spans)", result.relations_gold_spans))
@@ -327,8 +305,8 @@ def cmd_eval(config: dict, args) -> int:
 
 def cmd_fewshot_curve(config: dict, args) -> int:
     corpus = load_experiment_corpus(config)
-    curve_config, init = _curve_config(config, _train_config(config)), _load_init(args)
-    encoder_config = _encoder_config(config)
+    curve_config, encoder_config = _section(config, "curve"), _section(config, "encoder")
+    init = _open_checkpoint(args.init)
     out = _output_dir(config)
     result = run_curve(corpus, curve_config, init=init, encoder_config=encoder_config)
     (out / "curve.csv").write_text(curve_csv(result), encoding="utf-8")
@@ -341,12 +319,10 @@ def cmd_fewshot_curve(config: dict, args) -> int:
 
 def cmd_compare_heads(config: dict, args) -> int:
     corpus = load_experiment_corpus(config)
-    init = _load_init(args)
-    base = _train_config(config)
-    encoder_config = _encoder_config(config)
+    base, encoder_config = _section(config, "train"), _section(config, "encoder")
+    init = _open_checkpoint(args.init)
     out = _output_dir(config)
-    rows = []
-    details = {}
+    rows, details = [], {}
     for head in ("crf", "span", "seq2seq"):
         checkpoint = train(
             corpus, replace(base, head=head), init=init, encoder_config=encoder_config
@@ -355,39 +331,33 @@ def cmd_compare_heads(config: dict, args) -> int:
         rows.append((head, result.entities))
         details[head] = result.as_dict()
     (out / "comparison.md").write_text(report_markdown(rows), encoding="utf-8")
-    (out / "comparison.json").write_text(
-        json.dumps(details, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out / "comparison.json", details)
     _echo_config(config, out)
     print(report_markdown(rows), end="")
     return 0
 
 
 def cmd_predict(config: dict, args) -> int:
-    path = Path(args.checkpoint)
-    if not path.exists():
-        raise ConfigError(f"checkpoint not found: {path}")
-    checkpoint = load_checkpoint(path)
-    if checkpoint.model.head is None:
+    """One JSON record per non-blank line; a line that raises ContractError
+    becomes {"line": n, "error": ...} and the command then exits 1."""
+    model = _open_checkpoint(args.checkpoint).model
+    if model.head is None:
         raise ConfigError("checkpoint has no extraction head; train one first")
-    input_path = Path(args.input)
-    if not input_path.exists():
-        raise ConfigError(f"input file not found: {input_path}")
+    input_path = _existing(args.input, "input file")
     records = []
     with T.no_grad():
-        for line in input_path.read_text(encoding="utf-8").splitlines():
+        lines = input_path.read_text(encoding="utf-8").splitlines()
+        for number, line in enumerate(lines, 1):
             words = line.split()
             if not words:
                 continue
             sentence = Sentence([Token(w) for w in words], [0] * len(words))
-            h = encode_words(checkpoint.model, sentence)
-            spans, _ = decode_entities(checkpoint.model, h)
-            records.append(
-                {
-                    "tokens": words,
-                    "spans": [{"start": s.start, "end": s.end, "cls": s.cls} for s in spans],
-                }
-            )
+            try:
+                spans, _ = decode_entities(model, encode_words(model, sentence))
+            except ContractError as exc:
+                records.append({"line": number, "error": str(exc)})
+            else:
+                records.append({"tokens": words, "spans": [asdict(s) for s in spans]})
     payload = "\n".join(json.dumps(r, separators=(",", ":")) for r in records)
     payload = payload + "\n" if payload else ""
     if args.out_file:
@@ -395,7 +365,10 @@ def cmd_predict(config: dict, args) -> int:
         Path(args.out_file).write_text(payload, encoding="utf-8")
     else:
         sys.stdout.write(payload)
-    return 0
+    failed = [r for r in records if "error" in r]
+    for record in failed:
+        print(f"error: {input_path} line {record['line']}: {record['error']}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +383,12 @@ def build_parser() -> _Parser:
         p.add_argument("--config", help="experiment config JSON file")
         p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                        help="override one config value (repeatable)")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--tags", help="corpus tag file (two-column TSV)")
-        p.add_argument("--annotations", help="span/relation JSON-lines sidecar")
-        p.add_argument("--size", type=int, help="synthetic corpus size")
-        p.add_argument("--corpus-seed", dest="corpus_seed", type=int,
+        p.add_argument("--out", dest="output_dir", help="output directory")
+        p.add_argument("--tags", dest="corpus.tags", help="corpus tag file (two-column TSV)")
+        p.add_argument("--annotations", dest="corpus.annotations",
+                       help="span/relation JSON-lines sidecar")
+        p.add_argument("--size", dest="corpus.size", type=int, help="synthetic corpus size")
+        p.add_argument("--corpus-seed", dest="corpus.seed", type=int,
                        help="synthetic corpus seed")
         if init_flag:
             p.add_argument("--init", help="checkpoint to fine-tune from")
@@ -424,14 +398,15 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("pretrain", help="masked-token pretraining of the encoder")
     common(p)
-    p.add_argument("--steps", type=int, help="optimizer steps")
-    p.add_argument("--seed", type=int, help="pretraining seed")
+    p.add_argument("--steps", dest="pretrain.steps", type=int, help="optimizer steps")
+    p.add_argument("--seed", dest="pretrain.seed", type=int, help="pretraining seed")
 
     p = sub.add_parser("train", help="fine-tune an extraction head")
     common(p, init_flag=True)
-    p.add_argument("--steps", type=int, help="optimizer steps")
-    p.add_argument("--seed", type=int, help="training seed")
-    p.add_argument("--head", choices=["crf", "span", "seq2seq"], help="extraction head")
+    p.add_argument("--steps", dest="train.steps", type=int, help="optimizer steps")
+    p.add_argument("--seed", dest="train.seed", type=int, help="training seed")
+    p.add_argument("--head", dest="train.head", choices=["crf", "span", "seq2seq"],
+                   help="extraction head")
 
     p = sub.add_parser("eval", help="score a checkpoint against a corpus split")
     common(p)
@@ -440,13 +415,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("fewshot-curve", help="k-shot learning-curve experiment")
     common(p, init_flag=True)
-    p.add_argument("--steps", type=int, help="optimizer steps per episode")
-    p.add_argument("--seed", type=int, help="base seed for the curve")
+    p.add_argument("--steps", dest="train.steps", type=int, help="optimizer steps per episode")
+    p.add_argument("--seed", dest="train.seed", type=int, help="base seed for the curve")
 
     p = sub.add_parser("compare-heads", help="train all three heads and tabulate")
     common(p, init_flag=True)
-    p.add_argument("--steps", type=int, help="optimizer steps per head")
-    p.add_argument("--seed", type=int, help="training seed")
+    p.add_argument("--steps", dest="train.steps", type=int, help="optimizer steps per head")
+    p.add_argument("--seed", dest="train.seed", type=int, help="training seed")
     p.add_argument("--split", default="test", choices=["train", "val", "test"])
 
     p = sub.add_parser("predict", help="tag raw text and emit JSON-lines spans")
@@ -476,10 +451,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        if args.command == "predict":
-            config = DEFAULT_CONFIG  # predict takes no experiment config
-        else:
-            config = resolve_config(args)
+        # predict takes no experiment config
+        config = DEFAULT_CONFIG if args.command == "predict" else resolve_config(args)
         return COMMANDS[args.command](config, args)
     except VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -61,16 +61,11 @@ class TrainConfig:
     clip_norm: float = 1.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ContractError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.steps < 0 or self.batch_size < 1:
-            raise ContractError("steps must be >= 0 and batch_size >= 1")
+        _check_optimizer_fields(self)
         if self.lambda_re < 0:
             raise ContractError(f"lambda_re must be >= 0, got {self.lambda_re}")
         if self.head not in HEAD_KINDS:
             raise ContractError(f"head must be one of {HEAD_KINDS}, got {self.head!r}")
-        if self.clip_norm <= 0:
-            raise ContractError(f"clip_norm must be positive, got {self.clip_norm}")
 
 
 @dataclass(frozen=True)
@@ -81,6 +76,24 @@ class PretrainConfig:
     mask_prob: float = 0.15
     seed: int = 0
     clip_norm: float = 1.0
+
+    def __post_init__(self):
+        _check_optimizer_fields(self)
+        if not 0.0 < self.mask_prob < 1.0:
+            raise ContractError(f"mask_prob must be in (0, 1), got {self.mask_prob}")
+
+
+def _check_optimizer_fields(config: TrainConfig | PretrainConfig) -> None:
+    """The checks TrainConfig and PretrainConfig share.  Every config check
+    message opens with the field it names."""
+    if config.learning_rate <= 0:
+        raise ContractError(f"learning_rate must be positive, got {config.learning_rate}")
+    if config.steps < 0:
+        raise ContractError(f"steps must be >= 0, got {config.steps}")
+    if config.batch_size < 1:
+        raise ContractError(f"batch_size must be >= 1, got {config.batch_size}")
+    if config.clip_norm <= 0:
+        raise ContractError(f"clip_norm must be positive, got {config.clip_norm}")
 
 
 @dataclass
@@ -442,16 +455,21 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     for key in ("scheme_classes", "vocab_entries", "seed_lineage"):
         _check(_is_strings(payload[key]), path, f"{key} must be a JSON list of strings")
     _check(_is_count(payload["step"]), path, "step must be an integer >= 0")
+    min_freq = payload["vocab_min_freq"]
+    _check(_is_count(min_freq) and min_freq >= 1, path, "vocab_min_freq must be an integer >= 1")
     extras, arrays, head_kind = payload["head_extras"], payload["arrays"], payload["head_kind"]
     _check(isinstance(extras, dict), path, "head_extras must be a JSON object")
     for key in ("classes", "relation_labels"):
         _check(_is_strings(extras.get(key, [])), path, f"head_extras key {key!r} must be a list")
+    classes = sorted(payload["scheme_classes"])  # the span head's w_cls scores these
+    ok = sorted(extras.get("classes", classes)) == classes
+    _check(ok, path, f"head_extras key 'classes' must hold the scheme's classes {classes}")
     _check(isinstance(arrays, dict), path, "arrays must be a JSON object")
     known = head_kind in (None, *HEAD_KINDS)
     _check(known, path, f"unknown head_kind {head_kind!r}; expected one of {HEAD_KINDS} or null")
 
     try:
-        vocab = Vocab(payload["vocab_entries"], payload["vocab_min_freq"])
+        vocab = Vocab(payload["vocab_entries"], min_freq)
         scheme = TagScheme(payload["scheme_classes"])
         model = Model(config, init_params(config, seed=0), vocab, scheme, head_kind)
         if head_kind is not None:

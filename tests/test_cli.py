@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from medext import tensor as T
-from medext.cli import main
+from medext.cli import DEFAULT_CONFIG, main
 from medext.corpus import TagScheme, load_annotations, load_conll
 
 
@@ -121,6 +121,12 @@ class TestExitCodes:
             ),
             (lambda p: p.update(step="x"), "step must be an integer >= 0"),
             (lambda p: p["optimizer"].update(step=-1), "optimizer step must be an integer >= 0"),
+            (
+                lambda p: p["head_extras"].update(classes=p["scheme_classes"][:-1]),
+                "head_extras key 'classes' must hold the scheme's classes",
+            ),
+            (lambda p: p.update(vocab_min_freq="x"), "vocab_min_freq must be an integer >= 1"),
+            (lambda p: p.update(vocab_min_freq=0), "vocab_min_freq must be an integer >= 1"),
         ],
     )
     def test_malformed_checkpoint_exits_1(self, tmp_path, capsys, trained_model, edit, message):
@@ -158,12 +164,30 @@ class TestExitCodes:
             ("pretrain", "--tags", "missing.tsv"),
             ("fewshot-curve", "--set", "curve.seeds_per_k=0"),
             ("compare-heads", "--init", "missing.json"),
+            ("gen-corpus", "--size", "-1"),
+            ("gen-corpus", "--set", 'corpus.size="x"'),
+            ("train", "--set", "train.steps=true"),
+            ("train", "--set", "train.class_balanced=2"),
+            ("fewshot-curve", "--set", "curve.seeds_per_k=1.5"),
+            ("train", "--set", "encoder.d_model=3.5"),
+            ("gen-corpus", "--set", "output_dir=5"),
+            ("pretrain", "--steps", "-3"),
+            ("pretrain", "--set", "pretrain.learning_rate=-1"),
+            ("pretrain", "--set", "pretrain.clip_norm=0"),
+            ("pretrain", "--set", "pretrain.mask_prob=2"),
+            ("pretrain", "--set", "pretrain.batch_size=0"),
+            ("eval", "--checkpoint", ""),
+            ("pretrain", "--tags", "."),
         ],
     )
-    def test_failed_run_creates_nothing(self, tmp_path, monkeypatch, argv):
+    def test_failed_run_creates_nothing(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
         assert run(*argv) == 1
         assert list(tmp_path.iterdir()) == []
+        # the error names the missing file or the bad key
+        flag_keys = {"--size": "corpus.size", "--steps": "pretrain.steps"}
+        named = flag_keys.get(argv[-2], argv[-1].split("=")[0])
+        assert named in capsys.readouterr().err
 
 
 class TestConfigPrecedence:
@@ -188,6 +212,20 @@ class TestConfigPrecedence:
         ) == 0
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["corpus"]["size"] == 7
+
+    def test_section_set_merges_key_by_key(self, tmp_path):
+        out = tmp_path / "run"
+        assert run(
+            "gen-corpus", "--size", "0", "--set", 'train={"steps": 1}', "--out", str(out)
+        ) == 0
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved["train"] == {**DEFAULT_CONFIG["train"], "steps": 1}
+
+    def test_readme_config_shape_is_the_defaults(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Config file shape", 1)[1]
+        block = section.split("```json", 1)[1].split("```", 1)[0]
+        assert json.loads(block) == DEFAULT_CONFIG
 
 
 class TestTrainEval:
@@ -318,6 +356,31 @@ class TestPredict:
             outputs.append(out_file.read_bytes())
         T.reset_tape()
         assert outputs[0] == outputs[1]
+
+    def test_over_long_line_becomes_error_record(self, tmp_path, capsys, trained_model):
+        good = ["the patient presented with influenza", "aspirin treats migraine"]
+        long_line = " ".join(["qwerty", "zxcvbn", "poiuyt", "lkjhgf"] * 3)  # 72 subwords
+        text = tmp_path / "raw.txt"
+        text.write_text(f"{good[0]}\n\n{long_line}\n{good[1]}\n")
+        out_file = tmp_path / "pred.jsonl"
+        code = run(
+            "predict", "--checkpoint", str(trained_model),
+            "--input", str(text), "--out-file", str(out_file),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "raw.txt line 3:" in err and "exceeds max_len 64" in err
+        records = out_file.read_text().splitlines()
+        assert len(records) == 3
+        assert json.loads(records[1]) == {
+            "line": 3, "error": "sequence length 72 exceeds max_len 64",
+        }
+        text.write_text("\n".join(good) + "\n")
+        assert run(
+            "predict", "--checkpoint", str(trained_model),
+            "--input", str(text), "--out-file", str(out_file),
+        ) == 0
+        assert out_file.read_text().splitlines() == [records[0], records[2]]
 
     def test_missing_input_file(self, trained_model):
         assert run("predict", "--checkpoint", str(trained_model), "--input", "/nope.txt") == 1
