@@ -42,7 +42,7 @@ from .errors import (
 )
 from .evaluation import report_markdown
 from .fewshot import CurveConfig, curve_csv, run_curve, summary_csv
-from .pipeline import decode_entities, encode_words, evaluate_split
+from .pipeline import HEAD_KINDS, decode_entities, encode_words, evaluate_split
 from .training import (
     Checkpoint,
     PretrainConfig,
@@ -157,7 +157,8 @@ def _nested(dotted: str, value) -> dict:
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """Defaults, then the config file, then each --set, then the direct flags."""
+    """Defaults, then the config file, then each --set, then the direct flags;
+    an ``output_dir`` that cannot be made fails here, before any work."""
     config = DEFAULT_CONFIG
     if args.config:
         path = _existing(args.config, "config file")
@@ -181,6 +182,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     for dest, value in vars(args).items():
         if dest.split(".")[0] in DEFAULT_CONFIG and value is not None:
             config = _merge(config, _nested(dest, value))
+    _output_path(config["output_dir"], "output_dir", directory=True)
     return config
 
 
@@ -206,6 +208,17 @@ def _existing(path: str, what: str) -> Path:
     if not Path(path).exists() or Path(path).is_dir():  # Path("") is "."
         raise ConfigError(f"{what} not found: {path!r}")
     return Path(path)
+
+
+def _output_path(path: str, what: str, directory: bool) -> Path:
+    """``path`` if it can be made: its nearest existing part is a directory,
+    or is ``path`` itself, an output file, and not a directory."""
+    target = Path(path)
+    found = next(p for p in (target, *target.parents) if p.exists())
+    if found.is_dir() == (found == target and not directory):
+        kind = "a directory" if found.is_dir() else "not a directory"
+        raise ConfigError(f"{what} {path!r}: {str(found)!r} is {kind}")
+    return target
 
 
 def _open_checkpoint(path: str | None) -> Checkpoint | None:
@@ -323,7 +336,7 @@ def cmd_compare_heads(config: dict, args) -> int:
     init = _open_checkpoint(args.init)
     out = _output_dir(config)
     rows, details = [], {}
-    for head in ("crf", "span", "seq2seq"):
+    for head in HEAD_KINDS:
         checkpoint = train(
             corpus, replace(base, head=head), init=init, encoder_config=encoder_config
         )
@@ -340,6 +353,7 @@ def cmd_compare_heads(config: dict, args) -> int:
 def cmd_predict(config: dict, args) -> int:
     """One JSON record per non-blank line; a line that raises ContractError
     becomes {"line": n, "error": ...} and the command then exits 1."""
+    out_file = args.out_file and _output_path(args.out_file, "--out-file", directory=False)
     model = _open_checkpoint(args.checkpoint).model
     if model.head is None:
         raise ConfigError("checkpoint has no extraction head; train one first")
@@ -360,9 +374,9 @@ def cmd_predict(config: dict, args) -> int:
                 records.append({"tokens": words, "spans": [asdict(s) for s in spans]})
     payload = "\n".join(json.dumps(r, separators=(",", ":")) for r in records)
     payload = payload + "\n" if payload else ""
-    if args.out_file:
-        Path(args.out_file).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out_file).write_text(payload, encoding="utf-8")
+    if out_file:
+        out_file.parent.mkdir(parents=True, exist_ok=True)
+        out_file.write_text(payload, encoding="utf-8")
     else:
         sys.stdout.write(payload)
     failed = [r for r in records if "error" in r]
@@ -405,7 +419,7 @@ def build_parser() -> _Parser:
     common(p, init_flag=True)
     p.add_argument("--steps", dest="train.steps", type=int, help="optimizer steps")
     p.add_argument("--seed", dest="train.seed", type=int, help="training seed")
-    p.add_argument("--head", dest="train.head", choices=["crf", "span", "seq2seq"],
+    p.add_argument("--head", dest="train.head", choices=HEAD_KINDS,
                    help="extraction head")
 
     p = sub.add_parser("eval", help="score a checkpoint against a corpus split")

@@ -389,10 +389,6 @@ class Vocab:
         self._index = {entry: i for i, entry in enumerate(self.entries)}
         self._max_piece = max((len(e) for e in self.entries[4:]), default=0)
 
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
     def index(self, entry: str) -> int | None:
         return self._index.get(entry)
 

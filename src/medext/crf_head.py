@@ -20,30 +20,19 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, ShapeError
-from .tensor import Tensor
+from .tensor import Params, Tensor, xavier
 
 
 @dataclass
-class CRFParams:
+class CRFParams(Params):
     w_emit: Tensor  # [d_model, K]
     b_emit: Tensor  # [K]
     trans: Tensor  # [K, K]; trans[a, b] scores tag b following tag a
     start: Tensor  # [K]
     stop: Tensor  # [K]
 
-    def named(self) -> dict[str, Tensor]:
-        return {
-            "w_emit": self.w_emit,
-            "b_emit": self.b_emit,
-            "trans": self.trans,
-            "start": self.start,
-            "stop": self.stop,
-        }
-
 
 def init_crf(d_model: int, num_tags: int, seed: int) -> CRFParams:
-    from .encoder import xavier
-
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     zeros = lambda *shape: Tensor(np.zeros(shape), requires_grad=True)
     return CRFParams(

@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .corpus import MASK
 from .errors import ContractError
-from .tensor import MASK_BIAS, Tensor
+from .tensor import MASK_BIAS, Params, Tensor, xavier
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ class EncoderConfig:
 
 
 @dataclass
-class LayerParams:
+class LayerParams(Params):
     w_q: Tensor
     w_k: Tensor
     w_v: Tensor
@@ -64,23 +64,17 @@ class LayerParams:
 
 
 @dataclass
-class EncoderParams:
+class EncoderParams(Params):
     tok_emb: Tensor
     pos_emb: Tensor
     layers: list[LayerParams] = field(default_factory=list)
     mlm_proj: Tensor = None
 
     def named(self) -> dict[str, Tensor]:
-        out = {"tok_emb": self.tok_emb, "pos_emb": self.pos_emb, "mlm_proj": self.mlm_proj}
+        out = super().named()  # tok_emb, pos_emb, mlm_proj
         for i, layer in enumerate(self.layers):
-            for name, value in vars(layer).items():
-                out[f"layer{i}.{name}"] = value
+            out.update({f"layer{i}.{name}": value for name, value in layer.named().items()})
         return out
-
-
-def xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return Tensor(rng.uniform(-limit, limit, size=(fan_in, fan_out)), requires_grad=True)
 
 
 def init_params(config: EncoderConfig, seed: int) -> EncoderParams:

@@ -16,24 +16,19 @@ import numpy as np
 from . import tensor as T
 from .corpus import NO_RELATION, RELATION_LABELS, EntitySpan, RelationInstance
 from .errors import ContractError
-from .tensor import Tensor
+from .tensor import Params, Tensor, xavier
 
 
 @dataclass
-class RelationHeadParams:
+class RelationHeadParams(Params):
     w: Tensor  # [2*d_model, R]
     b: Tensor  # [R]
     labels: list[str]  # index 0 is "no-relation"
-
-    def named(self) -> dict[str, Tensor]:
-        return {"w": self.w, "b": self.b}
 
 
 def init_relation(
     d_model: int, seed: int, labels: Sequence[str] = RELATION_LABELS
 ) -> RelationHeadParams:
-    from .encoder import xavier
-
     if len(labels) < 2 or labels[0] != NO_RELATION:
         raise ContractError(f"labels must start with {NO_RELATION!r}, got {labels!r}")
     rng = np.random.default_rng(np.random.SeedSequence([seed]))

@@ -17,11 +17,11 @@ import numpy as np
 from . import tensor as T
 from .corpus import TagScheme
 from .errors import ContractError
-from .tensor import Tensor
+from .tensor import Params, Tensor, xavier
 
 
 @dataclass
-class Seq2SeqParams:
+class Seq2SeqParams(Params):
     tag_emb: Tensor  # [K+1, d_t]; row K embeds begin-of-sequence
     w_out: Tensor  # [d_model + d_t, K]
     b_out: Tensor  # [K]
@@ -30,13 +30,8 @@ class Seq2SeqParams:
     def bos(self) -> int:
         return self.tag_emb.shape[0] - 1
 
-    def named(self) -> dict[str, Tensor]:
-        return {"tag_emb": self.tag_emb, "w_out": self.w_out, "b_out": self.b_out}
-
 
 def init_seq2seq(d_model: int, num_tags: int, seed: int, d_t: int = 8) -> Seq2SeqParams:
-    from .encoder import xavier
-
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     return Seq2SeqParams(
         tag_emb=xavier(rng, num_tags + 1, d_t),

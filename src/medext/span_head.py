@@ -17,7 +17,7 @@ import numpy as np
 from . import tensor as T
 from .corpus import EntitySpan
 from .errors import ContractError
-from .tensor import Tensor
+from .tensor import Params, Tensor, xavier
 
 logger = logging.getLogger(__name__)
 
@@ -25,7 +25,7 @@ NULL = 0  # classifier index for "not an entity"
 
 
 @dataclass
-class SpanHeadParams:
+class SpanHeadParams(Params):
     width_emb: Tensor  # [max_width, d_w]
     w_cls: Tensor  # [3*d_model + d_w, C+1]
     b_cls: Tensor  # [C+1]
@@ -35,15 +35,10 @@ class SpanHeadParams:
     def max_width(self) -> int:
         return self.width_emb.shape[0]
 
-    def named(self) -> dict[str, Tensor]:
-        return {"width_emb": self.width_emb, "w_cls": self.w_cls, "b_cls": self.b_cls}
-
 
 def init_span(
     d_model: int, classes: Sequence[str], seed: int, max_width: int = 8, d_w: int = 8
 ) -> SpanHeadParams:
-    from .encoder import xavier
-
     if max_width < 1:
         raise ContractError(f"max_width must be >= 1, got {max_width}")
     rng = np.random.default_rng(np.random.SeedSequence([seed]))

@@ -4,6 +4,9 @@ A single module-level tape records every differentiable operation in
 execution order (which is already a topological order).  ``backward`` seeds
 the root gradient and replays the tape in reverse, accumulating gradients by
 summation so that multiple uses of one tensor add their contributions.
+Every op builds its output with ``record_op``.  No code writes a gradient
+in place, so the backward pass stores gradient arrays as the rules return
+them, shared or not.
 ``reset_tape`` must be called between training steps; nothing is freed
 implicitly.  Inside ``no_grad()`` nothing is recorded (inference).
 
@@ -13,6 +16,7 @@ Everything is double precision.  Shapes are 0-d (scalars), 1-d (vectors) or
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -26,8 +30,10 @@ Array = np.ndarray
 class Tensor:
     """A dense array with an attached gradient slot.
 
-    ``values`` is always a float64 ndarray.  ``grad`` is lazily allocated by
-    the backward pass and has the same shape as ``values``.
+    ``values`` is always a float64 ndarray.  ``grad`` is None until the
+    backward pass stores a gradient of the same shape as ``values``.  That
+    array may be shared with other tensors' gradients, so it is read-only by
+    convention: replace it, never write into it.
     """
 
     __slots__ = ("values", "requires_grad", "grad")
@@ -84,7 +90,9 @@ class Tape:
     Each record is ``(output, inputs, rule)`` where ``rule`` maps the
     output gradient to one gradient (or ``None``) per input.  Records are
     appended in execution order, so the list is topologically sorted and a
-    reverse replay visits every node exactly once.
+    reverse replay visits every node exactly once.  A tensor's first
+    gradient is stored as the rule returned it and each later one is added
+    into a new array, which is safe because no gradient is written in place.
     """
 
     __slots__ = ("records", "recording")
@@ -101,13 +109,9 @@ class Tape:
         for out, inputs, rule in reversed(self.records):
             if out.grad is None:
                 continue
-            grads = rule(out.grad)
-            for tensor, grad in zip(inputs, grads):
-                if grad is None:
-                    continue
-                if tensor.grad is None:
-                    tensor.grad = np.zeros_like(tensor.values)
-                tensor.grad += grad
+            for tensor, grad in zip(inputs, rule(out.grad)):
+                if grad is not None:
+                    tensor.grad = grad if tensor.grad is None else tensor.grad + grad
 
 
 _TAPE = Tape()
@@ -132,21 +136,18 @@ def no_grad() -> Iterator[None]:
         _TAPE.recording = previous
 
 
-def _record(out: Tensor, inputs: tuple[Tensor, ...], rule: Callable) -> None:
-    if out.requires_grad and _TAPE.recording:
-        _TAPE.records.append((out, inputs, rule))
-
-
 def record_op(values: Array, inputs: Sequence[Tensor], rule: Callable) -> Tensor:
-    """A hand-written op: ``values`` computed outside, ``rule`` maps the output
-    gradient to one gradient (or None) per input.  One tape record."""
-    out = Tensor(values, _needs_grad(*inputs))
-    _record(out, tuple(inputs), rule)
+    """The one op constructor: a tensor holding ``values``, with one tape
+    record when an input requires grad and the tape is recording.
+
+    ``rule`` maps the output gradient to one gradient (or None) per input.
+    It may return the output gradient itself, one array for several inputs,
+    or views, since no gradient is ever written in place.
+    """
+    out = Tensor(values, any(t.requires_grad for t in inputs))
+    if out.requires_grad and _TAPE.recording:
+        _TAPE.records.append((out, tuple(inputs), rule))
     return out
-
-
-def _needs_grad(*tensors: Tensor) -> bool:
-    return any(t.requires_grad for t in tensors)
 
 
 def backward(root: Tensor) -> None:
@@ -165,6 +166,19 @@ def assert_finite(values: Array, what: str) -> None:
         raise NumericError(f"non-finite values in {what}")
 
 
+class Params:
+    """Base of the parameter dataclasses: ``named()`` maps each tensor-valued
+    field to its tensor, in declaration order."""
+
+    def named(self) -> dict[str, Tensor]:
+        return {name: v for name, v in vars(self).items() if isinstance(v, Tensor)}
+
+
+def xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
+    limit = math.sqrt(6.0 / (fan_in + fan_out))
+    return Tensor(rng.uniform(-limit, limit, size=(fan_in, fan_out)), requires_grad=True)
+
+
 # ---------------------------------------------------------------------------
 # elementwise and affine operations
 
@@ -172,47 +186,35 @@ def assert_finite(values: Array, what: str) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
-    out = Tensor(a.values + b.values, _needs_grad(a, b))
-    _record(out, (a, b), lambda g: (g, g))
-    return out
+    return record_op(a.values + b.values, (a, b), lambda g: (g, g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"sub: shapes {a.shape} and {b.shape} differ")
-    out = Tensor(a.values - b.values, _needs_grad(a, b))
-    _record(out, (a, b), lambda g: (g, -g))
-    return out
+    return record_op(a.values - b.values, (a, b), lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
-    out = Tensor(a.values * b.values, _needs_grad(a, b))
-    _record(out, (a, b), lambda g: (g * b.values, g * a.values))
-    return out
+    return record_op(a.values * b.values, (a, b), lambda g: (g * b.values, g * a.values))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    out = Tensor(a.values * c, a.requires_grad)
-    _record(out, (a,), lambda g: (g * c,))
-    return out
+    return record_op(a.values * c, (a,), lambda g: (g * c,))
 
 
 def add_rowwise(m: Tensor, v: Tensor) -> Tensor:
     """Add a length-n vector to every row of an m-by-n matrix."""
     if m.values.ndim != 2 or v.values.ndim != 1 or m.shape[1] != v.shape[0]:
         raise ShapeError(f"add_rowwise: shapes {m.shape} and {v.shape}")
-    out = Tensor(m.values + v.values, _needs_grad(m, v))
-    _record(out, (m, v), lambda g: (g, g.sum(axis=0)))
-    return out
+    return record_op(m.values + v.values, (m, v), lambda g: (g, g.sum(axis=0)))
 
 
 def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.values, 0.0), a.requires_grad)
     mask = a.values > 0
-    _record(out, (a,), lambda g: (g * mask,))
-    return out
+    return record_op(np.maximum(a.values, 0.0), (a,), lambda g: (g * mask,))
 
 
 def dropout(
@@ -231,9 +233,7 @@ def dropout(
         return a
     draws = np.concatenate([g.random((n, *a.shape[1:])) for g, n in zip(rngs, lengths)])
     mask = (draws >= rate) / (1.0 - rate)
-    out = Tensor(a.values * mask, a.requires_grad)
-    _record(out, (a,), lambda g: (g * mask,))
-    return out
+    return record_op(a.values * mask, (a,), lambda g: (g * mask,))
 
 
 # ---------------------------------------------------------------------------
@@ -243,17 +243,13 @@ def dropout(
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    out = Tensor(a.values @ b.values, _needs_grad(a, b))
-    _record(out, (a, b), lambda g: (g @ b.values.T, a.values.T @ g))
-    return out
+    return record_op(a.values @ b.values, (a, b), lambda g: (g @ b.values.T, a.values.T @ g))
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.values.ndim != 2:
         raise ShapeError(f"transpose expects a matrix, got shape {a.shape}")
-    out = Tensor(a.values.T, a.requires_grad)
-    _record(out, (a,), lambda g: (g.T,))
-    return out
+    return record_op(a.values.T, (a,), lambda g: (g.T,))
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +263,11 @@ def softmax_rows(a: Tensor) -> Tensor:
     shifted = a.values - a.values.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(p, a.requires_grad)
 
     def rule(g):
         return (p * (g - (g * p).sum(axis=1, keepdims=True)),)
 
-    _record(out, (a,), rule)
-    return out
+    return record_op(p, (a,), rule)
 
 
 def logsumexp(a: Tensor) -> Tensor:
@@ -283,9 +277,7 @@ def logsumexp(a: Tensor) -> Tensor:
     m = a.values.max()
     e = np.exp(a.values - m)
     total = e.sum()
-    out = Tensor(m + np.log(total), a.requires_grad)
-    _record(out, (a,), lambda g: (g * e / total,))
-    return out
+    return record_op(m + np.log(total), (a,), lambda g: (g * e / total,))
 
 
 def logsumexp_rows(a: Tensor) -> Tensor:
@@ -295,10 +287,8 @@ def logsumexp_rows(a: Tensor) -> Tensor:
     m = a.values.max(axis=1, keepdims=True)
     e = np.exp(a.values - m)
     total = e.sum(axis=1, keepdims=True)
-    out = Tensor((m + np.log(total)).reshape(-1), a.requires_grad)
     softmax = e / total
-    _record(out, (a,), lambda g: (softmax * g[:, None],))
-    return out
+    return record_op((m + np.log(total)).reshape(-1), (a,), lambda g: (softmax * g[:, None],))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -311,7 +301,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = x.values.var(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.values - mu) * inv
-    out = Tensor(xhat * gain.values + bias.values, _needs_grad(x, gain, bias))
 
     def rule(g):
         dgain = (g * xhat).sum(axis=0)
@@ -324,8 +313,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         )
         return dx, dgain, dbias
 
-    _record(out, (x, gain, bias), rule)
-    return out
+    return record_op(xhat * gain.values + bias.values, (x, gain, bias), rule)
 
 
 MASK_BIAS = -1e9  # additive stand-in for -inf; keeps arithmetic finite
@@ -389,7 +377,6 @@ def segment_attention(
     scores = np.where(visible[:, None, None, :], (qp @ kp.swapaxes(-1, -2)) * c, MASK_BIAS)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(unpad(p @ vp), _needs_grad(q, k, v))
     if sink is not None:
         for b, n in enumerate(sizes):
             sink.extend(Tensor(p[b, h, :n, :n]) for h in range(heads))
@@ -400,8 +387,7 @@ def segment_attention(
         ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * c
         return unpad(ds @ kp), unpad(ds.swapaxes(-1, -2) @ qp), unpad(p.swapaxes(-1, -2) @ gp)
 
-    _record(out, (q, k, v), rule)
-    return out
+    return record_op(unpad(p @ vp), (q, k, v), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -409,16 +395,12 @@ def segment_attention(
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(a.values.sum(), a.requires_grad)
-    _record(out, (a,), lambda g: (np.full_like(a.values, float(g)),))
-    return out
+    return record_op(a.values.sum(), (a,), lambda g: (np.full_like(a.values, float(g)),))
 
 
 def mean_all(a: Tensor) -> Tensor:
     n = a.values.size
-    out = Tensor(a.values.mean(), a.requires_grad)
-    _record(out, (a,), lambda g: (np.full_like(a.values, float(g) / n),))
-    return out
+    return record_op(a.values.mean(), (a,), lambda g: (np.full_like(a.values, float(g) / n),))
 
 
 def mean0(a: Tensor) -> Tensor:
@@ -426,9 +408,7 @@ def mean0(a: Tensor) -> Tensor:
     if a.values.ndim != 2 or a.shape[0] < 1:
         raise ShapeError(f"mean0 expects a nonempty matrix, got {a.shape}")
     m = a.shape[0]
-    out = Tensor(a.values.mean(axis=0), a.requires_grad)
-    _record(out, (a,), lambda g: (np.tile(g / m, (m, 1)),))
-    return out
+    return record_op(a.values.mean(axis=0), (a,), lambda g: (np.tile(g / m, (m, 1)),))
 
 
 # ---------------------------------------------------------------------------
@@ -443,25 +423,22 @@ def gather(a: Tensor, index) -> Tensor:
     """
     if isinstance(index, (list, range)):
         index = np.asarray(index, dtype=np.intp)
-    out = Tensor(a.values[index], a.requires_grad)
 
     def rule(g):
         da = np.zeros_like(a.values)
         np.add.at(da, index, g)
         return (da,)
 
-    _record(out, (a,), rule)
-    return out
+    return record_op(a.values[index], (a,), rule)
 
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     """Join tensors along an existing axis; backward splits the gradient."""
     if not parts:
         raise ContractError("concat of an empty sequence")
-    out = Tensor(np.concatenate([p.values for p in parts], axis=axis), _needs_grad(*parts))
+    values = np.concatenate([p.values for p in parts], axis=axis)
     splits = np.cumsum([p.shape[axis] for p in parts])[:-1]
-    _record(out, tuple(parts), lambda g: tuple(np.split(g, splits, axis=axis)))
-    return out
+    return record_op(values, parts, lambda g: tuple(np.split(g, splits, axis=axis)))
 
 
 def range_means(a: Tensor, starts: Sequence[int], stops: Sequence[int]) -> Tensor:
@@ -544,20 +521,16 @@ def finite_diff_check(
         raise ContractError(f"finite_diff_check step must be positive, got {h}")
     tensors = [params] if isinstance(params, Tensor) else list(params)
 
-    def evaluate() -> float:
+    def evaluate() -> Tensor:
         reset_tape()
         out = f()
-        value = float(out.values)
-        if not np.isfinite(value):
+        if not np.isfinite(float(out.values)):
             raise NumericError("finite_diff_check: f evaluated to a non-finite value")
-        return value
+        return out
 
-    reset_tape()
     for t in tensors:
         t.zero_grad()
-    root = f()
-    if not np.isfinite(float(root.values)):
-        raise NumericError("finite_diff_check: f evaluated to a non-finite value")
+    root = evaluate()
     if root.requires_grad:
         backward(root)
     analytic = [
@@ -572,9 +545,9 @@ def finite_diff_check(
         for i in range(flat_values.size):
             original = flat_values[i]
             flat_values[i] = original + h
-            upper = evaluate()
+            upper = float(evaluate().values)
             flat_values[i] = original - h
-            lower = evaluate()
+            lower = float(evaluate().values)
             flat_values[i] = original
             fd = (upper - lower) / (2.0 * h)
             ad = flat_grad[i]

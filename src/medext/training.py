@@ -47,6 +47,7 @@ from .relation_head import (  # noqa: F401  (perfbench/tracer.py wraps training.
 from .tensor import Tensor
 
 FORMAT_VERSION = 1
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard
 
 
 @dataclass(frozen=True)
@@ -103,9 +104,6 @@ class OptimizerState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def adam_step(
@@ -122,15 +120,15 @@ def adam_step(
     total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
     factor = clip_norm / total if total > clip_norm else 1.0
     state.step += 1
-    correction1 = 1.0 - state.beta1**state.step
-    correction2 = 1.0 - state.beta2**state.step
+    correction1 = 1.0 - BETA1**state.step
+    correction2 = 1.0 - BETA2**state.step
     for key, p in params.items():
         g = grads[key] * factor
         m = state.m.setdefault(key, np.zeros_like(p.values))
         v = state.v.setdefault(key, np.zeros_like(p.values))
-        m += (1.0 - state.beta1) * (g - m)
-        v += (1.0 - state.beta2) * (g * g - v)
-        p.values -= learning_rate * (m / correction1) / (np.sqrt(v / correction2) + state.eps)
+        m += (1.0 - BETA1) * (g - m)
+        v += (1.0 - BETA2) * (g * g - v)
+        p.values -= learning_rate * (m / correction1) / (np.sqrt(v / correction2) + EPS)
 
 
 def step_losses(

@@ -189,6 +189,30 @@ class TestExitCodes:
         named = flag_keys.get(argv[-2], argv[-1].split("=")[0])
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (("gen-corpus", "--size", "1", "--out", "afile"), "output_dir"),
+            (("gen-corpus", "--size", "1", "--out", "afile/sub"), "output_dir"),
+            (("predict", "--out-file", "afile/x.jsonl"), "--out-file"),
+            (("predict", "--out-file", "run"), "--out-file"),
+        ],
+    )
+    def test_output_path_in_the_way_exits_1(
+        self, tmp_path, monkeypatch, capsys, trained_model, argv, key
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("")
+        (tmp_path / "run").mkdir()
+        (tmp_path / "in.txt").write_text("aspirin for pain\n")
+        if argv[0] == "predict":
+            argv += ("--checkpoint", str(trained_model), "--input", "in.txt")
+        before = sorted(tmp_path.rglob("*"))
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert key in err and "runtime error" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+
 
 class TestConfigPrecedence:
     def test_flags_win_over_file(self, tmp_path):

@@ -148,6 +148,25 @@ class TestBackward:
         T.backward(T.add(T.mul(x, x), x))  # d/dx (x^2 + x) = 2x + 1
         assert float(x.grad) == pytest.approx(5.0)
 
+    def test_shared_gradient_is_not_written_through(self):
+        # add hands a and b the same gradient array; a's later contribution
+        # must land in a new array, leaving b's untouched
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        c = Tensor(np.array([1.0, 2.0, 3.0]))
+        doubled = T.scale(a, 2.0)  # replayed after add(a, b)
+        T.backward(T.add(T.mul(T.add(a, b), c).sum(), doubled.sum()))
+        assert a.grad is not b.grad
+        assert np.array_equal(b.grad, [1.0, 2.0, 3.0])
+        assert np.array_equal(a.grad, [3.0, 4.0, 5.0])
+
+    def test_three_uses_sum_three_contributions(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        w1, w2 = Tensor(np.array([1.0, 2.0, 3.0])), Tensor(np.array([4.0, 5.0, 6.0]))
+        parts = [T.mul(x, w1).sum(), T.mul(x, w2).sum(), T.scale(x, 3.0).sum()]
+        T.backward(T.add(T.add(parts[0], parts[1]), parts[2]))
+        assert np.array_equal(x.grad, [8.0, 10.0, 12.0])
+
     def test_non_scalar_root_rejected(self):
         x = Tensor(np.zeros(3), requires_grad=True)
         with pytest.raises(ContractError):

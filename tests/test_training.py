@@ -104,6 +104,55 @@ class TestAdam:
         assert abs(p.values[0]) < 0.1
 
 
+class TestParameterWalk:
+    LAYER = [
+        "w_q", "w_k", "w_v", "w_o", "ff_w1", "ff_b1", "ff_w2", "ff_b2",
+        "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias",
+    ]
+    HEAD = {
+        "crf": ["w_emit", "b_emit", "trans", "start", "stop"],
+        "span": ["width_emb", "w_cls", "b_cls"],
+        "seq2seq": ["tag_emb", "w_out", "b_out"],
+    }
+
+    @pytest.mark.parametrize("head", ["crf", "span", "seq2seq"])
+    def test_parameter_order(self, head):
+        # adam_step sums the gradient norm in this order, so it is fixed
+        model = train(small_corpus(), TrainConfig(steps=0, head=head)).model
+        encoder = ["tok_emb", "pos_emb", "mlm_proj"]
+        encoder += [f"layer{i}.{name}" for i in range(2) for name in self.LAYER]
+        expected = [f"encoder/{k}" for k in encoder] + [f"head/{k}" for k in self.HEAD[head]]
+        assert list(model.parameters()) == expected + ["relation/w", "relation/b"]
+
+    @pytest.mark.parametrize("head", ["crf", "span", "seq2seq", "mlm"])
+    def test_every_gradient_has_its_tensors_shape(self, head):
+        # backward stores gradients as the rules return them
+        corpus = generate_synthetic_corpus(24, seed=2)
+        config = EncoderConfig(vocab_size=5, dropout_rate=0.2)
+        model = train(corpus, TrainConfig(steps=0, head="crf" if head == "mlm" else head),
+                      encoder_config=config).model
+        sentences = tokenize_corpus(corpus, model.vocab).sentences[:6]
+        T.reset_tape()
+        if head == "mlm":
+            batch = [[i for t in s.tokens for i in t.subword_ids] for s in sentences]
+            loss = mlm_step(batch, model.encoder, model.config, seed=3)
+        else:
+            ner, re = training.step_losses(model, sentences, list(range(6)), 1.0, True)
+            assert re.requires_grad
+            loss = joint_loss(ner, re, 1.0)
+        records = list(T.active_tape().records)
+        T.backward(loss)
+        T.reset_tape()
+        checked = 0
+        for out, inputs, _ in records:
+            for tensor in (out, *inputs):
+                if tensor.grad is not None:
+                    assert tensor.grad.shape == tensor.shape
+                    assert tensor.grad.dtype == np.float64
+                    checked += 1
+        assert checked > len(records)
+
+
 class TestBatchSampler:
     def test_uniform_mode_covers_epoch(self):
         corpus = small_corpus(10)
