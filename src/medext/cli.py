@@ -20,12 +20,12 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
-from . import tensor as T
 from .corpus import (
     Corpus,
     Sentence,
     TagScheme,
     Token,
+    build_vocab,
     generate_synthetic_corpus,
     load_annotations,
     load_conll,
@@ -42,7 +42,8 @@ from .errors import (
 )
 from .evaluation import report_markdown
 from .fewshot import CurveConfig, curve_csv, run_curve, summary_csv
-from .pipeline import HEAD_KINDS, decode_entities, encode_words, evaluate_split
+from .pipeline import HEAD_KINDS, Model, evaluate_split, length_errors, predict
+from .pipeline import decode_entities  # noqa: F401  (perfbench/tracer.py wraps cli.decode_entities)
 from .training import (
     Checkpoint,
     PretrainConfig,
@@ -225,13 +226,35 @@ def _open_checkpoint(path: str | None) -> Checkpoint | None:
     return None if path is None else load_checkpoint(_existing(path, "checkpoint"))
 
 
-def load_experiment_corpus(config: dict) -> Corpus:
+def _open_model(path: str) -> Model:
+    """The model of checkpoint ``path``, which must have an extraction head."""
+    model = _open_checkpoint(path).model
+    if model.head is None:
+        raise ConfigError(f"checkpoint {path} has no extraction head; train one first")
+    return model
+
+
+def load_experiment_corpus(config: dict, model: Model | None, split: str | None) -> Corpus:
+    """The config's corpus, once every sentence the command encodes (those of
+    ``split``, or all) is known to fit the encoder's max_len under ``model``'s
+    vocabulary, or with no model, under the one a fresh model builds."""
     section = _section(config, "corpus")
-    if not section.tags:
-        return generate_synthetic_corpus(section.size, section.seed)
-    corpus = load_conll(_existing(section.tags, "corpus tag file"), TagScheme())
-    if section.annotations:
-        corpus = load_annotations(corpus, _existing(section.annotations, "annotation file"))
+    if section.tags:
+        corpus = load_conll(_existing(section.tags, "corpus tag file"), TagScheme())
+        if section.annotations:
+            corpus = load_annotations(corpus, _existing(section.annotations, "annotation file"))
+    else:
+        corpus = generate_synthetic_corpus(section.size, section.seed)
+    if model is None:
+        vocab, max_len = build_vocab(corpus.subset("train")), _section(config, "encoder").max_len
+    else:
+        vocab, max_len = model.vocab, model.config.max_len
+    indices = range(len(corpus)) if split is None else corpus.split_indices(split)
+    errors = length_errors([corpus.sentences[i] for i in indices], vocab, max_len)
+    if errors:
+        index, message = min(errors.items())
+        source = f"corpus tag file {section.tags}" if section.tags else "synthetic corpus"
+        raise ValidationError(f"{source}: sentence {indices[index] + 1}: {message}")
     return corpus
 
 
@@ -274,7 +297,7 @@ def cmd_gen_corpus(config: dict, args) -> int:
 
 
 def cmd_pretrain(config: dict, args) -> int:
-    corpus = load_experiment_corpus(config)
+    corpus = load_experiment_corpus(config, None, "train")
     pretrain_config, encoder_config = _section(config, "pretrain"), _section(config, "encoder")
     out = _output_dir(config)
     log: list = []
@@ -287,9 +310,9 @@ def cmd_pretrain(config: dict, args) -> int:
 
 
 def cmd_train(config: dict, args) -> int:
-    corpus = load_experiment_corpus(config)
-    train_config, encoder_config = _section(config, "train"), _section(config, "encoder")
     init = _open_checkpoint(args.init)
+    corpus = load_experiment_corpus(config, init and init.model, None)
+    train_config, encoder_config = _section(config, "train"), _section(config, "encoder")
     out = _output_dir(config)
     log: list = []
     checkpoint = train(corpus, train_config, init=init, encoder_config=encoder_config, log=log)
@@ -301,12 +324,12 @@ def cmd_train(config: dict, args) -> int:
 
 
 def cmd_eval(config: dict, args) -> int:
-    checkpoint = _open_checkpoint(args.checkpoint)
-    corpus = load_experiment_corpus(config)
+    model = _open_model(args.checkpoint)
+    corpus = load_experiment_corpus(config, model, args.split)
     out = _output_dir(config)
-    result = evaluate_split(checkpoint.model, corpus, args.split)
+    result = evaluate_split(model, corpus, args.split)
     _write_json(out / "report.json", result.as_dict())
-    rows = [(f"{checkpoint.model.head_kind} entities", result.entities)]
+    rows = [(f"{model.head_kind} entities", result.entities)]
     if result.relations_gold_spans is not None:
         rows.append(("relations (gold spans)", result.relations_gold_spans))
         rows.append(("relations (predicted spans)", result.relations_predicted_spans))
@@ -317,9 +340,9 @@ def cmd_eval(config: dict, args) -> int:
 
 
 def cmd_fewshot_curve(config: dict, args) -> int:
-    corpus = load_experiment_corpus(config)
-    curve_config, encoder_config = _section(config, "curve"), _section(config, "encoder")
     init = _open_checkpoint(args.init)
+    corpus = load_experiment_corpus(config, init and init.model, None)
+    curve_config, encoder_config = _section(config, "curve"), _section(config, "encoder")
     out = _output_dir(config)
     result = run_curve(corpus, curve_config, init=init, encoder_config=encoder_config)
     (out / "curve.csv").write_text(curve_csv(result), encoding="utf-8")
@@ -331,9 +354,9 @@ def cmd_fewshot_curve(config: dict, args) -> int:
 
 
 def cmd_compare_heads(config: dict, args) -> int:
-    corpus = load_experiment_corpus(config)
-    base, encoder_config = _section(config, "train"), _section(config, "encoder")
     init = _open_checkpoint(args.init)
+    corpus = load_experiment_corpus(config, init and init.model, None)
+    base, encoder_config = _section(config, "train"), _section(config, "encoder")
     out = _output_dir(config)
     rows, details = [], {}
     for head in HEAD_KINDS:
@@ -351,27 +374,21 @@ def cmd_compare_heads(config: dict, args) -> int:
 
 
 def cmd_predict(config: dict, args) -> int:
-    """One JSON record per non-blank line; a line that raises ContractError
-    becomes {"line": n, "error": ...} and the command then exits 1."""
+    """One JSON record per non-blank line; a line longer than max_len becomes
+    {"line": n, "error": ...} and the command then exits 1."""
     out_file = args.out_file and _output_path(args.out_file, "--out-file", directory=False)
-    model = _open_checkpoint(args.checkpoint).model
-    if model.head is None:
-        raise ConfigError("checkpoint has no extraction head; train one first")
+    model = _open_model(args.checkpoint)
     input_path = _existing(args.input, "input file")
-    records = []
-    with T.no_grad():
-        lines = input_path.read_text(encoding="utf-8").splitlines()
-        for number, line in enumerate(lines, 1):
-            words = line.split()
-            if not words:
-                continue
-            sentence = Sentence([Token(w) for w in words], [0] * len(words))
-            try:
-                spans, _ = decode_entities(model, encode_words(model, sentence))
-            except ContractError as exc:
-                records.append({"line": number, "error": str(exc)})
-            else:
-                records.append({"tokens": words, "spans": [asdict(s) for s in spans]})
+    lines = input_path.read_text(encoding="utf-8").splitlines()
+    numbered = [(number, line.split()) for number, line in enumerate(lines, 1) if line.split()]
+    sentences = [Sentence([Token(w) for w in words], [0] * len(words)) for _, words in numbered]
+    errors = length_errors(sentences, model.vocab, model.config.max_len)
+    decoded = iter(predict(model, [s for i, s in enumerate(sentences) if i not in errors]))
+    records = [
+        {"line": number, "error": errors[i]} if i in errors
+        else {"tokens": words, "spans": [asdict(s) for s in next(decoded)[1]]}
+        for i, (number, words) in enumerate(numbered)
+    ]
     payload = "\n".join(json.dumps(r, separators=(",", ":")) for r in records)
     payload = payload + "\n" if payload else ""
     if out_file:
@@ -379,10 +396,9 @@ def cmd_predict(config: dict, args) -> int:
         out_file.write_text(payload, encoding="utf-8")
     else:
         sys.stdout.write(payload)
-    failed = [r for r in records if "error" in r]
-    for record in failed:
-        print(f"error: {input_path} line {record['line']}: {record['error']}", file=sys.stderr)
-    return 1 if failed else 0
+    for i, message in errors.items():
+        print(f"error: {input_path} line {numbered[i][0]}: {message}", file=sys.stderr)
+    return 1 if errors else 0
 
 
 # ---------------------------------------------------------------------------

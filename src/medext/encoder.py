@@ -33,12 +33,14 @@ class EncoderConfig:
     dropout_rate: float = 0.0
 
     def __post_init__(self):
+        for name in ("vocab_size", "d_model", "heads", "layers", "d_ff", "max_len"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ContractError(f"{name} must be an integer >= 1, got {value!r}")
         if self.vocab_size < 5:
             raise ContractError("vocab_size must cover the reserved entries")
-        if self.d_model % self.heads != 0 or self.d_model // self.heads < 1:
-            raise ContractError(
-                f"d_model={self.d_model} must be divisible by heads={self.heads}"
-            )
+        if self.d_model % self.heads:
+            raise ContractError(f"d_model={self.d_model} must be divisible by heads={self.heads}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ContractError(f"dropout_rate {self.dropout_rate} outside [0, 1)")
 

@@ -37,6 +37,16 @@ class ClassCounts:
     def f1(self) -> float:
         return f1_from_pr(self.precision, self.recall)
 
+    def as_dict(self) -> dict:
+        return {
+            "tp": self.tp,
+            "fp": self.fp,
+            "fn": self.fn,
+            "precision": self.precision,
+            "recall": self.recall,
+            "f1": self.f1,
+        }
+
 
 @dataclass
 class EvalReport:
@@ -55,25 +65,8 @@ class EvalReport:
     def as_dict(self) -> dict:
         out = {
             "macro_f1": self.macro_f1,
-            "per_class": {
-                cls: {
-                    "tp": c.tp,
-                    "fp": c.fp,
-                    "fn": c.fn,
-                    "precision": c.precision,
-                    "recall": c.recall,
-                    "f1": c.f1,
-                }
-                for cls, c in sorted(self.per_class.items())
-            },
-            "micro": {
-                "tp": self.micro.tp,
-                "fp": self.micro.fp,
-                "fn": self.micro.fn,
-                "precision": self.micro.precision,
-                "recall": self.micro.recall,
-                "f1": self.micro.f1,
-            },
+            "per_class": {cls: c.as_dict() for cls, c in sorted(self.per_class.items())},
+            "micro": self.micro.as_dict(),
         }
         if self.token_accuracy is not None:
             out["token_accuracy"] = self.token_accuracy
@@ -89,7 +82,10 @@ def f1_from_pr(p: float, r: float) -> float:
     return 2.0 * p * r / (p + r) if p + r else 0.0
 
 
-def _count_exact_match(gold_items, pred_items, key_of, class_of) -> EvalReport:
+def _count_exact_match(gold_items, pred_items, key_of) -> EvalReport:
+    """Per-class and micro counts; a key's class is its third item."""
+    if len(gold_items) != len(pred_items):
+        raise ContractError(f"{len(gold_items)} gold vs {len(pred_items)} predicted sentences")
     report = EvalReport()
 
     def bucket(cls: str) -> ClassCounts:
@@ -100,7 +96,7 @@ def _count_exact_match(gold_items, pred_items, key_of, class_of) -> EvalReport:
         matched = set()
         pred_counts = Counter(key_of(p) for p in pred)
         for key, copies in pred_counts.items():
-            cls = class_of(key)
+            cls = key[2]
             if key in gold_keys:
                 bucket(cls).tp += 1
                 bucket(cls).fp += copies - 1  # duplicate copies are spurious
@@ -108,7 +104,7 @@ def _count_exact_match(gold_items, pred_items, key_of, class_of) -> EvalReport:
             else:
                 bucket(cls).fp += copies
         for key in gold_keys - matched:
-            bucket(class_of(key)).fn += 1
+            bucket(key[2]).fn += 1
     report.micro = ClassCounts(
         tp=sum(c.tp for c in report.per_class.values()),
         fp=sum(c.fp for c in report.per_class.values()),
@@ -121,14 +117,7 @@ def entity_prf(
     gold: Sequence[Sequence[EntitySpan]], pred: Sequence[Sequence[EntitySpan]]
 ) -> EvalReport:
     """Micro-averaged exact-match entity scores, with per-class breakdown."""
-    if len(gold) != len(pred):
-        raise ContractError(f"{len(gold)} gold vs {len(pred)} predicted sentences")
-    return _count_exact_match(
-        gold,
-        pred,
-        key_of=lambda s: (s.start, s.end, s.cls),
-        class_of=lambda key: key[2],
-    )
+    return _count_exact_match(gold, pred, key_of=lambda s: (s.start, s.end, s.cls))
 
 
 def resolve_relations(
@@ -150,11 +139,7 @@ def relation_prf(
     gold: Sequence[Sequence[RelationTriple]], pred: Sequence[Sequence[RelationTriple]]
 ) -> EvalReport:
     """Exact-match relation scores; per-class buckets keyed by relation label."""
-    if len(gold) != len(pred):
-        raise ContractError(f"{len(gold)} gold vs {len(pred)} predicted sentences")
-    return _count_exact_match(
-        gold, pred, key_of=lambda triple: triple, class_of=lambda key: key[2]
-    )
+    return _count_exact_match(gold, pred, key_of=lambda triple: triple)
 
 
 def token_accuracy(

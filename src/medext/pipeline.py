@@ -9,7 +9,7 @@ of how words fragment.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from . import tensor as T
@@ -25,7 +25,8 @@ from .corpus import (
     tokenize_subword,
 )
 from .crf_head import CRFParams, crf_nll, emissions, init_crf, viterbi
-from .encoder import EncoderConfig, EncoderParams, encode, encode_batch
+from .encoder import EncoderConfig, EncoderParams, encode_batch
+from .encoder import encode  # noqa: F401  (perfbench/tracer.py wraps pipeline.encode)
 from .errors import ContractError
 from .evaluation import (
     EvalReport,
@@ -51,10 +52,11 @@ from .span_head import (
 )
 from .tensor import Tensor
 
-HEAD_KINDS = ("crf", "span", "seq2seq")
-EVAL_CHUNK = 16  # sentences per packed encoder pass in evaluate_split
-
 HeadParams = CRFParams | SpanHeadParams | Seq2SeqParams
+Decoded = tuple[Tensor, list[EntitySpan], list[int]]  # word rows, spans, pre-repair tags
+_KIND_OF = {CRFParams: "crf", SpanHeadParams: "span", Seq2SeqParams: "seq2seq"}
+HEAD_KINDS = tuple(_KIND_OF.values())
+EVAL_CHUNK = 16  # sentences per packed encoder pass in predict
 
 
 @dataclass
@@ -65,9 +67,13 @@ class Model:
     encoder: EncoderParams
     vocab: Vocab
     scheme: TagScheme
-    head_kind: str | None = None
     head: HeadParams | None = None
     relation: RelationHeadParams | None = None
+
+    @property
+    def head_kind(self) -> str | None:
+        """The extraction head's kind, from its type; None without a head."""
+        return _KIND_OF.get(type(self.head))
 
     def parameters(self) -> dict[str, Tensor]:
         out = {f"encoder/{k}": v for k, v in self.encoder.named().items()}
@@ -114,11 +120,9 @@ def encode_words(
     dropout_seed: int | None = None,
 ) -> Tensor:
     """Encoder rows for each word (first-subword selection) -> [n_words, d_model]."""
-    ids, starts = word_ids(sentence, model.vocab)
-    h = encode(
-        ids, model.encoder, model.config, training=training, dropout_seed=dropout_seed
+    return encode_words_batch(
+        model, [sentence], training, None if dropout_seed is None else [dropout_seed]
     )
-    return T.gather(h, starts)
 
 
 def encode_words_batch(
@@ -127,11 +131,11 @@ def encode_words_batch(
     training: bool = False,
     dropout_seeds: Sequence[int] | None = None,
 ) -> Tensor:
-    """``encode_words`` for a batch in one packed encoder pass.
+    """Encoder word rows for a batch in one packed encoder pass.
 
     Returns the sentences' word rows packed one after another,
     [sum of n_words, d_model], as one row gather from the packed encoder
-    output; sentence b's block equals its own ``encode_words`` call.
+    output; sentence b's block equals what a one-sentence batch gives.
     """
     flat = [word_ids(sentence, model.vocab) for sentence in sentences]
     h = encode_batch(
@@ -143,15 +147,6 @@ def encode_words_batch(
         rows.extend(offset + s for s in starts)
         offset += len(ids)
     return T.gather(h, rows)
-
-
-def sentence_rows(h_words: Tensor, sentences: Sequence[Sentence]) -> list[Tensor]:
-    """Split packed word rows back into one [n_words, d_model] matrix per sentence."""
-    out, offset = [], 0
-    for sentence in sentences:
-        out.append(T.gather(h_words, slice(offset, offset + len(sentence.tokens))))
-        offset += len(sentence.tokens)
-    return out
 
 
 def ner_loss(
@@ -174,7 +169,7 @@ def ner_loss(
         return batch_span_loss(table, [s.spans for s in sentences], head.classes, seeds)
     if isinstance(head, Seq2SeqParams):
         return teacher_forced_loss(h_words, tags, head, lengths)
-    raise ContractError(f"model has no trainable head (kind={model.head_kind!r})")
+    raise ContractError("model has no trainable head")
 
 
 def decode_entities(model: Model, h_words: Tensor) -> tuple[list[EntitySpan], list[int]]:
@@ -191,7 +186,33 @@ def decode_entities(model: Model, h_words: Tensor) -> tuple[list[EntitySpan], li
     if isinstance(head, Seq2SeqParams):
         tags = greedy_decode(h_words, head)
         return tags_to_spans(tags, scheme, mode="repair"), tags
-    raise ContractError(f"model has no decodable head (kind={model.head_kind!r})")
+    raise ContractError("model has no decodable head")
+
+
+def length_errors(sentences: Sequence[Sentence], vocab: Vocab, max_len: int) -> dict[int, str]:
+    """The one length check, made before any encoder pass: by index, the
+    error of each sentence with more than ``max_len`` subwords under ``vocab``."""
+    lengths = [len(word_ids(sentence, vocab)[0]) for sentence in sentences]
+    return {
+        i: f"sequence length {n} exceeds max_len {max_len}"
+        for i, n in enumerate(lengths) if n > max_len
+    }
+
+
+def predict(model: Model, sentences: Sequence[Sentence]) -> list[Decoded]:
+    """The one inference loop: each sentence's word rows, decoded spans and
+    pre-repair tags.  EVAL_CHUNK sentences share a packed encoder pass and no
+    tape is recorded; a list, not a generator, so no caller code runs unrecorded."""
+    out = []
+    with T.no_grad():
+        for lo in range(0, len(sentences), EVAL_CHUNK):
+            chunk = sentences[lo:lo + EVAL_CHUNK]
+            h_words, offset = encode_words_batch(model, chunk), 0
+            for sentence in chunk:
+                h = T.gather(h_words, slice(offset, offset + len(sentence.tokens)))
+                offset += len(sentence.tokens)
+                out.append((h, *decode_entities(model, h)))
+    return out
 
 
 def gold_relation_pairs(
@@ -233,47 +254,29 @@ class SplitEvaluation:
     relations_predicted_spans: EvalReport | None = None
 
     def as_dict(self) -> dict:
-        out = {"entities": self.entities.as_dict()}
-        if self.relations_gold_spans is not None:
-            out["relations_gold_spans"] = self.relations_gold_spans.as_dict()
-        if self.relations_predicted_spans is not None:
-            out["relations_predicted_spans"] = self.relations_predicted_spans.as_dict()
-        return out
+        reports = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: report.as_dict() for name, report in reports.items() if report is not None}
 
 
 def evaluate_split(model: Model, corpus: Corpus, split: str = "test") -> SplitEvaluation:
-    """Decode every sentence of a split and score entities (and relations).
-
-    Sentences are encoded EVAL_CHUNK at a time in one packed pass each.
-    Nothing is recorded on the tape.
-    """
+    """Decode every sentence of a split through ``predict`` and score entities
+    (and relations).  Nothing is recorded on the tape."""
     sentences = [corpus.sentences[i] for i in corpus.split_indices(split)]
-    gold_spans, pred_spans = [], []
-    gold_tags, pred_tags = [], []
-    gold_rel, pred_rel_gold_spans, pred_rel_pred_spans = [], [], []
-    with T.no_grad():
-        for lo in range(0, len(sentences), EVAL_CHUNK):
-            chunk = sentences[lo:lo + EVAL_CHUNK]
-            words = sentence_rows(encode_words_batch(model, chunk), chunk)
-            for sentence, h in zip(chunk, words):
-                spans, tags = decode_entities(model, h)
-                gold_spans.append(sentence.spans)
-                pred_spans.append(spans)
-                gold_tags.append(sentence.tags)
-                pred_tags.append(tags)
-                if model.relation is not None:
-                    gold_rel.append(resolve_relations(sentence.spans, sentence.relations))
-                    on_gold = predict_relations(h, sentence.spans, model.relation)
-                    pred_rel_gold_spans.append(resolve_relations(sentence.spans, on_gold))
-                    on_pred = predict_relations(h, spans, model.relation)
-                    pred_rel_pred_spans.append(resolve_relations(spans, on_pred))
-
-    report = entity_prf(gold_spans, pred_spans)
-    report.token_accuracy = token_accuracy(gold_tags, pred_tags)
+    predicted = predict(model, sentences)
+    pred_tags = [tags for _, _, tags in predicted]
+    report = entity_prf([s.spans for s in sentences], [spans for _, spans, _ in predicted])
+    report.token_accuracy = token_accuracy([s.tags for s in sentences], pred_tags)
     if model.head_kind in ("crf", "seq2seq") and pred_tags:
         report.invalid_transition_rate = invalid_transition_rate(pred_tags, model.scheme)
     result = SplitEvaluation(entities=report)
     if model.relation is not None:
-        result.relations_gold_spans = relation_prf(gold_rel, pred_rel_gold_spans)
-        result.relations_predicted_spans = relation_prf(gold_rel, pred_rel_pred_spans)
+        def found(spans: list[EntitySpan], h: Tensor) -> list:
+            return resolve_relations(spans, predict_relations(h, spans, model.relation))
+
+        gold = [resolve_relations(s.spans, s.relations) for s in sentences]
+        with T.no_grad():
+            on_gold = [found(s.spans, h) for s, (h, _, _) in zip(sentences, predicted)]
+            on_pred = [found(spans, h) for h, spans, _ in predicted]
+        result.relations_gold_spans = relation_prf(gold, on_gold)
+        result.relations_predicted_spans = relation_prf(gold, on_pred)
     return result

@@ -225,7 +225,6 @@ def _fresh_model(corpus: Corpus, encoder_config: EncoderConfig | None, seed: int
 
 def _attach_head(model: Model, kind: str, seed: int) -> None:
     """Give ``model`` a fresh extraction head of ``kind`` and a fresh relation head."""
-    model.head_kind = kind
     model.head = init_head(kind, model.config, model.scheme, seed)
     model.relation = init_relation(model.config.d_model, seed + 1)
 
@@ -242,7 +241,7 @@ def _prepare_model(
         return model, OptimizerState(), 0, [f"fresh-init:{config.seed}"]
     model = init.model.clone()
     lineage = list(init.seed_lineage)
-    if model.head_kind == config.head and model.head is not None:
+    if model.head_kind == config.head:
         # resume: continue the step count from a copy of init's Adam moments
         return model, copy.deepcopy(init.optimizer or OptimizerState()), init.step, lineage
     _attach_head(model, config.head, config.seed)
@@ -355,7 +354,7 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
     for key, value in params.items():
         T.assert_finite(value.values, f"checkpoint array {key}")
     head_extras = {}
-    if model.head_kind == "span" and model.head is not None:
+    if model.head_kind == "span":
         head_extras["classes"] = model.head.classes
     if model.relation is not None:
         head_extras["relation_labels"] = model.relation.labels
@@ -469,11 +468,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     try:
         vocab = Vocab(payload["vocab_entries"], min_freq)
         scheme = TagScheme(payload["scheme_classes"])
-        model = Model(config, init_params(config, seed=0), vocab, scheme, head_kind)
-        if head_kind is not None:
-            model.head = init_head(head_kind, config, scheme, seed=0)
-            if head_kind == "span":
-                model.head.classes = extras.get("classes", scheme.classes)
+        head = None if head_kind is None else init_head(head_kind, config, scheme, seed=0)
+        if head_kind == "span":
+            head.classes = extras.get("classes", scheme.classes)
+        model = Model(config, init_params(config, seed=0), vocab, scheme, head)
         if any(key.startswith("relation/") for key in arrays):
             labels = extras.get("relation_labels") or RELATION_LABELS
             model.relation = init_relation(config.d_model, seed=0, labels=labels)

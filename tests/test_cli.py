@@ -38,6 +38,22 @@ def trained_model(tmp_path_factory, corpus_files):
     return out / "model.json"
 
 
+@pytest.fixture(scope="module")
+def failing_inputs(tmp_path_factory, corpus_files, trained_model):
+    """Inputs that must fail before any work: a copy of the corpus whose
+    last sentence (60, in the test split) gains 14 unseen words and whose
+    first gains 70 words, both over max_len; the trained model; and a
+    pretrain-only checkpoint, which has no head."""
+    out = tmp_path_factory.mktemp("failing")
+    blocks = corpus_files[0].read_text().rstrip("\n").split("\n\n")
+    blocks[0] += "\nqzxvkj\tO" * 70
+    blocks[-1] += "".join(f"\nqzx{letter}vkj\tO" for letter in "abcdefghijklmn")
+    (out / "long.tsv").write_text("\n\n".join(blocks) + "\n")
+    assert run("pretrain", "--size", "20", "--steps", "1", "--out", str(out)) == 0
+    return {"LONG": str(out / "long.tsv"), "MODEL": str(trained_model),
+            "HEADLESS": str(out / "encoder.json")}
+
+
 class TestGenCorpus:
     def test_size_zero_writes_valid_empty_files(self, tmp_path):
         assert run("gen-corpus", "--size", "0", "--out", str(tmp_path)) == 0
@@ -127,6 +143,14 @@ class TestExitCodes:
             ),
             (lambda p: p.update(vocab_min_freq="x"), "vocab_min_freq must be an integer >= 1"),
             (lambda p: p.update(vocab_min_freq=0), "vocab_min_freq must be an integer >= 1"),
+            (
+                lambda p: p["encoder_config"].update(heads=0),
+                "encoder_config: heads must be an integer >= 1, got 0",
+            ),
+            (
+                lambda p: p["encoder_config"].update(d_ff=-1),
+                "encoder_config: d_ff must be an integer >= 1, got -1",
+            ),
         ],
     )
     def test_malformed_checkpoint_exits_1(self, tmp_path, capsys, trained_model, edit, message):
@@ -178,16 +202,47 @@ class TestExitCodes:
             ("pretrain", "--set", "pretrain.batch_size=0"),
             ("eval", "--checkpoint", ""),
             ("pretrain", "--tags", "."),
+            ("train", "--set", "encoder.heads=0"),
+            ("pretrain", "--set", "encoder.d_ff=-1"),
+            ("train", "--steps", "300", "--tags", "LONG"),
+            ("pretrain", "--tags", "LONG"),
+            ("eval", "--checkpoint", "MODEL", "--tags", "LONG"),
+            ("compare-heads", "--tags", "LONG"),
+            ("fewshot-curve", "--tags", "LONG"),
+            ("eval", "--checkpoint", "HEADLESS"),
+            ("predict", "--input", "in.txt", "--checkpoint", "HEADLESS"),
         ],
     )
-    def test_failed_run_creates_nothing(self, tmp_path, monkeypatch, capsys, argv):
+    def test_failed_run_creates_nothing(self, tmp_path, monkeypatch, capsys, failing_inputs, argv):
         monkeypatch.chdir(tmp_path)
+        argv = [failing_inputs.get(arg, arg) for arg in argv]
         assert run(*argv) == 1
         assert list(tmp_path.iterdir()) == []
         # the error names the missing file or the bad key
         flag_keys = {"--size": "corpus.size", "--steps": "pretrain.steps"}
         named = flag_keys.get(argv[-2], argv[-1].split("=")[0])
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, number",
+        [
+            (("train",), 1),
+            (("pretrain",), 1),
+            (("eval", "--checkpoint", "MODEL"), 60),
+            (("eval", "--checkpoint", "MODEL", "--split", "train"), 1),
+        ],
+    )
+    def test_over_long_gold_sentence_is_named(
+        self, tmp_path, monkeypatch, capsys, failing_inputs, argv, number
+    ):
+        """The check covers the sentences a command encodes: pretrain and
+        eval --split train see sentence 1, eval of the test split sentence 60."""
+        monkeypatch.chdir(tmp_path)
+        argv = [failing_inputs.get(arg, arg) for arg in argv]
+        assert run(*argv, "--tags", failing_inputs["LONG"]) == 1
+        err = capsys.readouterr().err
+        assert f"corpus tag file {failing_inputs['LONG']}: sentence {number}: " in err
+        assert "exceeds max_len 64" in err and "runtime error" not in err
 
     @pytest.mark.parametrize(
         "argv, key",

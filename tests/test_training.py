@@ -2,6 +2,7 @@ import contextlib
 import importlib.util
 import json
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from medext.corpus import (
     tokenize_corpus,
 )
 from medext.crf_head import CRFParams, emissions, sequence_score
-from medext.encoder import EncoderConfig, init_params, mlm_step
+from medext.encoder import EncoderConfig, encode, init_params, mlm_step
 from medext.errors import CheckpointError, ContractError
 from medext.pipeline import EVAL_CHUNK, encode_words, evaluate_split
 from medext.relation_head import entity_pool, relation_loss
@@ -262,11 +263,19 @@ class TestTrain:
         assert 0.0 <= report.entities.micro.f1 <= 1.0
 
 
+def sentence_words(model, sentence, training=False, dropout_seed=None):
+    """One sentence's word rows from a one-sequence ``encode`` call and a row
+    gather, without the packed path."""
+    ids, starts = pipeline.word_ids(sentence, model.vocab)
+    h = encode(ids, model.encoder, model.config, training=training, dropout_seed=dropout_seed)
+    return T.gather(h, starts)
+
+
 def per_sentence_words(model, sentences, training=False, dropout_seeds=None):
     """``encode_words_batch`` one sentence per encoder call: the packed path's oracle."""
     seeds = dropout_seeds if dropout_seeds is not None else [None] * len(sentences)
     blocks = [
-        encode_words(model, sentence, training=training, dropout_seed=seed)
+        sentence_words(model, sentence, training=training, dropout_seed=seed)
         for sentence, seed in zip(sentences, seeds)
     ]
     return T.concat(blocks, axis=0)
@@ -286,7 +295,7 @@ def per_sentence_losses(model, sentences, seeds, lambda_re, dropping):
     head = model.head
     terms, pairs = [], []
     for sentence, seed in zip(sentences, seeds):
-        h = encode_words(
+        h = sentence_words(
             model, sentence, training=dropping, dropout_seed=seed if dropping else None
         )
         if isinstance(head, CRFParams):
@@ -376,6 +385,44 @@ class TestPackedEncoding:
         packed = evaluate_split(model, corpus, "train").as_dict()
         monkeypatch.setattr(pipeline, "encode_words_batch", per_sentence_words)
         assert evaluate_split(model, corpus, "train").as_dict() == packed
+
+    def test_encode_words_is_a_one_sentence_batch(self):
+        corpus = generate_synthetic_corpus(6, seed=4)
+        model = train(corpus, TrainConfig(steps=0, seed=2)).model
+        for sentence in corpus.sentences:
+            np.testing.assert_array_equal(
+                encode_words(model, sentence).values, sentence_words(model, sentence).values
+            )
+
+    @pytest.mark.parametrize("head", ["crf", "span", "seq2seq"])
+    def test_chunked_predict_matches_per_sentence(self, tmp_path, monkeypatch, capsys, head):
+        """``medext predict`` over more than two chunks, with an over-long line
+        in the second, writes the records a per-sentence encoder gives, each
+        line's spans those of its own one-sentence decode."""
+        corpus = generate_synthetic_corpus(2 * EVAL_CHUNK + 5, seed=6)
+        checkpoint = train(corpus, TrainConfig(steps=60, seed=2, head=head))
+        save_checkpoint(checkpoint, tmp_path / "m.json")
+        lines = [" ".join(sentence.surfaces()) for sentence in corpus.sentences]
+        lines[EVAL_CHUNK + 3] = " ".join(["aspirin"] * 20)
+        (tmp_path / "in.txt").write_text("\n".join(lines) + "\n")
+        argv = ["predict", "--checkpoint", str(tmp_path / "m.json")]
+        argv += ["--input", str(tmp_path / "in.txt")]
+        assert medext.cli.main(argv + ["--out-file", str(tmp_path / "chunked.jsonl")]) == 1
+        monkeypatch.setattr(pipeline, "encode_words_batch", per_sentence_words)
+        assert medext.cli.main(argv + ["--out-file", str(tmp_path / "oracle.jsonl")]) == 1
+        records = (tmp_path / "chunked.jsonl").read_text().splitlines()
+        assert records == (tmp_path / "oracle.jsonl").read_text().splitlines()
+        assert len(records) == len(lines)
+        error = json.loads(records.pop(EVAL_CHUNK + 3))
+        assert error["line"] == EVAL_CHUNK + 4 and error["error"].endswith("exceeds max_len 64")
+        assert capsys.readouterr().err.count("exceeds max_len") == 2
+        del corpus.sentences[EVAL_CHUNK + 3]
+        for sentence, record in zip(corpus.sentences, records):
+            spans, _ = pipeline.decode_entities(
+                checkpoint.model, sentence_words(checkpoint.model, sentence)
+            )
+            assert json.loads(record)["spans"] == [asdict(span) for span in spans]
+        assert any(json.loads(record)["spans"] for record in records)
 
 
 class TestNoRecordEvaluation:
