@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, ShapeError
-from .tensor import Params, Tensor, xavier
+from .tensor import Params, Tensor, param, xavier
 
 
 @dataclass
@@ -34,13 +34,12 @@ class CRFParams(Params):
 
 def init_crf(d_model: int, num_tags: int, seed: int) -> CRFParams:
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    zeros = lambda *shape: Tensor(np.zeros(shape), requires_grad=True)
     return CRFParams(
         w_emit=xavier(rng, d_model, num_tags),
-        b_emit=zeros(num_tags),
-        trans=zeros(num_tags, num_tags),
-        start=zeros(num_tags),
-        stop=zeros(num_tags),
+        b_emit=param(num_tags),
+        trans=param((num_tags, num_tags)),
+        start=param(num_tags),
+        stop=param(num_tags),
     )
 
 

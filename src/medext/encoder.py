@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .corpus import MASK
 from .errors import ContractError
-from .tensor import MASK_BIAS, Params, Tensor, xavier
+from .tensor import MASK_BIAS, Params, Tensor, param, xavier
 
 
 @dataclass(frozen=True)
@@ -95,13 +95,13 @@ def init_params(config: EncoderConfig, seed: int) -> EncoderParams:
                 w_v=xavier(rng, d, d),
                 w_o=xavier(rng, d, d),
                 ff_w1=xavier(rng, d, ff),
-                ff_b1=Tensor(np.zeros(ff), requires_grad=True),
+                ff_b1=param(ff),
                 ff_w2=xavier(rng, ff, d),
-                ff_b2=Tensor(np.zeros(d), requires_grad=True),
-                ln1_gain=Tensor(np.ones(d), requires_grad=True),
-                ln1_bias=Tensor(np.zeros(d), requires_grad=True),
-                ln2_gain=Tensor(np.ones(d), requires_grad=True),
-                ln2_bias=Tensor(np.zeros(d), requires_grad=True),
+                ff_b2=param(d),
+                ln1_gain=param(d, 1.0),
+                ln1_bias=param(d),
+                ln2_gain=param(d, 1.0),
+                ln2_bias=param(d),
             )
         )
     params.mlm_proj = xavier(rng, d, config.vocab_size)

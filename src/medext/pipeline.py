@@ -59,9 +59,11 @@ HEAD_KINDS = tuple(_KIND_OF.values())
 EVAL_CHUNK = 16  # sentences per packed encoder pass in predict
 
 
-@dataclass
+@dataclass(frozen=True)
 class Model:
-    """Everything needed to run inference: encoder, heads, vocab, tag scheme."""
+    """Everything needed to run inference: encoder, heads, vocab, tag scheme.
+    Its parameters are packed in one flat vector (``T.FlatParams``) when it is
+    built; the fields are frozen, so the vector always holds them all."""
 
     config: EncoderConfig
     encoder: EncoderParams
@@ -70,26 +72,36 @@ class Model:
     head: HeadParams | None = None
     relation: RelationHeadParams | None = None
 
+    def __post_init__(self):
+        named = named_parameters(self.encoder, self.head, self.relation)
+        object.__setattr__(self, "_params", T.FlatParams(named))
+
     @property
     def head_kind(self) -> str | None:
         """The extraction head's kind, from its type; None without a head."""
         return _KIND_OF.get(type(self.head))
 
-    def parameters(self) -> dict[str, Tensor]:
-        out = {f"encoder/{k}": v for k, v in self.encoder.named().items()}
-        if self.head is not None:
-            out.update({f"head/{k}": v for k, v in self.head.named().items()})
-        if self.relation is not None:
-            out.update({f"relation/{k}": v for k, v in self.relation.named().items()})
-        return out
+    def parameters(self) -> T.FlatParams:
+        """The model's own parameter mapping: read it, do not change it."""
+        return self._params
 
     def clone(self) -> "Model":
-        """Copy every parameter tensor (without its gradient); the encoder
-        config, vocab and tag scheme are shared with the original."""
-        memo = {id(shared): shared for shared in (self.config, self.vocab, self.scheme)}
-        for p in self.parameters().values():
-            memo[id(p)] = Tensor(p.values.copy(), p.requires_grad)
+        """Copy the flat vector once and give the copy new tensors (without
+        gradients) that view it; the encoder config, vocab and tag scheme are
+        shared with the original."""
+        named = {k: Tensor(p.values, p.requires_grad) for k, p in self._params.items()}
+        memo = {id(p): named[k] for k, p in self._params.items()}
+        memo.update({id(shared): shared for shared in (self.config, self.vocab, self.scheme)})
+        memo[id(self._params)] = T.FlatParams(named, self._params.flat.copy())
         return copy.deepcopy(self, memo)
+
+
+def named_parameters(
+    encoder: EncoderParams, head: HeadParams | None, relation: RelationHeadParams | None
+) -> dict[str, Tensor]:
+    """The one parameter walk, in flat-vector order: 'encoder/…', 'head/…', 'relation/…'."""
+    parts = {"encoder": encoder, "head": head, "relation": relation}
+    return {f"{p}/{k}": v for p, part in parts.items() if part for k, v in part.named().items()}
 
 
 def init_head(kind: str, config: EncoderConfig, scheme: TagScheme, seed: int) -> HeadParams:

@@ -16,7 +16,7 @@ import numpy as np
 from . import tensor as T
 from .corpus import NO_RELATION, RELATION_LABELS, EntitySpan, RelationInstance
 from .errors import ContractError
-from .tensor import Params, Tensor, xavier
+from .tensor import Params, Tensor, param, xavier
 
 
 @dataclass
@@ -34,7 +34,7 @@ def init_relation(
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     return RelationHeadParams(
         w=xavier(rng, 2 * d_model, len(labels)),
-        b=Tensor(np.zeros(len(labels)), requires_grad=True),
+        b=param(len(labels)),
         labels=list(labels),
     )
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import tensor as T
 from .corpus import TagScheme
 from .errors import ContractError
-from .tensor import Params, Tensor, xavier
+from .tensor import Params, Tensor, param, xavier
 
 
 @dataclass
@@ -36,7 +36,7 @@ def init_seq2seq(d_model: int, num_tags: int, seed: int, d_t: int = 8) -> Seq2Se
     return Seq2SeqParams(
         tag_emb=xavier(rng, num_tags + 1, d_t),
         w_out=xavier(rng, d_model + d_t, num_tags),
-        b_out=Tensor(np.zeros(num_tags), requires_grad=True),
+        b_out=param(num_tags),
     )
 
 

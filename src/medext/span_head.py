@@ -17,7 +17,7 @@ import numpy as np
 from . import tensor as T
 from .corpus import EntitySpan
 from .errors import ContractError
-from .tensor import Params, Tensor, xavier
+from .tensor import Params, Tensor, param, xavier
 
 logger = logging.getLogger(__name__)
 
@@ -45,7 +45,7 @@ def init_span(
     return SpanHeadParams(
         width_emb=xavier(rng, max_width, d_w),
         w_cls=xavier(rng, 3 * d_model + d_w, len(classes) + 1),
-        b_cls=Tensor(np.zeros(len(classes) + 1), requires_grad=True),
+        b_cls=param(len(classes) + 1),
         classes=list(classes),
     )
 

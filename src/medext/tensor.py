@@ -17,6 +17,7 @@ Everything is double precision.  Shapes are 0-d (scalars), 1-d (vectors) or
 from __future__ import annotations
 
 import math
+import weakref
 from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -174,7 +175,68 @@ class Params:
         return {name: v for name, v in vars(self).items() if isinstance(v, Tensor)}
 
 
+Layout = tuple[tuple[str, tuple[int, ...], int], ...]  # (name, shape, offset) per parameter
+
+
+def views(layout: Layout, vector: Array) -> dict[str, Array]:
+    """``vector``, laid out as ``layout`` says, as one view per name."""
+    return {name: vector[at:at + math.prod(shape)].reshape(shape) for name, shape, at in layout}
+
+
+class FlatParams(dict):
+    """Named parameter tensors whose values are views of one contiguous
+    float64 vector, ``flat``, at the (name, shape, offset) places of ``layout``.
+
+    Building one copies the values into a new ``flat`` (or adopts a ``flat``
+    laid out so) and rebinds each ``values`` to its view.  Write into
+    ``values`` in place: assigning a new array detaches it from ``flat``.
+    Values that view the ``flat`` of a live ``FlatParams`` are refused, since
+    rebinding them would leave that vector stale.  ``buffers`` is the
+    optimizer's work vectors, made on its first step.
+    """
+
+    def __init__(self, named: dict[str, Tensor], flat: Array | None = None):
+        super().__init__(named)
+        if flat is None and any(id(t.values.base) in _OWNERS for t in named.values()):
+            raise ContractError("parameter values belong to another model; pack a copy of them")
+        at = np.cumsum([0, *(t.values.size for t in named.values())]).tolist()
+        self.layout: Layout = tuple((k, t.shape, i) for (k, t), i in zip(named.items(), at))
+        self.flat = np.empty(at[-1]) if flat is None else flat
+        for t, view in zip(named.values(), views(self.layout, self.flat).values()):
+            if flat is None:
+                view[...] = t.values
+            t.values = view
+        self.buffers: Array | None = None
+        _OWNERS[id(self.flat)] = self
+
+
+_OWNERS: weakref.WeakValueDictionary[int, FlatParams] = weakref.WeakValueDictionary()
+
+
+_SHAPES_ONLY = False
+
+
+@contextmanager
+def shapes_only() -> Iterator[None]:
+    """Inside the block ``param`` and ``xavier`` draw nothing and give tensors
+    that hold only a shape (a read-only view of one 0.0), so a model's layout
+    is known before any of its memory is allocated."""
+    global _SHAPES_ONLY
+    _SHAPES_ONLY = True
+    try:
+        yield
+    finally:
+        _SHAPES_ONLY = False
+
+
+def param(shape, fill: float = 0.0) -> Tensor:
+    values = np.broadcast_to(fill, shape) if _SHAPES_ONLY else np.full(shape, fill)
+    return Tensor(values, requires_grad=True)
+
+
 def xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
+    if _SHAPES_ONLY:
+        return param((fan_in, fan_out))
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return Tensor(rng.uniform(-limit, limit, size=(fan_in, fan_out)), requires_grad=True)
 
@@ -415,18 +477,37 @@ def mean0(a: Tensor) -> Tensor:
 # indexing, slicing, concatenation
 
 
+def scatter_rows(rows: int, index: Array, g: Array) -> Array:
+    """``np.add.at(zeros((rows, ...)), index, g)`` for a 1-D index from 0 up
+    into a vector or the rows of an array, bit for bit: ``np.bincount`` adds each element's terms in the
+    same order onto the same 0.0, without ``np.add.at``'s per-element loop."""
+    width = math.prod(g.shape[1:])
+    cells = index if width == 1 else (index[:, None] * width + np.arange(width)).reshape(-1)
+    return np.bincount(cells, g.reshape(-1), rows * width).reshape(rows, *g.shape[1:])
+
+
 def gather(a: Tensor, index) -> Tensor:
     """``a.values[index]`` for any numpy index: an int, a slice, an index
-    array (repeats allowed), a tuple of index arrays, or None (a new leading
-    axis).  A basic index gives a view, as in numpy.  Backward scatters the
-    gradient into zeros with ``np.add.at``, so repeated entries sum.
+    array (repeats allowed), a tuple of equal-length index arrays, or None (a
+    new leading axis).  A basic index gives a view, as in numpy.
+
+    Backward gives what ``np.add.at`` gives when it scatters the gradient into
+    zeros, bit for bit, so repeated entries sum: ``scatter_rows`` for a 1-D
+    integer array from 0 up, ``+=`` for a basic index (no entry repeats), and
+    ``np.add.at`` for the rest.
     """
     if isinstance(index, (list, range)):
         index = np.asarray(index, dtype=np.intp)
+    rows = isinstance(index, np.ndarray) and index.ndim == 1 and index.dtype.kind == "i"
 
     def rule(g):
+        if rows and not (index < 0).any():
+            return (scatter_rows(a.shape[0], index, g),)
         da = np.zeros_like(a.values)
-        np.add.at(da, index, g)
+        if isinstance(index, (tuple, np.ndarray)):
+            np.add.at(da, index, g)
+        else:
+            da[index] += g
         return (da,)
 
     return record_op(a.values[index], (a,), rule)
@@ -459,9 +540,7 @@ def range_means(a: Tensor, starts: Sequence[int], stops: Sequence[int]) -> Tenso
 
     def rule(g):
         share = g * inverse[:, None]
-        steps = np.zeros((a.shape[0] + 1, a.shape[1]))
-        np.add.at(steps, lo, share)
-        np.add.at(steps, hi, -share)
+        steps = scatter_rows(a.shape[0] + 1, np.concatenate([lo, hi]), np.vstack([share, -share]))
         return (np.cumsum(steps[:-1], axis=0),)
 
     return record_op(out_values, (a,), rule)

@@ -37,6 +37,7 @@ from .pipeline import (
     encode_words_batch,
     gold_relation_pairs,
     init_head,
+    named_parameters,
     ner_loss,
 )
 from .relation_head import (  # noqa: F401  (perfbench/tracer.py wraps training.relation_loss)
@@ -99,11 +100,16 @@ def _check_optimizer_fields(config: TrainConfig | PretrainConfig) -> None:
 
 @dataclass
 class OptimizerState:
-    """Adam first/second moments keyed like the model's parameter dict."""
+    """Adam's step count and moments: None before the first step, then rows m
+    and v laid out as the parameters' flat vector; ``m`` and ``v`` view them
+    by parameter name."""
 
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
+    moments: np.ndarray | None = field(default=None, repr=False)
+    layout: T.Layout = ()
+
+    m = property(lambda self: {} if self.moments is None else T.views(self.layout, self.moments[0]))
+    v = property(lambda self: {} if self.moments is None else T.views(self.layout, self.moments[1]))
 
 
 def adam_step(
@@ -112,23 +118,42 @@ def adam_step(
     learning_rate: float,
     clip_norm: float,
 ) -> None:
-    """One Adam update with global gradient-norm clipping."""
-    grads = {
-        key: (p.grad if p.grad is not None else np.zeros_like(p.values))
-        for key, p in params.items()
-    }
-    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    """One Adam update with global gradient-norm clipping, as whole-vector
+    ufuncs over the flat parameter vector (a plain mapping is packed first,
+    which rebinds its values; another model's tensors are refused).
+    Bitwise the per-array update: the norm sums each gradient's squares on
+    its own, in ``params`` order, and each elementwise step keeps the
+    per-array operand order.  The work vectors are made once per model and
+    written with ``out=``: a fresh temporary of this size (217 KB at the
+    default sizes) is mapped and unmapped on every step.
+    """
+    if not isinstance(params, T.FlatParams):
+        params = T.FlatParams(params)
+    if state.moments is None:
+        state.layout, state.moments = params.layout, np.zeros((2, params.flat.size))
+    elif state.layout != params.layout:
+        raise ContractError("optimizer state does not match the parameters")
+    if params.buffers is None:  # a model that never trains never allocates them
+        params.buffers = np.empty((3, params.flat.size))
+    g, t, u = params.buffers
+    m, v = state.moments
+    grads = (np.zeros(p.shape) if p.grad is None else p.grad for p in params.values())
+    np.concatenate([grad.reshape(-1) for grad in grads], out=g)
+    at = [offset for _, _, offset in params.layout] + [g.size]
+    squares = np.multiply(g, g, out=t)
+    total = math.sqrt(sum(float(squares[lo:hi].sum()) for lo, hi in zip(at, at[1:])))
     factor = clip_norm / total if total > clip_norm else 1.0
     state.step += 1
     correction1 = 1.0 - BETA1**state.step
     correction2 = 1.0 - BETA2**state.step
-    for key, p in params.items():
-        g = grads[key] * factor
-        m = state.m.setdefault(key, np.zeros_like(p.values))
-        v = state.v.setdefault(key, np.zeros_like(p.values))
-        m += (1.0 - BETA1) * (g - m)
-        v += (1.0 - BETA2) * (g * g - v)
-        p.values -= learning_rate * (m / correction1) / (np.sqrt(v / correction2) + EPS)
+    # per array: g *= factor; m += (1 - beta1) * (g - m); v += (1 - beta2) * (g * g - v);
+    # values -= learning_rate * (m / correction1) / (sqrt(v / correction2) + eps)
+    g *= factor
+    m += np.multiply(np.subtract(g, m, out=t), 1.0 - BETA1, out=t)
+    v += np.multiply(np.subtract(np.multiply(g, g, out=t), v, out=t), 1.0 - BETA2, out=t)
+    np.add(np.sqrt(np.divide(v, correction2, out=u), out=u), EPS, out=u)
+    np.divide(np.multiply(np.divide(m, correction1, out=t), learning_rate, out=t), u, out=t)
+    params.flat -= t
 
 
 def step_losses(
@@ -223,10 +248,12 @@ def _fresh_model(corpus: Corpus, encoder_config: EncoderConfig | None, seed: int
     return Model(encoder_config, init_params(encoder_config, seed), vocab, corpus.scheme)
 
 
-def _attach_head(model: Model, kind: str, seed: int) -> None:
-    """Give ``model`` a fresh extraction head of ``kind`` and a fresh relation head."""
-    model.head = init_head(kind, model.config, model.scheme, seed)
-    model.relation = init_relation(model.config.d_model, seed + 1)
+def _attach_head(model: Model, kind: str, seed: int) -> Model:
+    """A new model: a copy of ``model``'s encoder with a fresh extraction head
+    of ``kind`` and a fresh relation head; ``model`` is left as it was."""
+    head = init_head(kind, model.config, model.scheme, seed)
+    relation = init_relation(model.config.d_model, seed + 1)
+    return replace(model, encoder=copy.deepcopy(model.encoder), head=head, relation=relation)
 
 
 def _prepare_model(
@@ -237,14 +264,14 @@ def _prepare_model(
 ) -> tuple[Model, OptimizerState, int, list[str]]:
     if init is None:
         model = _fresh_model(corpus, encoder_config, config.seed)
-        _attach_head(model, config.head, config.seed)
+        model = _attach_head(model, config.head, config.seed)
         return model, OptimizerState(), 0, [f"fresh-init:{config.seed}"]
     model = init.model.clone()
     lineage = list(init.seed_lineage)
     if model.head_kind == config.head:
         # resume: continue the step count from a copy of init's Adam moments
         return model, copy.deepcopy(init.optimizer or OptimizerState()), init.step, lineage
-    _attach_head(model, config.head, config.seed)
+    model = _attach_head(model, config.head, config.seed)
     return model, OptimizerState(), 0, lineage + [f"head-init:{config.seed}"]
 
 
@@ -468,29 +495,33 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     try:
         vocab = Vocab(payload["vocab_entries"], min_freq)
         scheme = TagScheme(payload["scheme_classes"])
-        head = None if head_kind is None else init_head(head_kind, config, scheme, seed=0)
-        if head_kind == "span":
-            head.classes = extras.get("classes", scheme.classes)
-        model = Model(config, init_params(config, seed=0), vocab, scheme, head)
-        if any(key.startswith("relation/") for key in arrays):
-            labels = extras.get("relation_labels") or RELATION_LABELS
-            model.relation = init_relation(config.d_model, seed=0, labels=labels)
+        size = f"encoder_config key 'vocab_size' is {config.vocab_size}"
+        _check(len(vocab) == config.vocab_size, path, f"{size}, but vocab has {len(vocab)} entries")
+        with T.shapes_only():  # the layout, before any parameter memory is allocated
+            encoder = init_params(config, seed=0)
+            head = None if head_kind is None else init_head(head_kind, config, scheme, seed=0)
+            relation = None
+            if any(key.startswith("relation/") for key in arrays):
+                labels = extras.get("relation_labels") or RELATION_LABELS
+                relation = init_relation(config.d_model, seed=0, labels=labels)
     except ContractError as exc:
         raise CheckpointError(f"checkpoint {path}: {exc}") from None
-    size = f"vocab has {len(vocab)} entries but config declares {config.vocab_size}"
-    _check(len(vocab) == config.vocab_size, path, size)
-    params = model.parameters()
-    mismatch = sorted(set(params) ^ set(arrays))
+    if head_kind == "span":
+        head.classes = extras.get("classes", scheme.classes)
+    named = named_parameters(encoder, head, relation)
+    mismatch = sorted(set(named) ^ set(arrays))
     _check(not mismatch, path, f"arrays do not match the model: {mismatch}")
-    for key, tensor in params.items():
+    for key, tensor in named.items():
         tensor.values = _load_array(arrays[key], tensor.shape, path, f"array {key!r}")
-    optimizer = _load_optimizer(payload["optimizer"], params, path)
+    model = Model(config, encoder, vocab, scheme, head, relation)  # packs the checked arrays
+    optimizer = _load_optimizer(payload["optimizer"], model.parameters(), path)
     return Checkpoint(model, optimizer, payload["step"], payload["seed_lineage"])
 
 
-def _load_optimizer(section, params: dict[str, Tensor], path) -> OptimizerState | None:
+def _load_optimizer(section, params: T.FlatParams, path) -> OptimizerState | None:
     """Adam state from the optimizer section (null for none); ``m`` and ``v``
-    each hold one moment per parameter, or none before the first step."""
+    each hold one moment per parameter, or none before the first step (a
+    moment left empty while the other is full starts at zeros)."""
     if section is None:
         return None
     _check(isinstance(section, dict), path, "optimizer must be a JSON object or null")
@@ -498,12 +529,14 @@ def _load_optimizer(section, params: dict[str, Tensor], path) -> OptimizerState 
         _check(key in section, path, f"optimizer is missing key {key!r}")
     _check(_is_count(section["step"]), path, "optimizer step must be an integer >= 0")
     optimizer = OptimizerState(step=section["step"])
-    for name, store in (("m", optimizer.m), ("v", optimizer.v)):
+    for row, name in enumerate(("m", "v")):
         moments = section[name]
         _check(isinstance(moments, dict), path, f"optimizer key {name!r} must be a JSON object")
         mismatch = sorted(set(params) ^ set(moments))
         keys = f"optimizer {name!r} does not match the parameters: {mismatch}"
         _check(not moments or not mismatch, path, keys)
-        for key, value in moments.items():
-            store[key] = _load_array(value, params[key].shape, path, f"optimizer {name} {key!r}")
+        if moments and optimizer.moments is None:
+            optimizer.layout, optimizer.moments = params.layout, np.zeros((2, params.flat.size))
+        for key, view in T.views(params.layout, optimizer.moments[row]).items() if moments else ():
+            view[...] = _load_array(moments[key], view.shape, path, f"optimizer {name} {key!r}")
     return optimizer

@@ -368,3 +368,73 @@ class TestFiniteDiffCheck:
             return picked.mean()
 
         assert T.finite_diff_check(f, [u, v]) < 1e-4
+
+
+class TestGatherBackward:
+    """gather's backward against the ``np.add.at`` scatter it replaced, bit for
+    bit (tolerance 0, the sign of zero included): ``scatter_rows``
+    (``np.bincount``) for 1-D integer arrays from 0 up, ``+=`` for a basic
+    index, ``np.add.at`` for the rest."""
+
+    @pytest.mark.parametrize(
+        "shape, index",
+        [
+            ((7, 3), slice(1, 5)),
+            ((7, 3), 2),
+            ((7, 3), None),
+            ((7, 3), []),  # bincount of nothing
+            ((7, 3), [0, 2, 5]),  # rising rows: bincount
+            ((7, 3), [5, 2, 0]),  # distinct, not rising: bincount
+            ((7, 3), [1, 1, 4, 1, 0, 6, 6]),  # repeated rows: bincount
+            ((7,), [0, 3, 6]),  # rising entries of a vector: bincount
+            ((7,), [3, 3, 0, 3, 6]),  # repeated entries of a vector: bincount
+            ((7, 3), [-1, 0, 6]),  # negative: np.add.at
+            ((7, 3), (np.arange(4), np.array([0, 2, 1, 1]))),  # a tuple: np.add.at
+            ((7, 3), (np.array([1, 1, 2, 1]), np.array([0, 0, 2, 0]))),  # repeated: np.add.at
+        ],
+    )
+    def test_equals_add_at_bitwise(self, shape, index):
+        rng = np.random.default_rng(3)
+        a = Tensor(rng.standard_normal(shape), requires_grad=True)
+        T.reset_tape()
+        out = T.gather(a, index)
+        g = rng.standard_normal(out.shape)
+        g[rng.random(out.shape) < 0.3] = -0.0
+        T.backward(T.mul(out, Tensor(g)).sum())
+        T.reset_tape()
+        expected = np.zeros(shape)
+        np.add.at(expected, np.asarray(index, np.intp) if isinstance(index, list) else index, g)
+        assert a.grad.tobytes() == expected.tobytes()
+
+    def test_random_row_gathers_equal_add_at_bitwise(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            rows, n = int(rng.integers(1, 40)), int(rng.integers(0, 120))
+            shape = (rows, 4) if rng.random() < 0.5 else (rows,)
+            a = Tensor(rng.standard_normal(shape), requires_grad=True)
+            index = rng.integers(0, rows, n)
+            if rng.random() < 0.3:
+                index = np.unique(index)
+            T.reset_tape()
+            out = T.gather(a, index)
+            g = rng.standard_normal(out.shape) * 10.0 ** rng.integers(-8, 8, out.shape)
+            T.backward(T.mul(out, Tensor(g)).sum())
+            T.reset_tape()
+            expected = np.zeros(a.shape)
+            np.add.at(expected, index, g)
+            assert a.grad.tobytes() == expected.tobytes()
+
+    def test_range_means_scatter_equals_add_at_bitwise(self):
+        rng = np.random.default_rng(5)
+        a = Tensor(rng.standard_normal((9, 3)), requires_grad=True)
+        starts, stops = [0, 2, 2, 5, 0], [3, 4, 9, 6, 1]
+        T.reset_tape()
+        out = T.range_means(a, starts, stops)
+        g = rng.standard_normal(out.shape)
+        T.backward(T.mul(out, Tensor(g)).sum())
+        T.reset_tape()
+        share = g * (1.0 / (np.array(stops) - np.array(starts)))[:, None]
+        steps = np.zeros((10, 3))
+        np.add.at(steps, starts, share)
+        np.add.at(steps, stops, -share)
+        assert a.grad.tobytes() == np.cumsum(steps[:-1], axis=0).tobytes()

@@ -1,6 +1,8 @@
 import contextlib
 import importlib.util
 import json
+import math
+import tracemalloc
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
@@ -103,6 +105,145 @@ class TestAdam:
             p.grad = 2 * p.values
             adam_step({"p": p}, state, 5e-2, clip_norm=100.0)
         assert abs(p.values[0]) < 0.1
+
+
+def per_array_adam(record: dict):
+    """adam_step as it was before the flat parameter vector: one array at a
+    time, kept as the oracle of the flat step.  Its moments live in
+    ``record["m"]`` and ``record["v"]``; it also notes whether each step
+    clipped and which gradients were None."""
+
+    def step(params, state, learning_rate, clip_norm):
+        grads = {
+            key: (p.grad if p.grad is not None else np.zeros_like(p.values))
+            for key, p in params.items()
+        }
+        total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        factor = clip_norm / total if total > clip_norm else 1.0
+        record["clipped"].append(total > clip_norm)
+        record["none"].update(key for key, p in params.items() if p.grad is None)
+        state.step += 1
+        correction1 = 1.0 - training.BETA1**state.step
+        correction2 = 1.0 - training.BETA2**state.step
+        for key, p in params.items():
+            g = grads[key] * factor
+            m = record["m"].setdefault(key, np.zeros_like(p.values))
+            v = record["v"].setdefault(key, np.zeros_like(p.values))
+            m += (1.0 - training.BETA1) * (g - m)
+            v += (1.0 - training.BETA2) * (g * g - v)
+            p.values -= learning_rate * (m / correction1) / (np.sqrt(v / correction2) + training.EPS)
+
+    return step
+
+
+def assert_packed(model):
+    """Every parameter's values is the view of the model's flat vector at its
+    layout place, so no parameter has been detached by rebinding ``values``."""
+    params = model.parameters()
+    for (key, shape, at), p in zip(params.layout, params.values()):
+        assert p.values.shape == shape and p.values.flags.c_contiguous, key
+        assert p.values.ctypes.data == params.flat[at:].ctypes.data, key
+        assert np.shares_memory(p.values, params.flat), key
+    assert at + math.prod(shape) == params.flat.size
+
+
+class TestFlatAdam:
+    # clip norms near each run's median gradient norm, so some steps clip
+    CLIP = {"crf": 20.0, "span": 5.0, "seq2seq": 5.0, "mlm": 5.2}
+
+    @pytest.mark.parametrize("head", ["crf", "span", "seq2seq", "mlm"])
+    def test_bitwise_equal_to_per_array_oracle(self, tmp_path, monkeypatch, head):
+        corpus = small_corpus(30, seed=4)
+
+        def run(steps, init=None, log=None):
+            if head == "mlm":
+                cfg = PretrainConfig(steps=steps, batch_size=4, seed=5, clip_norm=self.CLIP[head])
+                return pretrain(corpus, cfg, log=log)
+            cfg = TrainConfig(steps=steps, seed=5, head=head, clip_norm=self.CLIP[head])
+            return train(corpus, cfg, init=init, log=log)
+
+        flat_log = []
+        if head == "mlm":
+            flat = run(30, log=flat_log)
+        else:  # 15 steps, a round trip through a checkpoint file, 15 more
+            path = tmp_path / "model.json"
+            save_checkpoint(run(15, log=flat_log), path)
+            flat = run(15, init=load_checkpoint(path), log=flat_log)
+        record = {"m": {}, "v": {}, "clipped": [], "none": set()}
+        monkeypatch.setattr(training, "adam_step", per_array_adam(record))
+        oracle_log = []
+        oracle = run(30, log=oracle_log)
+
+        assert flat_log == oracle_log
+        assert flat.model.parameters().flat.tobytes() == oracle.model.parameters().flat.tobytes()
+        assert flat.optimizer.step == oracle.optimizer.step == 30
+        for name in ("m", "v"):
+            moments = getattr(flat.optimizer, name)
+            assert list(moments) == list(record[name])
+            assert all(moments[k].tobytes() == a.tobytes() for k, a in record[name].items())
+        assert True in record["clipped"] and False in record["clipped"]
+        if head != "mlm":
+            assert "encoder/mlm_proj" in record["none"]
+
+    def test_plain_mapping_is_packed(self):
+        a = Tensor(np.arange(6.0).reshape(2, 3).copy(), requires_grad=True)
+        b = Tensor(np.ones(2), requires_grad=True)
+        a.grad, b.grad = np.full((2, 3), 0.5), None
+        state = OptimizerState()
+        adam_step({"a": a, "b": b}, state, 1e-2, 1.0)
+        assert state.layout == (("a", (2, 3), 0), ("b", (2,), 6))
+        assert np.array_equal(b.values, np.ones(2)) and np.all(a.values < np.arange(6.0).reshape(2, 3))
+        assert np.array_equal(state.m["b"], np.zeros(2)) and state.m["a"].shape == (2, 3)
+
+    def test_another_models_parameters_are_refused(self):
+        model = training._fresh_model(small_corpus(), None, seed=0)
+        before = model.parameters().flat.copy()
+        for p in model.parameters().values():
+            p.grad = np.ones_like(p.values)
+        with pytest.raises(ContractError, match="another model"):
+            adam_step(dict(model.parameters()), OptimizerState(), 1e-2, 1.0)
+        with pytest.raises(ContractError, match="another model"):
+            pipeline.Model(model.config, model.encoder, model.vocab, model.scheme)
+        assert_packed(model)
+        assert model.parameters().flat.tobytes() == before.tobytes()
+
+    def test_state_of_another_layout_rejected(self):
+        p = Tensor(np.ones(3), requires_grad=True)
+        state = OptimizerState()
+        adam_step({"p": p}, state, 1e-2, 1.0)
+        with pytest.raises(ContractError, match="does not match"):
+            adam_step({"q": Tensor(np.ones(3), requires_grad=True)}, state, 1e-2, 1.0)
+
+    def test_every_parameter_views_the_flat_vector(self, tmp_path):
+        corpus = small_corpus(20, seed=3)
+        assert_packed(training._fresh_model(corpus, None, seed=0))
+        pre = pretrain(corpus, PretrainConfig(steps=2, batch_size=4))
+        assert_packed(pre.model)
+        for init in (None, pre):
+            ckpt = train(corpus, TrainConfig(steps=3, head="span"), init=init)
+            assert_packed(ckpt.model)
+        twin = ckpt.model.clone()
+        assert_packed(twin)
+        assert not np.shares_memory(twin.parameters().flat, ckpt.model.parameters().flat)
+        assert twin.parameters().flat.tobytes() == ckpt.model.parameters().flat.tobytes()
+        path = tmp_path / "model.json"
+        save_checkpoint(ckpt, path)
+        loaded = load_checkpoint(path)
+        assert_packed(loaded.model)
+        assert loaded.model.parameters().flat.tobytes() == ckpt.model.parameters().flat.tobytes()
+        assert loaded.optimizer.moments.tobytes() == ckpt.optimizer.moments.tobytes()
+        resumed = train(corpus, TrainConfig(steps=2, head="span"), init=loaded)
+        assert_packed(resumed.model)
+        assert_packed(loaded.model)  # the init model is left as it was
+        assert loaded.model.parameters().flat.tobytes() == ckpt.model.parameters().flat.tobytes()
+
+    def test_zero_step_checkpoint_has_empty_moments(self, tmp_path):
+        path = tmp_path / "model.json"
+        ckpt = train(small_corpus(), TrainConfig(steps=0))
+        assert ckpt.optimizer.m == {} and ckpt.optimizer.moments is None
+        save_checkpoint(ckpt, path)
+        assert json.loads(path.read_text())["optimizer"] == {"m": {}, "step": 0, "v": {}}
+        assert load_checkpoint(path).optimizer.moments is None
 
 
 class TestParameterWalk:
@@ -504,6 +645,26 @@ class TestCheckpointIO:
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match="head/trans"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "key, size, message",
+        [("vocab_size", 100_000, "vocab_size"), ("max_len", 100_000, "encoder/pos_emb")],
+    )
+    def test_declared_size_checked_before_allocation(self, tmp_path, key, size, message):
+        # a 25 MB embedding would be allocated if the model were built first
+        path = tmp_path / "model.json"
+        save_checkpoint(train(generate_synthetic_corpus(100, seed=1), TrainConfig(steps=1)), path)
+        payload = json.loads(path.read_text())
+        payload["encoder_config"][key] = size
+        path.write_text(json.dumps(payload))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match=message):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
 
     def test_version_mismatch_rejected(self, tmp_path):
         corpus = small_corpus()
