@@ -16,7 +16,6 @@ from .corpus import (
     TagScheme,
     Token,
     Vocab,
-    augment,
     build_vocab,
     generate_synthetic_corpus,
     load_conll,
@@ -59,7 +58,6 @@ __all__ = [
     "TrainConfig",
     "Vocab",
     "attention",
-    "augment",
     "backward",
     "build_vocab",
     "encode",

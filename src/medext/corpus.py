@@ -1,9 +1,8 @@
 """Corpus data model and tooling.
 
 Covers the BIO tag algebra, two-column tag-file I/O with a JSON-lines
-annotation sidecar, greedy-longest-match subword tokenization, a seeded
-synthetic corpus generator, and the two augmentation transforms (synonym
-substitution and entity masking).
+annotation sidecar, greedy-longest-match subword tokenization, and a seeded
+synthetic corpus generator.
 """
 
 from __future__ import annotations
@@ -23,6 +22,8 @@ RELATION_LABELS = ("no-relation", "treats", "causes")
 NO_RELATION = "no-relation"
 
 PAD, UNK, MASK, ENT_MASK = 0, 1, 2, 3
+# "[ENT-MASK]" has no producer in the package; it keeps index 3 because every
+# vocabulary and saved checkpoint starts with these four entries.
 RESERVED_ENTRIES = ("[PAD]", "[UNK]", "[MASK]", "[ENT-MASK]")
 
 SPLITS = ("train", "val", "test")
@@ -59,9 +60,6 @@ class Sentence:
 
     def surfaces(self) -> list[str]:
         return [t.surface for t in self.tokens]
-
-    def __len__(self) -> int:
-        return len(self.tokens)
 
 
 class TagScheme:
@@ -361,17 +359,6 @@ def save_annotations(corpus: Corpus, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
-def load_lexicon(path: str | Path) -> dict[str, list[str]]:
-    """Load a synonym lexicon: surface form -> nonempty list of alternates."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(data, dict):
-        raise ParseError("lexicon must be a JSON object")
-    for key, alternates in data.items():
-        if not isinstance(alternates, list) or not alternates:
-            raise ParseError(f"lexicon entry {key!r} has no alternates")
-    return {key: [str(a) for a in alts] for key, alts in data.items()}
-
-
 # ---------------------------------------------------------------------------
 # subword vocabulary
 
@@ -528,16 +515,6 @@ _PAIR_TEMPLATES: tuple[tuple[tuple, str], ...] = (
 )
 
 
-def default_synonym_lexicon() -> dict[str, list[str]]:
-    return {
-        "lung cancer": ["pulmonary carcinoma"],
-        "influenza": ["seasonal flu"],
-        "cardiovascular disease": ["heart vessel disease"],
-        "chronic fatigue": ["lasting exhaustion"],
-        "unknown syndrome": ["unclassified syndrome"],
-    }
-
-
 def generate_synthetic_corpus(size: int, seed: int) -> Corpus:
     """Deterministic pseudo-clinical corpus with all four entity classes.
 
@@ -571,49 +548,3 @@ def generate_synthetic_corpus(size: int, seed: int) -> Corpus:
         sentences.append(Sentence(tokens, tags, spans, relations))
     return Corpus(sentences, scheme)
 
-
-# ---------------------------------------------------------------------------
-# augmentation
-
-
-def augment(
-    sentence: Sentence,
-    scheme: TagScheme,
-    mode: Literal["synonym", "entity_mask"],
-    lexicon: dict[str, list[str]] | None = None,
-    seed: int = 0,
-) -> Sentence:
-    """Synonym substitution or entity masking; non-entity tokens never change."""
-    if mode == "entity_mask":
-        tokens = list(sentence.tokens)
-        for span in sentence.spans:
-            for i in range(span.start, span.end + 1):
-                tokens[i] = Token(RESERVED_ENTRIES[ENT_MASK])
-        return replace(sentence, tokens=tokens)
-    if mode != "synonym":
-        raise ContractError(f"unknown augmentation mode {mode!r}")
-
-    lexicon = lexicon or {}
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    surfaces = sentence.surfaces()
-    tokens: list[Token] = []
-    # relations index into the span list, so rebuilt spans keep their positions
-    spans: list[EntitySpan | None] = [None] * len(sentence.spans)
-    cursor = 0
-    order = sorted(range(len(sentence.spans)), key=lambda i: sentence.spans[i].start)
-    for span_idx in order:
-        span = sentence.spans[span_idx]
-        tokens.extend(Token(s) for s in surfaces[cursor : span.start])
-        key = " ".join(surfaces[span.start : span.end + 1])
-        alternates = lexicon.get(key)
-        if alternates:
-            replacement = alternates[int(rng.integers(len(alternates)))].split(" ")
-        else:
-            replacement = surfaces[span.start : span.end + 1]
-        new_start = len(tokens)
-        tokens.extend(Token(word) for word in replacement)
-        spans[span_idx] = EntitySpan(new_start, len(tokens) - 1, span.cls)
-        cursor = span.end + 1
-    tokens.extend(Token(s) for s in surfaces[cursor:])
-    tags = spans_to_tags(spans, len(tokens), scheme)
-    return Sentence(tokens, tags, spans, list(sentence.relations))

@@ -57,13 +57,6 @@ def pair_logits(heads: Tensor, tails: Tensor, params: RelationHeadParams) -> Ten
     return T.add_rowwise(T.matmul(T.concat([heads, tails], axis=1), params.w), params.b)
 
 
-def relation_logits(h_e1: Tensor, h_e2: Tensor, params: RelationHeadParams) -> Tensor:
-    """Affine score of the ordered pair: w.T @ concat(h_e1, h_e2) + b -> (R,)."""
-    if h_e1.values.ndim != 1 or h_e1.shape != h_e2.shape:
-        raise ContractError(f"relation_logits: vectors {h_e1.shape}/{h_e2.shape}")
-    return T.gather(pair_logits(T.gather(h_e1, None), T.gather(h_e2, None), params), 0)
-
-
 def pair_loss(
     heads: Tensor, tails: Tensor, labels: Sequence[str], params: RelationHeadParams
 ) -> Tensor:
@@ -78,7 +71,7 @@ def pair_loss(
 def relation_loss(
     pairs: Sequence[tuple[Tensor, Tensor, str]], params: RelationHeadParams
 ) -> Tensor:
-    """Mean cross-entropy of softmax(relation_logits) against gold labels."""
+    """Mean cross-entropy of one ``pair_logits`` row per (head, tail, label) triple."""
     if not pairs:
         raise ContractError("relation_loss requires a nonempty pair list")
     heads = T.concat([T.gather(h1, None) for h1, _, _ in pairs], axis=0)

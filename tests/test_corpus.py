@@ -12,7 +12,6 @@ from medext.corpus import (
     TagScheme,
     Token,
     Vocab,
-    augment,
     build_vocab,
     generate_synthetic_corpus,
     load_annotations,
@@ -314,81 +313,3 @@ class TestGenerator:
         corpus = generate_synthetic_corpus(500, seed=4)
         labels = {r.label for s in corpus.sentences for r in s.relations}
         assert labels == {"treats", "causes"}
-
-
-class TestAugment:
-    def test_empty_lexicon_identity(self, scheme_d):
-        sentence = make_sentence(["flu", "hit"], [EntitySpan(0, 0, "D")], scheme_d)
-        out = augment(sentence, scheme_d, "synonym", {}, seed=0)
-        assert out == sentence
-
-    def test_synonym_substitution_hand_trace(self):
-        scheme = TagScheme(["Specific"])
-        sentence = make_sentence(
-            ["the", "lung", "cancer", "case"], [EntitySpan(1, 2, "Specific")], scheme
-        )
-        lexicon = {"lung cancer": ["pulmonary carcinoma"]}
-        out = augment(sentence, scheme, "synonym", lexicon, seed=0)
-        assert out.surfaces() == ["the", "pulmonary", "carcinoma", "case"]
-        assert out.spans == [EntitySpan(1, 2, "Specific")]
-        assert out.tags == [0, scheme.begin_index("Specific"), scheme.inside_index("Specific"), 0]
-
-    def test_synonym_changes_length(self):
-        scheme = TagScheme(["Specific"])
-        sentence = make_sentence(
-            ["influenza", "was", "seen"], [EntitySpan(0, 0, "Specific")], scheme
-        )
-        out = augment(sentence, scheme, "synonym", {"influenza": ["seasonal flu"]}, seed=0)
-        assert out.surfaces() == ["seasonal", "flu", "was", "seen"]
-        assert out.spans == [EntitySpan(0, 1, "Specific")]
-
-    def test_entity_mask_hand_trace(self, scheme_d):
-        sentence = make_sentence(
-            ["a", "big", "flu", "wave"], [EntitySpan(1, 2, "D")], scheme_d
-        )
-        out = augment(sentence, scheme_d, "entity_mask")
-        assert out.surfaces() == ["a", "[ENT-MASK]", "[ENT-MASK]", "wave"]
-        assert out.tags == sentence.tags
-        assert out.spans == sentence.spans
-
-    @pytest.mark.parametrize("mode", ["synonym", "entity_mask"])
-    def test_span_count_and_classes_preserved(self, mode):
-        corpus = generate_synthetic_corpus(80, seed=6)
-        lexicon = C.default_synonym_lexicon()
-        for sentence in corpus.sentences:
-            out = augment(sentence, corpus.scheme, mode, lexicon, seed=13)
-            assert [s.cls for s in out.spans] == [s.cls for s in sentence.spans]
-            assert out.relations == sentence.relations
-            C.validate_sentence(out, corpus.scheme)
-
-    def test_non_entity_tokens_never_change(self):
-        corpus = generate_synthetic_corpus(60, seed=8)
-        lexicon = C.default_synonym_lexicon()
-        for sentence in corpus.sentences:
-            out = augment(sentence, corpus.scheme, "synonym", lexicon, seed=1)
-            inside = set()
-            for span in sentence.spans:
-                inside.update(range(span.start, span.end + 1))
-            original_outside = [
-                t.surface for i, t in enumerate(sentence.tokens) if i not in inside
-            ]
-            new_inside = set()
-            for span in out.spans:
-                new_inside.update(range(span.start, span.end + 1))
-            new_outside = [
-                t.surface for i, t in enumerate(out.tokens) if i not in new_inside
-            ]
-            assert original_outside == new_outside
-
-
-class TestLexiconFile:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "lex.json"
-        path.write_text(json.dumps(C.default_synonym_lexicon()))
-        assert C.load_lexicon(path) == C.default_synonym_lexicon()
-
-    def test_empty_alternates_rejected(self, tmp_path):
-        path = tmp_path / "lex.json"
-        path.write_text('{"flu": []}')
-        with pytest.raises(ParseError, match="flu"):
-            C.load_lexicon(path)

@@ -9,8 +9,8 @@ from medext.errors import ContractError
 from medext.relation_head import (
     entity_pool,
     init_relation,
+    pair_logits,
     predict_relations,
-    relation_logits,
     relation_loss,
 )
 from medext.tensor import Tensor
@@ -50,38 +50,39 @@ class TestEntityPool:
             entity_pool(h, EntitySpan(1, 3, "A"))
 
 
+def one_pair(h_e1, h_e2, params):
+    """pair_logits of the single ordered pair (h_e1, h_e2) -> its (R,) row."""
+    return pair_logits(Tensor([h_e1]), Tensor([h_e2]), params).values[0]
+
+
 class TestRelationLogits:
     def test_zero_weights_give_bias(self):
         params = init_relation(4, seed=0)
         params.w.values[:] = 0.0
         params.b.values[:] = [0.5, 1.5, -2.0]
         rng = np.random.default_rng(2)
-        out = relation_logits(Tensor(rng.standard_normal(4)), Tensor(rng.standard_normal(4)), params)
-        assert out.values.tolist() == [0.5, 1.5, -2.0]
+        out = one_pair(rng.standard_normal(4), rng.standard_normal(4), params)
+        assert out.tolist() == [0.5, 1.5, -2.0]
 
     def test_ordered_pairs_not_symmetric(self):
         params = init_relation(3, seed=1)
         rng = np.random.default_rng(3)
-        a, b = Tensor(rng.standard_normal(3)), Tensor(rng.standard_normal(3))
-        forward = relation_logits(a, b, params).values
-        backward = relation_logits(b, a, params).values
-        assert not np.allclose(forward, backward)
+        a, b = rng.standard_normal(3), rng.standard_normal(3)
+        assert not np.allclose(one_pair(a, b, params), one_pair(b, a, params))
 
     def test_symmetric_when_halves_coincide(self):
         params = init_relation(2, seed=2)
         params.w.values[2:] = params.w.values[:2]
-        a, b = Tensor([1.0, 2.0]), Tensor([3.0, -1.0])
-        assert np.allclose(
-            relation_logits(a, b, params).values, relation_logits(b, a, params).values
-        )
+        a, b = [1.0, 2.0], [3.0, -1.0]
+        assert np.allclose(one_pair(a, b, params), one_pair(b, a, params))
 
     def test_hand_affine_case(self):
         params = init_relation(1, seed=3, labels=["no-relation", "r"])
         params.w.values[:] = [[1.0, 2.0], [3.0, 4.0]]
         params.b.values[:] = [0.5, -0.5]
-        out = relation_logits(Tensor([2.0]), Tensor([5.0]), params)
+        out = one_pair([2.0], [5.0], params)
         # concat [2,5]: [2*1+5*3+0.5, 2*2+5*4-0.5] = [17.5, 23.5]
-        assert out.values.tolist() == [17.5, 23.5]
+        assert out.tolist() == [17.5, 23.5]
 
 
 class TestRelationLoss:
