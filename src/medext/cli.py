@@ -29,6 +29,8 @@ from .corpus import (
     generate_synthetic_corpus,
     load_annotations,
     load_conll,
+    parse_json,
+    read_utf8,
     save_annotations,
     save_conll,
 )
@@ -164,7 +166,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if args.config:
         path = _existing(args.config, "config file")
         try:
-            loaded = json.loads(path.read_text(encoding="utf-8"))
+            loaded = parse_json(read_utf8(path))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path}: {exc}") from None
         if not isinstance(loaded, dict):
@@ -175,7 +177,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"--set expects section.key=value, got {assignment!r}")
         dotted, raw = assignment.split("=", 1)
         try:
-            value = json.loads(raw)
+            value = parse_json(raw)
         except json.JSONDecodeError:
             value = raw
         config = _merge(config, _nested(dotted, value))
@@ -235,9 +237,9 @@ def _open_model(path: str) -> Model:
 
 
 def load_experiment_corpus(config: dict, model: Model | None, split: str | None) -> Corpus:
-    """The config's corpus, once every sentence the command encodes (those of
-    ``split``, or all) is known to fit the encoder's max_len under ``model``'s
-    vocabulary, or with no model, under the one a fresh model builds."""
+    """The config's corpus, once the sentences the command encodes (those of
+    ``split``, or all) are known to exist and to fit the encoder's max_len under
+    ``model``'s vocabulary, or with no model, under the one a fresh model builds."""
     section = _section(config, "corpus")
     if section.tags:
         corpus = load_conll(_existing(section.tags, "corpus tag file"), TagScheme())
@@ -250,10 +252,12 @@ def load_experiment_corpus(config: dict, model: Model | None, split: str | None)
     else:
         vocab, max_len = model.vocab, model.config.max_len
     indices = range(len(corpus)) if split is None else corpus.split_indices(split)
+    source = f"corpus tag file {section.tags}" if section.tags else "synthetic corpus"
+    if not indices:
+        raise ValidationError(f"{source}: no sentences" + (f" in split {split!r}" if split else ""))
     errors = length_errors([corpus.sentences[i] for i in indices], vocab, max_len)
     if errors:
         index, message = min(errors.items())
-        source = f"corpus tag file {section.tags}" if section.tags else "synthetic corpus"
         raise ValidationError(f"{source}: sentence {indices[index] + 1}: {message}")
     return corpus
 
@@ -379,7 +383,7 @@ def cmd_predict(config: dict, args) -> int:
     out_file = args.out_file and _output_path(args.out_file, "--out-file", directory=False)
     model = _open_model(args.checkpoint)
     input_path = _existing(args.input, "input file")
-    lines = input_path.read_text(encoding="utf-8").splitlines()
+    lines = read_utf8(input_path).splitlines()
     numbered = [(number, line.split()) for number, line in enumerate(lines, 1) if line.split()]
     sentences = [Sentence([Token(w) for w in words], [0] * len(words)) for _, words in numbered]
     errors = length_errors(sentences, model.vocab, model.config.max_len)

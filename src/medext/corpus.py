@@ -126,8 +126,7 @@ class Corpus:
 
     def subset(self, split: str) -> "Corpus":
         """A corpus holding only one split's sentences, all marked train."""
-        picked = [self.sentences[i] for i in self.split_indices(split)]
-        return Corpus(picked, self.scheme, ["train"] * len(picked))
+        return self.select(self.split_indices(split))
 
     def select(self, indices: Sequence[int]) -> "Corpus":
         picked = [self.sentences[i] for i in indices]
@@ -234,9 +233,30 @@ def _span_key(span: EntitySpan) -> tuple:
 # tag-file and annotation I/O
 
 
+def read_utf8(path: str | Path) -> str:
+    """A UTF-8 file's text, newlines read as ``Path.read_text`` reads them; a
+    byte that is not UTF-8 raises ParseError naming the file and its line."""
+    data = Path(path).read_bytes()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line, bad = data.count(b"\n", 0, exc.start) + 1, f"byte {data[exc.start]:#04x}"
+        raise ParseError(f"{path} line {line}: {bad} is not UTF-8 ({exc.reason})") from None
+
+
+def parse_json(text: str):
+    """``json.loads``; nesting too deep for it raises JSONDecodeError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply", text, 0) from None
+
+
 def load_conll(path: str | Path, scheme: TagScheme) -> Corpus:
     """Load a two-column "token<TAB>tag" file, one sentence per blank-line block."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_utf8(path)
     sentences: list[Sentence] = []
     tokens: list[Token] = []
     tags: list[int] = []
@@ -283,7 +303,7 @@ def save_conll(corpus: Corpus, path: str | Path) -> None:
 
 def load_annotations(corpus: Corpus, path: str | Path) -> Corpus:
     """Attach spans/relations from a JSON-lines sidecar (order matches the tag file)."""
-    lines = [ln for ln in Path(path).read_text(encoding="utf-8").split("\n") if ln.strip()]
+    lines = [ln for ln in read_utf8(path).split("\n") if ln.strip()]
     if len(lines) != len(corpus.sentences):
         raise ParseError(
             f"annotation file has {len(lines)} records for {len(corpus.sentences)} sentences"
@@ -292,7 +312,7 @@ def load_annotations(corpus: Corpus, path: str | Path) -> Corpus:
     for i, (line, sentence) in enumerate(zip(lines, corpus.sentences)):
         where = f"annotation file {path} line {i + 1}"
         try:
-            record = json.loads(line)
+            record = parse_json(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{where}: {exc}") from None
         if not isinstance(record, dict):

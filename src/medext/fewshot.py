@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .corpus import Corpus
-from .errors import ContractError
+from .errors import ContractError, ValidationError
 from .pipeline import evaluate_split
 from .training import Checkpoint, TrainConfig, train
 
@@ -138,7 +138,7 @@ def run_curve(
             episode_seed = config.base.seed * 100_003 + rep
             episode = sample_k_shot(corpus, k, episode_seed)
             if not episode.support:
-                raise ContractError(f"empty support set for k={k} (no train entities?)")
+                raise ValidationError(f"empty support set for k={k} (no train entities?)")
             subcorpus = corpus.select(episode.support)
             run_config = replace(config.base, seed=config.base.seed * 911 + 31 * k + rep)
             checkpoint = train(subcorpus, run_config, init=init)

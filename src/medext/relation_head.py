@@ -39,13 +39,6 @@ def init_relation(
     )
 
 
-def entity_pool(h: Tensor, span: EntitySpan) -> Tensor:
-    """Mean of the encoder rows covered by the span -> (d_model,)."""
-    if not 0 <= span.start <= span.end < h.shape[0]:
-        raise ContractError(f"span {span} out of range for {h.shape[0]} positions")
-    return T.mean0(T.gather(h, slice(span.start, span.end + 1)))
-
-
 def pair_logits(heads: Tensor, tails: Tensor, params: RelationHeadParams) -> Tensor:
     """Affine scores of P ordered pairs: concat(heads, tails) @ w + b -> [P, R]."""
     if (

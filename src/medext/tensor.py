@@ -158,6 +158,12 @@ class Params:
 Layout = tuple[tuple[str, tuple[int, ...], int], ...]  # (name, shape, offset) per parameter
 
 
+def layout_of(named: dict[str, Tensor]) -> Layout:
+    """The tensors' places, in order, in one vector that packs them end to end."""
+    at = np.cumsum([0, *(t.values.size for t in named.values())]).tolist()
+    return tuple((k, t.shape, i) for (k, t), i in zip(named.items(), at))
+
+
 def views(layout: Layout, vector: Array) -> dict[str, Array]:
     """``vector``, laid out as ``layout`` says, as one view per name."""
     return {name: vector[at:at + math.prod(shape)].reshape(shape) for name, shape, at in layout}
@@ -179,9 +185,8 @@ class FlatParams(dict):
         super().__init__(named)
         if flat is None and any(id(t.values.base) in _OWNERS for t in named.values()):
             raise ContractError("parameter values belong to another model; pack a copy of them")
-        at = np.cumsum([0, *(t.values.size for t in named.values())]).tolist()
-        self.layout: Layout = tuple((k, t.shape, i) for (k, t), i in zip(named.items(), at))
-        self.flat = np.empty(at[-1]) if flat is None else flat
+        self.layout = layout_of(named)
+        self.flat = np.empty(sum(t.values.size for t in named.values())) if flat is None else flat
         for t, view in zip(named.values(), views(self.layout, self.flat).values()):
             if flat is None:
                 view[...] = t.values
@@ -312,27 +317,6 @@ def softmax_rows(a: Tensor) -> Tensor:
     return record_op(p, (a,), rule)
 
 
-def logsumexp(a: Tensor) -> Tensor:
-    """log(sum(exp(entries))) over all entries of ``a``, as a scalar."""
-    if a.values.size == 0:
-        raise ContractError("logsumexp of an empty tensor")
-    m = a.values.max()
-    e = np.exp(a.values - m)
-    total = e.sum()
-    return record_op(m + np.log(total), (a,), lambda g: (g * e / total,))
-
-
-def logsumexp_rows(a: Tensor) -> Tensor:
-    """Row-wise log-sum-exp of an m-by-n matrix -> vector of length m."""
-    if a.values.ndim != 2 or a.shape[1] < 1:
-        raise ShapeError(f"logsumexp_rows expects a nonempty matrix, got {a.shape}")
-    m = a.values.max(axis=1, keepdims=True)
-    e = np.exp(a.values - m)
-    total = e.sum(axis=1, keepdims=True)
-    softmax = e / total
-    return record_op((m + np.log(total)).reshape(-1), (a,), lambda g: (softmax * g[:, None],))
-
-
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize each row to zero mean / unit variance, then scale and shift."""
     if eps <= 0:
@@ -443,14 +427,6 @@ def sum_all(a: Tensor) -> Tensor:
 def mean_all(a: Tensor) -> Tensor:
     n = a.values.size
     return record_op(a.values.mean(), (a,), lambda g: (np.full_like(a.values, float(g) / n),))
-
-
-def mean0(a: Tensor) -> Tensor:
-    """Column means of an m-by-n matrix -> vector of length n."""
-    if a.values.ndim != 2 or a.shape[0] < 1:
-        raise ShapeError(f"mean0 expects a nonempty matrix, got {a.shape}")
-    m = a.shape[0]
-    return record_op(a.values.mean(axis=0), (a,), lambda g: (np.tile(g / m, (m, 1)),))
 
 
 # ---------------------------------------------------------------------------

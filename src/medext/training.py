@@ -8,6 +8,7 @@ been.
 
 from __future__ import annotations
 
+import base64
 import copy
 import json
 import math
@@ -26,10 +27,12 @@ from .corpus import (
     TagScheme,
     Vocab,
     build_vocab,
+    parse_json,
+    read_utf8,
     tokenize_corpus,
 )
 from .encoder import EncoderConfig, init_params, mlm_step
-from .errors import CheckpointError, ContractError, NumericError
+from .errors import CheckpointError, ContractError, NumericError, ParseError
 from .pipeline import (
     HEAD_KINDS,
     Model,
@@ -47,7 +50,7 @@ from .relation_head import (  # noqa: F401  (perfbench/tracer.py wraps training.
 )
 from .tensor import Tensor
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard
 
 
@@ -370,22 +373,30 @@ def pretrain(
 # checkpoint I/O
 
 
+def _encode(vector: np.ndarray) -> str:
+    """base64 text of a float64 array's little-endian bytes."""
+    return base64.b64encode(vector.astype("<f8", copy=False).tobytes()).decode("ascii")
+
+
 def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
-    """Write a versioned JSON container; floats round-trip exactly via repr.
+    """Write a versioned JSON container; the parameters and Adam moments are
+    base64 text of their flat vectors' little-endian float64 bytes.
 
     The JSON goes to a temporary file in the same directory, which then
     replaces ``path``, so a failed write leaves an existing checkpoint intact.
     """
     model = checkpoint.model
     params = model.parameters()
-    for key, value in params.items():
-        T.assert_finite(value.values, f"checkpoint array {key}")
+    optimizer = checkpoint.optimizer
+    moments = None if optimizer is None else optimizer.moments
+    T.assert_finite(params.flat, "checkpoint params")
+    if moments is not None:
+        T.assert_finite(moments, "checkpoint optimizer moments")
     head_extras = {}
     if model.head_kind == "span":
         head_extras["classes"] = model.head.classes
     if model.relation is not None:
         head_extras["relation_labels"] = model.relation.labels
-    optimizer = checkpoint.optimizer
     payload = {
         "format_version": FORMAT_VERSION,
         "encoder_config": asdict(model.config),
@@ -394,14 +405,11 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
         "vocab_min_freq": model.vocab.min_freq,
         "head_kind": model.head_kind,
         "head_extras": head_extras,
-        "arrays": {key: value.values.tolist() for key, value in params.items()},
+        "param_names": [name for name, _, _ in params.layout],
+        "params": _encode(params.flat),
         "optimizer": None
         if optimizer is None
-        else {
-            "step": optimizer.step,
-            "m": {k: v.tolist() for k, v in optimizer.m.items()},
-            "v": {k: v.tolist() for k, v in optimizer.v.items()},
-        },
+        else {"step": optimizer.step, "moments": None if moments is None else _encode(moments)},
         "step": checkpoint.step,
         "seed_lineage": checkpoint.seed_lineage,
     }
@@ -415,8 +423,8 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
 
 
 _PAYLOAD_KEYS = (
-    "encoder_config", "scheme_classes", "vocab_entries", "vocab_min_freq",
-    "head_kind", "head_extras", "arrays", "optimizer", "step", "seed_lineage",
+    "encoder_config", "scheme_classes", "vocab_entries", "vocab_min_freq", "head_kind",
+    "head_extras", "param_names", "params", "optimizer", "step", "seed_lineage",
 )
 _ENCODER_KEYS = tuple(f.name for f in fields(EncoderConfig))
 
@@ -435,16 +443,22 @@ def _is_count(value) -> bool:
     return type(value) is int and value >= 0
 
 
-def _load_array(value, shape: tuple[int, ...], path, what: str) -> np.ndarray:
-    """A checkpoint array: numbers only, of the expected shape, all finite."""
+def _decode(text, layout: T.Layout, rows: int, path, what: str) -> np.ndarray:
+    """``rows`` vectors laid out as ``layout``, from base64 ``text`` of their
+    little-endian float64 bytes; the length is checked before they are made."""
+    size = sum(math.prod(shape) for _, shape, _ in layout)
     try:
-        array = np.asarray(value)
-    except ValueError:  # ragged nesting
-        array = np.asarray(None)
-    _check(array.dtype.kind in "if", path, f"{what} must be an array of numbers")
-    _check(array.shape == shape, path, f"{what} has shape {array.shape}, expected {shape}")
-    _check(bool(np.isfinite(array).all()), path, f"{what} has non-finite values")
-    return np.asarray(array, dtype=np.float64)
+        raw = base64.b64decode(text, validate=True)
+    except (TypeError, ValueError) as exc:  # not a string, not ASCII, or binascii.Error
+        raise CheckpointError(f"checkpoint {path}: {what} is not valid base64: {exc}") from None
+    short = [name for name, shape, at in layout if 8 * rows * (at + math.prod(shape)) > len(raw)]
+    where = f"; the data ends inside {short[0]!r}" if short else ""
+    expected = f"{len(raw)} bytes, expected {8 * rows * size}{where}"
+    _check(len(raw) == 8 * rows * size, path, f"{what} holds {expected}")
+    # a copy: the decoded bytes are read-only, and Adam writes into the moments
+    vector = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(rows, size)
+    _check(bool(np.isfinite(vector).all()), path, f"{what} has non-finite values")
+    return vector
 
 
 def _load_encoder_config(section, path) -> EncoderConfig:
@@ -461,13 +475,14 @@ def _load_encoder_config(section, path) -> EncoderConfig:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Rebuild a checkpoint, checking every section against ``Model.parameters()``.
-
-    A malformed section raises CheckpointError naming the file and the key.
-    """
+    """Rebuild a checkpoint, checking every section against ``Model.parameters()``,
+    names and byte lengths before any parameter memory is allocated; a
+    malformed section raises CheckpointError naming the file and the key."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        payload = parse_json(read_utf8(path))
+    except ParseError as exc:
+        raise CheckpointError(f"corrupt checkpoint {exc}") from None
+    except json.JSONDecodeError as exc:
         raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from None
     kind = type(payload).__name__
     _check(isinstance(payload, dict), path, f"expected a JSON object, got {kind}")
@@ -476,19 +491,18 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     for key in _PAYLOAD_KEYS:
         _check(key in payload, path, f"missing key {key!r}")
     config = _load_encoder_config(payload["encoder_config"], path)
-    for key in ("scheme_classes", "vocab_entries", "seed_lineage"):
+    for key in ("scheme_classes", "vocab_entries", "seed_lineage", "param_names"):
         _check(_is_strings(payload[key]), path, f"{key} must be a JSON list of strings")
     _check(_is_count(payload["step"]), path, "step must be an integer >= 0")
     min_freq = payload["vocab_min_freq"]
     _check(_is_count(min_freq) and min_freq >= 1, path, "vocab_min_freq must be an integer >= 1")
-    extras, arrays, head_kind = payload["head_extras"], payload["arrays"], payload["head_kind"]
+    extras, names, head_kind = payload["head_extras"], payload["param_names"], payload["head_kind"]
     _check(isinstance(extras, dict), path, "head_extras must be a JSON object")
     for key in ("classes", "relation_labels"):
         _check(_is_strings(extras.get(key, [])), path, f"head_extras key {key!r} must be a list")
     classes = sorted(payload["scheme_classes"])  # the span head's w_cls scores these
     ok = sorted(extras.get("classes", classes)) == classes
     _check(ok, path, f"head_extras key 'classes' must hold the scheme's classes {classes}")
-    _check(isinstance(arrays, dict), path, "arrays must be a JSON object")
     known = head_kind in (None, *HEAD_KINDS)
     _check(known, path, f"unknown head_kind {head_kind!r}; expected one of {HEAD_KINDS} or null")
 
@@ -501,7 +515,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             encoder = init_params(config, seed=0)
             head = None if head_kind is None else init_head(head_kind, config, scheme, seed=0)
             relation = None
-            if any(key.startswith("relation/") for key in arrays):
+            if any(name.startswith("relation/") for name in names):
                 labels = extras.get("relation_labels") or RELATION_LABELS
                 relation = init_relation(config.d_model, seed=0, labels=labels)
     except ContractError as exc:
@@ -509,34 +523,27 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if head_kind == "span":
         head.classes = extras.get("classes", scheme.classes)
     named = named_parameters(encoder, head, relation)
-    mismatch = sorted(set(named) ^ set(arrays))
-    _check(not mismatch, path, f"arrays do not match the model: {mismatch}")
-    for key, tensor in named.items():
-        tensor.values = _load_array(arrays[key], tensor.shape, path, f"array {key!r}")
-    model = Model(config, encoder, vocab, scheme, head, relation)  # packs the checked arrays
-    optimizer = _load_optimizer(payload["optimizer"], model.parameters(), path)
+    mismatch = sorted(set(names) ^ set(named)) or "the same names, reordered or repeated"
+    _check(names == list(named), path, f"param_names do not match the model: {mismatch}")
+    layout = T.layout_of(named)
+    values = _decode(payload["params"], layout, 1, path, "params")[0]
+    optimizer = _load_optimizer(payload["optimizer"], layout, path)
+    for tensor, view in zip(named.values(), T.views(layout, values).values()):
+        tensor.values = view
+    model = Model(config, encoder, vocab, scheme, head, relation)  # packs the checked values
     return Checkpoint(model, optimizer, payload["step"], payload["seed_lineage"])
 
 
-def _load_optimizer(section, params: T.FlatParams, path) -> OptimizerState | None:
-    """Adam state from the optimizer section (null for none); ``m`` and ``v``
-    each hold one moment per parameter, or none before the first step (a
-    moment left empty while the other is full starts at zeros)."""
+def _load_optimizer(section, layout: T.Layout, path) -> OptimizerState | None:
+    """Adam state from the optimizer section (null for none): the step count
+    and the moments, or null moments before the first step."""
     if section is None:
         return None
     _check(isinstance(section, dict), path, "optimizer must be a JSON object or null")
-    for key in ("step", "m", "v"):
+    for key in ("step", "moments"):
         _check(key in section, path, f"optimizer is missing key {key!r}")
     _check(_is_count(section["step"]), path, "optimizer step must be an integer >= 0")
-    optimizer = OptimizerState(step=section["step"])
-    for row, name in enumerate(("m", "v")):
-        moments = section[name]
-        _check(isinstance(moments, dict), path, f"optimizer key {name!r} must be a JSON object")
-        mismatch = sorted(set(params) ^ set(moments))
-        keys = f"optimizer {name!r} does not match the parameters: {mismatch}"
-        _check(not moments or not mismatch, path, keys)
-        if moments and optimizer.moments is None:
-            optimizer.layout, optimizer.moments = params.layout, np.zeros((2, params.flat.size))
-        for key, view in T.views(params.layout, optimizer.moments[row]).items() if moments else ():
-            view[...] = _load_array(moments[key], view.shape, path, f"optimizer {name} {key!r}")
+    optimizer = OptimizerState(step=section["step"], layout=layout)
+    if section["moments"] is not None:
+        optimizer.moments = _decode(section["moments"], layout, 2, path, "optimizer moments")
     return optimizer

@@ -33,11 +33,12 @@ from medext.encoder import EncoderConfig, encode, init_params
 from medext.evaluation import f1_from_pr
 from medext.fewshot import CurveConfig, run_curve
 from medext.pipeline import evaluate_split
-from medext.relation_head import entity_pool, init_relation, relation_loss
+from medext.relation_head import init_relation, relation_loss
 from medext.seq2seq_head import init_seq2seq, teacher_forced_loss
 from medext.span_head import init_span, score_all_spans, span_loss
 from medext.tensor import Tensor, finite_diff_check
 from medext.training import PretrainConfig, TrainConfig, pretrain, train
+from oracles import entity_pool
 
 
 @pytest.fixture(scope="module")

@@ -1,12 +1,23 @@
+import base64
 import contextlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from medext import tensor as T
 from medext.cli import DEFAULT_CONFIG, main
 from medext.corpus import TagScheme, load_annotations, load_conll
+
+
+def edit_floats(section: dict, key: str, edit) -> None:
+    """Apply ``edit`` to a copy of the float64 vector held as base64 text in
+    ``section[key]`` (an edit that returns None changes it in place) and
+    write the result back as base64."""
+    floats = np.frombuffer(base64.b64decode(section[key]), dtype="<f8").copy()
+    edited = edit(floats)
+    section[key] = base64.b64encode((floats if edited is None else edited).tobytes()).decode()
 
 
 def run(*argv):
@@ -42,16 +53,30 @@ def trained_model(tmp_path_factory, corpus_files):
 def failing_inputs(tmp_path_factory, corpus_files, trained_model):
     """Inputs that must fail before any work: a copy of the corpus whose
     last sentence (60, in the test split) gains 14 unseen words and whose
-    first gains 70 words, both over max_len; the trained model; and a
-    pretrain-only checkpoint, which has no head."""
+    first gains 70 words, both over max_len; the trained model; a
+    pretrain-only checkpoint, which has no head; tag files of 0, 1 and 5
+    sentences, whose test, train and val splits are empty; and a copy of
+    each kind of input file with one 0xFF byte on its first line."""
     out = tmp_path_factory.mktemp("failing")
     blocks = corpus_files[0].read_text().rstrip("\n").split("\n\n")
-    blocks[0] += "\nqzxvkj\tO" * 70
-    blocks[-1] += "".join(f"\nqzx{letter}vkj\tO" for letter in "abcdefghijklmn")
-    (out / "long.tsv").write_text("\n\n".join(blocks) + "\n")
+    for name, size in (("EMPTY", 0), ("ONE", 1), ("FIVE", 5)):
+        (out / f"{name}.tsv").write_text("".join(f"{b}\n\n" for b in blocks[:size]))
+    long = list(blocks)
+    long[0] += "\nqzxvkj\tO" * 70
+    long[-1] += "".join(f"\nqzx{letter}vkj\tO" for letter in "abcdefghijklmn")
+    (out / "long.tsv").write_text("\n\n".join(long) + "\n")
     assert run("pretrain", "--size", "20", "--steps", "1", "--out", str(out)) == 0
-    return {"LONG": str(out / "long.tsv"), "MODEL": str(trained_model),
-            "HEADLESS": str(out / "encoder.json")}
+    inputs = {"LONG": str(out / "long.tsv"), "MODEL": str(trained_model),
+              "HEADLESS": str(out / "encoder.json"), "TAGS": str(corpus_files[0])}
+    inputs.update({name: str(out / f"{name}.tsv") for name in ("EMPTY", "ONE", "FIVE")})
+    texts = {"TAGS": corpus_files[0], "ANN": corpus_files[1], "MODEL": trained_model,
+             "CONFIG": out / "resolved_config.json", "TEXT": None}
+    for name, source in texts.items():
+        lines = source.read_bytes().split(b"\n") if source else [b"aspirin for pain"] * 2
+        lines[0] = lines[0][:3] + b"\xff" + lines[0][3:]
+        (out / f"bad_{name}").write_bytes(b"\n".join(lines))
+        inputs[f"BAD_{name}"] = str(out / f"bad_{name}")
+    return inputs
 
 
 class TestGenCorpus:
@@ -109,32 +134,42 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda p: p["optimizer"].pop("m"), "optimizer is missing key 'm'"),
+            (lambda p: p["optimizer"].pop("moments"), "optimizer is missing key 'moments'"),
             (lambda p: p["optimizer"].pop("step"), "optimizer is missing key 'step'"),
             (lambda p: p.update(optimizer=[]), "optimizer must be a JSON object"),
             (lambda p: p.update(head_kind="bogus"), "unknown head_kind 'bogus'"),
             (lambda p: p.update(head_extras=[]), "head_extras must be a JSON object"),
+            (lambda p: p.update(format_version=1), "unsupported checkpoint version 1"),
+            (lambda p: p.update(params=[0.0]), "params is not valid base64: argument should"),
+            (lambda p: p.update(params=p["params"][:-2]), "params is not valid base64: Incorrect"),
+            (lambda p: p.update(params="*" + p["params"][1:]), "params is not valid base64: Only"),
+            (lambda p: edit_floats(p, "params", lambda f: f[:-1]), "params holds"),
             (
-                lambda p: p["arrays"]["head/start"].__setitem__(0, "x"),
-                "array 'head/start' must be an array of numbers",
+                lambda p: edit_floats(p, "params", lambda f: f.__setitem__(-1, np.nan)),
+                "params has non-finite values",
             ),
             (
-                lambda p: p["optimizer"]["v"]["head/stop"].__setitem__(0, "x"),
-                "optimizer v 'head/stop' must be an array of numbers",
+                lambda p: edit_floats(p["optimizer"], "moments", lambda f: f.fill(np.inf)),
+                "optimizer moments has non-finite values",
             ),
             (lambda p: p.update(vocab_entries=3), "vocab_entries must be a JSON list of strings"),
             (
-                lambda p: p["optimizer"]["m"].pop("head/trans"),
-                "optimizer 'm' does not match the parameters: ['head/trans']",
+                lambda p: p["param_names"].remove("head/trans"),
+                "param_names do not match the model: ['head/trans']",
             ),
             (
-                lambda p: p["optimizer"]["v"].update(bogus=[0.0]),
-                "optimizer 'v' does not match the parameters: ['bogus']",
+                lambda p: p["param_names"].append("bogus"),
+                "param_names do not match the model: ['bogus']",
             ),
             (
-                lambda p: p["optimizer"]["m"].update({"relation/b": [0.0]}),
-                "optimizer m 'relation/b' has shape (1,), expected",
+                lambda p: p["param_names"].reverse(),
+                "param_names do not match the model: the same names, reordered or repeated",
             ),
+            (
+                lambda p: edit_floats(p["optimizer"], "moments", lambda f: f[:-1]),
+                "optimizer moments holds",
+            ),
+            (lambda p: p["optimizer"].update(moments=7), "optimizer moments is not valid base64"),
             (lambda p: p.update(step="x"), "step must be an integer >= 0"),
             (lambda p: p["optimizer"].update(step=-1), "optimizer step must be an integer >= 0"),
             (
@@ -211,6 +246,15 @@ class TestExitCodes:
             ("fewshot-curve", "--tags", "LONG"),
             ("eval", "--checkpoint", "HEADLESS"),
             ("predict", "--input", "in.txt", "--checkpoint", "HEADLESS"),
+            ("eval", "--checkpoint", "MODEL", "--tags", "EMPTY", "--split", "test"),
+            ("eval", "--checkpoint", "MODEL", "--tags", "FIVE", "--split", "val"),
+            ("pretrain", "--tags", "ONE"),
+            ("train", "--tags", "EMPTY"),
+            ("train", "--config", "BAD_CONFIG"),
+            ("train", "--tags", "BAD_TAGS"),
+            ("train", "--tags", "TAGS", "--annotations", "BAD_ANN"),
+            ("eval", "--checkpoint", "BAD_MODEL"),
+            ("predict", "--checkpoint", "MODEL", "--input", "BAD_TEXT"),
         ],
     )
     def test_failed_run_creates_nothing(self, tmp_path, monkeypatch, capsys, failing_inputs, argv):
@@ -398,6 +442,13 @@ class TestFewshotCurve:
         summary = (out / "curve_summary.csv").read_text().strip().split("\n")
         assert summary[0] == "k,median_f1,min_f1,max_f1"
         assert len(summary) == 3
+
+    def test_corpus_without_entities_exits_1(self, tmp_path, capsys):
+        tags = tmp_path / "plain.tsv"
+        tags.write_text("fever\tO\nnow\tO\n\n" * 20)
+        assert run("fewshot-curve", "--tags", str(tags), "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert "empty support set for k=1" in err and "runtime error" not in err
 
 
 class TestPredict:

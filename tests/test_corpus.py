@@ -131,6 +131,21 @@ class TestConllIO:
         with pytest.raises(ParseError, match="B-Bogus"):
             load_conll(path, scheme)
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_bad_byte_names_file_and_line(self, tmp_path, scheme_d, newline):
+        path = tmp_path / "bytes.tsv"
+        path.write_bytes(newline.join([b"flu\tO", b"", "\u00e9t\u00e9\tO".encode(), b"b\xffd\tO"]))
+        with pytest.raises(ParseError, match=r"bytes.tsv line 4: byte 0xff is not UTF-8"):
+            load_conll(path, scheme_d)
+
+    @pytest.mark.parametrize(
+        "data", [b"a\tO\r\nb\tO\r\rc\tO\r", "\ufeff\u2028x\tO\n".encode(), b""]
+    )
+    def test_read_utf8_matches_read_text(self, tmp_path, data):
+        path = tmp_path / "text.tsv"
+        path.write_bytes(data)
+        assert C.read_utf8(path) == path.read_text(encoding="utf-8")
+
     def test_arity_mismatch(self, tmp_path, scheme_d):
         path = tmp_path / "bad.tsv"
         path.write_text("flu\n")

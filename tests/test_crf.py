@@ -17,6 +17,7 @@ from medext.crf_head import (
 )
 from medext.errors import ContractError, ShapeError
 from medext.tensor import Tensor
+from oracles import logsumexp
 
 
 def setup_function(_):
@@ -110,7 +111,7 @@ class TestLogPartition:
         e = Tensor([[1.5, -0.5]])
         zeros = Tensor(np.zeros(2))
         z = log_partition(e, Tensor(np.zeros((2, 2))), zeros, zeros)
-        expected = T.logsumexp(Tensor([1.5, -0.5])).item()
+        expected = logsumexp(Tensor([1.5, -0.5])).item()
         assert z.item() == pytest.approx(expected, abs=1e-12)
 
     def test_all_zero_params_count_paths(self):

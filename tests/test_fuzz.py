@@ -1,12 +1,16 @@
-"""Property tests for the three loaders: every input loads or raises the
-loader's own error, never a bare Python exception."""
+"""Property tests for the three loaders and the CLI's text inputs: every
+input, down to arbitrary bytes, loads or raises the loader's own error (exit
+1 from the CLI), never a bare Python exception."""
 
+import base64
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from medext.cli import DEFAULT_CONFIG, main
 from medext.corpus import (
     TagScheme,
     generate_synthetic_corpus,
@@ -65,7 +69,7 @@ JSON = st.recursive(
 
 def key_paths(value, prefix=()):
     """Every key path into a JSON value, descending into at most the first
-    two items of a list (checkpoint arrays are long)."""
+    two items of a list (a checkpoint's vocabulary and names are long)."""
     yield prefix
     if isinstance(value, dict):
         for key, item in value.items():
@@ -148,6 +152,112 @@ def test_mutated_checkpoint_loads_or_raises_checkpoint_error(scratch, saved_payl
         except (KeyError, IndexError, TypeError):  # an earlier mutation moved the path
             break
     path = scratch / "mutated.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        pass
+
+
+def splice(data, base: bytes) -> bytes:
+    """Arbitrary bytes, or ``base`` with a drawn range replaced by drawn bytes."""
+    if data.draw(st.booleans()):
+        return data.draw(st.binary(max_size=80))
+    start = data.draw(st.integers(0, len(base)))
+    stop = data.draw(st.integers(start, min(len(base), start + 8)))
+    return base[:start] + data.draw(st.binary(max_size=8)) + base[stop:]
+
+
+@FUZZ
+@given(data=st.data())
+@pytest.mark.parametrize("loader", ["conll", "annotations"])
+def test_bytes_load_or_raise_parse_errors(scratch, loader, data):
+    base = scratch / ("base.tsv" if loader == "conll" else "base.jsonl")
+    path = scratch / f"bytes-{loader}"
+    path.write_bytes(splice(data, base.read_bytes()))
+    try:
+        if loader == "conll":
+            load_conll(path, TagScheme())
+        else:
+            load_annotations(load_conll(scratch / "base.tsv", TagScheme()), path)
+    except (ParseError, ValidationError):
+        pass
+
+
+@FUZZ
+@given(data=st.data())
+def test_checkpoint_bytes_load_or_raise_checkpoint_error(scratch, saved_payload, data):
+    path = scratch / "bytes-checkpoint.json"
+    path.write_bytes(splice(data, (scratch / "model.json").read_bytes()))
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        pass
+
+
+@FUZZ
+@given(data=st.data())
+def test_predict_input_bytes_never_exit_2(scratch, saved_payload, data):
+    path = scratch / "predict-input.txt"
+    path.write_bytes(splice(data, b"aspirin for fever\n\nrash of pain\n"))
+    out = scratch / "predicted.jsonl"
+    argv = ["predict", "--checkpoint", str(scratch / "model.json"), "--input", str(path)]
+    assert main([*argv, "--out-file", str(out)]) in (0, 1)
+
+
+@FUZZ
+@given(data=st.data())
+def test_config_file_bytes_never_exit_2(scratch, data):
+    path = scratch / "config.json"
+    path.write_bytes(splice(data, json.dumps(DEFAULT_CONFIG).encode()))
+    argv = ["gen-corpus", "--config", str(path), "--size", "0", "--out", str(scratch / "gen")]
+    assert main(argv) in (0, 1)
+
+
+def edit_vector(text: str, data) -> str:
+    """The base64 text of a float64 vector, cut, with a character put in,
+    with one value replaced, or replaced by the base64 of drawn bytes."""
+    how = data.draw(st.sampled_from(["cut", "char", "value", "bytes"]))
+    if how == "cut":
+        return text[: data.draw(st.integers(0, len(text)))]
+    if how == "char":
+        at = data.draw(st.integers(0, len(text)))
+        return text[:at] + data.draw(st.characters(blacklist_categories=("Cs",))) + text[at:]
+    if how == "value":
+        floats = np.frombuffer(base64.b64decode(text), dtype="<f8").copy()
+        floats[data.draw(st.integers(0, floats.size - 1))] = data.draw(st.floats())
+        return base64.b64encode(floats.tobytes()).decode()
+    return base64.b64encode(data.draw(st.binary(max_size=64))).decode()
+
+
+def edit_names(names: list, data) -> list:
+    """``names`` with one name removed, doubled, swapped with the next or renamed."""
+    names, at = list(names), data.draw(st.integers(0, len(names) - 2))
+    how = data.draw(st.sampled_from(["remove", "double", "swap", "rename"]))
+    if how == "remove":
+        del names[at]
+    elif how == "double":
+        names.insert(at, names[at])
+    elif how == "swap":
+        names[at], names[at + 1] = names[at + 1], names[at]
+    else:
+        names[at] = data.draw(TEXT)
+    return names
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_flat_vectors_load_or_raise_checkpoint_error(scratch, saved_payload, data):
+    payload = json.loads(json.dumps(saved_payload[0]))
+    fields = st.sets(st.sampled_from(["params", "moments", "param_names"]), min_size=1)
+    for field in data.draw(fields):
+        if field == "param_names":
+            payload[field] = edit_names(payload[field], data)
+        elif field == "params":
+            payload[field] = edit_vector(payload[field], data)
+        else:
+            payload["optimizer"]["moments"] = edit_vector(payload["optimizer"]["moments"], data)
+    path = scratch / "mutated-vectors.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     try:
         load_checkpoint(path)

@@ -7,13 +7,13 @@ from medext import tensor as T
 from medext.corpus import RELATION_LABELS, EntitySpan
 from medext.errors import ContractError
 from medext.relation_head import (
-    entity_pool,
     init_relation,
     pair_logits,
     predict_relations,
     relation_loss,
 )
 from medext.tensor import Tensor
+from oracles import entity_pool
 
 
 def setup_function(_):

@@ -25,7 +25,7 @@ from medext.crf_head import CRFParams, emissions, sequence_score
 from medext.encoder import EncoderConfig, encode, init_params, mlm_step
 from medext.errors import CheckpointError, ContractError
 from medext.pipeline import EVAL_CHUNK, encode_words, evaluate_split
-from medext.relation_head import entity_pool, relation_loss
+from medext.relation_head import relation_loss
 from medext.seq2seq_head import teacher_forced_loss
 from medext.span_head import SpanHeadParams, score_all_spans, span_loss
 from medext.tensor import Tensor
@@ -41,6 +41,7 @@ from medext.training import (
     save_checkpoint,
     train,
 )
+from oracles import entity_pool, logsumexp, logsumexp_rows
 
 
 def small_corpus(size=20, seed=1):
@@ -242,7 +243,7 @@ class TestFlatAdam:
         ckpt = train(small_corpus(), TrainConfig(steps=0))
         assert ckpt.optimizer.m == {} and ckpt.optimizer.moments is None
         save_checkpoint(ckpt, path)
-        assert json.loads(path.read_text())["optimizer"] == {"m": {}, "step": 0, "v": {}}
+        assert json.loads(path.read_text())["optimizer"] == {"moments": None, "step": 0}
         assert load_checkpoint(path).optimizer.moments is None
 
 
@@ -427,8 +428,8 @@ def oracle_log_partition(e, trans, start, stop):
     alpha = T.add(start, T.gather(e, 0))
     trans_t = T.transpose(trans)
     for i in range(1, e.shape[0]):
-        alpha = T.add(T.gather(e, i), T.logsumexp_rows(T.add_rowwise(trans_t, alpha)))
-    return T.logsumexp(T.add(alpha, stop))
+        alpha = T.add(T.gather(e, i), logsumexp_rows(T.add_rowwise(trans_t, alpha)))
+    return logsumexp(T.add(alpha, stop))
 
 
 def per_sentence_losses(model, sentences, seeds, lambda_re, dropping):
@@ -628,6 +629,28 @@ class TestCheckpointIO:
         for key, value in ckpt.optimizer.m.items():
             assert np.array_equal(value, loaded.optimizer.m[key])
 
+    @pytest.mark.parametrize("kind", ["encoder", "crf", "span", "seq2seq"])
+    @pytest.mark.parametrize("steps", [0, 3])
+    def test_every_kind_round_trips_bitwise(self, tmp_path, kind, steps):
+        corpus = small_corpus()
+        if kind == "encoder":
+            ckpt = pretrain(corpus, PretrainConfig(steps=steps, batch_size=4, seed=2))
+        else:
+            ckpt = train(corpus, TrainConfig(steps=steps, head=kind, seed=2))
+        path = tmp_path / "model.json"
+        save_checkpoint(ckpt, path)
+        loaded = load_checkpoint(path)
+        assert json.loads(path.read_text())["format_version"] == 2
+        assert loaded.model.head_kind == ckpt.model.head_kind
+        assert loaded.model.parameters().layout == ckpt.model.parameters().layout
+        assert loaded.model.parameters().flat.tobytes() == ckpt.model.parameters().flat.tobytes()
+        if steps == 0:
+            assert loaded.optimizer.moments is None
+        else:
+            assert loaded.optimizer.moments.tobytes() == ckpt.optimizer.moments.tobytes()
+            assert loaded.optimizer.moments.flags.writeable
+        assert (loaded.step, loaded.seed_lineage) == (ckpt.step, ckpt.seed_lineage)
+
     def test_truncated_file_rejected(self, tmp_path):
         corpus = small_corpus()
         path = tmp_path / "model.json"
@@ -637,13 +660,16 @@ class TestCheckpointIO:
             load_checkpoint(path)
 
     def test_shape_mismatch_names_the_key(self, tmp_path):
+        # a d_ff that disagrees with the stored bytes: the layout needs more
+        # floats than the data holds, and the last parameter no longer fits
         corpus = small_corpus()
         path = tmp_path / "model.json"
         save_checkpoint(train(corpus, TrainConfig(steps=1, seed=0)), path)
         payload = json.loads(path.read_text())
-        payload["arrays"]["head/trans"] = [[0.0]]  # wrong shape for K tags
+        payload["encoder_config"]["d_ff"] += 1
         path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointError, match="head/trans"):
+        message = r"params holds \d+ bytes, expected \d+; the data ends inside 'relation/w'"
+        with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
