@@ -153,17 +153,20 @@ class TestExitCodes:
                 "optimizer moments has non-finite values",
             ),
             (lambda p: p.update(vocab_entries=3), "vocab_entries must be a JSON list of strings"),
-            (
+            pytest.param(
                 lambda p: p["param_names"].remove("head/trans"),
                 "param_names do not match the model: ['head/trans']",
+                id="param_names-missing-name",
             ),
-            (
+            pytest.param(
                 lambda p: p["param_names"].append("bogus"),
                 "param_names do not match the model: ['bogus']",
+                id="param_names-unknown-name",
             ),
-            (
+            pytest.param(
                 lambda p: p["param_names"].reverse(),
                 "param_names do not match the model: the same names, reordered or repeated",
+                id="param_names-reordered",
             ),
             (
                 lambda p: edit_floats(p["optimizer"], "moments", lambda f: f[:-1]),
