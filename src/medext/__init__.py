@@ -23,7 +23,7 @@ from .corpus import (
     tags_to_spans,
     tokenize_subword,
 )
-from .encoder import EncoderConfig, attention, encode, init_params, mlm_step
+from .encoder import EncoderConfig, encode, init_params, mlm_step
 from .evaluation import EvalReport, entity_prf, f1_from_pr, relation_prf
 from .fewshot import CurveConfig, Episode, run_curve, sample_k_shot
 from .pipeline import Model, evaluate_split
@@ -57,7 +57,6 @@ __all__ = [
     "Token",
     "TrainConfig",
     "Vocab",
-    "attention",
     "backward",
     "build_vocab",
     "encode",

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 validation/config error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -409,7 +410,9 @@ def cmd_predict(config: dict, args) -> int:
 # argument parsing
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one parser of the process: ``parse_args`` does not change it."""
     parser = _Parser(prog="medext", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

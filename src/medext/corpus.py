@@ -267,7 +267,7 @@ def load_conll(path: str | Path, scheme: TagScheme) -> Corpus:
         try:
             spans = tags_to_spans(tags, scheme, mode="strict")
         except ValidationError as exc:
-            raise ValidationError(f"sentence ending at line {line_no}: {exc}") from None
+            raise ValidationError(f"{path} sentence ending at line {line_no}: {exc}") from None
         sentences.append(Sentence(list(tokens), list(tags), spans))
         tokens.clear()
         tags.clear()
@@ -278,12 +278,12 @@ def load_conll(path: str | Path, scheme: TagScheme) -> Corpus:
             continue
         fields = line.split("\t")
         if len(fields) != 2 or not fields[0]:
-            raise ParseError(f"line {line_no}: expected 'token<TAB>tag', got {line!r}")
+            raise ParseError(f"{path} line {line_no}: expected 'token<TAB>tag', got {line!r}")
         surface, tag_name = fields
         try:
             tag = scheme.tag_index(tag_name)
         except ParseError:
-            raise ParseError(f"line {line_no}: unknown tag {tag_name!r}") from None
+            raise ParseError(f"{path} line {line_no}: unknown tag {tag_name!r}") from None
         tokens.append(Token(surface))
         tags.append(tag)
     flush(len(text.split("\n")))
@@ -306,7 +306,7 @@ def load_annotations(corpus: Corpus, path: str | Path) -> Corpus:
     lines = [ln for ln in read_utf8(path).split("\n") if ln.strip()]
     if len(lines) != len(corpus.sentences):
         raise ParseError(
-            f"annotation file has {len(lines)} records for {len(corpus.sentences)} sentences"
+            f"annotation file {path} has {len(lines)} records for {len(corpus.sentences)} sentences"
         )
     sentences = []
     for i, (line, sentence) in enumerate(zip(lines, corpus.sentences)):
@@ -384,7 +384,8 @@ def save_annotations(corpus: Corpus, path: str | Path) -> None:
 
 
 class Vocab:
-    """Ordered subword inventory with fixed reserved entries."""
+    """Ordered subword inventory with fixed reserved entries.  It memoizes
+    ``tokenize_subword``, so each surface is segmented once per vocab."""
 
     def __init__(self, entries: Sequence[str], min_freq: int = 1):
         if tuple(entries[:4]) != RESERVED_ENTRIES:
@@ -395,6 +396,7 @@ class Vocab:
         self.min_freq = min_freq
         self._index = {entry: i for i, entry in enumerate(self.entries)}
         self._max_piece = max((len(e) for e in self.entries[4:]), default=0)
+        self._pieces: dict[str, list[int]] = {}
 
     def index(self, entry: str) -> int | None:
         return self._index.get(entry)
@@ -435,7 +437,16 @@ def build_vocab(corpus: Corpus | Iterable[Sentence], min_freq: int = 1) -> Vocab
 
 
 def tokenize_subword(surface: str, vocab: Vocab) -> list[int]:
-    """Greedy longest-match segmentation; unknown characters map to [UNK]."""
+    """Greedy longest-match segmentation; unknown characters map to [UNK].
+    Memoized per vocab; every call returns a new list."""
+    ids = vocab._pieces.get(surface)
+    if ids is None:
+        ids = vocab._pieces[surface] = _segment(surface, vocab)
+    return list(ids)
+
+
+def _segment(surface: str, vocab: Vocab) -> list[int]:
+    """``tokenize_subword`` without the memo."""
     reserved = vocab.index(surface)
     if surface in RESERVED_ENTRIES and reserved is not None:
         return [reserved]
@@ -459,20 +470,10 @@ def tokenize_subword(surface: str, vocab: Vocab) -> list[int]:
 
 
 def tokenize_corpus(corpus: Corpus, vocab: Vocab) -> Corpus:
-    """Fill every token's subword_ids; returns a new corpus.
-
-    Each distinct surface is segmented once per call; every token still gets
-    its own list.
-    """
-    pieces: dict[str, list[int]] = {}
+    """Fill every token's subword_ids; returns a new corpus."""
     sentences = []
     for sentence in corpus.sentences:
-        tokens = []
-        for t in sentence.tokens:
-            ids = pieces.get(t.surface)
-            if ids is None:
-                ids = pieces[t.surface] = tokenize_subword(t.surface, vocab)
-            tokens.append(Token(t.surface, list(ids)))
+        tokens = [Token(t.surface, tokenize_subword(t.surface, vocab)) for t in sentence.tokens]
         sentences.append(replace(sentence, tokens=tokens))
     return Corpus(sentences, corpus.scheme, list(corpus.splits))
 

@@ -3,8 +3,8 @@
 Scores a tag sequence as start + emissions + adjacent-tag transitions + stop,
 normalizes with the exact forward algorithm in log space (one fused tape op
 per batch, whose backward is the forward-backward marginals), and decodes
-with Viterbi.  ``brute_force_oracle`` enumerates every sequence and exists
-purely to cross-check the dynamic programs.
+with Viterbi.  The tests check both dynamic programs against enumerating
+every sequence.
 
 All transitions are permitted: BIO validity is learned, not hard-coded, and
 repair-mode span decoding handles any residual violations downstream.
@@ -12,7 +12,6 @@ repair-mode span decoding handles any residual violations downstream.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -121,11 +120,6 @@ def log_partition_batch(
     return T.record_op(log_z, (e, trans, start, stop), rule)
 
 
-def log_partition(e: Tensor, trans: Tensor, start: Tensor, stop: Tensor) -> Tensor:
-    """Exact log of the summed exponentiated scores over all K^n sequences."""
-    return T.sum_all(log_partition_batch(e, [_check_sequence(e)], trans, start, stop))
-
-
 def sequence_score(
     e: Tensor,
     trans: Tensor,
@@ -161,7 +155,7 @@ def crf_nll(
     y: Sequence[int],
     lengths: Sequence[int] | None = None,
 ) -> Tensor:
-    """Negative log-likelihood: log_partition - sequence_score(y); always >= 0.
+    """Negative log-likelihood: log partition - sequence_score(y); always >= 0.
 
     With ``lengths``, ``e`` and ``y`` pack several sentences and the result
     is the mean of their NLLs.
@@ -191,33 +185,3 @@ def viterbi(
         tags.append(int(backptr[i, tags[-1]]))
     tags.reverse()
     return tags, float(final[best])
-
-
-def brute_force_oracle(
-    e: Tensor, trans: Tensor, start: Tensor, stop: Tensor
-) -> tuple[float, list[int], float]:
-    """Exhaustive (log partition, best sequence, best score) over all sequences.
-
-    The best-sequence tie break minimizes (yn, ..., y1) lexicographically,
-    which is exactly what backpointer decoding with lowest-index argmax does.
-    """
-    n = _check_sequence(e)
-    k = e.shape[1]
-    if k**n > 100_000:
-        raise ContractError(f"brute force over {k}^{n} sequences is too large")
-    ev, tv, sv, pv = e.values, trans.values, start.values, stop.values
-    scores = []
-    best_seq: tuple[int, ...] | None = None
-    best_score = -np.inf
-    for seq in itertools.product(range(k), repeat=n):
-        score = sv[seq[0]] + pv[seq[-1]] + sum(ev[i, t] for i, t in enumerate(seq))
-        score += sum(tv[a, b] for a, b in zip(seq, seq[1:]))
-        scores.append(score)
-        if score > best_score or (
-            score == best_score and tuple(reversed(seq)) < tuple(reversed(best_seq))
-        ):
-            best_score, best_seq = score, seq
-    arr = np.array(scores)
-    m = arr.max()
-    log_z = float(m + np.log(np.exp(arr - m).sum()))
-    return log_z, list(best_seq), float(best_score)

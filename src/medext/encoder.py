@@ -10,7 +10,6 @@ positions and score the model's reconstruction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -19,7 +18,7 @@ import numpy as np
 from . import tensor as T
 from .corpus import MASK
 from .errors import ContractError
-from .tensor import MASK_BIAS, Params, Tensor, param, xavier
+from .tensor import Params, Tensor, param, xavier
 
 
 @dataclass(frozen=True)
@@ -108,42 +107,12 @@ def init_params(config: EncoderConfig, seed: int) -> EncoderParams:
     return params
 
 
-def attention(
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
-    mask: Sequence[bool] | None = None,
-    return_weights: bool = False,
-):
-    """Scaled dot-product attention: softmax(q kᵀ / sqrt(d_k)) v.
-
-    ``mask`` flags visible positions; masked (False) positions receive a
-    -1e9 score bias so their attention weight underflows to zero.
-    """
-    n, d_k = q.shape
-    if k.shape != (n, d_k) or v.shape[0] != n:
-        raise ContractError(f"attention: shapes {q.shape}, {k.shape}, {v.shape} disagree")
-    scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(d_k))
-    if mask is not None:
-        visible = np.asarray(mask, dtype=bool)
-        if visible.shape != (n,):
-            raise ContractError(f"mask length {visible.shape} does not match n={n}")
-        if not visible.any():
-            raise ContractError("attention requires at least one unmasked position")
-        bias = np.where(visible, 0.0, MASK_BIAS)
-        scores = T.add(scores, Tensor(np.tile(bias, (n, 1))))
-    weights = T.softmax_rows(scores)
-    out = T.matmul(weights, v)
-    return (out, weights) if return_weights else out
-
-
 def encode_batch(
     seqs: Sequence[Sequence[int]],
     params: EncoderParams,
     config: EncoderConfig,
     training: bool = False,
     dropout_seeds: Sequence[int] | None = None,
-    attn_sink: list | None = None,
 ) -> Tensor:
     """Run the encoder stack over a batch of subword-id sequences in one pass.
 
@@ -153,8 +122,7 @@ def encode_batch(
     one-sequence call gives.  Each sequence is checked against ``max_len``
     on its own.  Deterministic when ``training`` is false; dropout requires
     one seed per sequence, and each sequence draws its masks from its own
-    generator.  ``attn_sink``, when given, collects every attention weight
-    matrix, per layer, per sequence, per head (diagnostics only).
+    generator.
     """
     lengths = [len(ids) for ids in seqs]
     if not lengths:
@@ -183,7 +151,6 @@ def encode_batch(
             T.matmul(x, layer.w_v),
             lengths,
             config.heads,
-            sink=attn_sink,
         )
         attn = T.matmul(attn, layer.w_o)
         if dropping:
@@ -204,13 +171,11 @@ def encode(
     config: EncoderConfig,
     training: bool = False,
     dropout_seed: int | None = None,
-    attn_sink: list | None = None,
 ) -> Tensor:
     """Run the full encoder stack over one subword-id sequence -> [n, d_model]."""
     return encode_batch(
         [ids], params, config, training=training,
         dropout_seeds=None if dropout_seed is None else [dropout_seed],
-        attn_sink=attn_sink,
     )
 
 

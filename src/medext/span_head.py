@@ -106,23 +106,6 @@ def score_all_spans(
     return SpanTable(logits, starts, ends, np.repeat(np.arange(sizes.size), counts))
 
 
-def span_loss(
-    table: SpanTable,
-    gold: Sequence[EntitySpan],
-    classes: Sequence[str],
-    neg_ratio: float = 3.0,
-    seed: int = 0,
-) -> Tensor:
-    """Mean cross-entropy over gold-labeled candidates with subsampled negatives.
-
-    Null candidates are cut down to at most neg_ratio * max(1, positives),
-    chosen by a seeded draw so training steps stay reproducible.  Gold spans
-    wider than the candidate cap cannot be matched and are dropped with a
-    warning.
-    """
-    return batch_span_loss(table, [gold], classes, [seed], neg_ratio)
-
-
 def batch_span_loss(
     table: SpanTable,
     golds: Sequence[Sequence[EntitySpan]],
@@ -130,14 +113,18 @@ def batch_span_loss(
     seeds: Sequence[int],
     neg_ratio: float = 3.0,
 ) -> Tensor:
-    """Mean over sentences of each one's ``span_loss``, from one table.
+    """Mean over sentences of each one's cross-entropy over its gold-labeled
+    candidates with subsampled negatives, from one table.
 
-    Each sentence keeps its own seeded negative subsampling; its retained
-    rows are weighted 1 / (B * retained), and all of them are taken with one
-    gather into one weighted cross-entropy.
+    A sentence's null candidates are cut down to at most neg_ratio *
+    max(1, positives) by a draw from its own seed, so training steps stay
+    reproducible.  Gold spans wider than the candidate cap cannot be matched
+    and are dropped with a warning.  A sentence's retained rows are weighted
+    1 / (B * retained), and all of them are taken with one gather into one
+    weighted cross-entropy.
     """
     if not len(table):
-        raise ContractError("span_loss requires at least one candidate")
+        raise ContractError("batch_span_loss requires at least one candidate")
     class_index = {cls: c + 1 for c, cls in enumerate(classes)}
     bounds = np.searchsorted(table.sentence, np.arange(len(golds) + 1)).tolist()
     picked: list[int] = []
@@ -146,7 +133,7 @@ def batch_span_loss(
     for b, (gold, seed) in enumerate(zip(golds, seeds)):
         lo, hi = bounds[b], bounds[b + 1]
         if lo == hi:
-            raise ContractError("span_loss requires at least one candidate")
+            raise ContractError("batch_span_loss requires at least one candidate")
         rows = list(zip(table.starts[lo:hi].tolist(), table.ends[lo:hi].tolist()))
         max_width = max(end - start + 1 for start, end in rows)
         gold_by_bounds = {}

@@ -293,28 +293,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return record_op(a.values @ b.values, (a, b), lambda g: (g @ b.values.T, a.values.T @ g))
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.values.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got shape {a.shape}")
-    return record_op(a.values.T, (a,), lambda g: (g.T,))
-
-
 # ---------------------------------------------------------------------------
-# softmax / log-sum-exp family (all max-shifted for stability)
-
-
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax of an m-by-n matrix; each output row sums to 1."""
-    if a.values.ndim != 2 or a.shape[1] < 1:
-        raise ShapeError(f"softmax_rows expects a nonempty matrix, got {a.shape}")
-    shifted = a.values - a.values.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
-
-    def rule(g):
-        return (p * (g - (g * p).sum(axis=1, keepdims=True)),)
-
-    return record_op(p, (a,), rule)
+# normalization and attention (softmaxes max-shifted for stability)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -366,7 +346,6 @@ def segment_attention(
     v: Tensor,
     lengths: Sequence[int],
     heads: int,
-    sink: list | None = None,
 ) -> Tensor:
     """Multi-head scaled dot-product attention within each segment of packed rows.
 
@@ -378,8 +357,6 @@ def segment_attention(
     One tape record for all segments and heads.  The segments are padded to
     [B, heads, L_max, d_k] inside the op and padded key columns get a
     MASK_BIAS score, so the work is B·heads·L_max², not (sum(lengths))².
-    ``sink``, when given, receives each segment's per-head weight matrices
-    as constant tensors, segment by segment.
     """
     if q.values.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
         raise ShapeError(f"segment_attention: shapes {q.shape}, {k.shape}, {v.shape} disagree")
@@ -403,9 +380,6 @@ def segment_attention(
     scores = np.where(visible[:, None, None, :], (qp @ kp.swapaxes(-1, -2)) * c, MASK_BIAS)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
-    if sink is not None:
-        for b, n in enumerate(sizes):
-            sink.extend(Tensor(p[b, h, :n, :n]) for h in range(heads))
 
     def rule(g):
         gp = pad(g)

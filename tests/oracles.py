@@ -1,12 +1,46 @@
 """Reference ops that tests compare the package against.  The package never
 calls them: its CRF runs the fused forward-backward op, its losses the fused
-cross-entropy, and its relation head pools entities with ``range_means``."""
+cross-entropy, its encoder the packed multi-head ``segment_attention``, and
+its relation head pools entities with ``range_means``."""
+
+import itertools
+import math
 
 import numpy as np
 
+from medext import tensor as T
 from medext.corpus import EntitySpan
 from medext.errors import ContractError, ShapeError
 from medext.tensor import Tensor, gather, record_op
+
+
+def transpose(a: Tensor) -> Tensor:
+    if a.values.ndim != 2:
+        raise ShapeError(f"transpose expects a matrix, got shape {a.shape}")
+    return record_op(a.values.T, (a,), lambda g: (g.T,))
+
+
+def softmax_rows(a: Tensor) -> Tensor:
+    """Row-wise softmax of an m-by-n matrix; each output row sums to 1."""
+    if a.values.ndim != 2 or a.shape[1] < 1:
+        raise ShapeError(f"softmax_rows expects a nonempty matrix, got {a.shape}")
+    shifted = a.values - a.values.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    p = e / e.sum(axis=1, keepdims=True)
+
+    def rule(g):
+        return (p * (g - (g * p).sum(axis=1, keepdims=True)),)
+
+    return record_op(p, (a,), rule)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """Scaled dot-product attention over one sequence: softmax(q kᵀ / sqrt(d_k)) v."""
+    n, d_k = q.shape
+    if k.shape != (n, d_k) or v.shape[0] != n:
+        raise ContractError(f"attention: shapes {q.shape}, {k.shape}, {v.shape} disagree")
+    scores = T.scale(T.matmul(q, transpose(k)), 1.0 / math.sqrt(d_k))
+    return T.matmul(softmax_rows(scores), v)
 
 
 def logsumexp(a: Tensor) -> Tensor:
@@ -43,3 +77,35 @@ def entity_pool(h: Tensor, span: EntitySpan) -> Tensor:
     if not 0 <= span.start <= span.end < h.shape[0]:
         raise ContractError(f"span {span} out of range for {h.shape[0]} positions")
     return mean0(gather(h, slice(span.start, span.end + 1)))
+
+
+def brute_force_oracle(
+    e: Tensor, trans: Tensor, start: Tensor, stop: Tensor
+) -> tuple[float, list[int], float]:
+    """Exhaustive (log partition, best sequence, best score) of a linear-chain
+    CRF over all K^n tag sequences.
+
+    The best-sequence tie break minimizes (yn, ..., y1) lexicographically,
+    which is exactly what backpointer decoding with lowest-index argmax does.
+    """
+    n, k = e.shape
+    if n < 1:
+        raise ContractError("CRF requires at least one position")
+    if k**n > 100_000:
+        raise ContractError(f"brute force over {k}^{n} sequences is too large")
+    ev, tv, sv, pv = e.values, trans.values, start.values, stop.values
+    scores = []
+    best_seq: tuple[int, ...] | None = None
+    best_score = -np.inf
+    for seq in itertools.product(range(k), repeat=n):
+        score = sv[seq[0]] + pv[seq[-1]] + sum(ev[i, t] for i, t in enumerate(seq))
+        score += sum(tv[a, b] for a, b in zip(seq, seq[1:]))
+        scores.append(score)
+        if score > best_score or (
+            score == best_score and tuple(reversed(seq)) < tuple(reversed(best_seq))
+        ):
+            best_score, best_seq = score, seq
+    arr = np.array(scores)
+    m = arr.max()
+    log_z = float(m + np.log(np.exp(arr - m).sum()))
+    return log_z, list(best_seq), float(best_score)

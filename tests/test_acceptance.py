@@ -21,24 +21,17 @@ from medext.corpus import (
     spans_to_tags,
     tags_to_spans,
 )
-from medext.crf_head import (
-    brute_force_oracle,
-    crf_nll,
-    emissions,
-    init_crf,
-    log_partition,
-    viterbi,
-)
+from medext.crf_head import crf_nll, emissions, init_crf, log_partition_batch, viterbi
 from medext.encoder import EncoderConfig, encode, init_params
 from medext.evaluation import f1_from_pr
 from medext.fewshot import CurveConfig, run_curve
 from medext.pipeline import evaluate_split
 from medext.relation_head import init_relation, relation_loss
 from medext.seq2seq_head import init_seq2seq, teacher_forced_loss
-from medext.span_head import init_span, score_all_spans, span_loss
+from medext.span_head import batch_span_loss, init_span, score_all_spans
 from medext.tensor import Tensor, finite_diff_check
 from medext.training import PretrainConfig, TrainConfig, pretrain, train
-from oracles import entity_pool
+from oracles import brute_force_oracle, entity_pool
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +62,8 @@ def test_criterion_1_crf_oracle_equivalence():
     checked = 0
     for e, trans, start, stop in oracle_instances():
         log_z, best, best_score = brute_force_oracle(e, trans, start, stop)
-        assert abs(log_partition(e, trans, start, stop).item() - log_z) < 1e-10
+        z = log_partition_batch(e, [e.shape[0]], trans, start, stop).sum()
+        assert abs(z.item() - log_z) < 1e-10
         tags, score = viterbi(e, trans, start, stop)
         assert tags == best
         assert abs(score - best_score) < 1e-10
@@ -105,7 +99,7 @@ def test_criterion_2_gradient_suite():
     span = init_span(config.d_model, scheme.classes, seed=12, max_width=2, d_w=4)
     check(
         "span", span,
-        lambda h: span_loss(score_all_spans(h, span), spans, span.classes, seed=0),
+        lambda h: batch_span_loss(score_all_spans(h, span), [spans], span.classes, [0]),
     )
 
     seq = init_seq2seq(config.d_model, scheme.num_tags, seed=13, d_t=4)

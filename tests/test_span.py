@@ -12,7 +12,6 @@ from medext.span_head import (
     decode_spans,
     init_span,
     score_all_spans,
-    span_loss,
     subsample_negatives,
 )
 from medext.tensor import Tensor
@@ -115,12 +114,12 @@ class TestSpanLoss:
         params.w_cls.values[:] = 0.0
         params.width_emb.values[:] = 0.0
         candidates = score_all_spans(make_h(3), params)
-        loss = span_loss(candidates, [], CLASSES, neg_ratio=3.0, seed=0)
+        loss = batch_span_loss(candidates, [[]], CLASSES, [0], neg_ratio=3.0)
         assert loss.item() == pytest.approx(math.log(3.0), abs=1e-12)  # ln(C+1)
 
     def test_near_one_hot_correct(self):
         candidates = table((0, 0, [-30.0, 30.0, -30.0]))
-        loss = span_loss(candidates, [EntitySpan(0, 0, "A")], CLASSES)
+        loss = batch_span_loss(candidates, [[EntitySpan(0, 0, "A")]], CLASSES, [0])
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_retained_budget_example(self):
@@ -132,7 +131,7 @@ class TestSpanLoss:
         params = init_span(6, CLASSES, seed=0, max_width=2)
         candidates = score_all_spans(make_h(5), params)
         with caplog.at_level("WARNING"):
-            span_loss(candidates, [EntitySpan(0, 3, "A")], CLASSES, seed=0)
+            batch_span_loss(candidates, [[EntitySpan(0, 3, "A")]], CLASSES, [0])
         assert "wider than max_width" in caplog.text
 
     def test_gradient(self):
@@ -141,7 +140,7 @@ class TestSpanLoss:
         gold = [EntitySpan(1, 2, "B")]
 
         def f():
-            return span_loss(score_all_spans(h, params), gold, CLASSES, seed=1)
+            return batch_span_loss(score_all_spans(h, params), [gold], CLASSES, [1])
 
         err = T.finite_diff_check(f, [h, params.width_emb, params.w_cls, params.b_cls])
         assert err < 1e-4
@@ -195,7 +194,7 @@ class TestDecodeSpans:
 class TestContracts:
     def test_empty_candidates_rejected(self):
         with pytest.raises(ContractError):
-            span_loss(table(), [], CLASSES)
+            batch_span_loss(table(), [[]], CLASSES, [0])
 
     def test_max_width_one_allowed(self):
         params = init_span(6, CLASSES, seed=0, max_width=1)
@@ -249,7 +248,7 @@ class TestPackedTable:
         alone = []
         for b, (gold, seed) in enumerate(zip(golds, seeds)):
             table = score_all_spans(Tensor(h.values[offsets[b] : offsets[b + 1]]), params)
-            alone.append(span_loss(table, gold, CLASSES, seed=seed).item())
+            alone.append(batch_span_loss(table, [gold], CLASSES, [seed]).item())
         assert batch.item() == pytest.approx(np.mean(alone), rel=1e-12)
 
     def test_batch_loss_gradient(self):

@@ -27,7 +27,7 @@ from medext.errors import CheckpointError, ContractError
 from medext.pipeline import EVAL_CHUNK, encode_words, evaluate_split
 from medext.relation_head import relation_loss
 from medext.seq2seq_head import teacher_forced_loss
-from medext.span_head import SpanHeadParams, score_all_spans, span_loss
+from medext.span_head import SpanHeadParams, batch_span_loss, score_all_spans
 from medext.tensor import Tensor
 from medext.training import (
     OptimizerState,
@@ -41,7 +41,7 @@ from medext.training import (
     save_checkpoint,
     train,
 )
-from oracles import entity_pool, logsumexp, logsumexp_rows
+from oracles import entity_pool, logsumexp, logsumexp_rows, transpose
 
 
 def small_corpus(size=20, seed=1):
@@ -426,7 +426,7 @@ def per_sentence_words(model, sentences, training=False, dropout_seeds=None):
 def oracle_log_partition(e, trans, start, stop):
     """The per-word forward recursion that the fused CRF op replaced."""
     alpha = T.add(start, T.gather(e, 0))
-    trans_t = T.transpose(trans)
+    trans_t = transpose(trans)
     for i in range(1, e.shape[0]):
         alpha = T.add(T.gather(e, i), logsumexp_rows(T.add_rowwise(trans_t, alpha)))
     return logsumexp(T.add(alpha, stop))
@@ -448,7 +448,7 @@ def per_sentence_losses(model, sentences, seeds, lambda_re, dropping):
             ))
         elif isinstance(head, SpanHeadParams):
             table = score_all_spans(h, head)
-            terms.append(span_loss(table, sentence.spans, head.classes, seed=seed))
+            terms.append(batch_span_loss(table, [sentence.spans], head.classes, [seed]))
         else:
             terms.append(teacher_forced_loss(h, sentence.tags, head))
         if lambda_re > 0.0 and len(sentence.spans) >= 2:
