@@ -47,6 +47,37 @@ PREDICT_INPUT = "\n".join(
     ["aspirin for fever", "", "   ", "pain of rash after ibuprofen", "qzx " * 70, "rash", ""]
 )
 HEADS = ("crf", "span", "seq2seq")
+# A hand-written corpus in an awkward layout: CRLF line ends, separator lines
+# of spaces and tabs, repeated blank lines, no final newline; the annotation
+# records end in CRLF, blank lines come between them, and the last lists its
+# spans out of order.
+AWKWARD = ["--tags", "awkward/corpus.tsv", "--annotations", "awkward/annotations.jsonl"]
+AWKWARD_TAGS = "\r\n".join([
+    "the\tO", "patient\tO", "had\tO", "severe\tB-Modifier", "anemia\tI-Modifier", " \t ",
+    "asthma\tB-Specific", "causes\tO", "chronic\tB-Modifier", "fatigue\tI-Modifier", "", "",
+    "no\tO", "findings\tO", "\t",
+    "lung\tB-Specific", "cancer\tI-Specific", "treats\tO", "metabolic\tB-Composite",
+    "syndrome\tI-Composite", "   ", "",
+    "idiopathic\tB-Undetermined", "condition\tI-Undetermined", "noted\tO", "",
+    "follow\tO", "up\tO", "confirmed\tO", "migraine\tB-Specific", "\t \t", "", "",
+    "unknown\tB-Undetermined", "syndrome\tI-Undetermined", "and\tO", "measles\tB-Specific",
+])
+AWKWARD_ANNOTATIONS = "\r\n".join([
+    '{"spans": [{"start": 3, "end": 4, "cls": "Modifier"}]}',
+    '{"spans": [{"start": 0, "end": 0, "cls": "Specific"}, '
+    '{"start": 2, "end": 3, "cls": "Modifier"}], "relations": [{"head": 0, "tail": 1, '
+    '"label": "causes"}]}',
+    "", "{}", "  ",
+    '{"spans": [{"start": 0, "end": 1, "cls": "Specific"}, '
+    '{"start": 3, "end": 4, "cls": "Composite"}], "relations": [{"head": 0, "tail": 1, '
+    '"label": "treats"}]}',
+    '{"spans": [{"start": 0, "end": 1, "cls": "Undetermined"}], "relations": []}',
+    '{"spans": [{"start": 3, "end": 3, "cls": "Specific"}]}',
+    '{"spans": [{"start": 3, "end": 3, "cls": "Specific"}, '
+    '{"start": 0, "end": 1, "cls": "Undetermined"}], "relations": [{"head": 1, "tail": 0, '
+    '"label": "causes"}]}',
+    "",
+])
 
 
 def commands() -> list[tuple[str, list[str]]]:
@@ -85,7 +116,24 @@ def commands() -> list[tuple[str, list[str]]]:
                                          f"train-{head}-init/model.json", "--input", "input.txt"]))
     runs.append(("predicted", ["predict", "--checkpoint", "train-span/model.json",
                                "--input", "input.txt", "--out-file", "predicted/span.jsonl"]))
+    runs += [
+        ("pre-awkward", ["pretrain", "--config", "config.json", *AWKWARD, "--steps", "3",
+                         "--out", "pre-awkward"]),
+        ("eval-awkward", ["eval", "--config", "config.json", *AWKWARD, "--checkpoint",
+                          "train-crf-init/model.json", "--split", "test", "--out",
+                          "eval-awkward"]),
+    ]
     return runs
+
+
+def write_inputs() -> None:
+    """Write, in the current directory, the files the runs read that no run
+    writes: the config, the predict input and the awkward corpus."""
+    Path("config.json").write_text(json.dumps(CONFIG), encoding="utf-8")
+    Path("input.txt").write_text(PREDICT_INPUT, encoding="utf-8")
+    Path("awkward").mkdir()
+    Path("awkward/corpus.tsv").write_bytes(AWKWARD_TAGS.encode())
+    Path("awkward/annotations.jsonl").write_bytes(AWKWARD_ANNOTATIONS.encode())
 
 
 def sha(data: bytes) -> str:
@@ -117,8 +165,7 @@ def collect(src: Path) -> dict[str, str]:
 
     if Path(medext.__file__).resolve().parent != (src / "medext").resolve():
         raise SystemExit(f"medext imported from {medext.__file__}, not from {src}")
-    Path("config.json").write_text(json.dumps(CONFIG), encoding="utf-8")
-    Path("input.txt").write_text(PREDICT_INPUT, encoding="utf-8")
+    write_inputs()
     digests = {}
     for number, (name, argv) in enumerate(commands()):
         out, err = io.StringIO(), io.StringIO()

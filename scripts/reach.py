@@ -19,7 +19,6 @@ from __future__ import annotations
 import contextlib
 import inspect
 import io
-import json
 import os
 import sys
 import tempfile
@@ -58,8 +57,7 @@ def unreached(runs: list[tuple[str, list[str]]]) -> list[str]:
     sys.path.insert(0, str(parity.ROOT / "src"))
     with tempfile.TemporaryDirectory(prefix="medext-reach-") as tmp:
         os.chdir(tmp)
-        Path("config.json").write_text(json.dumps(parity.CONFIG), encoding="utf-8")
-        Path("input.txt").write_text(parity.PREDICT_INPUT, encoding="utf-8")
+        parity.write_inputs()
         sys.setprofile(profile)
         try:
             import medext

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Literal, Sequence
 
@@ -31,10 +31,10 @@ SPLITS = ("train", "val", "test")
 SPLIT_FRACTIONS = (0.72, 0.11, 0.17)
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     surface: str
-    subword_ids: list[int] = field(default_factory=list)
+    subword_ids: Sequence[int] = ()  # a list once tokenize_corpus fills it
 
 
 @dataclass(frozen=True)
@@ -156,39 +156,28 @@ def tags_to_spans(
 
     B-c opens a span, a following I-c extends it, anything else closes it.
     In strict mode an I-c without a preceding B-c/I-c of the same class is
-    an error; repair mode promotes it to B-c.
+    an error, whose ``index`` is the tag's; repair mode promotes it to B-c.
     """
     if mode not in ("strict", "repair"):
         raise ContractError(f"unknown mode {mode!r}")
+    classes = scheme.classes
     spans: list[EntitySpan] = []
-    open_start: int | None = None
-    open_cls: str | None = None
-
-    def close():
-        nonlocal open_start, open_cls
-        if open_start is not None:
-            spans.append(EntitySpan(open_start, i - 1, open_cls))
-            open_start = open_cls = None
-
-    i = 0
+    start, open_c = 0, -1  # the open span's first index and class number; -1: none
     for i, tag in enumerate(tags):
-        kind, cls = scheme.kind(tag)
-        if kind == "B":
-            close()
-            open_start, open_cls = i, cls
-        elif kind == "I":
-            if open_cls == cls:
-                continue
-            if mode == "strict":
-                raise ValidationError(
-                    f"invalid BIO: {scheme.tag_name(tag)} at index {i} does not continue a span"
-                )
-            close()
-            open_start, open_cls = i, cls
-        else:
-            close()
-    i = len(tags)
-    close()
+        c = (tag - 1) // 2  # O is -1; B-c is odd, I-c even
+        if c == open_c and not tag & 1:  # I-c inside c, or O outside any span
+            continue
+        if tag and not tag & 1 and mode == "strict":
+            error = ValidationError(
+                f"invalid BIO: {scheme.tag_name(tag)} at index {i} does not continue a span"
+            )
+            error.index = i
+            raise error
+        if open_c >= 0:
+            spans.append(EntitySpan(start, i - 1, classes[open_c]))
+        start, open_c = i, c
+    if open_c >= 0:
+        spans.append(EntitySpan(start, len(tags) - 1, classes[open_c]))
     return spans
 
 
@@ -207,26 +196,6 @@ def spans_to_tags(spans: Sequence[EntitySpan], n: int, scheme: TagScheme) -> lis
         for i in range(span.start + 1, span.end + 1):
             tags[i] = scheme.inside_index(span.cls)
     return tags
-
-
-def validate_sentence(sentence: Sentence, scheme: TagScheme) -> None:
-    if len(sentence.tags) != len(sentence.tokens):
-        raise ValidationError(
-            f"{len(sentence.tags)} tags for {len(sentence.tokens)} tokens"
-        )
-    derived = tags_to_spans(sentence.tags, scheme, mode="strict")
-    if sorted(derived, key=_span_key) != sorted(sentence.spans, key=_span_key):
-        raise ValidationError(f"spans {sentence.spans} disagree with tags {sentence.tags}")
-    for rel in sentence.relations:
-        if rel.head == rel.tail:
-            raise ValidationError(f"relation {rel} links a span to itself")
-        for idx in (rel.head, rel.tail):
-            if not 0 <= idx < len(sentence.spans):
-                raise ValidationError(f"relation {rel} references missing span {idx}")
-
-
-def _span_key(span: EntitySpan) -> tuple:
-    return (span.start, span.end, span.cls)
 
 
 # ---------------------------------------------------------------------------
@@ -256,37 +225,32 @@ def parse_json(text: str):
 
 def load_conll(path: str | Path, scheme: TagScheme) -> Corpus:
     """Load a two-column "token<TAB>tag" file, one sentence per blank-line block."""
-    text = read_utf8(path)
+    lines = read_utf8(path).split("\n")
+    lines.append("")  # closes the last sentence
+    index = scheme._index
     sentences: list[Sentence] = []
-    tokens: list[Token] = []
+    surfaces: list[str] = []
     tags: list[int] = []
-
-    def flush(line_no: int):
-        if not tokens:
-            return
-        try:
-            spans = tags_to_spans(tags, scheme, mode="strict")
-        except ValidationError as exc:
-            raise ValidationError(f"{path} sentence ending at line {line_no}: {exc}") from None
-        sentences.append(Sentence(list(tokens), list(tags), spans))
-        tokens.clear()
-        tags.clear()
-
-    for line_no, line in enumerate(text.split("\n"), start=1):
+    for line_no, line in enumerate(lines, start=1):
         if not line.strip():
-            flush(line_no)
+            if tags:
+                try:
+                    spans = tags_to_spans(tags, scheme)
+                except ValidationError as exc:
+                    bad_line = line_no - len(tags) + exc.index
+                    raise ValidationError(f"{path} line {bad_line}: {exc}") from None
+                sentences.append(Sentence([Token(s) for s in surfaces], tags, spans))
+                surfaces, tags = [], []
             continue
         fields = line.split("\t")
         if len(fields) != 2 or not fields[0]:
             raise ParseError(f"{path} line {line_no}: expected 'token<TAB>tag', got {line!r}")
         surface, tag_name = fields
         try:
-            tag = scheme.tag_index(tag_name)
-        except ParseError:
+            tags.append(index[tag_name])
+        except KeyError:
             raise ParseError(f"{path} line {line_no}: unknown tag {tag_name!r}") from None
-        tokens.append(Token(surface))
-        tags.append(tag)
-    flush(len(text.split("\n")))
+        surfaces.append(surface)
     return Corpus(sentences, scheme)
 
 
@@ -319,13 +283,25 @@ def load_annotations(corpus: Corpus, path: str | Path) -> Corpus:
             raise ParseError(f"{where}: expected a JSON object, got {type(record).__name__}")
         spans = _records(record, "spans", _SPAN_FIELDS, EntitySpan, where)
         relations = _records(record, "relations", _RELATION_FIELDS, RelationInstance, where)
-        updated = replace(sentence, spans=spans, relations=relations)
-        try:
-            validate_sentence(updated, corpus.scheme)
-        except ValidationError as exc:
-            raise ParseError(f"{where}: {exc}") from None
-        sentences.append(updated)
+        if len(sentence.tags) != len(sentence.tokens):
+            raise ParseError(
+                f"{where}: {len(sentence.tags)} tags for {len(sentence.tokens)} tokens"
+            )
+        # sentence.spans are load_conll's, derived from the tags in order
+        if spans != sentence.spans and sorted(spans, key=_span_key) != sentence.spans:
+            raise ParseError(f"{where}: spans {spans} disagree with tags {sentence.tags}")
+        for rel in relations:
+            if rel.head == rel.tail:
+                raise ParseError(f"{where}: relation {rel} links a span to itself")
+            for idx in (rel.head, rel.tail):
+                if not 0 <= idx < len(spans):
+                    raise ParseError(f"{where}: relation {rel} references missing span {idx}")
+        sentences.append(Sentence(sentence.tokens, sentence.tags, spans, relations))
     return Corpus(sentences, corpus.scheme, list(corpus.splits))
+
+
+def _span_key(span: EntitySpan) -> tuple:
+    return (span.start, span.end, span.cls)
 
 
 _SPAN_FIELDS = (("start", int), ("end", int), ("cls", str))
@@ -416,17 +392,16 @@ def build_vocab(corpus: Corpus | Iterable[Sentence], min_freq: int = 1) -> Vocab
     """
     if min_freq < 1:
         raise ContractError(f"min_freq must be >= 1, got {min_freq}")
-    sentences = corpus.sentences if isinstance(corpus, Corpus) else list(corpus)
-    word_freq: Counter[str] = Counter()
+    sentences = corpus.sentences if isinstance(corpus, Corpus) else corpus
+    word_freq = Counter([token.surface for sentence in sentences for token in sentence.tokens])
     char_freq: Counter[str] = Counter()
-    for sentence in sentences:
-        for token in sentence.tokens:
-            word_freq[token.surface] += 1
-            char_freq.update(token.surface)
+    for word, count in word_freq.items():  # each distinct word once, weighted
+        for char in word:
+            char_freq[char] += count
     entries = list(RESERVED_ENTRIES)
     seen = set(entries)
-    for word, _ in sorted(word_freq.items(), key=lambda kv: (-kv[1], kv[0])):
-        if word_freq[word] >= min_freq and word not in seen:
+    for word, count in sorted(word_freq.items(), key=lambda kv: (-kv[1], kv[0])):
+        if count >= min_freq and word not in seen:
             entries.append(word)
             seen.add(word)
     for char, _ in sorted(char_freq.items(), key=lambda kv: (-kv[1], kv[0])):
@@ -474,7 +449,7 @@ def tokenize_corpus(corpus: Corpus, vocab: Vocab) -> Corpus:
     sentences = []
     for sentence in corpus.sentences:
         tokens = [Token(t.surface, tokenize_subword(t.surface, vocab)) for t in sentence.tokens]
-        sentences.append(replace(sentence, tokens=tokens))
+        sentences.append(Sentence(tokens, sentence.tags, sentence.spans, sentence.relations))
     return Corpus(sentences, corpus.scheme, list(corpus.splits))
 
 

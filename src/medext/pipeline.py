@@ -115,13 +115,15 @@ def init_head(kind: str, config: EncoderConfig, scheme: TagScheme, seed: int) ->
 
 
 def word_ids(sentence: Sentence, vocab: Vocab) -> tuple[list[int], list[int]]:
-    """Flatten a sentence to subword ids plus each word's first-subword index."""
+    """Flatten a sentence to subword ids plus each word's first-subword index.
+    Each word is segmented under ``vocab`` (through its memo), whatever
+    vocabulary filled the token's ``subword_ids``."""
     ids: list[int] = []
     starts: list[int] = []
+    memo = vocab._pieces  # tokenize_subword's; read here, never written
     for token in sentence.tokens:
-        pieces = token.subword_ids or tokenize_subword(token.surface, vocab)
         starts.append(len(ids))
-        ids.extend(pieces)
+        ids.extend(memo.get(token.surface) or tokenize_subword(token.surface, vocab))
     return ids, starts
 
 

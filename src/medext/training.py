@@ -320,7 +320,6 @@ def train(
         corpus, config, init, encoder_config
     )
     lineage.append(f"train:{config.seed}")
-    corpus = tokenize_corpus(corpus, model.vocab)
     sampler = _BatchSampler(corpus, config.batch_size, config.seed, config.class_balanced)
     dropping = model.config.dropout_rate > 0.0
 

@@ -1,16 +1,21 @@
 """Reference ops that tests compare the package against.  The package never
 calls them: its CRF runs the fused forward-backward op, its losses the fused
-cross-entropy, its encoder the packed multi-head ``segment_attention``, and
-its relation head pools entities with ``range_means``."""
+cross-entropy, its encoder the packed multi-head ``segment_attention``, its
+relation head pools entities with ``range_means``, its BIO decoder is one
+flat loop, ``load_annotations`` checks records against the spans
+``load_conll`` derived, and ``build_vocab`` counts each distinct word's
+characters once."""
 
 import itertools
 import math
+from collections import Counter
+from dataclasses import astuple
 
 import numpy as np
 
 from medext import tensor as T
-from medext.corpus import EntitySpan
-from medext.errors import ContractError, ShapeError
+from medext.corpus import RESERVED_ENTRIES, EntitySpan, Sentence, TagScheme
+from medext.errors import ContractError, ShapeError, ValidationError
 from medext.tensor import Tensor, gather, record_op
 
 
@@ -109,3 +114,77 @@ def brute_force_oracle(
     m = arr.max()
     log_z = float(m + np.log(np.exp(arr - m).sum()))
     return log_z, list(best_seq), float(best_score)
+
+
+def tags_to_spans(tags, scheme: TagScheme, mode: str = "strict") -> list[EntitySpan]:
+    """``corpus.tags_to_spans`` through ``TagScheme.kind`` and a closure that
+    closes the open span."""
+    if mode not in ("strict", "repair"):
+        raise ContractError(f"unknown mode {mode!r}")
+    spans: list[EntitySpan] = []
+    open_start: int | None = None
+    open_cls: str | None = None
+
+    def close():
+        nonlocal open_start, open_cls
+        if open_start is not None:
+            spans.append(EntitySpan(open_start, i - 1, open_cls))
+            open_start = open_cls = None
+
+    i = 0
+    for i, tag in enumerate(tags):
+        kind, cls = scheme.kind(tag)
+        if kind == "B":
+            close()
+            open_start, open_cls = i, cls
+        elif kind == "I":
+            if open_cls == cls:
+                continue
+            if mode == "strict":
+                raise ValidationError(
+                    f"invalid BIO: {scheme.tag_name(tag)} at index {i} does not continue a span"
+                )
+            close()
+            open_start, open_cls = i, cls
+        else:
+            close()
+    i = len(tags)
+    close()
+    return spans
+
+
+def validate_sentence(sentence: Sentence, scheme: TagScheme) -> None:
+    """The checks ``load_annotations`` makes of a record, with the spans
+    derived from the tags anew."""
+    if len(sentence.tags) != len(sentence.tokens):
+        raise ValidationError(f"{len(sentence.tags)} tags for {len(sentence.tokens)} tokens")
+    derived = tags_to_spans(sentence.tags, scheme, mode="strict")
+    if sorted(derived, key=astuple) != sorted(sentence.spans, key=astuple):
+        raise ValidationError(f"spans {sentence.spans} disagree with tags {sentence.tags}")
+    for rel in sentence.relations:
+        if rel.head == rel.tail:
+            raise ValidationError(f"relation {rel} links a span to itself")
+        for idx in (rel.head, rel.tail):
+            if not 0 <= idx < len(sentence.spans):
+                raise ValidationError(f"relation {rel} references missing span {idx}")
+
+
+def vocab_entries(sentences, min_freq: int = 1) -> list[str]:
+    """``build_vocab``'s entries, characters counted token by token."""
+    word_freq: Counter[str] = Counter()
+    char_freq: Counter[str] = Counter()
+    for sentence in sentences:
+        for token in sentence.tokens:
+            word_freq[token.surface] += 1
+            char_freq.update(token.surface)
+    entries = list(RESERVED_ENTRIES)
+    seen = set(entries)
+    for word, _ in sorted(word_freq.items(), key=lambda kv: (-kv[1], kv[0])):
+        if word_freq[word] >= min_freq and word not in seen:
+            entries.append(word)
+            seen.add(word)
+    for char, _ in sorted(char_freq.items(), key=lambda kv: (-kv[1], kv[0])):
+        if char not in seen:
+            entries.append(char)
+            seen.add(char)
+    return entries

@@ -1,13 +1,17 @@
 import json
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medext import corpus as C
 from medext.corpus import (
     Corpus,
     EntitySpan,
+    RelationInstance,
     Sentence,
     TagScheme,
     Token,
@@ -24,11 +28,26 @@ from medext.corpus import (
     tokenize_subword,
 )
 from medext.errors import ContractError, ParseError, ValidationError
+import oracles
+
+PROPERTY = settings(max_examples=150, deadline=None)
 
 
 @pytest.fixture
 def scheme_d():
     return TagScheme(["D"])
+
+
+ANNOTATED = Corpus(
+    [
+        Sentence([Token(w) for w in "a b c d e".split()], [1, 2, 0, 3, 0],
+                 [EntitySpan(0, 1, "D"), EntitySpan(3, 3, "E")]),
+        Sentence([Token(w) for w in "f g h".split()], [0, 3, 1],
+                 [EntitySpan(1, 1, "E"), EntitySpan(2, 2, "D")]),
+        Sentence([Token("i")], [0]),
+    ],
+    TagScheme(["D", "E"]),
+)
 
 
 def make_sentence(words, spans, scheme, relations=()):
@@ -74,6 +93,22 @@ class TestTagsToSpans:
     def test_trailing_entity_closed(self, scheme_d):
         b, i = scheme_d.begin_index("D"), scheme_d.inside_index("D")
         assert tags_to_spans([0, b, i], scheme_d) == [EntitySpan(1, 2, "D")]
+
+    @PROPERTY
+    @given(data=st.data(), classes=st.integers(1, 4), mode=st.sampled_from(["strict", "repair"]))
+    def test_matches_oracle(self, data, classes, mode):
+        """The flat loop gives the spans, or the error text, of the decoder
+        that goes through ``TagScheme.kind``."""
+        scheme = TagScheme([f"C{k}" for k in range(classes)])
+        tags = data.draw(st.lists(st.integers(0, scheme.num_tags - 1), max_size=14))
+        try:
+            expected = oracles.tags_to_spans(tags, scheme, mode)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as info:
+                tags_to_spans(tags, scheme, mode)
+            assert str(info.value) == str(exc)
+        else:
+            assert tags_to_spans(tags, scheme, mode) == expected
 
 
 class TestSpansToTags:
@@ -155,7 +190,23 @@ class TestConllIO:
     def test_invalid_bio_strict(self, tmp_path, scheme_d):
         path = tmp_path / "bad.tsv"
         path.write_text("a\tO\nb\tI-D\n")
-        with pytest.raises(ValidationError, match=r"bad.tsv sentence ending at line 3: "):
+        message = "bad.tsv line 2: invalid BIO: I-D at index 1 does not continue a span"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            load_conll(path, scheme_d)
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"a\tO\nb\tI-D", 2),  # no final newline
+            (b"x\tB-D\r\n \t\r\n\r\n\r\na\tO\r\nb\tO\r\nc\tI-D\r\n\r\n", 7),
+            (b"a\tB-D\nb\tI-D\nc\tO\nd\tI-D\ne\tO\n", 4),
+        ],
+        ids=["no-final-newline", "crlf-after-separators", "after-a-span"],
+    )
+    def test_invalid_bio_names_the_tags_line(self, tmp_path, scheme_d, data, line):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(data)
+        with pytest.raises(ValidationError, match=rf"bad.tsv line {line}: invalid BIO: I-D"):
             load_conll(path, scheme_d)
 
     def test_save_load_round_trip_bytes(self, tmp_path):
@@ -180,6 +231,48 @@ class TestConllIO:
         ann2 = tmp_path / "d.jsonl"
         save_annotations(loaded, ann2)
         assert ann.read_bytes() == ann2.read_bytes()
+
+    def test_one_span_derivation_per_sentence(self, tmp_path, monkeypatch):
+        corpus = generate_synthetic_corpus(30, seed=3)
+        save_conll(corpus, tmp_path / "c.tsv")
+        save_annotations(corpus, tmp_path / "c.jsonl")
+        calls, derive = [], C.tags_to_spans
+        monkeypatch.setattr(C, "tags_to_spans", lambda *a, **k: calls.append(1) or derive(*a, **k))
+        load_annotations(load_conll(tmp_path / "c.tsv", corpus.scheme), tmp_path / "c.jsonl")
+        assert len(calls) == len(corpus)
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_record_checks_match_oracle(self, tmp_path_factory, data):
+        """A record loads, or fails with the message the check against spans
+        derived anew from the tags gives."""
+        corpus = ANNOTATED
+        row = data.draw(st.integers(0, len(corpus) - 1))
+        sentence = corpus.sentences[row]
+        n = len(sentence.tokens)
+        span = st.builds(
+            EntitySpan, st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from(["D", "E"])
+        )
+        spans = data.draw(st.permutations(sentence.spans + data.draw(st.lists(span, max_size=2))))
+        spans = spans[: data.draw(st.integers(0, len(spans)))]
+        relation = st.builds(
+            RelationInstance, st.integers(-1, 3), st.integers(-1, 3), st.just("treats")
+        )
+        relations = data.draw(st.lists(relation, max_size=2))
+        edited = Sentence(sentence.tokens, sentence.tags, spans, relations)
+        records = Corpus([edited if i == row else s for i, s in enumerate(corpus.sentences)],
+                         corpus.scheme)
+        path = tmp_path_factory.mktemp("records") / "a.jsonl"
+        save_annotations(records, path)
+        try:
+            oracles.validate_sentence(edited, corpus.scheme)
+        except ValidationError as exc:
+            with pytest.raises(ParseError) as info:
+                load_annotations(corpus, path)
+            assert str(info.value) == f"annotation file {path} line {row + 1}: {exc}"
+        else:
+            loaded = load_annotations(corpus, path).sentences[row]
+            assert (loaded.spans, loaded.relations) == (spans, relations)
 
     def test_annotation_count_mismatch(self, tmp_path):
         corpus = generate_synthetic_corpus(5, seed=1)
@@ -237,6 +330,21 @@ class TestVocab:
     def test_duplicate_rejected(self):
         with pytest.raises(ContractError):
             Vocab(list(C.RESERVED_ENTRIES) + ["x", "x"])
+
+
+class TestVocabOracle:
+    SURFACE = st.sampled_from(["flu", "cough", "fever", "ß", "[PAD]", "[MASK]", "f"]) | st.text(
+        st.sampled_from("abcé[]ß"), min_size=1, max_size=4
+    )
+
+    @PROPERTY
+    @given(
+        sentences=st.lists(st.lists(SURFACE, min_size=1, max_size=6), max_size=8),
+        min_freq=st.integers(1, 3),
+    )
+    def test_entries_match_per_token_count(self, sentences, min_freq):
+        corpus = [Sentence([Token(w) for w in words], [0] * len(words)) for words in sentences]
+        assert build_vocab(corpus, min_freq).entries == oracles.vocab_entries(corpus, min_freq)
 
 
 class TestTokenizeSubword:
@@ -323,7 +431,7 @@ class TestGenerator:
     def test_sentences_validate(self):
         corpus = generate_synthetic_corpus(200, seed=2)
         for sentence in corpus.sentences:
-            C.validate_sentence(sentence, corpus.scheme)
+            oracles.validate_sentence(sentence, corpus.scheme)
 
     def test_relations_use_real_labels(self):
         corpus = generate_synthetic_corpus(500, seed=4)

@@ -15,7 +15,7 @@ def test_list_is_complete_and_repeatable():
     assert first == second
     assert sum(name.startswith("command/") for name in first) == len(parity.commands())
     checkpoints = [name for name in first if name.endswith(("/model.json", "/encoder.json"))]
-    assert len(checkpoints) == 10
+    assert len(checkpoints) == 11
     assert all(f"{name}#loaded" in first for name in checkpoints)
 
 

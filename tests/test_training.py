@@ -12,6 +12,7 @@ import pytest
 
 import medext
 import medext.cli
+from medext import corpus as C
 from medext import tensor as T
 from medext import pipeline, training
 from medext.corpus import (
@@ -565,6 +566,36 @@ class TestPackedEncoding:
             )
             assert json.loads(record)["spans"] == [asdict(span) for span in spans]
         assert any(json.loads(record)["spans"] for record in records)
+
+
+class TestSegmentation:
+    def test_train_segments_each_surface_once_and_tokenizes_no_corpus(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("train() called tokenize_corpus")
+
+        segmented, segment = Counter(), C._segment
+
+        def counting(surface, vocab):
+            segmented[surface, id(vocab)] += 1
+            return segment(surface, vocab)
+
+        monkeypatch.setattr(training, "tokenize_corpus", refuse)
+        monkeypatch.setattr(C, "tokenize_corpus", refuse)
+        monkeypatch.setattr(C, "_segment", counting)
+        train(small_corpus(), TrainConfig(steps=8, seed=1))
+        assert segmented and max(segmented.values()) == 1
+
+    def test_subword_ids_of_another_vocab_are_not_read(self):
+        """A corpus tokenized under another vocabulary is encoded, and
+        scored, as the same corpus untokenized."""
+        corpus = generate_synthetic_corpus(40, seed=4)
+        model = train(corpus, TrainConfig(steps=10, seed=2)).model
+        stale = tokenize_corpus(corpus, build_vocab(corpus.sentences[:2]))
+        for fresh, tokenized in zip(corpus.sentences, stale.sentences):
+            assert pipeline.word_ids(tokenized, model.vocab) == pipeline.word_ids(
+                fresh, model.vocab
+            )
+        assert evaluate_split(model, stale).as_dict() == evaluate_split(model, corpus).as_dict()
 
 
 class TestNoRecordEvaluation:
