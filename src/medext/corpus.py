@@ -267,14 +267,14 @@ def save_conll(corpus: Corpus, path: str | Path) -> None:
 
 def load_annotations(corpus: Corpus, path: str | Path) -> Corpus:
     """Attach spans/relations from a JSON-lines sidecar (order matches the tag file)."""
-    lines = [ln for ln in read_utf8(path).split("\n") if ln.strip()]
+    lines = [(n, ln) for n, ln in enumerate(read_utf8(path).split("\n"), 1) if ln.strip()]
     if len(lines) != len(corpus.sentences):
         raise ParseError(
             f"annotation file {path} has {len(lines)} records for {len(corpus.sentences)} sentences"
         )
     sentences = []
-    for i, (line, sentence) in enumerate(zip(lines, corpus.sentences)):
-        where = f"annotation file {path} line {i + 1}"
+    for (line_no, line), sentence in zip(lines, corpus.sentences):
+        where = f"annotation file {path} line {line_no}"
         try:
             record = parse_json(line)
         except json.JSONDecodeError as exc:

@@ -9,7 +9,7 @@ of how words fragment.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 from . import tensor as T
@@ -62,8 +62,9 @@ EVAL_CHUNK = 16  # sentences per packed encoder pass in predict
 @dataclass(frozen=True)
 class Model:
     """Everything needed to run inference: encoder, heads, vocab, tag scheme.
-    Its parameters are packed in one flat vector (``T.FlatParams``) when it is
-    built; the fields are frozen, so the vector always holds them all."""
+    It owns its parameters: building one deep-copies the encoder and heads it
+    is given and packs the copies in one flat vector (``T.FlatParams``); the
+    fields are frozen, so the vector always holds them all."""
 
     config: EncoderConfig
     encoder: EncoderParams
@@ -73,8 +74,10 @@ class Model:
     relation: RelationHeadParams | None = None
 
     def __post_init__(self):
-        named = named_parameters(self.encoder, self.head, self.relation)
-        object.__setattr__(self, "_params", T.FlatParams(named))
+        parts = copy.deepcopy((self.encoder, self.head, self.relation))
+        for name, part in zip(("encoder", "head", "relation"), parts):
+            object.__setattr__(self, name, part)
+        object.__setattr__(self, "_params", T.FlatParams(named_parameters(*parts)))
 
     @property
     def head_kind(self) -> str | None:
@@ -86,14 +89,9 @@ class Model:
         return self._params
 
     def clone(self) -> "Model":
-        """Copy the flat vector once and give the copy new tensors (without
-        gradients) that view it; the encoder config, vocab and tag scheme are
-        shared with the original."""
-        named = {k: Tensor(p.values, p.requires_grad) for k, p in self._params.items()}
-        memo = {id(p): named[k] for k, p in self._params.items()}
-        memo.update({id(shared): shared for shared in (self.config, self.vocab, self.scheme)})
-        memo[id(self._params)] = T.FlatParams(named, self._params.flat.copy())
-        return copy.deepcopy(self, memo)
+        """A model with copies of the parameters, without gradients; the
+        encoder config, vocab and tag scheme are shared with the original."""
+        return replace(self)
 
 
 def named_parameters(

@@ -17,7 +17,6 @@ Everything is double precision.  Shapes are 0-d (scalars), 1-d (vectors) or
 from __future__ import annotations
 
 import math
-import weakref
 from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -53,6 +52,10 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
+
+    def __deepcopy__(self, memo) -> "Tensor":
+        """A copy of the values, without the gradient."""
+        return Tensor(self.values.copy(), self.requires_grad)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -173,29 +176,21 @@ class FlatParams(dict):
     """Named parameter tensors whose values are views of one contiguous
     float64 vector, ``flat``, at the (name, shape, offset) places of ``layout``.
 
-    Building one copies the values into a new ``flat`` (or adopts a ``flat``
-    laid out so) and rebinds each ``values`` to its view.  Write into
-    ``values`` in place: assigning a new array detaches it from ``flat``.
-    Values that view the ``flat`` of a live ``FlatParams`` are refused, since
-    rebinding them would leave that vector stale.  ``buffers`` is the
-    optimizer's work vectors, made on its first step.
+    Building one copies the values into a new ``flat`` and rebinds each
+    tensor it is given to its view, so only ``Model`` packs a model's
+    tensors (copies of the ones it is given).  Write into ``values`` in
+    place: assigning a new array detaches it from ``flat``.  ``buffers`` is
+    the optimizer's work vectors, made on its first step.
     """
 
-    def __init__(self, named: dict[str, Tensor], flat: Array | None = None):
+    def __init__(self, named: dict[str, Tensor]):
         super().__init__(named)
-        if flat is None and any(id(t.values.base) in _OWNERS for t in named.values()):
-            raise ContractError("parameter values belong to another model; pack a copy of them")
         self.layout = layout_of(named)
-        self.flat = np.empty(sum(t.values.size for t in named.values())) if flat is None else flat
+        self.flat = np.empty(sum(t.values.size for t in named.values()))
         for t, view in zip(named.values(), views(self.layout, self.flat).values()):
-            if flat is None:
-                view[...] = t.values
+            view[...] = t.values
             t.values = view
         self.buffers: Array | None = None
-        _OWNERS[id(self.flat)] = self
-
-
-_OWNERS: weakref.WeakValueDictionary[int, FlatParams] = weakref.WeakValueDictionary()
 
 
 _SHAPES_ONLY = False

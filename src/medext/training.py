@@ -116,22 +116,19 @@ class OptimizerState:
 
 
 def adam_step(
-    params: dict[str, Tensor],
+    params: T.FlatParams,
     state: OptimizerState,
     learning_rate: float,
     clip_norm: float,
 ) -> None:
     """One Adam update with global gradient-norm clipping, as whole-vector
-    ufuncs over the flat parameter vector (a plain mapping is packed first,
-    which rebinds its values; another model's tensors are refused).
-    Bitwise the per-array update: the norm sums each gradient's squares on
-    its own, in ``params`` order, and each elementwise step keeps the
-    per-array operand order.  The work vectors are made once per model and
-    written with ``out=``: a fresh temporary of this size (217 KB at the
-    default sizes) is mapped and unmapped on every step.
+    ufuncs over the flat vector of ``params`` (a model's, or one packed by
+    hand in tests).  Bitwise the per-array update: the norm sums each
+    gradient's squares on its own, in ``params`` order, and each elementwise
+    step keeps the per-array operand order.  The work vectors are made once
+    per model and written with ``out=``: a fresh temporary of this size
+    (217 KB at the default sizes) is mapped and unmapped on every step.
     """
-    if not isinstance(params, T.FlatParams):
-        params = T.FlatParams(params)
     if state.moments is None:
         state.layout, state.moments = params.layout, np.zeros((2, params.flat.size))
     elif state.layout != params.layout:
@@ -256,7 +253,7 @@ def _attach_head(model: Model, kind: str, seed: int) -> Model:
     of ``kind`` and a fresh relation head; ``model`` is left as it was."""
     head = init_head(kind, model.config, model.scheme, seed)
     relation = init_relation(model.config.d_model, seed + 1)
-    return replace(model, encoder=copy.deepcopy(model.encoder), head=head, relation=relation)
+    return replace(model, head=head, relation=relation)
 
 
 def _prepare_model(
@@ -269,11 +266,10 @@ def _prepare_model(
         model = _fresh_model(corpus, encoder_config, config.seed)
         model = _attach_head(model, config.head, config.seed)
         return model, OptimizerState(), 0, [f"fresh-init:{config.seed}"]
-    model = init.model.clone()
-    lineage = list(init.seed_lineage)
+    model, lineage = init.model, list(init.seed_lineage)
     if model.head_kind == config.head:
         # resume: continue the step count from a copy of init's Adam moments
-        return model, copy.deepcopy(init.optimizer or OptimizerState()), init.step, lineage
+        return model.clone(), copy.deepcopy(init.optimizer or OptimizerState()), init.step, lineage
     model = _attach_head(model, config.head, config.seed)
     return model, OptimizerState(), 0, lineage + [f"head-init:{config.seed}"]
 
@@ -309,9 +305,10 @@ def train(
     """Fine-tune the selected head (plus encoder and, when lambda_re > 0, the
     relation head) for config.steps Adam updates.
 
-    ``init`` may be a pretraining checkpoint (head initialized fresh) or a
-    previous run with the same head (training resumes from a copy of its
-    optimizer moments; ``init`` itself is left unchanged).  ``log`` collects
+    ``init`` may be a pretraining checkpoint (a new model with a copy of its
+    encoder and a fresh head) or a previous run with the same head (training
+    resumes on ``init.model.clone()`` from a copy of its optimizer moments).
+    ``init`` itself is left unchanged.  ``log`` collects
     (step, loss, ner_loss, re_loss) rows.
     """
     if len(corpus) == 0:
@@ -527,9 +524,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     layout = T.layout_of(named)
     values = _decode(payload["params"], layout, 1, path, "params")[0]
     optimizer = _load_optimizer(payload["optimizer"], layout, path)
-    for tensor, view in zip(named.values(), T.views(layout, values).values()):
-        tensor.values = view
-    model = Model(config, encoder, vocab, scheme, head, relation)  # packs the checked values
+    model = Model(config, encoder, vocab, scheme, head, relation)  # allocates, all checks passed
+    model.parameters().flat[...] = values
     return Checkpoint(model, optimizer, payload["step"], payload["seed_lineage"])
 
 

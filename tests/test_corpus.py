@@ -274,6 +274,18 @@ class TestConllIO:
             loaded = load_annotations(corpus, path).sentences[row]
             assert (loaded.spans, loaded.relations) == (spans, relations)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_record_error_names_its_file_line(self, tmp_path, newline):
+        # blank and whitespace-only lines between records still count as lines
+        path = tmp_path / "a.jsonl"
+        save_annotations(ANNOTATED, path)
+        first, second, third = path.read_text().split("\n")[:3]
+        record = json.loads(second)
+        record["relations"] = [{"head": 0, "tail": 0, "label": "treats"}]
+        path.write_bytes(newline.join([first, "", " \t", json.dumps(record), third]).encode())
+        with pytest.raises(ParseError, match=r"a.jsonl line 4: relation .* links a span to itself"):
+            load_annotations(ANNOTATED, path)
+
     def test_annotation_count_mismatch(self, tmp_path):
         corpus = generate_synthetic_corpus(5, seed=1)
         ann = tmp_path / "short.jsonl"

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -221,6 +222,17 @@ class TestNoGrad:
                 T.add(x, Tensor(np.ones(3)))
         T.add(x, x)
         assert len(T.active_tape().records) == 1
+
+
+class TestDeepCopy:
+    def test_copies_values_and_drops_the_gradient(self):
+        x = Tensor(np.arange(4.0).reshape(2, 2), requires_grad=True)
+        x.grad = np.ones((2, 2))
+        y = copy.deepcopy(x)
+        assert y.requires_grad and y.grad is None
+        assert np.array_equal(y.values, x.values) and not np.shares_memory(y.values, x.values)
+        view = Tensor(np.broadcast_to(0.0, (2, 3)))  # a shapes_only skeleton's values
+        assert copy.deepcopy(view).values.flags.writeable
 
 
 class TestCrossEntropy:

@@ -85,27 +85,27 @@ class TestAdam:
 
         a = Tensor(values.copy(), requires_grad=True)
         a.grad = grad.copy()
-        adam_step({"p": a}, OptimizerState(), 1e-2, clip_norm=1.0)
+        adam_step(T.FlatParams({"p": a}), OptimizerState(), 1e-2, clip_norm=1.0)
 
         b = Tensor(values.copy(), requires_grad=True)
         b.grad = grad / norm  # pre-clipped by hand
-        adam_step({"p": b}, OptimizerState(), 1e-2, clip_norm=1e9)
+        adam_step(T.FlatParams({"p": b}), OptimizerState(), 1e-2, clip_norm=1e9)
         assert np.allclose(a.values, b.values, atol=1e-15)
 
     def test_zero_grad_leaves_parameter_fixed(self):
         p = Tensor(np.ones(3), requires_grad=True)
-        state = OptimizerState()
+        params, state = T.FlatParams({"p": p}), OptimizerState()
         for _ in range(5):
             p.grad = None
-            adam_step({"p": p}, state, 1e-2, 1.0)
+            adam_step(params, state, 1e-2, 1.0)
         assert np.array_equal(p.values, np.ones(3))
 
     def test_descends_a_quadratic(self):
         p = Tensor([5.0], requires_grad=True)
-        state = OptimizerState()
+        params, state = T.FlatParams({"p": p}), OptimizerState()
         for _ in range(300):
             p.grad = 2 * p.values
-            adam_step({"p": p}, state, 5e-2, clip_norm=100.0)
+            adam_step(params, state, 5e-2, clip_norm=100.0)
         assert abs(p.values[0]) < 0.1
 
 
@@ -187,34 +187,41 @@ class TestFlatAdam:
         if head != "mlm":
             assert "encoder/mlm_proj" in record["none"]
 
-    def test_plain_mapping_is_packed(self):
+    def test_moments_follow_the_layout(self):
         a = Tensor(np.arange(6.0).reshape(2, 3).copy(), requires_grad=True)
         b = Tensor(np.ones(2), requires_grad=True)
         a.grad, b.grad = np.full((2, 3), 0.5), None
         state = OptimizerState()
-        adam_step({"a": a, "b": b}, state, 1e-2, 1.0)
+        adam_step(T.FlatParams({"a": a, "b": b}), state, 1e-2, 1.0)
         assert state.layout == (("a", (2, 3), 0), ("b", (2,), 6))
         assert np.array_equal(b.values, np.ones(2)) and np.all(a.values < np.arange(6.0).reshape(2, 3))
         assert np.array_equal(state.m["b"], np.zeros(2)) and state.m["a"].shape == (2, 3)
 
-    def test_another_models_parameters_are_refused(self):
-        model = training._fresh_model(small_corpus(), None, seed=0)
+    def test_a_model_of_another_models_parts_owns_copies(self):
+        corpus = small_corpus()
+        model = training._fresh_model(corpus, None, seed=0)
         before = model.parameters().flat.copy()
-        for p in model.parameters().values():
-            p.grad = np.ones_like(p.values)
-        with pytest.raises(ContractError, match="another model"):
-            adam_step(dict(model.parameters()), OptimizerState(), 1e-2, 1.0)
-        with pytest.raises(ContractError, match="another model"):
-            pipeline.Model(model.config, model.encoder, model.vocab, model.scheme)
-        assert_packed(model)
+        twin = pipeline.Model(model.config, model.encoder, model.vocab, model.scheme)
+        assert not np.shares_memory(twin.parameters().flat, model.parameters().flat)
+        assert all(twin.parameters()[k] is not p for k, p in model.parameters().items())
+        assert twin.parameters().flat.tobytes() == before.tobytes()
+        batch = [pipeline.word_ids(s, model.vocab)[0] for s in corpus.sentences[:4]]
+
+        def loss_at(step):  # the loop train() runs, on the twin's encoder
+            return mlm_step(batch, twin.encoder, twin.config, 0.5, seed=step), ()
+
+        training._optimize(twin, OptimizerState(), range(1), 1e-2, 1.0, loss_at, None)
+        assert twin.parameters().flat.tobytes() != before.tobytes()
         assert model.parameters().flat.tobytes() == before.tobytes()
+        assert_packed(model)
+        assert_packed(twin)
 
     def test_state_of_another_layout_rejected(self):
         p = Tensor(np.ones(3), requires_grad=True)
         state = OptimizerState()
-        adam_step({"p": p}, state, 1e-2, 1.0)
+        adam_step(T.FlatParams({"p": p}), state, 1e-2, 1.0)
         with pytest.raises(ContractError, match="does not match"):
-            adam_step({"q": Tensor(np.ones(3), requires_grad=True)}, state, 1e-2, 1.0)
+            adam_step(T.FlatParams({"q": Tensor(np.ones(3), requires_grad=True)}), state, 1e-2, 1.0)
 
     def test_every_parameter_views_the_flat_vector(self, tmp_path):
         corpus = small_corpus(20, seed=3)
@@ -238,6 +245,15 @@ class TestFlatAdam:
         assert_packed(resumed.model)
         assert_packed(loaded.model)  # the init model is left as it was
         assert loaded.model.parameters().flat.tobytes() == ckpt.model.parameters().flat.tobytes()
+
+    def test_clones_and_loaded_models_carry_no_gradients(self, tmp_path):
+        ckpt = train(small_corpus(), TrainConfig(steps=2, head="span"))
+        assert any(p.grad is not None for p in ckpt.model.parameters().values())
+        path = tmp_path / "model.json"
+        save_checkpoint(ckpt, path)
+        for model in (ckpt.model.clone(), load_checkpoint(path).model):
+            assert all(p.grad is None for p in model.parameters().values())
+            assert model.parameters().flat.tobytes() == ckpt.model.parameters().flat.tobytes()
 
     def test_zero_step_checkpoint_has_empty_moments(self, tmp_path):
         path = tmp_path / "model.json"
@@ -631,7 +647,7 @@ class TestPretrain:
             vocab_size=len(vocab), d_model=16, heads=2, layers=1, d_ff=32, max_len=32
         )
         params = init_params(config, seed=0)
-        named = params.named()
+        named = T.FlatParams(params.named())
         state = OptimizerState()
         initial = final = None
         for step in range(200):
@@ -791,8 +807,9 @@ class TestCheckpointIO:
 class TestBenchmarkHooks:
     def test_tracer_wraps_a_traced_pass_and_unwraps(self):
         """The benchmark's tracer patches training, pipeline and cli entry points
-        by name and reads adam_step's arguments by position; a traced pretrain
-        and fine-tune must run through them, and uninstall must restore all."""
+        by name and reads adam_step's arguments by position; a traced pretrain,
+        fine-tune and resume must run through them, and uninstall must restore
+        all.  Only the resume clones a model; the fine-tune attaches a head."""
         path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
         spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
         tracer = importlib.util.module_from_spec(spec)
@@ -802,10 +819,13 @@ class TestBenchmarkHooks:
         try:
             tr.on = tr.counting = True
             pre = pretrain(corpus, PretrainConfig(steps=1, batch_size=2, seed=0))
-            train(corpus, TrainConfig(steps=1, batch_size=2, seed=0), init=pre)
+            tuned = train(corpus, TrainConfig(steps=1, batch_size=2, seed=0), init=pre)
+            train(corpus, TrainConfig(steps=1, batch_size=2, seed=0), init=tuned)
         finally:
             tr.uninstall()
         assert tracer.leaked_wrappers(medext) == []
-        for name in ("encoder.mlm", "training.clone", "crf_head.loss", "pipeline.gold_pairs"):
+        for name in ("encoder.mlm", "training.clone"):
             assert tr.calls(name) == 1, name
-        assert tr.calls("training.adam") == 2 and tr.counts["adam_steps"] == 2
+        for name in ("crf_head.loss", "pipeline.gold_pairs"):
+            assert tr.calls(name) == 2, name
+        assert tr.calls("training.adam") == 3 and tr.counts["adam_steps"] == 3
