@@ -391,7 +391,7 @@ def cmd_predict(config: dict, args) -> int:
     decoded = iter(predict(model, [s for i, s in enumerate(sentences) if i not in errors]))
     records = [
         {"line": number, "error": errors[i]} if i in errors
-        else {"tokens": words, "spans": [asdict(s) for s in next(decoded)[1]]}
+        else {"tokens": words, "spans": [asdict(s) for s in next(decoded)[0]]}
         for i, (number, words) in enumerate(numbered)
     ]
     payload = "\n".join(json.dumps(r, separators=(",", ":")) for r in records)

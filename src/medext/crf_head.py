@@ -13,6 +13,7 @@ repair-mode span decoding handles any residual violations downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -166,22 +167,72 @@ def crf_nll(
     return T.scale(nll, 1.0 / len(lengths))
 
 
+def _longest_first(sizes: list[int]) -> tuple[list[int], Sequence[int] | slice, list[int]]:
+    """Lay packed rows out for a left-to-right recursion that steps only the
+    sentences still running.
+
+    Returns (order, rows, begin).  ``order`` ranks the sentences longest
+    first, ties in input order, so at position i the sentences still running
+    are the first ``begin[i + 1] - begin[i]`` of ``order``.  ``rows`` lists
+    the packed rows position by position, each position's in rank order:
+    position i of the sentence ranked r is packed row ``rows[begin[i] + r]``.
+    It is a permutation, not a padded copy; a single sentence is already in
+    this layout, and its ``rows`` is a slice.
+    """
+    if len(sizes) == 1:
+        return [0], slice(None), list(range(sizes[0] + 1))
+    size = np.asarray(sizes, dtype=np.intp)
+    order = np.argsort(-size, kind="stable")
+    position = np.arange(size[order[0]])[:, None]
+    running = position < size[order]  # [longest, B]
+    rows = ((np.cumsum(size) - size)[order] + position)[running]
+    return order.tolist(), rows, [0, *accumulate(running.sum(axis=1).tolist())]
+
+
 def viterbi(
-    e: Tensor, trans: Tensor, start: Tensor, stop: Tensor
-) -> tuple[list[int], float]:
-    """Highest-scoring tag sequence; ties break toward the lower tag index."""
-    ev, tv = e.values, trans.values
+    e: Tensor,
+    trans: Tensor,
+    start: Tensor,
+    stop: Tensor,
+    lengths: Sequence[int] | None = None,
+):
+    """Highest-scoring tag sequence and its score, (path, score); ties break
+    toward the lower tag index.
+
+    With ``lengths``, ``e`` packs several sentences and the result is one
+    (path, score) per sentence.  The sentences run longest first
+    (``_longest_first``): each position is one step for the sentences still
+    running, a prefix of that order, so a batch of one steps as a single
+    sequence does.
+    """
+    ev, into = e.values, trans.values.T  # into[b, a] scores tag b following tag a
     n = _check_sequence(e)
-    score = start.values + ev[0]
-    backptr = np.zeros((n, ev.shape[1]), dtype=np.intp)
-    for i in range(1, n):
-        cand = score[:, None] + tv
-        backptr[i] = cand.argmax(axis=0)  # argmax picks the lowest index on ties
-        score = ev[i] + cand.max(axis=0)
-    final = score + stop.values
-    best = int(final.argmax())
-    tags = [best]
-    for i in range(n - 1, 0, -1):
-        tags.append(int(backptr[i, tags[-1]]))
-    tags.reverse()
-    return tags, float(final[best])
+    sizes = T.tiling([n] if lengths is None else lengths, n, "viterbi")
+    order, rows, begin = _longest_first(sizes)
+    ep = ev[rows]
+    score = start.values + ep[:begin[1]]
+    backptr = np.empty(ep.shape, dtype=np.intp)  # row-aligned with ep
+    ended = []  # score blocks of the sentences that stopped, last rank first
+    for lo, hi in zip(begin[1:-1], begin[2:]):
+        if hi - lo < len(score):
+            ended.append(score[hi - lo:])
+            score = score[:hi - lo]
+        cand = score[:, None, :] + into  # [m, to, from]
+        cand.argmax(axis=2, out=backptr[lo:hi])  # argmax picks the lowest index on ties
+        score = ep[lo:hi] + np.maximum.reduce(cand, axis=2)  # cand.max, without its wrapper
+    best: list[int] = []
+    top: list[float] = []
+    for block in (score, *reversed(ended)):
+        final = block + stop.values
+        winners = final.argmax(axis=1).tolist()
+        top += [row[t] for row, t in zip(final.tolist(), winners)]
+        best += winners
+    back = backptr.tolist()
+    out: list = [None] * len(order)
+    for r, b in enumerate(order):
+        tags = [best[r]]
+        for i in range(sizes[b] - 1, 0, -1):
+            tags.append(back[begin[i] + r][tags[-1]])
+        tags.reverse()
+        out[b] = (tags, top[r])
+    return out if lengths is not None else out[0]

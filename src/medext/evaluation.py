@@ -145,6 +145,8 @@ def relation_prf(
 def token_accuracy(
     gold_tags: Sequence[Sequence[int]], pred_tags: Sequence[Sequence[int]]
 ) -> float:
+    if len(gold_tags) != len(pred_tags):
+        raise ContractError(f"{len(gold_tags)} gold vs {len(pred_tags)} predicted sentences")
     total = correct = 0
     for gold, pred in zip(gold_tags, pred_tags):
         if len(gold) != len(pred):

@@ -35,7 +35,7 @@ from .evaluation import (
     resolve_relations,
     token_accuracy,
 )
-from .relation_head import RelationHeadParams, ordered_pairs, predict_relations
+from .relation_head import RelationHeadParams, predict_relations, span_pairs
 from .seq2seq_head import (
     Seq2SeqParams,
     greedy_decode,
@@ -53,10 +53,10 @@ from .span_head import (
 from .tensor import Tensor
 
 HeadParams = CRFParams | SpanHeadParams | Seq2SeqParams
-Decoded = tuple[Tensor, list[EntitySpan], list[int]]  # word rows, spans, pre-repair tags
+Decoded = tuple[list[EntitySpan], list[int]]  # spans, pre-repair tags
 _KIND_OF = {CRFParams: "crf", SpanHeadParams: "span", Seq2SeqParams: "seq2seq"}
 HEAD_KINDS = tuple(_KIND_OF.values())
-EVAL_CHUNK = 16  # sentences per packed encoder pass in predict
+EVAL_CHUNK = 16  # sentences per packed encoder and head pass in predict
 
 
 @dataclass(frozen=True)
@@ -184,21 +184,30 @@ def ner_loss(
     raise ContractError("model has no trainable head")
 
 
-def decode_entities(model: Model, h_words: Tensor) -> tuple[list[EntitySpan], list[int]]:
-    """Predicted spans plus the tag sequence they came from (pre-repair)."""
+def decode_entities(model: Model, h_words: Tensor, lengths: Sequence[int] | None = None):
+    """Predicted spans plus the tag sequence they came from (pre-repair).
+
+    With ``lengths``, ``h_words`` packs several sentences' word rows and the
+    result is one (spans, tags) per sentence, from one head pass over the
+    packed rows; without, ``h_words`` is one sentence, a batch of one.
+    """
     head = model.head
     scheme = model.scheme
-    if isinstance(head, CRFParams):
-        e = emissions(h_words, head)
-        tags, _ = viterbi(e, head.trans, head.start, head.stop)
-        return tags_to_spans(tags, scheme, mode="repair"), tags
+    sizes = [h_words.shape[0]] if lengths is None else lengths
     if isinstance(head, SpanHeadParams):
-        spans = decode_spans(score_all_spans(h_words, head), head.classes)
-        return spans, spans_to_tags(spans, h_words.shape[0], scheme)
-    if isinstance(head, Seq2SeqParams):
-        tags = greedy_decode(h_words, head)
-        return tags_to_spans(tags, scheme, mode="repair"), tags
-    raise ContractError("model has no decodable head")
+        found = decode_spans(score_all_spans(h_words, head, sizes), head.classes)
+        paths = [spans_to_tags(spans, n, scheme) for spans, n in zip(found, sizes)]
+    else:
+        if isinstance(head, CRFParams):
+            e = emissions(h_words, head)
+            paths = [tags for tags, _ in viterbi(e, head.trans, head.start, head.stop, sizes)]
+        elif isinstance(head, Seq2SeqParams):
+            paths = greedy_decode(h_words, head, sizes)
+        else:
+            raise ContractError("model has no decodable head")
+        found = [tags_to_spans(tags, scheme, mode="repair") for tags in paths]
+    decoded = list(zip(found, paths))
+    return decoded if lengths is not None else decoded[0]
 
 
 def length_errors(sentences: Sequence[Sentence], vocab: Vocab, max_len: int) -> dict[int, str]:
@@ -211,20 +220,26 @@ def length_errors(sentences: Sequence[Sentence], vocab: Vocab, max_len: int) -> 
     }
 
 
-def predict(model: Model, sentences: Sequence[Sentence]) -> list[Decoded]:
-    """The one inference loop: each sentence's word rows, decoded spans and
-    pre-repair tags.  EVAL_CHUNK sentences share a packed encoder pass and no
-    tape is recorded; a list, not a generator, so no caller code runs unrecorded."""
+def _decode_chunks(
+    model: Model, sentences: Sequence[Sentence]
+) -> list[tuple[Tensor, Sequence[Sentence], list[Decoded]]]:
+    """The one inference loop: for every EVAL_CHUNK sentences, their packed
+    word rows (one encoder pass) and each one's decoded spans and tags (one
+    head pass).  No tape is recorded; a list, not a generator, so no caller
+    code runs unrecorded."""
     out = []
     with T.no_grad():
         for lo in range(0, len(sentences), EVAL_CHUNK):
             chunk = sentences[lo:lo + EVAL_CHUNK]
-            h_words, offset = encode_words_batch(model, chunk), 0
-            for sentence in chunk:
-                h = T.gather(h_words, slice(offset, offset + len(sentence.tokens)))
-                offset += len(sentence.tokens)
-                out.append((h, *decode_entities(model, h)))
+            h_words = encode_words_batch(model, chunk)
+            lengths = [len(sentence.tokens) for sentence in chunk]
+            out.append((h_words, chunk, decode_entities(model, h_words, lengths)))
     return out
+
+
+def predict(model: Model, sentences: Sequence[Sentence]) -> list[Decoded]:
+    """Each sentence's decoded spans and pre-repair tags."""
+    return [d for _, _, decoded in _decode_chunks(model, sentences) for d in decoded]
 
 
 def gold_relation_pairs(
@@ -232,31 +247,17 @@ def gold_relation_pairs(
 ) -> tuple[Tensor, Tensor, list[str]] | None:
     """Training pairs over a batch's gold spans, from its packed word rows.
 
-    Every ordered pair of distinct gold spans within a sentence is one pair;
-    unannotated pairs are no-relation.  Returns the head rows, tail rows and
-    labels, or None when no sentence has two spans.  All gold entities of
-    the batch are pooled at once and the pair rows are two gathers.
+    Every ordered pair of distinct gold spans within a sentence is one pair
+    (``span_pairs``); unannotated pairs are no-relation.  Returns the head
+    rows, tail rows and labels, or None when no sentence has two spans.
     """
-    starts: list[int] = []
-    stops: list[int] = []
-    heads: list[int] = []
-    tails: list[int] = []
-    labels: list[str] = []
-    offset = 0
-    for sentence in sentences:
-        if len(sentence.spans) >= 2:
-            annotated = {(r.head, r.tail): r.label for r in sentence.relations}
-            first, second = ordered_pairs(len(sentence.spans))
-            heads.extend(len(starts) + i for i in first)
-            tails.extend(len(starts) + j for j in second)
-            labels.extend(annotated.get(pair, NO_RELATION) for pair in zip(first, second))
-            starts.extend(offset + span.start for span in sentence.spans)
-            stops.extend(offset + span.end + 1 for span in sentence.spans)
-        offset += len(sentence.tokens)
-    if not labels:
+    lengths = [len(sentence.tokens) for sentence in sentences]
+    pairs = span_pairs(h_words, [sentence.spans for sentence in sentences], lengths)
+    if pairs is None:
         return None
-    pooled = T.range_means(h_words, starts, stops)
-    return T.gather(pooled, heads), T.gather(pooled, tails), labels
+    heads, tails, index = pairs
+    annotated = [{(r.head, r.tail): r.label for r in s.relations} for s in sentences]
+    return heads, tails, [annotated[b].get((i, j), NO_RELATION) for b, i, j in index]
 
 
 @dataclass
@@ -271,24 +272,30 @@ class SplitEvaluation:
 
 
 def evaluate_split(model: Model, corpus: Corpus, split: str = "test") -> SplitEvaluation:
-    """Decode every sentence of a split through ``predict`` and score entities
-    (and relations).  Nothing is recorded on the tape."""
+    """Decode every sentence of a split and score entities (and relations).
+    Each chunk of ``_decode_chunks`` gets one relation pass over its gold
+    spans and one over its predicted spans.  Nothing is recorded on the tape."""
     sentences = [corpus.sentences[i] for i in corpus.split_indices(split)]
-    predicted = predict(model, sentences)
-    pred_tags = [tags for _, _, tags in predicted]
-    report = entity_prf([s.spans for s in sentences], [spans for _, spans, _ in predicted])
+    chunks = _decode_chunks(model, sentences)
+    predicted = [d for _, _, decoded in chunks for d in decoded]
+    pred_tags = [tags for _, tags in predicted]
+    report = entity_prf([s.spans for s in sentences], [spans for spans, _ in predicted])
     report.token_accuracy = token_accuracy([s.tags for s in sentences], pred_tags)
     if model.head_kind in ("crf", "seq2seq") and pred_tags:
         report.invalid_transition_rate = invalid_transition_rate(pred_tags, model.scheme)
     result = SplitEvaluation(entities=report)
     if model.relation is not None:
-        def found(spans: list[EntitySpan], h: Tensor) -> list:
-            return resolve_relations(spans, predict_relations(h, spans, model.relation))
-
-        gold = [resolve_relations(s.spans, s.relations) for s in sentences]
+        on_gold, on_pred = [], []
         with T.no_grad():
-            on_gold = [found(s.spans, h) for s, (h, _, _) in zip(sentences, predicted)]
-            on_pred = [found(spans, h) for h, spans, _ in predicted]
-        result.relations_gold_spans = relation_prf(gold, on_gold)
-        result.relations_predicted_spans = relation_prf(gold, on_pred)
+            for h_words, chunk, decoded in chunks:
+                lengths = [len(s.tokens) for s in chunk]
+                gold_spans = [s.spans for s in chunk]
+                on_gold += predict_relations(h_words, gold_spans, model.relation, lengths)
+                pred_spans = [spans for spans, _ in decoded]
+                on_pred += predict_relations(h_words, pred_spans, model.relation, lengths)
+        gold = [resolve_relations(s.spans, s.relations) for s in sentences]
+        found = [resolve_relations(s.spans, r) for s, r in zip(sentences, on_gold)]
+        result.relations_gold_spans = relation_prf(gold, found)
+        found = [resolve_relations(spans, r) for (spans, _), r in zip(predicted, on_pred)]
+        result.relations_predicted_spans = relation_prf(gold, found)
     return result

@@ -78,21 +78,65 @@ def ordered_pairs(k: int) -> tuple[list[int], list[int]]:
     return [i for i, _ in pairs], [j for _, j in pairs]
 
 
+def span_pairs(
+    h: Tensor, groups: Sequence[Sequence[EntitySpan]], lengths: Sequence[int]
+) -> tuple[Tensor, Tensor, list[tuple[int, int, int]]] | None:
+    """Every ordered pair of distinct spans within one sentence of packed rows.
+
+    ``h`` packs the sentences' word rows, ``lengths`` rows each, and
+    ``groups`` holds each sentence's spans.  Returns the pairs' head rows and
+    tail rows, and each pair's (sentence, head span, tail span) indices; None
+    when no sentence has two spans.  The spans of all sentences are pooled in
+    one ``range_means`` and the pair rows are two gathers.
+    """
+    starts: list[int] = []
+    stops: list[int] = []
+    heads: list[int] = []
+    tails: list[int] = []
+    index: list[tuple[int, int, int]] = []
+    offset = 0
+    for b, (spans, n) in enumerate(zip(groups, lengths)):
+        for span in spans:
+            if not 0 <= span.start <= span.end < n:
+                raise ContractError(f"span {span} out of range for {n} positions")
+        if len(spans) >= 2:
+            first, second = ordered_pairs(len(spans))
+            heads.extend(len(starts) + i for i in first)
+            tails.extend(len(starts) + j for j in second)
+            index.extend((b, i, j) for i, j in zip(first, second))
+            starts.extend(offset + span.start for span in spans)
+            stops.extend(offset + span.end + 1 for span in spans)
+        offset += n
+    if not index:
+        return None
+    pooled = T.range_means(h, starts, stops)
+    return T.gather(pooled, heads), T.gather(pooled, tails), index
+
+
 def predict_relations(
-    h: Tensor, spans: Sequence[EntitySpan], params: RelationHeadParams
-) -> list[RelationInstance]:
-    """Argmax label for every ordered pair of distinct spans; no-relation omitted."""
-    for span in spans:
-        if not 0 <= span.start <= span.end < h.shape[0]:
-            raise ContractError(f"span {span} out of range for {h.shape[0]} positions")
-    heads, tails = ordered_pairs(len(spans))
-    if not heads:
-        return []
-    pooled = T.range_means(h, [s.start for s in spans], [s.end + 1 for s in spans])
-    logits = pair_logits(T.gather(pooled, heads), T.gather(pooled, tails), params)
-    best = logits.values.argmax(axis=1).tolist()
-    return [
-        RelationInstance(i, j, params.labels[label])
-        for i, j, label in zip(heads, tails, best)
-        if label != 0
-    ]
+    h: Tensor,
+    spans: Sequence,
+    params: RelationHeadParams,
+    lengths: Sequence[int] | None = None,
+):
+    """Argmax label for every ordered pair of distinct spans; no-relation omitted.
+
+    With ``lengths``, ``h`` packs several sentences' word rows, ``spans``
+    holds one span list per sentence and the result is one relation list
+    per sentence, from one ``span_pairs`` and one ``pair_logits`` pass.
+    """
+    if lengths is None:
+        groups, sizes = [spans], [h.shape[0]]
+    else:
+        groups, sizes = spans, T.tiling(lengths, h.shape[0], "predict_relations")
+        if len(groups) != len(sizes):
+            raise ContractError(f"{len(groups)} span lists for {len(sizes)} sentences")
+    found: list[list[RelationInstance]] = [[] for _ in groups]
+    pairs = span_pairs(h, groups, sizes)
+    if pairs is not None:
+        heads, tails, index = pairs
+        best = pair_logits(heads, tails, params).values.argmax(axis=1).tolist()
+        for (b, i, j), label in zip(index, best):
+            if label != 0:
+                found[b].append(RelationInstance(i, j, params.labels[label]))
+    return found if lengths is not None else found[0]

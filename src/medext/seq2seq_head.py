@@ -59,22 +59,31 @@ def teacher_forced_loss(
     return T.cross_entropy(logits, y, np.repeat(1.0 / (sizes.size * sizes), sizes))
 
 
-def greedy_decode(h: Tensor, params: Seq2SeqParams) -> list[int]:
-    """Left-to-right argmax, feeding each prediction forward; lowest index wins ties."""
+def greedy_decode(h: Tensor, params: Seq2SeqParams, lengths: Sequence[int] | None = None):
+    """Left-to-right argmax, feeding each prediction forward; lowest index wins ties.
+
+    One matmul scores every row under each of the K+1 tags that can precede
+    it (begin-of-sequence included) and one argmax picks each one's winner,
+    so the left-to-right walk is table lookups.  With ``lengths``, ``h``
+    packs several sentences and the result is one tag list per sentence.
+    """
     n = h.shape[0]
     if n < 1:
         raise ContractError("greedy_decode requires at least one position")
-    hv = h.values
+    sizes = T.tiling([n] if lengths is None else lengths, n, "greedy_decode")
     emb = params.tag_emb.values
-    w, b = params.w_out.values, params.b_out.values
-    tags: list[int] = []
-    previous = params.bos
-    for i in range(n):
-        feats = np.concatenate([hv[i], emb[previous]])
-        logits = feats @ w + b
-        previous = int(logits.argmax())
-        tags.append(previous)
-    return tags
+    feats = np.concatenate([np.repeat(h.values, len(emb), axis=0), np.tile(emb, (n, 1))], axis=1)
+    logits = feats @ params.w_out.values + params.b_out.values
+    after = logits.argmax(axis=1).reshape(n, len(emb)).tolist()  # [row][previous tag]
+    out, offset = [], 0
+    for size in sizes:
+        tags, previous = [], params.bos
+        for choice in after[offset:offset + size]:
+            previous = choice[previous]
+            tags.append(previous)
+        out.append(tags)
+        offset += size
+    return out if lengths is not None else out[0]
 
 
 def invalid_transition_rate(batch: Sequence[Sequence[int]], scheme: TagScheme) -> float:

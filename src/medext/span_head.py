@@ -162,26 +162,23 @@ def subsample_negatives(labels: Sequence[int], neg_ratio: float, seed: int) -> l
     return sorted(positives + negatives)
 
 
-def decode_spans(table: SpanTable, classes: Sequence[str]) -> list[EntitySpan]:
-    """Greedy non-overlapping decode of one sentence's table: best winning
-    logit first, ties by (start, end)."""
+def decode_spans(table: SpanTable, classes: Sequence[str]) -> list[list[EntitySpan]]:
+    """Greedy non-overlapping decode of each sentence of the table, one span
+    list per sentence: best winning logit first, ties by (start, end)."""
     values = table.logits.values
     cls = values.argmax(axis=1)
-    best = values[np.arange(len(table)), cls]
-    winners = sorted(
-        (-score, start, end, c)
-        for score, start, end, c in zip(
-            best.tolist(), table.starts.tolist(), table.ends.tolist(), cls.tolist()
-        )
-        if c != NULL
-    )
-    taken: list[EntitySpan] = []
-    occupied: set[int] = set()
-    for _, start, end, c in winners:
-        positions = range(start, end + 1)
-        if any(p in occupied for p in positions):
-            continue
-        occupied.update(positions)
-        taken.append(EntitySpan(start, end, classes[c - 1]))
-    taken.sort(key=lambda s: (s.start, s.end))
+    won = np.flatnonzero(cls != NULL)
+    winners = sorted(zip(
+        table.sentence[won].tolist(), (-values[won, cls[won]]).tolist(),
+        table.starts[won].tolist(), table.ends[won].tolist(), cls[won].tolist(),
+    ))
+    taken: list[list[EntitySpan]] = [[] for _ in range(int(table.sentence[-1]) + 1)]
+    occupied: set[tuple[int, int]] = set()
+    for b, _, start, end, c in winners:
+        positions = [(b, p) for p in range(start, end + 1)]
+        if occupied.isdisjoint(positions):
+            occupied.update(positions)
+            taken[b].append(EntitySpan(start, end, classes[c - 1]))
+    for spans in taken:
+        spans.sort(key=lambda s: (s.start, s.end))
     return taken

@@ -327,12 +327,19 @@ def segments(lengths: Sequence[int], n_rows: int, what: str) -> tuple[Array, Arr
     for every packed row its block index and its position inside the block,
     so ``padded[segment, position] = rows`` pads to [B, max(lengths), ...].
     """
-    sizes = np.asarray(lengths, dtype=np.intp)
-    if sizes.ndim != 1 or sizes.size == 0 or sizes.min() < 1 or sizes.sum() != n_rows:
-        raise ContractError(f"{what}: segment lengths {list(lengths)} do not tile {n_rows} rows")
+    sizes = np.asarray(tiling(lengths, n_rows, what), dtype=np.intp)
     segment = np.repeat(np.arange(sizes.size), sizes)
     position = np.arange(n_rows) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     return sizes, segment, position
+
+
+def tiling(lengths: Sequence[int], n_rows: int, what: str) -> list[int]:
+    """``lengths`` as a list, checked to tile ``n_rows`` packed rows in
+    nonempty blocks."""
+    sizes = list(lengths)
+    if not sizes or min(sizes) < 1 or sum(sizes) != n_rows:
+        raise ContractError(f"{what}: segment lengths {sizes} do not tile {n_rows} rows")
+    return sizes
 
 
 def segment_attention(

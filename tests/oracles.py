@@ -3,8 +3,9 @@ calls them: its CRF runs the fused forward-backward op, its losses the fused
 cross-entropy, its encoder the packed multi-head ``segment_attention``, its
 relation head pools entities with ``range_means``, its BIO decoder is one
 flat loop, ``load_annotations`` checks records against the spans
-``load_conll`` derived, and ``build_vocab`` counts each distinct word's
-characters once."""
+``load_conll`` derived, ``build_vocab`` counts each distinct word's
+characters once, and inference decodes and scores relations one packed
+chunk at a time."""
 
 import itertools
 import math
@@ -13,9 +14,23 @@ from dataclasses import astuple
 
 import numpy as np
 
+from medext import pipeline
 from medext import tensor as T
-from medext.corpus import RESERVED_ENTRIES, EntitySpan, Sentence, TagScheme
+from medext.corpus import (
+    RESERVED_ENTRIES,
+    EntitySpan,
+    RelationInstance,
+    Sentence,
+    TagScheme,
+    spans_to_tags,
+)
+from medext.corpus import tags_to_spans as repair_spans
+from medext.crf_head import CRFParams, emissions
 from medext.errors import ContractError, ShapeError, ValidationError
+from medext.evaluation import entity_prf, relation_prf, resolve_relations, token_accuracy
+from medext.relation_head import ordered_pairs, pair_logits
+from medext.seq2seq_head import Seq2SeqParams, invalid_transition_rate
+from medext.span_head import NULL, SpanHeadParams, score_all_spans
 from medext.tensor import Tensor, gather, record_op
 
 
@@ -188,3 +203,115 @@ def vocab_entries(sentences, min_freq: int = 1) -> list[str]:
             entries.append(char)
             seen.add(char)
     return entries
+
+
+def viterbi_one(e: Tensor, trans: Tensor, start: Tensor, stop: Tensor) -> tuple[list[int], float]:
+    """One sentence's Viterbi path and score, one position at a time."""
+    ev, tv = e.values, trans.values
+    n = e.shape[0]
+    score = start.values + ev[0]
+    backptr = np.zeros((n, ev.shape[1]), dtype=np.intp)
+    for i in range(1, n):
+        cand = score[:, None] + tv
+        backptr[i] = cand.argmax(axis=0)
+        score = ev[i] + cand.max(axis=0)
+    final = score + stop.values
+    best = int(final.argmax())
+    tags = [best]
+    for i in range(n - 1, 0, -1):
+        tags.append(int(backptr[i, tags[-1]]))
+    tags.reverse()
+    return tags, float(final[best])
+
+
+def greedy_decode_one(h: Tensor, params) -> list[int]:
+    """One sentence's greedy tags, one matrix-vector product per position."""
+    emb = params.tag_emb.values
+    w, b = params.w_out.values, params.b_out.values
+    tags: list[int] = []
+    previous = params.bos
+    for row in h.values:
+        previous = int((np.concatenate([row, emb[previous]]) @ w + b).argmax())
+        tags.append(previous)
+    return tags
+
+
+def decode_spans_one(table, classes) -> list[EntitySpan]:
+    """Greedy non-overlapping decode of a one-sentence span table."""
+    values = table.logits.values
+    cls = values.argmax(axis=1)
+    best = values[np.arange(len(table)), cls]
+    winners = sorted(
+        (-score, start, end, c)
+        for score, start, end, c in zip(
+            best.tolist(), table.starts.tolist(), table.ends.tolist(), cls.tolist()
+        )
+        if c != NULL
+    )
+    taken: list[EntitySpan] = []
+    occupied: set[int] = set()
+    for _, start, end, c in winners:
+        positions = range(start, end + 1)
+        if any(p in occupied for p in positions):
+            continue
+        occupied.update(positions)
+        taken.append(EntitySpan(start, end, classes[c - 1]))
+    taken.sort(key=lambda s: (s.start, s.end))
+    return taken
+
+
+def predict_relations_one(h: Tensor, spans, params) -> list[RelationInstance]:
+    """One sentence's relations: its own ``range_means`` and ``pair_logits``."""
+    heads, tails = ordered_pairs(len(spans))
+    if not heads:
+        return []
+    pooled = T.range_means(h, [s.start for s in spans], [s.end + 1 for s in spans])
+    logits = pair_logits(gather(pooled, heads), gather(pooled, tails), params)
+    best = logits.values.argmax(axis=1).tolist()
+    return [
+        RelationInstance(i, j, params.labels[label])
+        for i, j, label in zip(heads, tails, best)
+        if label != 0
+    ]
+
+
+def decode_one(model, h: Tensor) -> tuple[list[EntitySpan], list[int]]:
+    """One sentence's (spans, pre-repair tags) from its own word rows."""
+    head, scheme = model.head, model.scheme
+    if isinstance(head, CRFParams):
+        tags, _ = viterbi_one(emissions(h, head), head.trans, head.start, head.stop)
+    elif isinstance(head, Seq2SeqParams):
+        tags = greedy_decode_one(h, head)
+    else:
+        assert isinstance(head, SpanHeadParams)
+        spans = decode_spans_one(score_all_spans(h, head), head.classes)
+        return spans, spans_to_tags(spans, h.shape[0], scheme)
+    return repair_spans(tags, scheme, mode="repair"), tags
+
+
+def evaluate_split_one(model, corpus, split: str) -> dict:
+    """``evaluate_split(...).as_dict()`` one sentence at a time: each
+    sentence's own encoder pass, decode and two relation passes."""
+    sentences = [corpus.sentences[i] for i in corpus.split_indices(split)]
+    with T.no_grad():
+        rows = [pipeline.encode_words(model, s) for s in sentences]
+        predicted = [decode_one(model, h) for h in rows]
+    pred_tags = [tags for _, tags in predicted]
+    report = entity_prf([s.spans for s in sentences], [spans for spans, _ in predicted])
+    report.token_accuracy = token_accuracy([s.tags for s in sentences], pred_tags)
+    if model.head_kind in ("crf", "seq2seq") and pred_tags:
+        report.invalid_transition_rate = invalid_transition_rate(pred_tags, model.scheme)
+    out = {"entities": report.as_dict()}
+    if model.relation is not None:
+        gold = [resolve_relations(s.spans, s.relations) for s in sentences]
+        with T.no_grad():
+            for name, span_lists in (
+                ("relations_gold_spans", [s.spans for s in sentences]),
+                ("relations_predicted_spans", [spans for spans, _ in predicted]),
+            ):
+                found = [
+                    resolve_relations(spans, predict_relations_one(h, spans, model.relation))
+                    for spans, h in zip(span_lists, rows)
+                ]
+                out[name] = relation_prf(gold, found).as_dict()
+    return out

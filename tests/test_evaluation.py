@@ -168,6 +168,12 @@ class TestTokenAccuracy:
         with pytest.raises(ContractError):
             token_accuracy([[0, 1]], [[0]])
 
+    @pytest.mark.parametrize("gold, pred", [([[0], [1]], [[0]]), ([[0]], [[0], [1]])])
+    def test_sentence_count_mismatch_rejected(self, gold, pred):
+        """A missing or extra sentence is an error, not a shorter score."""
+        with pytest.raises(ContractError, match=f"{len(gold)} gold vs {len(pred)} predicted"):
+            token_accuracy(gold, pred)
+
 
 class TestReportMarkdown:
     def test_table_shape(self):

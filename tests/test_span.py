@@ -149,15 +149,15 @@ class TestSpanLoss:
 class TestDecodeSpans:
     def test_no_winners(self):
         candidates = table((0, 0, [5.0, 1.0, 1.0]))
-        assert decode_spans(candidates, CLASSES) == []
+        assert decode_spans(candidates, CLASSES)[0] == []
 
     def test_greedy_overlap_resolution(self):
         candidates = table((0, 2, [0.0, 2.0, 0.0]), (1, 3, [0.0, 1.0, 0.0]))
-        assert decode_spans(candidates, CLASSES) == [EntitySpan(0, 2, "A")]
+        assert decode_spans(candidates, CLASSES)[0] == [EntitySpan(0, 2, "A")]
 
     def test_disjoint_kept(self):
         candidates = table((0, 0, [0.0, 2.0, 0.0]), (2, 3, [0.0, 0.0, 1.0]))
-        assert decode_spans(candidates, CLASSES) == [
+        assert decode_spans(candidates, CLASSES)[0] == [
             EntitySpan(0, 0, "A"),
             EntitySpan(2, 3, "B"),
         ]
@@ -167,20 +167,21 @@ class TestDecodeSpans:
         candidates = table(
             *[(i, i + int(rng.integers(0, 2)), rng.standard_normal(3)) for i in range(5)]
         )
-        base = decode_spans(candidates, CLASSES)
+        base = decode_spans(candidates, CLASSES)[0]
         rows = zip(bounds(candidates), candidates.logits.values)
         shifted = table(*[(s, e, logits + 4.25) for (s, e), logits in rows])
-        assert decode_spans(shifted, CLASSES) == base
+        assert decode_spans(shifted, CLASSES)[0] == base
 
     def test_equal_logit_tie_resolved_by_position(self):
         candidates = table((2, 2, [0.0, 1.0, 0.0]), (0, 0, [0.0, 1.0, 0.0]))
-        out = decode_spans(candidates, CLASSES)
+        out = decode_spans(candidates, CLASSES)[0]
         assert out == [EntitySpan(0, 0, "A"), EntitySpan(2, 2, "A")]
 
     def test_output_non_overlapping_and_sorted(self):
         rng = np.random.default_rng(10)
         params = init_span(6, CLASSES, seed=11, max_width=3)
-        decoded = decode_spans(score_all_spans(Tensor(rng.standard_normal((8, 6))), params), CLASSES)
+        table_8 = score_all_spans(Tensor(rng.standard_normal((8, 6))), params)
+        decoded = decode_spans(table_8, CLASSES)[0]
         used = set()
         last_start = -1
         for span in decoded:
