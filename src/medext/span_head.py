@@ -173,11 +173,12 @@ def decode_spans(table: SpanTable, classes: Sequence[str]) -> list[list[EntitySp
         table.starts[won].tolist(), table.ends[won].tolist(), cls[won].tolist(),
     ))
     taken: list[list[EntitySpan]] = [[] for _ in range(int(table.sentence[-1]) + 1)]
-    occupied: set[tuple[int, int]] = set()
+    current, occupied = 0, set()  # the positions taken in sentence ``current``
     for b, _, start, end, c in winners:
-        positions = [(b, p) for p in range(start, end + 1)]
-        if occupied.isdisjoint(positions):
-            occupied.update(positions)
+        if b != current:
+            current, occupied = b, set()
+        if occupied.isdisjoint(range(start, end + 1)):
+            occupied.update(range(start, end + 1))
             taken[b].append(EntitySpan(start, end, classes[c - 1]))
     for spans in taken:
         spans.sort(key=lambda s: (s.start, s.end))
