@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import sys
@@ -487,6 +488,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    paused = args.command in ("eval", "predict") and gc.isenabled()
+    if paused:  # their cyclic garbage is bounded: see README, "Batched heads"
+        gc.disable()
     try:
         # predict takes no experiment config
         config = DEFAULT_CONFIG if args.command == "predict" else resolve_config(args)
@@ -497,6 +501,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except Exception as exc:  # runtime failures
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if paused:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ SPLITS = ("train", "val", "test")
 SPLIT_FRACTIONS = (0.72, 0.11, 0.17)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)  # frozen: load_conll shares one per surface
 class Token:
     surface: str
     subword_ids: Sequence[int] = ()  # a list once tokenize_corpus fills it
@@ -224,33 +224,38 @@ def parse_json(text: str):
 
 
 def load_conll(path: str | Path, scheme: TagScheme) -> Corpus:
-    """Load a two-column "token<TAB>tag" file, one sentence per blank-line block."""
+    """Load a two-column "token<TAB>tag" file, one sentence per blank-line
+    block.  Each distinct surface's ``Token`` is built once and shared."""
     lines = read_utf8(path).split("\n")
     lines.append("")  # closes the last sentence
     index = scheme._index
+    shared: dict[str, Token] = {}
     sentences: list[Sentence] = []
-    surfaces: list[str] = []
+    tokens: list[Token] = []
     tags: list[int] = []
     for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            if tags:
-                try:
-                    spans = tags_to_spans(tags, scheme)
-                except ValidationError as exc:
-                    bad_line = line_no - len(tags) + exc.index
-                    raise ValidationError(f"{path} line {bad_line}: {exc}") from None
-                sentences.append(Sentence([Token(s) for s in surfaces], tags, spans))
-                surfaces, tags = [], []
+        surface, tab, tag_name = line.partition("\t")
+        tag = index.get(tag_name)
+        # the common line first: a surface and a known tag (never blank, no tab)
+        if tag is not None and surface:
+            token = shared.get(surface)
+            if token is None:
+                token = shared[surface] = Token(surface)
+            tokens.append(token)
+            tags.append(tag)
             continue
-        fields = line.split("\t")
-        if len(fields) != 2 or not fields[0]:
-            raise ParseError(f"{path} line {line_no}: expected 'token<TAB>tag', got {line!r}")
-        surface, tag_name = fields
-        try:
-            tags.append(index[tag_name])
-        except KeyError:
-            raise ParseError(f"{path} line {line_no}: unknown tag {tag_name!r}") from None
-        surfaces.append(surface)
+        if line.strip():
+            if not tab or not surface or "\t" in tag_name:
+                raise ParseError(f"{path} line {line_no}: expected 'token<TAB>tag', got {line!r}")
+            raise ParseError(f"{path} line {line_no}: unknown tag {tag_name!r}")
+        if tags:
+            try:
+                spans = tags_to_spans(tags, scheme)
+            except ValidationError as exc:
+                bad_line = line_no - len(tags) + exc.index
+                raise ValidationError(f"{path} line {bad_line}: {exc}") from None
+            sentences.append(Sentence(tokens, tags, spans))
+            tokens, tags = [], []
     return Corpus(sentences, scheme)
 
 
@@ -266,50 +271,61 @@ def save_conll(corpus: Corpus, path: str | Path) -> None:
 
 
 def load_annotations(corpus: Corpus, path: str | Path) -> Corpus:
-    """Attach spans/relations from a JSON-lines sidecar (order matches the tag file)."""
+    """Attach spans/relations from a JSON-lines sidecar (order matches the tag
+    file).  The spans are ``corpus``'s own objects, in the sidecar's order."""
     lines = [(n, ln) for n, ln in enumerate(read_utf8(path).split("\n"), 1) if ln.strip()]
     if len(lines) != len(corpus.sentences):
         raise ParseError(
             f"annotation file {path} has {len(lines)} records for {len(corpus.sentences)} sentences"
         )
+    decode = json.JSONDecoder().decode
     sentences = []
     for (line_no, line), sentence in zip(lines, corpus.sentences):
         where = f"annotation file {path} line {line_no}"
         try:
-            record = parse_json(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{where}: {exc}") from None
+            record = decode(line)
+        except (ValueError, RecursionError):
+            try:  # again through json.loads, for its own message (a leading BOM)
+                record = parse_json(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{where}: {exc}") from None
         if not isinstance(record, dict):
             raise ParseError(f"{where}: expected a JSON object, got {type(record).__name__}")
-        spans = _records(record, "spans", _SPAN_FIELDS, EntitySpan, where)
-        relations = _records(record, "relations", _RELATION_FIELDS, RelationInstance, where)
+        triples = _records(record, "spans", _SPAN_FIELDS, where)
+        relations = _records(record, "relations", _RELATION_FIELDS, where)
+        relations = [RelationInstance(*triple) for triple in relations]
         if len(sentence.tags) != len(sentence.tokens):
             raise ParseError(
                 f"{where}: {len(sentence.tags)} tags for {len(sentence.tokens)} tokens"
             )
-        # sentence.spans are load_conll's, derived from the tags in order
-        if spans != sentence.spans and sorted(spans, key=_span_key) != sentence.spans:
-            raise ParseError(f"{where}: spans {spans} disagree with tags {sentence.tags}")
+        # sentence.spans are load_conll's, derived from the tags in order; the
+        # record's may list them in another order, which relations index
+        spans = sentence.spans
+        derived = [(s.start, s.end, s.cls) for s in spans]
+        if triples != derived:
+            if sorted(triples) != derived:
+                listed = [EntitySpan(*t) for t in triples]
+                raise ParseError(f"{where}: spans {listed} disagree with tags {sentence.tags}")
+            by_triple = dict(zip(derived, spans))
+            spans = [by_triple[triple] for triple in triples]
         for rel in relations:
             if rel.head == rel.tail:
                 raise ParseError(f"{where}: relation {rel} links a span to itself")
             for idx in (rel.head, rel.tail):
                 if not 0 <= idx < len(spans):
                     raise ParseError(f"{where}: relation {rel} references missing span {idx}")
-        sentences.append(Sentence(sentence.tokens, sentence.tags, spans, relations))
+            if rel.label not in RELATION_LABELS:
+                raise ParseError(f"{where}: relation {rel} has a label not in {RELATION_LABELS}")
+        sentences.append(Sentence(sentence.tokens, sentence.tags, list(spans), relations))
     return Corpus(sentences, corpus.scheme, list(corpus.splits))
-
-
-def _span_key(span: EntitySpan) -> tuple:
-    return (span.start, span.end, span.cls)
 
 
 _SPAN_FIELDS = (("start", int), ("end", int), ("cls", str))
 _RELATION_FIELDS = (("head", int), ("tail", int), ("label", str))
 
 
-def _records(record: dict, key: str, fields: tuple, make, where: str) -> list:
-    """One ``make(...)`` per span or relation record of ``record[key]``.
+def _records(record: dict, key: str, fields: tuple, where: str) -> list[tuple]:
+    """The (x, y, z) field values of each span or relation record of ``record[key]``.
 
     Every record must be an object holding each field with its type; the
     first one that is not raises ParseError naming the field.
@@ -326,7 +342,7 @@ def _records(record: dict, key: str, fields: tuple, make, where: str) -> list:
             x = y = z = None
         if type(x) is not kind_a or type(y) is not kind_b or type(z) is not kind_c:
             _reject(item, fields, key[:-1], where)
-        out.append(make(x, y, z))
+        out.append((x, y, z))
     return out
 
 

@@ -287,7 +287,8 @@ def _optimize(
             p.zero_grad()
         loss, row = loss_at(step)
         if not np.isfinite(loss.values):
-            raise NumericError(f"non-finite loss at step {step}")
+            raise NumericError(f"non-finite loss at step {step} with learning_rate="
+                               f"{learning_rate:g} and clip_norm={clip_norm:g}")
         T.backward(loss)
         adam_step(params, optimizer, learning_rate, clip_norm)
         if log is not None:

@@ -4,16 +4,19 @@ cross-entropy, its encoder the packed multi-head ``segment_attention``, its
 relation head pools entities with ``range_means``, its BIO decoder is one
 flat loop, ``load_annotations`` checks records against the spans
 ``load_conll`` derived, ``build_vocab`` counts each distinct word's
-characters once, and inference decodes and scores relations one packed
-chunk at a time."""
+characters once, inference decodes and scores relations one packed
+chunk at a time, and the two corpus loaders share one ``Token`` per surface
+and ``load_conll``'s span objects."""
 
 import itertools
+import json
 import math
 from collections import Counter
 from dataclasses import astuple
 
 import numpy as np
 
+from medext import corpus as C
 from medext import pipeline
 from medext import tensor as T
 from medext.corpus import (
@@ -314,4 +317,94 @@ def evaluate_split_one(model, corpus, split: str) -> dict:
                     for spans, h in zip(span_lists, rows)
                 ]
                 out[name] = relation_prf(gold, found).as_dict()
+    return out
+
+
+def load_conll(path, scheme: TagScheme) -> C.Corpus:
+    """``corpus.load_conll`` with a new ``Token`` for every line, testing
+    for a blank line first."""
+    lines = C.read_utf8(path).split("\n")
+    lines.append("")  # closes the last sentence
+    index = scheme._index
+    sentences: list[Sentence] = []
+    surfaces: list[str] = []
+    tags: list[int] = []
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            if tags:
+                try:
+                    spans = C.tags_to_spans(tags, scheme)
+                except ValidationError as exc:
+                    bad_line = line_no - len(tags) + exc.index
+                    raise ValidationError(f"{path} line {bad_line}: {exc}") from None
+                sentences.append(Sentence([C.Token(s) for s in surfaces], tags, spans))
+                surfaces, tags = [], []
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2 or not fields[0]:
+            raise C.ParseError(f"{path} line {line_no}: expected 'token<TAB>tag', got {line!r}")
+        surface, tag_name = fields
+        try:
+            tags.append(index[tag_name])
+        except KeyError:
+            raise C.ParseError(f"{path} line {line_no}: unknown tag {tag_name!r}") from None
+        surfaces.append(surface)
+    return C.Corpus(sentences, scheme)
+
+
+def load_annotations(corpus: C.Corpus, path) -> C.Corpus:
+    """``corpus.load_annotations`` through ``json.loads``, with a new
+    ``EntitySpan`` per span record, compared with ``corpus``'s as objects.
+    It checks relation labels as the package does."""
+    lines = [(n, ln) for n, ln in enumerate(C.read_utf8(path).split("\n"), 1) if ln.strip()]
+    if len(lines) != len(corpus.sentences):
+        raise C.ParseError(
+            f"annotation file {path} has {len(lines)} records for {len(corpus.sentences)} sentences"
+        )
+    sentences = []
+    for (line_no, line), sentence in zip(lines, corpus.sentences):
+        where = f"annotation file {path} line {line_no}"
+        try:
+            record = C.parse_json(line)
+        except json.JSONDecodeError as exc:
+            raise C.ParseError(f"{where}: {exc}") from None
+        if not isinstance(record, dict):
+            raise C.ParseError(f"{where}: expected a JSON object, got {type(record).__name__}")
+        spans = _records(record, "spans", C._SPAN_FIELDS, EntitySpan, where)
+        relations = _records(record, "relations", C._RELATION_FIELDS, RelationInstance, where)
+        if len(sentence.tags) != len(sentence.tokens):
+            raise C.ParseError(
+                f"{where}: {len(sentence.tags)} tags for {len(sentence.tokens)} tokens"
+            )
+        if spans != sentence.spans and sorted(spans, key=astuple) != sentence.spans:
+            raise C.ParseError(f"{where}: spans {spans} disagree with tags {sentence.tags}")
+        for rel in relations:
+            if rel.head == rel.tail:
+                raise C.ParseError(f"{where}: relation {rel} links a span to itself")
+            for idx in (rel.head, rel.tail):
+                if not 0 <= idx < len(spans):
+                    raise C.ParseError(f"{where}: relation {rel} references missing span {idx}")
+            if rel.label not in C.RELATION_LABELS:
+                raise C.ParseError(
+                    f"{where}: relation {rel} has a label not in {C.RELATION_LABELS}"
+                )
+        sentences.append(Sentence(sentence.tokens, sentence.tags, spans, relations))
+    return C.Corpus(sentences, corpus.scheme, list(corpus.splits))
+
+
+def _records(record: dict, key: str, fields: tuple, make, where: str) -> list:
+    """One ``make(...)`` per span or relation record of ``record[key]``."""
+    items = record.get(key, [])
+    if not isinstance(items, list):
+        raise C.ParseError(f"{where}: {key!r} must be a JSON list")
+    (a, kind_a), (b, kind_b), (c, kind_c) = fields
+    out = []
+    for item in items:
+        try:
+            x, y, z = item[a], item[b], item[c]
+        except (KeyError, TypeError):
+            x = y = z = None
+        if type(x) is not kind_a or type(y) is not kind_b or type(z) is not kind_c:
+            C._reject(item, fields, key[:-1], where)
+        out.append(make(x, y, z))
     return out

@@ -1,5 +1,6 @@
 import base64
 import contextlib
+import gc
 import json
 from collections import Counter
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from medext import cli
 from medext import corpus as C
 from medext import tensor as T
 from medext.cli import DEFAULT_CONFIG, build_parser, main
@@ -230,6 +232,35 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert "edited.jsonl line 1:" in err and "missing key 'end'" in err
+
+    def test_unknown_relation_label_exits_1(self, tmp_path, capsys, corpus_files):
+        tags, ann = corpus_files
+        lines = ann.read_text().split("\n")
+        row = next(i for i, line in enumerate(lines) if json.loads(line)["relations"])
+        record = json.loads(lines[row])
+        record["relations"][0]["label"] = "prevents"
+        lines[row] = json.dumps(record)
+        edited = tmp_path / "edited.jsonl"
+        edited.write_text("\n".join(lines))
+        code = run(
+            "train", "--tags", str(tags), "--annotations", str(edited),
+            "--steps", "1", "--out", str(tmp_path / "out"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"edited.jsonl line {row + 1}: relation " in err
+        assert "label='prevents') has a label not in" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_divergence_names_learning_rate_and_clip_norm(self, tmp_path, capsys):
+        # still exit 2: a run that diverges is a runtime error, not bad input
+        code = run(
+            "train", "--size", "30", "--steps", "2", "--set", "train.learning_rate=1e300",
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "non-finite loss at step 1 with learning_rate=1e+300 and clip_norm=1\n" in err
 
     def test_unknown_tag_names_the_tag_file(self, tmp_path, capsys):
         tags = tmp_path / "two.tsv"
@@ -555,3 +586,80 @@ class TestPredict:
 
     def test_missing_input_file(self, trained_model):
         assert run("predict", "--checkpoint", str(trained_model), "--input", "/nope.txt") == 1
+
+
+class TestCollector:
+    """eval and predict run with the cyclic collector paused; every command
+    leaves it as the caller had it."""
+
+    @pytest.fixture(autouse=True)
+    def enabled_after(self):
+        yield
+        gc.enable()
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        """Corpora of 60 and 600 sentences, and each one's words as predict input."""
+        out = tmp_path_factory.mktemp("sizes")
+        for size in (60, 600):
+            folder = out / str(size)
+            assert run("gen-corpus", "--size", str(size), "--out", str(folder)) == 0
+            corpus = load_conll(folder / "corpus.tsv", TagScheme())
+            lines = [" ".join(s.surfaces()) for s in corpus.sentences]
+            (folder / "lines.txt").write_text("\n".join(lines) + "\n")
+        return out
+
+    def commands(self, folder, model, out):
+        return {
+            "eval": ["eval", "--checkpoint", str(model), "--tags", str(folder / "corpus.tsv"),
+                     "--annotations", str(folder / "annotations.jsonl"), "--out", str(out)],
+            "predict": ["predict", "--checkpoint", str(model), "--input",
+                        str(folder / "lines.txt"), "--out-file", str(out / "predicted.jsonl")],
+            "train": ["train", "--tags", str(folder / "corpus.tsv"), "--steps", "1",
+                      "--out", str(out)],
+        }
+
+    def test_paused_while_eval_and_predict_run(self, tmp_path, monkeypatch, inputs, trained_model):
+        seen = {}
+        for name in ("evaluate_split", "predict", "train"):
+            call = getattr(cli, name)
+
+            def spy(*args, _name=name, _call=call, **kwargs):
+                seen[_name] = gc.isenabled()
+                return _call(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, spy)
+        for command, argv in self.commands(inputs / "60", trained_model, tmp_path).items():
+            assert main(argv) == 0, command
+            assert gc.isenabled(), command
+        assert seen == {"evaluate_split": False, "predict": False, "train": True}
+
+    def test_enabled_after_exit_1(self, tmp_path, trained_model):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("fever\tB-Disease\n")
+        argv = ["eval", "--checkpoint", str(trained_model), "--tags", str(bad)]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        assert gc.isenabled()
+        assert main(["predict", "--checkpoint", str(trained_model), "--input", "missing"]) == 1
+        assert gc.isenabled()
+
+    def test_caller_who_disabled_it_keeps_it_disabled(self, tmp_path, inputs, trained_model):
+        gc.disable()
+        for command, argv in self.commands(inputs / "60", trained_model, tmp_path).items():
+            assert main(argv) == 0, command
+            assert not gc.isenabled(), command
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_cyclic_garbage_does_not_grow_with_the_corpus(
+        self, tmp_path, inputs, trained_model, command
+    ):
+        """What a paused command leaves for the collector is bounded: a run
+        on 600 sentences leaves as many cyclic objects as one on 60."""
+        gc.disable()
+        found = []
+        for size in (60, 60, 600):  # the first run fills the process's caches
+            argv = self.commands(inputs / str(size), trained_model, tmp_path / str(size))
+            gc.collect()
+            assert main(argv[command]) == 0
+            found.append(gc.collect())
+        assert found[1] == found[2]

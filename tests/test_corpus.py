@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from collections import Counter
@@ -181,6 +182,14 @@ class TestConllIO:
         path.write_bytes(data)
         assert C.read_utf8(path) == path.read_text(encoding="utf-8")
 
+    def test_tokens_are_frozen_and_shared_per_surface(self, tmp_path, scheme_d):
+        path = tmp_path / "two.tsv"
+        path.write_text("a\tO\nb\tB-D\n\nb\tO\na\tO\n")
+        first, second = load_conll(path, scheme_d).sentences
+        assert first.tokens[0] is second.tokens[1] and first.tokens[1] is second.tokens[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.tokens[0].surface = "c"
+
     def test_arity_mismatch(self, tmp_path, scheme_d):
         path = tmp_path / "bad.tsv"
         path.write_text("flu\n")
@@ -285,6 +294,16 @@ class TestConllIO:
         path.write_bytes(newline.join([first, "", " \t", json.dumps(record), third]).encode())
         with pytest.raises(ParseError, match=r"a.jsonl line 4: relation .* links a span to itself"):
             load_annotations(ANNOTATED, path)
+
+    def test_records_are_decoded_line_by_line(self, tmp_path, scheme_d):
+        """A record split over two lines fails on its first line, although a
+        line of two records makes up the count and the whole file would
+        decode as one JSON array."""
+        corpus = Corpus([make_sentence(["a"], [], scheme_d) for _ in range(3)], scheme_d)
+        path = tmp_path / "a.jsonl"
+        path.write_text('{"spans":\n[]}\n{}, {}\n')
+        with pytest.raises(ParseError, match=r"a.jsonl line 1: Expecting value"):
+            load_annotations(corpus, path)
 
     def test_annotation_count_mismatch(self, tmp_path):
         corpus = generate_synthetic_corpus(5, seed=1)

@@ -22,6 +22,7 @@ from medext.corpus import (
 from medext.encoder import EncoderConfig
 from medext.errors import CheckpointError, ParseError, ValidationError
 from medext.training import TrainConfig, load_checkpoint, save_checkpoint, train
+import oracles
 
 FUZZ = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -125,6 +126,103 @@ def test_load_annotations_loads_or_raises_parse_errors(scratch, data):
         load_annotations(load_conll(scratch / "base.tsv", TagScheme()), path)
     except (ParseError, ValidationError):
         pass
+
+
+def outcome(load, *args):
+    """What ``load(*args)`` gives: a corpus, or its error's type and message."""
+    try:
+        return load(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def reorder_spans(record: dict) -> dict:
+    """``record`` with its spans listed last first and its relations following them."""
+    n = len(record["spans"])
+    return {
+        "spans": record["spans"][::-1],
+        "relations": [{**r, "head": n - 1 - r["head"], "tail": n - 1 - r["tail"]}
+                      for r in record["relations"]],
+    }
+
+
+@FUZZ
+@given(size=st.integers(0, 60), seed=st.integers(0, 2**16), reorder=st.booleans())
+def test_loaders_equal_the_oracles_on_generated_corpora(scratch, size, seed, reorder):
+    """Each distinct surface has one Token, and every loaded span is the
+    span load_conll derived, in the sidecar's order."""
+    corpus = generate_synthetic_corpus(size, seed)
+    save_conll(corpus, scratch / "generated.tsv")
+    save_annotations(corpus, scratch / "generated.jsonl")
+    if reorder:
+        records = [json.loads(line) for line in (scratch / "generated.jsonl").read_text().splitlines()]
+        (scratch / "generated.jsonl").write_text(
+            "".join(json.dumps(reorder_spans(r)) + "\n" for r in records), encoding="utf-8"
+        )
+    tagged = load_conll(scratch / "generated.tsv", corpus.scheme)
+    assert tagged == oracles.load_conll(scratch / "generated.tsv", corpus.scheme)
+    loaded = load_annotations(tagged, scratch / "generated.jsonl")
+    assert loaded == oracles.load_annotations(tagged, scratch / "generated.jsonl")
+    tokens = [t for s in loaded.sentences for t in s.tokens]
+    assert len({id(t) for t in tokens}) == len({t.surface for t in tokens})
+    for before, after in zip(tagged.sentences, loaded.sentences):
+        order = slice(None, None, -1) if reorder else slice(None)
+        assert all(a is b for a, b in zip(after.spans, before.spans[order], strict=True))
+
+
+TAG_FIELD = st.sampled_from(
+    ["", " ", "\t", "O", "B-Specific", "I-Specific", "I-Modifier", "B-Bogus", "x\ty", "\ufeffO"]
+) | TEXT
+
+
+@FUZZ
+@given(data=st.data(), seed=st.integers(0, 3))
+def test_mutated_tag_file_loads_as_the_oracle_does(scratch, data, seed):
+    """One line of a generated tag file with its surface, its tag or the
+    whole line replaced."""
+    save_conll(generate_synthetic_corpus(8, seed), scratch / "mutated.tsv")
+    lines = (scratch / "mutated.tsv").read_text(encoding="utf-8").split("\n")
+    at = data.draw(st.integers(0, len(lines) - 1))
+    surface, _, tag = lines[at].partition("\t")
+    value = data.draw(TAG_FIELD)
+    how = data.draw(st.sampled_from(["surface", "tag", "line"]))
+    lines[at] = {"surface": f"{value}\t{tag}", "tag": f"{surface}\t{value}", "line": value}[how]
+    path = scratch / "mutated.tsv"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    assert outcome(load_conll, path, TagScheme()) == outcome(oracles.load_conll, path, TagScheme())
+
+
+@FUZZ
+@given(data=st.data(), reorder=st.booleans())
+def test_mutated_sidecar_loads_as_the_oracle_does(scratch, data, reorder):
+    records = [json.loads(line) for line in (scratch / "base.jsonl").read_text().splitlines()]
+    if reorder:
+        records = [reorder_spans(r) for r in records]
+    path = data.draw(st.sampled_from(list(key_paths(records))[1:]))
+    records = mutate(records, path, data.draw(MUTATION))
+    lines = records if isinstance(records, list) else [records]
+    sidecar = scratch / "mutated.jsonl"
+    sidecar.write_text("\n".join(json.dumps(r) for r in lines), encoding="utf-8")
+    tagged = load_conll(scratch / "base.tsv", TagScheme())
+    assert outcome(load_annotations, tagged, sidecar) == outcome(
+        oracles.load_annotations, tagged, sidecar
+    )
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["\ufeff{}", "[" * 100_000, '{"spans": [{"start": 1' + "0" * 5000 + "}]}", "{} {}", "nul"],
+    ids=["leading-bom", "nested-too-deeply", "long-integer", "two-values", "bad-literal"],
+)
+def test_undecodable_record_fails_as_the_oracle_does(scratch, line):
+    """The loader's bound decoder refuses what json.loads refuses, with its message."""
+    records = (scratch / "base.jsonl").read_text().splitlines()
+    sidecar = scratch / "undecodable.jsonl"
+    sidecar.write_text("\n".join([line, *records[1:]]), encoding="utf-8")
+    tagged = load_conll(scratch / "base.tsv", TagScheme())
+    got = outcome(load_annotations, tagged, sidecar)
+    assert got == outcome(oracles.load_annotations, tagged, sidecar)
+    assert isinstance(got, tuple)
 
 
 TINY = EncoderConfig(vocab_size=5, d_model=4, heads=2, layers=1, d_ff=4)
