@@ -252,6 +252,7 @@ class TestExitCodes:
         assert "label='prevents') has a label not in" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow on the way there
     def test_divergence_names_learning_rate_and_clip_norm(self, tmp_path, capsys):
         # still exit 2: a run that diverges is a runtime error, not bad input
         code = run(

@@ -28,15 +28,35 @@ FUZZ = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 CORPUS = generate_synthetic_corpus(4, seed=11)
+RELATED = generate_synthetic_corpus(5, seed=0)  # CORPUS has no relations
 
 
 @pytest.fixture(scope="module")
 def scratch(tmp_path_factory):
-    """A directory holding CORPUS as a tag file and an annotation file."""
+    """A directory holding CORPUS and RELATED, each as a tag file and an annotation file."""
     out = tmp_path_factory.mktemp("fuzz")
-    save_conll(CORPUS, out / "base.tsv")
-    save_annotations(CORPUS, out / "base.jsonl")
+    for name, corpus in (("base", CORPUS), ("related", RELATED)):
+        save_conll(corpus, out / f"{name}.tsv")
+        save_annotations(corpus, out / f"{name}.jsonl")
     return out
+
+
+def outcome(load, *args):
+    """What ``load(*args)`` gives: a corpus, or its error's type and message."""
+    try:
+        return load(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def reorder_spans(record: dict) -> dict:
+    """``record`` with its spans listed last first and its relations following them."""
+    n = len(record["spans"])
+    return {
+        "spans": record["spans"][::-1],
+        "relations": [{**r, "head": n - 1 - r["head"], "tail": n - 1 - r["tail"]}
+                      for r in record["relations"]],
+    }
 
 
 TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
@@ -54,6 +74,7 @@ CONLL_LINE = st.one_of(
 def test_load_conll_loads_or_raises_parse_errors(scratch, lines):
     path = scratch / "corpus.tsv"
     path.write_text("\n".join(lines), encoding="utf-8")
+    assert outcome(load_conll, path, TagScheme()) == outcome(oracles.load_conll, path, TagScheme())
     try:
         corpus = load_conll(path, TagScheme())
     except (ParseError, ValidationError):
@@ -108,9 +129,11 @@ MUTATION = st.sampled_from(
 
 
 @FUZZ
-@given(data=st.data())
-def test_load_annotations_loads_or_raises_parse_errors(scratch, data):
-    records = [json.loads(line) for line in (scratch / "base.jsonl").read_text().splitlines()]
+@given(data=st.data(), base=st.sampled_from(["base", "related"]), reorder=st.booleans())
+def test_load_annotations_loads_or_raises_parse_errors(scratch, data, base, reorder):
+    records = [json.loads(line) for line in (scratch / f"{base}.jsonl").read_text().splitlines()]
+    if reorder:
+        records = [reorder_spans(r) for r in records]
     records += data.draw(st.lists(JSON, max_size=1))
     paths = list(key_paths(records))[1:]
     for _ in range(data.draw(st.integers(1, 3))):
@@ -122,28 +145,12 @@ def test_load_annotations_loads_or_raises_parse_errors(scratch, data):
     lines = records if isinstance(records, list) else [records]
     path = scratch / "annotations.jsonl"
     path.write_text("\n".join(json.dumps(r) for r in lines), encoding="utf-8")
+    tagged = load_conll(scratch / f"{base}.tsv", TagScheme())
+    assert outcome(load_annotations, tagged, path) == outcome(oracles.load_annotations, tagged, path)
     try:
-        load_annotations(load_conll(scratch / "base.tsv", TagScheme()), path)
+        load_annotations(tagged, path)
     except (ParseError, ValidationError):
         pass
-
-
-def outcome(load, *args):
-    """What ``load(*args)`` gives: a corpus, or its error's type and message."""
-    try:
-        return load(*args)
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
-def reorder_spans(record: dict) -> dict:
-    """``record`` with its spans listed last first and its relations following them."""
-    n = len(record["spans"])
-    return {
-        "spans": record["spans"][::-1],
-        "relations": [{**r, "head": n - 1 - r["head"], "tail": n - 1 - r["tail"]}
-                      for r in record["relations"]],
-    }
 
 
 @FUZZ
@@ -194,19 +201,23 @@ def test_mutated_tag_file_loads_as_the_oracle_does(scratch, data, seed):
 
 @FUZZ
 @given(data=st.data(), reorder=st.booleans())
-def test_mutated_sidecar_loads_as_the_oracle_does(scratch, data, reorder):
-    records = [json.loads(line) for line in (scratch / "base.jsonl").read_text().splitlines()]
+def test_sidecar_with_one_mutated_field_loads_as_the_oracle_does(scratch, data, reorder):
+    """One field of one span or relation record of RELATED's sidecar,
+    replaced, deleted or reshaped."""
+    records = [json.loads(line) for line in (scratch / "related.jsonl").read_text().splitlines()]
     if reorder:
         records = [reorder_spans(r) for r in records]
-    path = data.draw(st.sampled_from(list(key_paths(records))[1:]))
-    records = mutate(records, path, data.draw(MUTATION))
-    lines = records if isinstance(records, list) else [records]
-    sidecar = scratch / "mutated.jsonl"
-    sidecar.write_text("\n".join(json.dumps(r) for r in lines), encoding="utf-8")
-    tagged = load_conll(scratch / "base.tsv", TagScheme())
-    assert outcome(load_annotations, tagged, sidecar) == outcome(
-        oracles.load_annotations, tagged, sidecar
-    )
+    key = data.draw(st.sampled_from(["spans", "relations"]))
+    row = data.draw(st.sampled_from([i for i, r in enumerate(records) if r[key]]))
+    item = data.draw(st.integers(0, len(records[row][key]) - 1))
+    field = data.draw(st.sampled_from(sorted(records[row][key][item])))
+    # besides MUTATION, indices around the span count and labels in and out of the set
+    value = data.draw(st.integers(-1, 3) | st.sampled_from(["causes", "prevents"]) | MUTATION)
+    records = mutate(records, (row, key, item, field), value)
+    path = scratch / "one-field.jsonl"
+    path.write_text("\n".join(json.dumps(r) for r in records), encoding="utf-8")
+    tagged = load_conll(scratch / "related.tsv", TagScheme())
+    assert outcome(load_annotations, tagged, path) == outcome(oracles.load_annotations, tagged, path)
 
 
 @pytest.mark.parametrize(
