@@ -99,6 +99,8 @@ def commands() -> list[tuple[str, list[str]]]:
         train("train-span-dropout", "span", 6, "--set", "encoder.dropout_rate=0.2"),
         train("train-crf-balanced", "crf", 6, "--set", "train.class_balanced=true"),
         train("train-crf-resume", "crf", 4, "--init", "train-crf-init/model.json"),
+        # one sentence per step: attention's unpadded forward and backward pass
+        train("train-span-b1", "span", 6, "--set", "train.batch_size=1"),
     ]
     for head, split in (("crf", "test"), ("crf", "val"), ("span", "test"), ("seq2seq", "test")):
         name, model = f"eval-{head}-{split}", f"train-{head}-init/model.json"
@@ -116,6 +118,8 @@ def commands() -> list[tuple[str, list[str]]]:
                                          f"train-{head}-init/model.json", "--input", "input.txt"]))
     runs.append(("predicted", ["predict", "--checkpoint", "train-span/model.json",
                                "--input", "input.txt", "--out-file", "predicted/span.jsonl"]))
+    runs.append(("predict-one-line", ["predict", "--checkpoint", "train-crf-init/model.json",
+                                      "--input", "one-line.txt"]))
     runs += [
         ("pre-awkward", ["pretrain", "--config", "config.json", *AWKWARD, "--steps", "3",
                          "--out", "pre-awkward"]),
@@ -128,9 +132,10 @@ def commands() -> list[tuple[str, list[str]]]:
 
 def write_inputs() -> None:
     """Write, in the current directory, the files the runs read that no run
-    writes: the config, the predict input and the awkward corpus."""
+    writes: the config, the two predict inputs and the awkward corpus."""
     Path("config.json").write_text(json.dumps(CONFIG), encoding="utf-8")
     Path("input.txt").write_text(PREDICT_INPUT, encoding="utf-8")
+    Path("one-line.txt").write_text("pain of rash after ibuprofen\n", encoding="utf-8")
     Path("awkward").mkdir()
     Path("awkward/corpus.tsv").write_bytes(AWKWARD_TAGS.encode())
     Path("awkward/annotations.jsonl").write_bytes(AWKWARD_ANNOTATIONS.encode())

@@ -216,11 +216,16 @@ def read_utf8(path: str | Path) -> str:
 
 
 def parse_json(text: str):
-    """``json.loads``; nesting too deep for it raises JSONDecodeError."""
+    """``json.loads``; nesting too deep for it, or an integer longer than
+    ``int()`` converts, raises JSONDecodeError."""
     try:
         return json.loads(text)
     except RecursionError:
         raise json.JSONDecodeError("nested too deeply", text, 0) from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:
+        raise json.JSONDecodeError(str(exc), text, 0) from None
 
 
 def load_conll(path: str | Path, scheme: TagScheme) -> Corpus:

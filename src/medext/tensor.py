@@ -298,21 +298,20 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ContractError(f"layer_norm eps must be positive, got {eps}")
     if x.values.ndim != 2 or gain.shape != (x.shape[1],) or bias.shape != (x.shape[1],):
         raise ShapeError(f"layer_norm: shapes {x.shape}, {gain.shape}, {bias.shape}")
-    mu = x.values.mean(axis=1, keepdims=True)
-    var = x.values.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.values - mu) * inv
+    # np.mean / np.var's arithmetic without their wrappers, centering once
+    n, add = x.shape[1], np.add.reduce
+    centered = x.values - add(x.values, axis=1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(add(centered * centered, axis=1, keepdims=True) / n + eps)
+    xhat = centered * inv
 
     def rule(g):
-        dgain = (g * xhat).sum(axis=0)
-        dbias = g.sum(axis=0)
         dxhat = g * gain.values
         dx = inv * (
             dxhat
-            - dxhat.mean(axis=1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+            - add(dxhat, axis=1, keepdims=True) / n
+            - xhat * (add(dxhat * xhat, axis=1, keepdims=True) / n)
         )
-        return dx, dgain, dbias
+        return dx, add(g * xhat, axis=0), add(g, axis=0)
 
     return record_op(xhat * gain.values + bias.values, (x, gain, bias), rule)
 
@@ -356,30 +355,40 @@ def segment_attention(
     attends only to the rows of its own segment, so each segment's output
     equals ``softmax(q kᵀ / sqrt(d_k)) v`` per head over that segment alone.
 
-    One tape record for all segments and heads.  The segments are padded to
-    [B, heads, L_max, d_k] inside the op and padded key columns get a
-    MASK_BIAS score, so the work is B·heads·L_max², not (sum(lengths))².
+    One tape record for all segments and heads.  When every segment has the
+    longest length (one segment, or equal lengths) the rows are only
+    reshaped to [B, heads, L, d_k] and no score is masked.  Otherwise the
+    segments are padded to [B, heads, L_max, d_k] inside the op and padded
+    key columns get a MASK_BIAS score, so the work is B·heads·L_max², not
+    (sum(lengths))².
     """
     if q.values.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
         raise ShapeError(f"segment_attention: shapes {q.shape}, {k.shape}, {v.shape} disagree")
     n_rows, d = q.shape
     if heads < 1 or d % heads:
         raise ShapeError(f"segment_attention: width {d} is not divisible by {heads} heads")
-    sizes, segment, position = segments(lengths, n_rows, "segment_attention")
-    batch, longest, d_k = sizes.size, int(sizes.max()), d // heads
+    sizes = tiling(lengths, n_rows, "segment_attention")
+    batch, longest, d_k = len(sizes), max(sizes), d // heads
     c = 1.0 / np.sqrt(d_k)
+    padded = batch * longest != n_rows  # else pad and unpad are views and nothing is masked
+    if padded:
+        _, segment, position = segments(sizes, n_rows, "segment_attention")
 
     def pad(a: Array) -> Array:  # [N, d] -> [B, H, L, d_k], padded rows zero
-        out = np.zeros((batch, longest, d))
-        out[segment, position] = a
-        return out.reshape(batch, longest, heads, d_k).transpose(0, 2, 1, 3)
+        if padded:
+            a, rows = np.zeros((batch, longest, d)), a
+            a[segment, position] = rows
+        return a.reshape(batch, longest, heads, d_k).transpose(0, 2, 1, 3)
 
     def unpad(a: Array) -> Array:  # [B, H, L, d_k] -> [N, d]
-        return a.transpose(0, 2, 1, 3).reshape(batch, longest, d)[segment, position]
+        a = a.transpose(0, 2, 1, 3)
+        return a.reshape(batch, longest, d)[segment, position] if padded else a.reshape(n_rows, d)
 
     qp, kp, vp = pad(q.values), pad(k.values), pad(v.values)
-    visible = np.arange(longest) < sizes[:, None]  # [B, L] real key columns
-    scores = np.where(visible[:, None, None, :], (qp @ kp.swapaxes(-1, -2)) * c, MASK_BIAS)
+    scores = (qp @ kp.swapaxes(-1, -2)) * c
+    if padded:
+        visible = np.arange(longest) < np.array(sizes)[:, None]  # [B, L] real key columns
+        scores = np.where(visible[:, None, None, :], scores, MASK_BIAS)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
 

@@ -29,7 +29,7 @@ from .corpus import (
     build_vocab,
     parse_json,
     read_utf8,
-    tokenize_corpus,
+    tokenize_corpus,  # noqa: F401  (perfbench/tracer.py wraps training.tokenize_corpus)
 )
 from .encoder import EncoderConfig, init_params, mlm_step
 from .errors import CheckpointError, ContractError, NumericError, ParseError
@@ -42,6 +42,7 @@ from .pipeline import (
     init_head,
     named_parameters,
     ner_loss,
+    word_ids,
 )
 from .relation_head import (  # noqa: F401  (perfbench/tracer.py wraps training.relation_loss)
     init_relation,
@@ -343,11 +344,8 @@ def pretrain(
     if len(corpus) == 0:
         raise ContractError("cannot pretrain on an empty corpus")
     model = _fresh_model(corpus, encoder_config, config.seed)
-    train_corpus = tokenize_corpus(corpus.subset("train"), model.vocab)
-    sequences = [
-        [piece for token in sentence.tokens for piece in token.subword_ids]
-        for sentence in train_corpus.sentences
-    ]
+    train_corpus = corpus.subset("train")
+    sequences = [word_ids(sentence, model.vocab)[0] for sentence in train_corpus.sentences]
     if not sequences:
         raise ContractError("train split is empty; nothing to pretrain on")
     sampler = _BatchSampler(train_corpus, config.batch_size, config.seed)

@@ -1,12 +1,13 @@
 """Reference ops that tests compare the package against.  The package never
 calls them: its CRF runs the fused forward-backward op, its losses the fused
-cross-entropy, its encoder the packed multi-head ``segment_attention``, its
-relation head pools entities with ``range_means``, its BIO decoder is one
-flat loop, ``load_annotations`` checks records against the spans
-``load_conll`` derived, ``build_vocab`` counts each distinct word's
-characters once, inference decodes and scores relations one packed
-chunk at a time, and the two corpus loaders share one ``Token`` per surface
-and ``load_conll``'s span objects."""
+cross-entropy, its encoder the packed multi-head ``segment_attention`` (which
+pads only when a segment is shorter than the longest) and a ``layer_norm``
+without ``np.mean``/``np.var``, its relation head pools entities with
+``range_means``, its BIO decoder is one flat loop, ``load_annotations``
+checks records against the spans ``load_conll`` derived, ``build_vocab``
+counts each distinct word's characters once, inference decodes and scores
+relations one packed chunk at a time, and the two corpus loaders share one
+``Token`` per surface and ``load_conll``'s span objects."""
 
 import itertools
 import json
@@ -64,6 +65,59 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         raise ContractError(f"attention: shapes {q.shape}, {k.shape}, {v.shape} disagree")
     scores = T.scale(T.matmul(q, transpose(k)), 1.0 / math.sqrt(d_k))
     return T.matmul(softmax_rows(scores), v)
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Row normalization through ``np.mean`` and ``np.var``: the package's
+    ``layer_norm`` takes the same sums without the wrappers."""
+    mu = x.values.mean(axis=1, keepdims=True)
+    var = x.values.var(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x.values - mu) * inv
+
+    def rule(g):
+        dgain = (g * xhat).sum(axis=0)
+        dbias = g.sum(axis=0)
+        dxhat = g * gain.values
+        dx = inv * (
+            dxhat
+            - dxhat.mean(axis=1, keepdims=True)
+            - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+        )
+        return dx, dgain, dbias
+
+    return record_op(xhat * gain.values + bias.values, (x, gain, bias), rule)
+
+
+def padded_segment_attention(q: Tensor, k: Tensor, v: Tensor, lengths, heads: int) -> Tensor:
+    """``segment_attention`` that always pads to [B, heads, L_max, d_k] and
+    masks, even when no segment is shorter than the longest."""
+    n_rows, d = q.shape
+    sizes, segment, position = T.segments(lengths, n_rows, "padded_segment_attention")
+    batch, longest, d_k = sizes.size, int(sizes.max()), d // heads
+    c = 1.0 / np.sqrt(d_k)
+
+    def pad(a):
+        out = np.zeros((batch, longest, d))
+        out[segment, position] = a
+        return out.reshape(batch, longest, heads, d_k).transpose(0, 2, 1, 3)
+
+    def unpad(a):
+        return a.transpose(0, 2, 1, 3).reshape(batch, longest, d)[segment, position]
+
+    qp, kp, vp = pad(q.values), pad(k.values), pad(v.values)
+    visible = np.arange(longest) < sizes[:, None]
+    scores = np.where(visible[:, None, None, :], (qp @ kp.swapaxes(-1, -2)) * c, T.MASK_BIAS)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+
+    def rule(g):
+        gp = pad(g)
+        dp = gp @ vp.swapaxes(-1, -2)
+        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * c
+        return unpad(ds @ kp), unpad(ds.swapaxes(-1, -2) @ qp), unpad(p.swapaxes(-1, -2) @ gp)
+
+    return record_op(unpad(p @ vp), (q, k, v), rule)
 
 
 def logsumexp(a: Tensor) -> Tensor:

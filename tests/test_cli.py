@@ -252,6 +252,36 @@ class TestExitCodes:
         assert "label='prevents') has a label not in" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("where", ["annotations", "config", "checkpoint", "set"])
+    def test_integer_too_long_to_convert_exits_1(
+        self, tmp_path, capsys, corpus_files, trained_model, where
+    ):
+        """A JSON integer of 5,001 digits is bad input, not a runtime error."""
+        big = "1" + "0" * 5000
+        tags, ann = corpus_files
+        edited = tmp_path / "edited.json"
+        argv = ["train", "--tags", str(tags), "--steps", "1", "--out", str(tmp_path / "out")]
+        if where == "annotations":
+            lines = ann.read_text().split("\n")
+            lines[0] = '{"spans": [{"start": ' + big + ', "end": 0, "cls": "Specific"}]}'
+            edited.write_text("\n".join(lines))
+            argv += ["--annotations", str(edited)]
+        elif where == "config":
+            edited.write_text('{"train": {"steps": ' + big + "}}")
+            argv += ["--config", str(edited)]
+        elif where == "checkpoint":
+            payload = json.loads(trained_model.read_text())
+            payload["step"] = "BIG"
+            edited.write_text(json.dumps(payload).replace('"BIG"', big))
+            argv = ["eval", "--checkpoint", str(edited), "--out", str(tmp_path / "out")]
+        else:
+            argv += ["--set", f"train.steps={big}"]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert "runtime error" not in err
+        assert ("train.steps" if where == "set" else "edited.json") in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow on the way there
     def test_divergence_names_learning_rate_and_clip_norm(self, tmp_path, capsys):
         # still exit 2: a run that diverges is a runtime error, not bad input

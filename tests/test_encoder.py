@@ -15,7 +15,7 @@ from medext.encoder import (
 )
 from medext.errors import ContractError, ShapeError
 from medext.tensor import Tensor
-from oracles import attention, logsumexp_rows
+from oracles import attention, logsumexp_rows, padded_segment_attention
 
 
 def tiny_config(**overrides):
@@ -184,6 +184,32 @@ class TestSegmentAttention:
             [q, k, v],
         )
         assert err < 1e-4
+
+    @pytest.mark.parametrize("lengths", [[9], [4, 4, 4], [3, 5, 1]])
+    @pytest.mark.parametrize("heads", [2, 4])
+    def test_bitwise_equal_to_always_padded_oracle(self, lengths, heads):
+        """Output and all three gradients, whether the op pads or reshapes."""
+        rng = np.random.default_rng(sum(lengths) + heads)
+        weights = Tensor(rng.standard_normal((sum(lengths), 8)))
+        values = [t.values for t in packed(rng, lengths, 8)]
+        results = []
+        for op in (T.segment_attention, padded_segment_attention):
+            T.reset_tape()
+            q, k, v = (Tensor(a.copy(), requires_grad=True) for a in values)
+            out = op(q, k, v, lengths, heads)
+            T.backward(T.sum_all(T.mul(out, weights)))
+            results.append([out.values, q.grad, k.grad, v.grad])
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+
+    def test_pads_only_when_a_segment_is_shorter(self, monkeypatch):
+        padded, segments = [], T.segments
+        monkeypatch.setattr(T, "segments", lambda *args: padded.append(args[0]) or segments(*args))
+        for lengths in ([6], [3, 3], [2, 4]):
+            T.reset_tape()
+            q, k, v = packed(np.random.default_rng(2), lengths, 4)
+            T.backward(T.sum_all(T.segment_attention(q, k, v, lengths, 2)))
+        assert padded == [[2, 4]]
 
     @pytest.mark.parametrize("lengths", [[2, 1], [0, 4], [], [5]])
     def test_lengths_must_tile_the_rows(self, lengths):

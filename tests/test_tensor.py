@@ -7,7 +7,7 @@ import pytest
 from medext import tensor as T
 from medext.errors import ContractError, ShapeError
 from medext.tensor import Tensor
-from oracles import logsumexp, logsumexp_rows, mean0, softmax_rows
+from oracles import layer_norm, logsumexp, logsumexp_rows, mean0, softmax_rows
 
 
 def setup_function(_):
@@ -119,6 +119,21 @@ class TestLayerNorm:
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ContractError):
             T.layer_norm(Tensor([[1.0]]), Tensor([1.0]), Tensor([0.0]), eps=0.0)
+
+    @pytest.mark.parametrize("rows", [1, 18, 400])
+    def test_bitwise_equal_to_mean_var_oracle(self, rows):
+        rng = np.random.default_rng(rows)
+        values = [rng.standard_normal((rows, 16)), rng.standard_normal(16), rng.standard_normal(16)]
+        weights = Tensor(rng.standard_normal((rows, 16)))
+        results = []
+        for op in (T.layer_norm, layer_norm):
+            T.reset_tape()
+            x, gain, bias = (Tensor(a.copy(), requires_grad=True) for a in values)
+            out = op(x, gain, bias)
+            T.backward(T.sum_all(T.mul(out, weights)))
+            results.append([out.values, x.grad, gain.grad, bias.grad])
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
 
 
 class TestBackward:

@@ -585,9 +585,13 @@ class TestPackedEncoding:
 
 
 class TestSegmentation:
-    def test_train_segments_each_surface_once_and_tokenizes_no_corpus(self, monkeypatch):
+    @staticmethod
+    def count_segmentations(monkeypatch) -> Counter:
+        """Refuse any tokenize_corpus call, and count C._segment calls per
+        (surface, vocabulary)."""
+
         def refuse(*args):
-            raise AssertionError("train() called tokenize_corpus")
+            raise AssertionError("tokenize_corpus was called")
 
         segmented, segment = Counter(), C._segment
 
@@ -598,7 +602,16 @@ class TestSegmentation:
         monkeypatch.setattr(training, "tokenize_corpus", refuse)
         monkeypatch.setattr(C, "tokenize_corpus", refuse)
         monkeypatch.setattr(C, "_segment", counting)
+        return segmented
+
+    def test_train_segments_each_surface_once_and_tokenizes_no_corpus(self, monkeypatch):
+        segmented = self.count_segmentations(monkeypatch)
         train(small_corpus(), TrainConfig(steps=8, seed=1))
+        assert segmented and max(segmented.values()) == 1
+
+    def test_pretrain_segments_each_surface_once_and_tokenizes_no_corpus(self, monkeypatch):
+        segmented = self.count_segmentations(monkeypatch)
+        pretrain(small_corpus(), PretrainConfig(steps=4, batch_size=4, seed=1))
         assert segmented and max(segmented.values()) == 1
 
     def test_subword_ids_of_another_vocab_are_not_read(self):
