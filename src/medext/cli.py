@@ -238,11 +238,25 @@ def _open_model(path: str) -> Model:
     return model
 
 
+def _corpus_source(config: dict) -> str:
+    tags = _section(config, "corpus").tags
+    return f"corpus tag file {tags}" if tags else "synthetic corpus"
+
+
+def _split_indices(corpus: Corpus, source: str, split: str | None) -> Sequence[int]:
+    """The indices of the sentences of ``split``, or of all; there must be one."""
+    indices = range(len(corpus)) if split is None else corpus.split_indices(split)
+    if not indices:
+        raise ValidationError(f"{source}: no sentences" + (f" in split {split!r}" if split else ""))
+    return indices
+
+
 def load_experiment_corpus(config: dict, model: Model | None, split: str | None) -> Corpus:
     """The config's corpus, once the sentences the command encodes (those of
     ``split``, or all) are known to exist and to fit the encoder's max_len under
-    ``model``'s vocabulary, or with no model, under the one a fresh model builds."""
-    section = _section(config, "corpus")
+    ``model``'s vocabulary, or with no model, under the one a fresh model builds
+    from the train split, which must then hold a sentence."""
+    section, source = _section(config, "corpus"), _corpus_source(config)
     if section.tags:
         corpus = load_conll(_existing(section.tags, "corpus tag file"), TagScheme())
         if section.annotations:
@@ -250,13 +264,11 @@ def load_experiment_corpus(config: dict, model: Model | None, split: str | None)
     else:
         corpus = generate_synthetic_corpus(section.size, section.seed)
     if model is None:
+        _split_indices(corpus, source, "train")
         vocab, max_len = build_vocab(corpus.subset("train")), _section(config, "encoder").max_len
     else:
         vocab, max_len = model.vocab, model.config.max_len
-    indices = range(len(corpus)) if split is None else corpus.split_indices(split)
-    source = f"corpus tag file {section.tags}" if section.tags else "synthetic corpus"
-    if not indices:
-        raise ValidationError(f"{source}: no sentences" + (f" in split {split!r}" if split else ""))
+    indices = _split_indices(corpus, source, split)
     errors = length_errors([corpus.sentences[i] for i in indices], vocab, max_len)
     if errors:
         index, message = min(errors.items())
@@ -362,6 +374,7 @@ def cmd_fewshot_curve(config: dict, args) -> int:
 def cmd_compare_heads(config: dict, args) -> int:
     init = _open_checkpoint(args.init)
     corpus = load_experiment_corpus(config, init and init.model, None)
+    _split_indices(corpus, _corpus_source(config), args.split)  # checked before any training
     base, encoder_config = _section(config, "train"), _section(config, "encoder")
     out = _output_dir(config)
     rows, details = [], {}

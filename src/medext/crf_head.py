@@ -50,15 +50,6 @@ def emissions(h: Tensor, params: CRFParams) -> Tensor:
     return T.add_rowwise(T.matmul(h, params.w_emit), params.b_emit)
 
 
-def _check_sequence(e: Tensor, y: Sequence[int] | None = None) -> int:
-    n = e.shape[0]
-    if n < 1:
-        raise ContractError("CRF requires at least one position")
-    if y is not None and len(y) != n:
-        raise ContractError(f"{len(y)} tags for {n} positions")
-    return n
-
-
 def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
     peak = x.max(axis=axis, keepdims=True)
     return (peak + np.log(np.exp(x - peak).sum(axis=axis, keepdims=True))).squeeze(axis)
@@ -77,7 +68,6 @@ def log_partition_batch(
     marginals give d/de, d/dstart and d/dstop, and the edge marginals summed
     over positions give d/dtrans.
     """
-    _check_sequence(e)
     k = e.shape[1]
     if trans.shape != (k, k) or start.shape != (k,) or stop.shape != (k,):
         raise ShapeError(
@@ -134,7 +124,9 @@ def sequence_score(
     With ``lengths``, ``e`` and ``y`` pack several sentences and the result
     is the sum of their scores.
     """
-    n = _check_sequence(e, y)
+    n = e.shape[0]
+    if len(y) != n:
+        raise ContractError(f"{len(y)} tags for {n} positions")
     sizes, _, position = T.segments([n] if lengths is None else lengths, n, "sequence_score")
     y = np.asarray(y, dtype=np.intp)
     ends = np.cumsum(sizes)
@@ -154,14 +146,10 @@ def crf_nll(
     start: Tensor,
     stop: Tensor,
     y: Sequence[int],
-    lengths: Sequence[int] | None = None,
+    lengths: Sequence[int],
 ) -> Tensor:
-    """Negative log-likelihood: log partition - sequence_score(y); always >= 0.
-
-    With ``lengths``, ``e`` and ``y`` pack several sentences and the result
-    is the mean of their NLLs.
-    """
-    lengths = [_check_sequence(e, y)] if lengths is None else lengths
+    """Mean over the sentences that ``e`` and ``y`` pack, ``lengths`` rows
+    each, of log partition - sequence_score(y); always >= 0."""
     log_z = T.sum_all(log_partition_batch(e, lengths, trans, start, stop))
     nll = T.sub(log_z, sequence_score(e, trans, start, stop, y, lengths))
     return T.scale(nll, 1.0 / len(lengths))
@@ -206,7 +194,7 @@ def viterbi(
     sequence does.
     """
     ev, into = e.values, trans.values.T  # into[b, a] scores tag b following tag a
-    n = _check_sequence(e)
+    n = e.shape[0]
     sizes = T.tiling([n] if lengths is None else lengths, n, "viterbi")
     order, rows, begin = _longest_first(sizes)
     ep = ev[rows]

@@ -222,24 +222,24 @@ def length_errors(sentences: Sequence[Sentence], vocab: Vocab, max_len: int) -> 
 
 def _decode_chunks(
     model: Model, sentences: Sequence[Sentence]
-) -> list[tuple[Tensor, Sequence[Sentence], list[Decoded]]]:
+) -> list[tuple[Tensor, Sequence[Sentence], list[int], list[Decoded]]]:
     """The one inference loop: for every EVAL_CHUNK sentences, their packed
-    word rows (one encoder pass) and each one's decoded spans and tags (one
-    head pass).  No tape is recorded; a list, not a generator, so no caller
-    code runs unrecorded."""
+    word rows (one encoder pass), their word counts, and each one's decoded
+    spans and tags (one head pass).  No tape is recorded; a list, not a
+    generator, so no caller code runs unrecorded."""
     out = []
     with T.no_grad():
         for lo in range(0, len(sentences), EVAL_CHUNK):
             chunk = sentences[lo:lo + EVAL_CHUNK]
             h_words = encode_words_batch(model, chunk)
             lengths = [len(sentence.tokens) for sentence in chunk]
-            out.append((h_words, chunk, decode_entities(model, h_words, lengths)))
+            out.append((h_words, chunk, lengths, decode_entities(model, h_words, lengths)))
     return out
 
 
 def predict(model: Model, sentences: Sequence[Sentence]) -> list[Decoded]:
     """Each sentence's decoded spans and pre-repair tags."""
-    return [d for _, _, decoded in _decode_chunks(model, sentences) for d in decoded]
+    return [d for *_, decoded in _decode_chunks(model, sentences) for d in decoded]
 
 
 def gold_relation_pairs(
@@ -277,7 +277,7 @@ def evaluate_split(model: Model, corpus: Corpus, split: str = "test") -> SplitEv
     spans and one over its predicted spans.  Nothing is recorded on the tape."""
     sentences = [corpus.sentences[i] for i in corpus.split_indices(split)]
     chunks = _decode_chunks(model, sentences)
-    predicted = [d for _, _, decoded in chunks for d in decoded]
+    predicted = [d for *_, decoded in chunks for d in decoded]
     pred_tags = [tags for _, tags in predicted]
     report = entity_prf([s.spans for s in sentences], [spans for spans, _ in predicted])
     report.token_accuracy = token_accuracy([s.tags for s in sentences], pred_tags)
@@ -287,8 +287,7 @@ def evaluate_split(model: Model, corpus: Corpus, split: str = "test") -> SplitEv
     if model.relation is not None:
         on_gold, on_pred = [], []
         with T.no_grad():
-            for h_words, chunk, decoded in chunks:
-                lengths = [len(s.tokens) for s in chunk]
+            for h_words, chunk, lengths, decoded in chunks:
                 gold_spans = [s.spans for s in chunk]
                 on_gold += predict_relations(h_words, gold_spans, model.relation, lengths)
                 pred_spans = [spans for spans, _ in decoded]

@@ -89,13 +89,16 @@ def span_pairs(
     when no sentence has two spans.  The spans of all sentences are pooled in
     one ``range_means`` and the pair rows are two gathers.
     """
+    sizes = T.tiling(lengths, h.shape[0], "span_pairs")
+    if len(groups) != len(sizes):
+        raise ContractError(f"{len(groups)} span lists for {len(sizes)} sentences")
     starts: list[int] = []
     stops: list[int] = []
     heads: list[int] = []
     tails: list[int] = []
     index: list[tuple[int, int, int]] = []
     offset = 0
-    for b, (spans, n) in enumerate(zip(groups, lengths)):
+    for b, (spans, n) in enumerate(zip(groups, sizes)):
         for span in spans:
             if not 0 <= span.start <= span.end < n:
                 raise ContractError(f"span {span} out of range for {n} positions")
@@ -114,29 +117,20 @@ def span_pairs(
 
 
 def predict_relations(
-    h: Tensor,
-    spans: Sequence,
-    params: RelationHeadParams,
-    lengths: Sequence[int] | None = None,
-):
+    h: Tensor, spans: Sequence, params: RelationHeadParams, lengths: Sequence[int]
+) -> list[list[RelationInstance]]:
     """Argmax label for every ordered pair of distinct spans; no-relation omitted.
 
-    With ``lengths``, ``h`` packs several sentences' word rows, ``spans``
+    ``h`` packs the sentences' word rows, ``lengths`` rows each, ``spans``
     holds one span list per sentence and the result is one relation list
     per sentence, from one ``span_pairs`` and one ``pair_logits`` pass.
     """
-    if lengths is None:
-        groups, sizes = [spans], [h.shape[0]]
-    else:
-        groups, sizes = spans, T.tiling(lengths, h.shape[0], "predict_relations")
-        if len(groups) != len(sizes):
-            raise ContractError(f"{len(groups)} span lists for {len(sizes)} sentences")
-    found: list[list[RelationInstance]] = [[] for _ in groups]
-    pairs = span_pairs(h, groups, sizes)
+    pairs = span_pairs(h, spans, lengths)
+    found: list[list[RelationInstance]] = [[] for _ in spans]
     if pairs is not None:
         heads, tails, index = pairs
         best = pair_logits(heads, tails, params).values.argmax(axis=1).tolist()
         for (b, i, j), label in zip(index, best):
             if label != 0:
                 found[b].append(RelationInstance(i, j, params.labels[label]))
-    return found if lengths is not None else found[0]
+    return found

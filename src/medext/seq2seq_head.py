@@ -41,17 +41,17 @@ def init_seq2seq(d_model: int, num_tags: int, seed: int, d_t: int = 8) -> Seq2Se
 
 
 def teacher_forced_loss(
-    h: Tensor, y: Sequence[int], params: Seq2SeqParams, lengths: Sequence[int] | None = None
+    h: Tensor, y: Sequence[int], params: Seq2SeqParams, lengths: Sequence[int]
 ) -> Tensor:
     """Mean cross-entropy with gold previous tags fed as conditioning input.
 
-    With ``lengths``, ``h`` and ``y`` pack several sentences; each one's mean
-    is weighted 1/B, so the result is the mean of per-sentence means.
+    ``h`` and ``y`` pack the sentences, ``lengths`` rows each; each one's
+    mean is weighted 1/B, so the result is the mean of per-sentence means.
     """
     n = h.shape[0]
-    if len(y) != n or n < 1:
+    if len(y) != n:
         raise ContractError(f"{len(y)} tags for {n} positions")
-    sizes, _, position = T.segments([n] if lengths is None else lengths, n, "teacher_forced_loss")
+    sizes, _, position = T.segments(lengths, n, "teacher_forced_loss")
     previous = np.roll(np.asarray(y, dtype=np.intp), 1)
     previous[position == 0] = params.bos
     feats = T.concat([h, T.gather(params.tag_emb, previous)], axis=1)
@@ -59,18 +59,16 @@ def teacher_forced_loss(
     return T.cross_entropy(logits, y, np.repeat(1.0 / (sizes.size * sizes), sizes))
 
 
-def greedy_decode(h: Tensor, params: Seq2SeqParams, lengths: Sequence[int] | None = None):
+def greedy_decode(h: Tensor, params: Seq2SeqParams, lengths: Sequence[int]) -> list[list[int]]:
     """Left-to-right argmax, feeding each prediction forward; lowest index wins ties.
 
     One matmul scores every row under each of the K+1 tags that can precede
     it (begin-of-sequence included) and one argmax picks each one's winner,
-    so the left-to-right walk is table lookups.  With ``lengths``, ``h``
-    packs several sentences and the result is one tag list per sentence.
+    so the left-to-right walk is table lookups.  ``h`` packs the sentences,
+    ``lengths`` rows each, and the result is one tag list per sentence.
     """
     n = h.shape[0]
-    if n < 1:
-        raise ContractError("greedy_decode requires at least one position")
-    sizes = T.tiling([n] if lengths is None else lengths, n, "greedy_decode")
+    sizes = T.tiling(lengths, n, "greedy_decode")
     emb = params.tag_emb.values
     feats = np.concatenate([np.repeat(h.values, len(emb), axis=0), np.tile(emb, (n, 1))], axis=1)
     logits = feats @ params.w_out.values + params.b_out.values
@@ -83,7 +81,7 @@ def greedy_decode(h: Tensor, params: Seq2SeqParams, lengths: Sequence[int] | Non
             tags.append(previous)
         out.append(tags)
         offset += size
-    return out if lengths is not None else out[0]
+    return out
 
 
 def invalid_transition_rate(batch: Sequence[Sequence[int]], scheme: TagScheme) -> float:

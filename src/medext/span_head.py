@@ -76,20 +76,15 @@ def _candidates(n: int, max_width: int) -> tuple[np.ndarray, np.ndarray]:
     return first[keep], (first + extra)[keep]
 
 
-def score_all_spans(
-    h: Tensor, params: SpanHeadParams, lengths: Sequence[int] | None = None
-) -> SpanTable:
+def score_all_spans(h: Tensor, params: SpanHeadParams, lengths: Sequence[int]) -> SpanTable:
     """Classify every span (i, j) with j - i < max_width -> one table row each.
 
     Representation per span: concat(h[i], h[j], mean(h[i..j]), width_emb[j-i]).
-    With ``lengths``, ``h`` packs several sentences' word rows and spans stay
-    inside their sentence.  All candidates are scored in one batched affine
-    map; the logits stay differentiable back to h and the head parameters.
+    ``h`` packs ``lengths`` word rows per sentence; spans stay inside their
+    sentence.  All candidates are scored in one batched affine map; the
+    logits stay differentiable back to h and the head parameters.
     """
-    rows = h.shape[0]
-    if rows < 1:
-        raise ContractError("score_all_spans requires at least one position")
-    sizes, _, _ = T.segments([rows] if lengths is None else lengths, rows, "score_all_spans")
+    sizes, _, _ = T.segments(lengths, h.shape[0], "score_all_spans")
     bounds = [_candidates(int(n), params.max_width) for n in sizes]
     counts = [len(i) for i, _ in bounds]
     starts = np.concatenate([i for i, _ in bounds])

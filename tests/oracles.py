@@ -341,7 +341,7 @@ def decode_one(model, h: Tensor) -> tuple[list[EntitySpan], list[int]]:
         tags = greedy_decode_one(h, head)
     else:
         assert isinstance(head, SpanHeadParams)
-        spans = decode_spans_one(score_all_spans(h, head), head.classes)
+        spans = decode_spans_one(score_all_spans(h, head, [h.shape[0]]), head.classes)
         return spans, spans_to_tags(spans, h.shape[0], scheme)
     return repair_spans(tags, scheme, mode="repair"), tags
 

@@ -94,16 +94,19 @@ def test_criterion_2_gradient_suite():
         results[name] = err
 
     crf = init_crf(config.d_model, scheme.num_tags, seed=11)
-    check("crf", crf, lambda h: crf_nll(emissions(h, crf), crf.trans, crf.start, crf.stop, tags))
+    check(
+        "crf", crf,
+        lambda h: crf_nll(emissions(h, crf), crf.trans, crf.start, crf.stop, tags, [3]),
+    )
 
     span = init_span(config.d_model, scheme.classes, seed=12, max_width=2, d_w=4)
     check(
         "span", span,
-        lambda h: batch_span_loss(score_all_spans(h, span), [spans], span.classes, [0]),
+        lambda h: batch_span_loss(score_all_spans(h, span, [3]), [spans], span.classes, [0]),
     )
 
     seq = init_seq2seq(config.d_model, scheme.num_tags, seed=13, d_t=4)
-    check("seq2seq", seq, lambda h: teacher_forced_loss(h, tags, seq))
+    check("seq2seq", seq, lambda h: teacher_forced_loss(h, tags, seq, [3]))
 
     rel = init_relation(config.d_model, seed=14)
     check(

@@ -375,6 +375,33 @@ class TestExitCodes:
         assert "exceeds max_len 64" in err and "runtime error" not in err
 
     @pytest.mark.parametrize(
+        "argv, split",
+        [
+            (("train", "--tags", "ONE"), "train"),
+            (("compare-heads", "--tags", "ONE"), "train"),
+            (("fewshot-curve", "--tags", "ONE"), "train"),
+            (("train", "--size", "1"), "train"),
+            (("compare-heads", "--size", "1"), "train"),
+            (("fewshot-curve", "--size", "1"), "train"),
+            (("compare-heads", "--tags", "FIVE", "--split", "val"), "val"),
+        ],
+    )
+    def test_empty_split_is_named_before_any_work(
+        self, tmp_path, monkeypatch, capsys, failing_inputs, argv, split
+    ):
+        """A fresh model's vocabulary needs a train sentence, and compare-heads
+        a sentence in the split it scores; both are checked before the length
+        check and before any training."""
+        monkeypatch.chdir(tmp_path)
+        argv = [failing_inputs.get(arg, arg) for arg in argv]
+        assert run(*argv, "--steps", "1") == 1
+        source = f"corpus tag file {argv[2]}" if argv[1] == "--tags" else "synthetic corpus"
+        err = capsys.readouterr().err
+        assert f"{source}: no sentences in split {split!r}" in err
+        assert "runtime error" not in err and "exceeds max_len" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "argv, key",
         [
             (("gen-corpus", "--size", "1", "--out", "afile"), "output_dir"),

@@ -130,13 +130,13 @@ class TestCrfNll:
     def test_single_tag_inventory_is_certain(self):
         rng = np.random.default_rng(11)
         e, trans, start, stop = random_instance(rng, n=4, k=1)
-        assert crf_nll(e, trans, start, stop, [0, 0, 0, 0]).item() == pytest.approx(
+        assert crf_nll(e, trans, start, stop, [0, 0, 0, 0], [4]).item() == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_uniform_distribution_value(self):
         zeros = lambda *shape: Tensor(np.zeros(shape))
-        nll = crf_nll(zeros(3, 5), zeros(5, 5), zeros(5), zeros(5), [1, 2, 3])
+        nll = crf_nll(zeros(3, 5), zeros(5, 5), zeros(5), zeros(5), [1, 2, 3], [3])
         assert nll.item() == pytest.approx(3 * math.log(5.0), abs=1e-12)
 
     def test_matches_brute_force_probability(self):
@@ -149,7 +149,7 @@ class TestCrfNll:
             m = arr.max()
             log_z = m + math.log(np.exp(arr - m).sum())
             expected = -(scores[tuple(y)] - log_z)
-            assert crf_nll(e, trans, start, stop, y).item() == pytest.approx(
+            assert crf_nll(e, trans, start, stop, y, [3]).item() == pytest.approx(
                 expected, abs=1e-10
             )
 
@@ -159,13 +159,13 @@ class TestCrfNll:
             e, trans, start, stop = random_instance(rng)
             n, k = e.shape
             y = [int(rng.integers(k)) for _ in range(n)]
-            assert crf_nll(e, trans, start, stop, y).item() >= -1e-12
+            assert crf_nll(e, trans, start, stop, y, [n]).item() >= -1e-12
 
     def test_gradient_full_parameter_set(self):
         rng = np.random.default_rng(14)
         e, trans, start, stop = random_instance(rng, n=3, k=3, requires_grad=True)
         err = T.finite_diff_check(
-            lambda: crf_nll(e, trans, start, stop, [0, 2, 1]),
+            lambda: crf_nll(e, trans, start, stop, [0, 2, 1], [3]),
             [e, trans, start, stop],
         )
         assert err < 1e-4
@@ -175,7 +175,7 @@ class TestCrfNll:
         e, trans, start, stop = random_instance(rng, n=4, k=3, requires_grad=True)
         y = [2, 0, 1, 1]
         T.reset_tape()
-        T.backward(crf_nll(e, trans, start, stop, y))
+        T.backward(crf_nll(e, trans, start, stop, y, [4]))
         expected = brute_marginals(e, trans, start, stop)
         for i, t in enumerate(y):
             expected[i, t] -= 1.0
@@ -344,7 +344,9 @@ class TestLogPartitionBatch:
         nll = crf_nll(e, trans, start, stop, y, lengths).item()
         score = sequence_score(e, trans, start, stop, y, lengths).item()
         assert nll == pytest.approx(
-            np.mean([crf_nll(b, trans, start, stop, t).item() for b, t in zip(parts, tags)]),
+            np.mean([
+                crf_nll(b, trans, start, stop, t, [len(t)]).item() for b, t in zip(parts, tags)
+            ]),
             rel=1e-12,
         )
         assert score == pytest.approx(

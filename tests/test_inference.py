@@ -91,7 +91,7 @@ def test_seq2seq_chunk_decode_matches_one_sentence_oracle(lengths, seed):
     h, blocks = packed(lengths, seed)
     decoded = greedy_decode(h, head, lengths)
     assert decoded == [greedy_decode_one(block, head) for block in blocks]
-    assert [greedy_decode(block, head) for block in blocks] == decoded
+    assert [greedy_decode(b, head, [n])[0] for b, n in zip(blocks, lengths)] == decoded
 
 
 @EQUIVALENCE
@@ -101,9 +101,10 @@ def test_span_chunk_decode_matches_one_sentence_oracle(lengths, seed):
     head = randomize(init_span(D, CLASSES, seed, max_width=1 + seed % 4), seed)
     h, blocks = packed(lengths, seed)
     decoded = decode_spans(score_all_spans(h, head, lengths), head.classes)
-    want = [decode_spans_one(score_all_spans(block, head), head.classes) for block in blocks]
+    tables = [score_all_spans(b, head, [n]) for b, n in zip(blocks, lengths)]
+    want = [decode_spans_one(table, head.classes) for table in tables]
     assert decoded == want
-    assert [decode_spans(score_all_spans(b, head), head.classes)[0] for b in blocks] == want
+    assert [decode_spans(table, head.classes)[0] for table in tables] == want
 
 
 @EQUIVALENCE
@@ -121,7 +122,8 @@ def test_chunk_relations_match_one_sentence_oracle(lengths, seed):
     found = predict_relations(h, groups, params, lengths)
     want = [predict_relations_one(block, group, params) for block, group in zip(blocks, groups)]
     assert found == want
-    assert [predict_relations(b, g, params) for b, g in zip(blocks, groups)] == want
+    alone = zip(blocks, groups, lengths)
+    assert [predict_relations(b, [g], params, [n])[0] for b, g, n in alone] == want
 
 
 @functools.cache

@@ -130,8 +130,8 @@ class TestPredictRelations:
     def test_fewer_than_two_spans(self):
         params = init_relation(3, seed=8)
         h = Tensor(np.zeros((4, 3)))
-        assert predict_relations(h, [], params) == []
-        assert predict_relations(h, [EntitySpan(0, 1, "A")], params) == []
+        assert predict_relations(h, [[]], params, [4]) == [[]]
+        assert predict_relations(h, [[EntitySpan(0, 1, "A")]], params, [4]) == [[]]
 
     def test_pair_counting(self):
         params = init_relation(3, seed=9)
@@ -139,7 +139,7 @@ class TestPredictRelations:
         params.b.values[:] = [0.0, 5.0, 0.0]  # every pair predicted "treats"
         h = Tensor(np.random.default_rng(9).standard_normal((6, 3)))
         spans = [EntitySpan(0, 0, "A"), EntitySpan(2, 2, "A"), EntitySpan(4, 5, "A")]
-        predictions = predict_relations(h, spans, params)
+        [predictions] = predict_relations(h, [spans], params, [6])
         assert len(predictions) == 6  # k*(k-1) ordered pairs, all above threshold
         assert all(p.head != p.tail for p in predictions)
         assert all(p.label != "no-relation" for p in predictions)
@@ -150,4 +150,4 @@ class TestPredictRelations:
         params.b.values[:] = [5.0, 0.0, 0.0]
         h = Tensor(np.zeros((4, 3)))
         spans = [EntitySpan(0, 0, "A"), EntitySpan(2, 3, "A")]
-        assert predict_relations(h, spans, params) == []
+        assert predict_relations(h, [spans], params, [4]) == [[]]

@@ -30,13 +30,13 @@ class TestTeacherForcedLoss:
         for t in params.named().values():
             t.values[:] = 0.0
         h = Tensor(np.random.default_rng(0).standard_normal((3, 4)))
-        loss = teacher_forced_loss(h, [0, 3, 1], params)
+        loss = teacher_forced_loss(h, [0, 3, 1], params, [3])
         assert loss.item() == pytest.approx(math.log(5.0), abs=1e-12)
 
     def test_single_position_conditions_on_bos(self):
         params = init_seq2seq(4, num_tags=3, seed=1, d_t=2)
         h = Tensor(np.random.default_rng(1).standard_normal((1, 4)))
-        loss = teacher_forced_loss(h, [2], params)
+        loss = teacher_forced_loss(h, [2], params, [1])
         feats = np.concatenate([h.values[0], params.tag_emb.values[params.bos]])
         logits = feats @ params.w_out.values + params.b_out.values
         expected = -(logits[2] - (logits.max() + np.log(np.exp(logits - logits.max()).sum())))
@@ -49,13 +49,13 @@ class TestTeacherForcedLoss:
             n = int(rng.integers(1, 6))
             h = Tensor(rng.standard_normal((n, 4)))
             y = [int(rng.integers(3)) for _ in range(n)]
-            assert teacher_forced_loss(h, y, params).item() >= 0.0
+            assert teacher_forced_loss(h, y, params, [n]).item() >= 0.0
 
     def test_gradient(self):
         params = init_seq2seq(4, num_tags=3, seed=3, d_t=3)
         h = Tensor(np.random.default_rng(3).standard_normal((3, 4)), requires_grad=True)
         err = T.finite_diff_check(
-            lambda: teacher_forced_loss(h, [0, 2, 1], params),
+            lambda: teacher_forced_loss(h, [0, 2, 1], params, [3]),
             [h] + list(params.named().values()),
         )
         assert err < 1e-4
@@ -65,20 +65,20 @@ class TestGreedyDecode:
     def test_deterministic(self):
         params = init_seq2seq(4, num_tags=3, seed=4)
         h = Tensor(np.random.default_rng(4).standard_normal((5, 4)))
-        assert greedy_decode(h, params) == greedy_decode(h, params)
+        assert greedy_decode(h, params, [5]) == greedy_decode(h, params, [5])
 
     def test_length_matches_input(self):
         params = init_seq2seq(4, num_tags=3, seed=5)
         for n in (1, 2, 7):
             h = Tensor(np.random.default_rng(n).standard_normal((n, 4)))
-            assert len(greedy_decode(h, params)) == n
+            assert len(greedy_decode(h, params, [n])[0]) == n
 
     def test_single_position_argmax_given_bos(self):
         params = init_seq2seq(4, num_tags=3, seed=6, d_t=2)
         h = Tensor(np.random.default_rng(6).standard_normal((1, 4)))
         feats = np.concatenate([h.values[0], params.tag_emb.values[params.bos]])
         logits = feats @ params.w_out.values + params.b_out.values
-        assert greedy_decode(h, params) == [int(logits.argmax())]
+        assert greedy_decode(h, params, [1]) == [[int(logits.argmax())]]
 
     def test_can_emit_invalid_bio(self, scheme):
         # bias forces I-D everywhere, including the first position
@@ -87,7 +87,7 @@ class TestGreedyDecode:
         params.b_out.values[:] = 0.0
         params.b_out.values[scheme.inside_index("D")] = 5.0
         h = Tensor(np.zeros((3, 4)))
-        tags = greedy_decode(h, params)
+        [tags] = greedy_decode(h, params, [3])
         assert tags == [scheme.inside_index("D")] * 3
         assert invalid_transition_rate([tags], scheme) > 0.0
 
@@ -96,7 +96,7 @@ class TestGreedyDecode:
         for t in params.named().values():
             t.values[:] = 0.0
         h = Tensor(np.zeros((3, 4)))
-        assert greedy_decode(h, params) == [0, 0, 0]
+        assert greedy_decode(h, params, [3]) == [[0, 0, 0]]
 
 
 class TestInvalidTransitionRate:

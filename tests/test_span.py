@@ -42,24 +42,24 @@ def bounds(t):
 class TestScoreAllSpans:
     def test_single_token_sentence(self):
         params = init_span(6, CLASSES, seed=0, max_width=4)
-        candidates = score_all_spans(make_h(1), params)
+        candidates = score_all_spans(make_h(1), params, [1])
         assert bounds(candidates) == [(0, 0)]
 
     def test_counting_formula(self):
         params = init_span(6, CLASSES, seed=0, max_width=2)
-        candidates = score_all_spans(make_h(4), params)
+        candidates = score_all_spans(make_h(4), params, [4])
         assert len(candidates) == 7  # widths 1 and 2: 4 + 3
 
     def test_width_capped_by_sentence(self):
         params = init_span(6, CLASSES, seed=0, max_width=10)
-        candidates = score_all_spans(make_h(3), params)
+        candidates = score_all_spans(make_h(3), params, [3])
         assert len(candidates) == 6
         assert max(end - start + 1 for start, end in bounds(candidates)) == 3
 
     def test_logits_match_manual_affine(self):
         params = init_span(6, CLASSES, seed=1, max_width=3, d_w=4)
         h = make_h(4, seed=2)
-        candidates = score_all_spans(h, params)
+        candidates = score_all_spans(h, params, [4])
         for row, (start, end) in enumerate(bounds(candidates)):
             width = end - start + 1
             rep = np.concatenate(
@@ -76,7 +76,7 @@ class TestScoreAllSpans:
     def test_single_token_uses_same_row_three_ways(self):
         params = init_span(6, CLASSES, seed=3, max_width=2, d_w=4)
         h = make_h(2, seed=4)
-        c = score_all_spans(h, params)
+        c = score_all_spans(h, params, [2])
         assert bounds(c)[0] == (0, 0)
         rep = np.concatenate(
             [h.values[0], h.values[0], h.values[0], params.width_emb.values[0]]
@@ -113,7 +113,7 @@ class TestSpanLoss:
         params = init_span(6, CLASSES, seed=0, max_width=2)
         params.w_cls.values[:] = 0.0
         params.width_emb.values[:] = 0.0
-        candidates = score_all_spans(make_h(3), params)
+        candidates = score_all_spans(make_h(3), params, [3])
         loss = batch_span_loss(candidates, [[]], CLASSES, [0], neg_ratio=3.0)
         assert loss.item() == pytest.approx(math.log(3.0), abs=1e-12)  # ln(C+1)
 
@@ -129,7 +129,7 @@ class TestSpanLoss:
 
     def test_too_wide_gold_dropped_with_warning(self, caplog):
         params = init_span(6, CLASSES, seed=0, max_width=2)
-        candidates = score_all_spans(make_h(5), params)
+        candidates = score_all_spans(make_h(5), params, [5])
         with caplog.at_level("WARNING"):
             batch_span_loss(candidates, [[EntitySpan(0, 3, "A")]], CLASSES, [0])
         assert "wider than max_width" in caplog.text
@@ -140,7 +140,7 @@ class TestSpanLoss:
         gold = [EntitySpan(1, 2, "B")]
 
         def f():
-            return batch_span_loss(score_all_spans(h, params), [gold], CLASSES, [1])
+            return batch_span_loss(score_all_spans(h, params, [3]), [gold], CLASSES, [1])
 
         err = T.finite_diff_check(f, [h, params.width_emb, params.w_cls, params.b_cls])
         assert err < 1e-4
@@ -180,7 +180,7 @@ class TestDecodeSpans:
     def test_output_non_overlapping_and_sorted(self):
         rng = np.random.default_rng(10)
         params = init_span(6, CLASSES, seed=11, max_width=3)
-        table_8 = score_all_spans(Tensor(rng.standard_normal((8, 6))), params)
+        table_8 = score_all_spans(Tensor(rng.standard_normal((8, 6))), params, [8])
         decoded = decode_spans(table_8, CLASSES)[0]
         used = set()
         last_start = -1
@@ -199,7 +199,7 @@ class TestContracts:
 
     def test_max_width_one_allowed(self):
         params = init_span(6, CLASSES, seed=0, max_width=1)
-        assert len(score_all_spans(make_h(3), params)) == 3
+        assert len(score_all_spans(make_h(3), params, [3])) == 3
 
 
 class TestPackedTable:
@@ -212,7 +212,8 @@ class TestPackedTable:
         params = init_span(6, CLASSES, seed=21, max_width=3, d_w=4)
         h, offsets = self.packed()
         scores = score_all_spans(h, params, self.LENGTHS)
-        assert len(scores) == sum(len(score_all_spans(make_h(n), params)) for n in self.LENGTHS)
+        alone = [len(score_all_spans(make_h(n), params, [n])) for n in self.LENGTHS]
+        assert len(scores) == sum(alone)
         for row, (start, end) in enumerate(bounds(scores)):
             b = int(scores.sentence[row])
             block = h.values[offsets[b] : offsets[b + 1]]
@@ -233,7 +234,8 @@ class TestPackedTable:
         h, offsets = self.packed(seed=23)
         scores = score_all_spans(h, params, self.LENGTHS)
         for b in range(len(self.LENGTHS)):
-            alone = score_all_spans(Tensor(h.values[offsets[b] : offsets[b + 1]]), params)
+            block = Tensor(h.values[offsets[b] : offsets[b + 1]])
+            alone = score_all_spans(block, params, [self.LENGTHS[b]])
             rows = scores.sentence == b
             assert bounds(alone) == list(zip(scores.starts[rows], scores.ends[rows]))
             np.testing.assert_allclose(
@@ -248,7 +250,8 @@ class TestPackedTable:
         batch = batch_span_loss(score_all_spans(h, params, self.LENGTHS), golds, CLASSES, seeds)
         alone = []
         for b, (gold, seed) in enumerate(zip(golds, seeds)):
-            table = score_all_spans(Tensor(h.values[offsets[b] : offsets[b + 1]]), params)
+            block = Tensor(h.values[offsets[b] : offsets[b + 1]])
+            table = score_all_spans(block, params, [self.LENGTHS[b]])
             alone.append(batch_span_loss(table, [gold], CLASSES, [seed]).item())
         assert batch.item() == pytest.approx(np.mean(alone), rel=1e-12)
 

@@ -464,10 +464,10 @@ def per_sentence_losses(model, sentences, seeds, lambda_re, dropping):
                 sequence_score(e, head.trans, head.start, head.stop, sentence.tags),
             ))
         elif isinstance(head, SpanHeadParams):
-            table = score_all_spans(h, head)
+            table = score_all_spans(h, head, [len(sentence.tags)])
             terms.append(batch_span_loss(table, [sentence.spans], head.classes, [seed]))
         else:
-            terms.append(teacher_forced_loss(h, sentence.tags, head))
+            terms.append(teacher_forced_loss(h, sentence.tags, head, [len(sentence.tags)]))
         if lambda_re > 0.0 and len(sentence.spans) >= 2:
             annotated = {(r.head, r.tail): r.label for r in sentence.relations}
             pooled = [entity_pool(h, span) for span in sentence.spans]
