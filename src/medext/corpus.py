@@ -98,13 +98,6 @@ class TagScheme:
     def inside_index(self, cls: str) -> int:
         return self.tag_index(f"I-{cls}")
 
-    def kind(self, index: int) -> tuple[str, str | None]:
-        """Split a tag index into ("O"|"B"|"I", class name or None)."""
-        if index == 0:
-            return "O", None
-        cls = self.classes[(index - 1) // 2]
-        return ("B" if index % 2 == 1 else "I"), cls
-
     def __eq__(self, other) -> bool:
         return isinstance(other, TagScheme) and self.classes == other.classes
 
@@ -179,6 +172,24 @@ def tags_to_spans(
     if open_c >= 0:
         spans.append(EntitySpan(start, len(tags) - 1, classes[open_c]))
     return spans
+
+
+def invalid_transition_rate(batch: Sequence[Sequence[int]]) -> float:
+    """Fraction of BIO-violating transitions, counting a virtual start->first.
+
+    An I-tag (even, nonzero) is valid only after its B-tag (``tag - 1``) or
+    itself; the virtual start acts as O, so each sentence contributes
+    len(sentence) checks.
+    """
+    if not batch:
+        raise ContractError("invalid_transition_rate requires a nonempty batch")
+    violations = sum(
+        tag > 0 and not tag & 1 and before not in (tag - 1, tag)
+        for tags in batch
+        for before, tag in zip([0, *tags], tags)
+    )
+    checked = sum(len(tags) for tags in batch)
+    return violations / checked if checked else 0.0
 
 
 def spans_to_tags(spans: Sequence[EntitySpan], n: int, scheme: TagScheme) -> list[int]:

@@ -43,10 +43,6 @@ class EncoderConfig:
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ContractError(f"dropout_rate {self.dropout_rate} outside [0, 1)")
 
-    @property
-    def d_k(self) -> int:
-        return self.d_model // self.heads
-
 
 @dataclass
 class LayerParams(Params):

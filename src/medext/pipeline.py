@@ -20,6 +20,7 @@ from .corpus import (
     TagScheme,
     Vocab,
     NO_RELATION,
+    invalid_transition_rate,
     spans_to_tags,
     tags_to_spans,
     tokenize_subword,
@@ -40,7 +41,6 @@ from .seq2seq_head import (
     Seq2SeqParams,
     greedy_decode,
     init_seq2seq,
-    invalid_transition_rate,
     teacher_forced_loss,
 )
 from .span_head import (
@@ -282,7 +282,7 @@ def evaluate_split(model: Model, corpus: Corpus, split: str = "test") -> SplitEv
     report = entity_prf([s.spans for s in sentences], [spans for spans, _ in predicted])
     report.token_accuracy = token_accuracy([s.tags for s in sentences], pred_tags)
     if model.head_kind in ("crf", "seq2seq") and pred_tags:
-        report.invalid_transition_rate = invalid_transition_rate(pred_tags, model.scheme)
+        report.invalid_transition_rate = invalid_transition_rate(pred_tags)
     result = SplitEvaluation(entities=report)
     if model.relation is not None:
         on_gold, on_pred = [], []

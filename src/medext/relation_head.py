@@ -14,28 +14,24 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .corpus import NO_RELATION, RELATION_LABELS, EntitySpan, RelationInstance
+from .corpus import RELATION_LABELS, EntitySpan, RelationInstance
 from .errors import ContractError
 from .tensor import Params, Tensor, param, xavier
+
+_LABEL_INDEX = {label: r for r, label in enumerate(RELATION_LABELS)}  # pair_logits' columns
 
 
 @dataclass
 class RelationHeadParams(Params):
-    w: Tensor  # [2*d_model, R]
+    w: Tensor  # [2*d_model, R], one column per RELATION_LABELS entry
     b: Tensor  # [R]
-    labels: list[str]  # index 0 is "no-relation"
 
 
-def init_relation(
-    d_model: int, seed: int, labels: Sequence[str] = RELATION_LABELS
-) -> RelationHeadParams:
-    if len(labels) < 2 or labels[0] != NO_RELATION:
-        raise ContractError(f"labels must start with {NO_RELATION!r}, got {labels!r}")
+def init_relation(d_model: int, seed: int) -> RelationHeadParams:
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     return RelationHeadParams(
-        w=xavier(rng, 2 * d_model, len(labels)),
-        b=param(len(labels)),
-        labels=list(labels),
+        w=xavier(rng, 2 * d_model, len(RELATION_LABELS)),
+        b=param(len(RELATION_LABELS)),
     )
 
 
@@ -54,11 +50,11 @@ def pair_loss(
     heads: Tensor, tails: Tensor, labels: Sequence[str], params: RelationHeadParams
 ) -> Tensor:
     """Mean cross-entropy of the P pairs' ``pair_logits`` against their gold labels."""
-    index = {label: r for r, label in enumerate(params.labels)}
     for label in labels:
-        if label not in index:
+        if label not in _LABEL_INDEX:
             raise ContractError(f"unknown relation label {label!r}")
-    return T.mean_cross_entropy(pair_logits(heads, tails, params), [index[l] for l in labels])
+    targets = [_LABEL_INDEX[label] for label in labels]
+    return T.mean_cross_entropy(pair_logits(heads, tails, params), targets)
 
 
 def relation_loss(
@@ -132,5 +128,5 @@ def predict_relations(
         best = pair_logits(heads, tails, params).values.argmax(axis=1).tolist()
         for (b, i, j), label in zip(index, best):
             if label != 0:
-                found[b].append(RelationInstance(i, j, params.labels[label]))
+                found[b].append(RelationInstance(i, j, RELATION_LABELS[label]))
     return found

@@ -4,7 +4,8 @@ A one-step-conditioned tagger: each position's logits come from the encoder
 row concatenated with an embedding of the previous tag (gold during teacher
 forcing, the model's own prediction during greedy decoding).  No BIO
 constraint is applied at decode time, so boundary errors are observable;
-``invalid_transition_rate`` quantifies them before repair.
+``corpus.invalid_transition_rate``, the BIO algebra's count of them, scores
+the decoded tags before repair.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .corpus import TagScheme
 from .errors import ContractError
 from .tensor import Params, Tensor, param, xavier
 
@@ -83,28 +83,3 @@ def greedy_decode(h: Tensor, params: Seq2SeqParams, lengths: Sequence[int]) -> l
         offset += size
     return out
 
-
-def invalid_transition_rate(batch: Sequence[Sequence[int]], scheme: TagScheme) -> float:
-    """Fraction of BIO-violating transitions, counting a virtual start->first.
-
-    A transition into I-c is valid only from B-c or I-c; everything else is
-    always valid, so each sentence contributes len(sentence) checks.
-    """
-    if not batch:
-        raise ContractError("invalid_transition_rate requires a nonempty batch")
-    violations = 0
-    checked = 0
-    for tags in batch:
-        previous: int | None = None  # virtual start
-        for tag in tags:
-            kind, cls = scheme.kind(tag)
-            if kind == "I":
-                if previous is None:
-                    violations += 1
-                else:
-                    prev_kind, prev_cls = scheme.kind(previous)
-                    if prev_cls != cls or prev_kind not in ("B", "I"):
-                        violations += 1
-            checked += 1
-            previous = tag
-    return violations / checked if checked else 0.0

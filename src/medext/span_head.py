@@ -84,7 +84,7 @@ def score_all_spans(h: Tensor, params: SpanHeadParams, lengths: Sequence[int]) -
     sentence.  All candidates are scored in one batched affine map; the
     logits stay differentiable back to h and the head parameters.
     """
-    sizes, _, _ = T.segments(lengths, h.shape[0], "score_all_spans")
+    sizes = T.tiling(lengths, h.shape[0], "score_all_spans")
     bounds = [_candidates(int(n), params.max_width) for n in sizes]
     counts = [len(i) for i, _ in bounds]
     starts = np.concatenate([i for i, _ in bounds])
@@ -98,7 +98,7 @@ def score_all_spans(h: Tensor, params: SpanHeadParams, lengths: Sequence[int]) -
         T.gather(params.width_emb, ends - starts),
     ], axis=1)
     logits = T.add_rowwise(T.matmul(rep, params.w_cls), params.b_cls)
-    return SpanTable(logits, starts, ends, np.repeat(np.arange(sizes.size), counts))
+    return SpanTable(logits, starts, ends, np.repeat(np.arange(len(sizes)), counts))
 
 
 def batch_span_loss(

@@ -389,9 +389,9 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
         T.assert_finite(moments, "checkpoint optimizer moments")
     head_extras = {}
     if model.head_kind == "span":
-        head_extras["classes"] = model.head.classes
+        head_extras["classes"] = model.scheme.classes
     if model.relation is not None:
-        head_extras["relation_labels"] = model.relation.labels
+        head_extras["relation_labels"] = RELATION_LABELS
     payload = {
         "format_version": FORMAT_VERSION,
         "encoder_config": asdict(model.config),
@@ -493,11 +493,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     _check(_is_count(min_freq) and min_freq >= 1, path, "vocab_min_freq must be an integer >= 1")
     extras, names, head_kind = payload["head_extras"], payload["param_names"], payload["head_kind"]
     _check(isinstance(extras, dict), path, "head_extras must be a JSON object")
-    for key in ("classes", "relation_labels"):
-        _check(_is_strings(extras.get(key, [])), path, f"head_extras key {key!r} must be a list")
-    classes = sorted(payload["scheme_classes"])  # the span head's w_cls scores these
-    ok = sorted(extras.get("classes", classes)) == classes
-    _check(ok, path, f"head_extras key 'classes' must hold the scheme's classes {classes}")
+    classes, labels = payload["scheme_classes"], list(RELATION_LABELS)  # w_cls's and w's columns
+    ok = extras.get("classes", classes) == classes
+    _check(ok, path, f"head_extras key 'classes' must hold the scheme's classes {classes} in order")
+    ok = extras.get("relation_labels", labels) == labels
+    _check(ok, path, f"head_extras key 'relation_labels' must be {labels} in order")
     known = head_kind in (None, *HEAD_KINDS)
     _check(known, path, f"unknown head_kind {head_kind!r}; expected one of {HEAD_KINDS} or null")
 
@@ -511,12 +511,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             head = None if head_kind is None else init_head(head_kind, config, scheme, seed=0)
             relation = None
             if any(name.startswith("relation/") for name in names):
-                labels = extras.get("relation_labels") or RELATION_LABELS
-                relation = init_relation(config.d_model, seed=0, labels=labels)
+                relation = init_relation(config.d_model, seed=0)
     except ContractError as exc:
         raise CheckpointError(f"checkpoint {path}: {exc}") from None
-    if head_kind == "span":
-        head.classes = extras.get("classes", scheme.classes)
     named = named_parameters(encoder, head, relation)
     mismatch = sorted(set(names) ^ set(named)) or "the same names, reordered or repeated"
     _check(names == list(named), path, f"param_names do not match the model: {mismatch}")

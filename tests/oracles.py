@@ -3,11 +3,12 @@ calls them: its CRF runs the fused forward-backward op, its losses the fused
 cross-entropy, its encoder the packed multi-head ``segment_attention`` (which
 pads only when a segment is shorter than the longest) and a ``layer_norm``
 without ``np.mean``/``np.var``, its relation head pools entities with
-``range_means``, its BIO decoder is one flat loop, ``load_annotations``
-checks records against the spans ``load_conll`` derived, ``build_vocab``
-counts each distinct word's characters once, inference decodes and scores
-relations one packed chunk at a time, and the two corpus loaders share one
-``Token`` per surface and ``load_conll``'s span objects."""
+``range_means``, its BIO decoder is one flat loop and its invalid-transition
+rate index arithmetic, ``load_annotations`` checks records against the
+spans ``load_conll`` derived, ``build_vocab`` counts each distinct word's
+characters once, inference decodes and scores relations one packed chunk at
+a time, and the two corpus loaders share one ``Token`` per surface and
+``load_conll``'s span objects."""
 
 import itertools
 import json
@@ -21,6 +22,7 @@ from medext import corpus as C
 from medext import pipeline
 from medext import tensor as T
 from medext.corpus import (
+    RELATION_LABELS,
     RESERVED_ENTRIES,
     EntitySpan,
     RelationInstance,
@@ -33,7 +35,7 @@ from medext.crf_head import CRFParams, emissions
 from medext.errors import ContractError, ShapeError, ValidationError
 from medext.evaluation import entity_prf, relation_prf, resolve_relations, token_accuracy
 from medext.relation_head import ordered_pairs, pair_logits
-from medext.seq2seq_head import Seq2SeqParams, invalid_transition_rate
+from medext.seq2seq_head import Seq2SeqParams
 from medext.span_head import NULL, SpanHeadParams, score_all_spans
 from medext.tensor import Tensor, gather, record_op
 
@@ -188,9 +190,18 @@ def brute_force_oracle(
     return log_z, list(best_seq), float(best_score)
 
 
+def kind(scheme: TagScheme, index: int) -> tuple[str, str | None]:
+    """Split a tag index into ("O"|"B"|"I", class name or None) by name,
+    where the package's BIO algebra uses the index arithmetic."""
+    if index == 0:
+        return "O", None
+    cls = scheme.classes[(index - 1) // 2]
+    return ("B" if index % 2 == 1 else "I"), cls
+
+
 def tags_to_spans(tags, scheme: TagScheme, mode: str = "strict") -> list[EntitySpan]:
-    """``corpus.tags_to_spans`` through ``TagScheme.kind`` and a closure that
-    closes the open span."""
+    """``corpus.tags_to_spans`` through ``kind`` and a closure that closes
+    the open span."""
     if mode not in ("strict", "repair"):
         raise ContractError(f"unknown mode {mode!r}")
     spans: list[EntitySpan] = []
@@ -205,11 +216,11 @@ def tags_to_spans(tags, scheme: TagScheme, mode: str = "strict") -> list[EntityS
 
     i = 0
     for i, tag in enumerate(tags):
-        kind, cls = scheme.kind(tag)
-        if kind == "B":
+        tag_kind, cls = kind(scheme, tag)
+        if tag_kind == "B":
             close()
             open_start, open_cls = i, cls
-        elif kind == "I":
+        elif tag_kind == "I":
             if open_cls == cls:
                 continue
             if mode == "strict":
@@ -223,6 +234,29 @@ def tags_to_spans(tags, scheme: TagScheme, mode: str = "strict") -> list[EntityS
     i = len(tags)
     close()
     return spans
+
+
+def invalid_transition_rate(batch, scheme: TagScheme) -> float:
+    """``corpus.invalid_transition_rate`` through ``kind``: an I-c is valid
+    only after a B-c or an I-c of the same class, and not at the start."""
+    if not batch:
+        raise ContractError("invalid_transition_rate requires a nonempty batch")
+    violations = 0
+    checked = 0
+    for tags in batch:
+        previous: int | None = None  # virtual start
+        for tag in tags:
+            tag_kind, cls = kind(scheme, tag)
+            if tag_kind == "I":
+                if previous is None:
+                    violations += 1
+                else:
+                    prev_kind, prev_cls = kind(scheme, previous)
+                    if prev_cls != cls or prev_kind not in ("B", "I"):
+                        violations += 1
+            checked += 1
+            previous = tag
+    return violations / checked if checked else 0.0
 
 
 def validate_sentence(sentence: Sentence, scheme: TagScheme) -> None:
@@ -326,7 +360,7 @@ def predict_relations_one(h: Tensor, spans, params) -> list[RelationInstance]:
     logits = pair_logits(gather(pooled, heads), gather(pooled, tails), params)
     best = logits.values.argmax(axis=1).tolist()
     return [
-        RelationInstance(i, j, params.labels[label])
+        RelationInstance(i, j, RELATION_LABELS[label])
         for i, j, label in zip(heads, tails, best)
         if label != 0
     ]

@@ -195,6 +195,18 @@ class TestExitCodes:
                 lambda p: p["head_extras"].update(classes=p["scheme_classes"][:-1]),
                 "head_extras key 'classes' must hold the scheme's classes",
             ),
+            pytest.param(
+                lambda p: p["head_extras"].update(classes=p["scheme_classes"][::-1]),
+                "head_extras key 'classes' must hold the scheme's classes",
+                id="head_extras-classes-reversed",
+            ),
+            pytest.param(
+                lambda p: p["head_extras"].update(
+                    relation_labels=["no-relation", "causes", "treats"]
+                ),
+                "head_extras key 'relation_labels' must be",
+                id="head_extras-relation_labels-swapped",
+            ),
             (lambda p: p.update(vocab_min_freq="x"), "vocab_min_freq must be an integer >= 1"),
             (lambda p: p.update(vocab_min_freq=0), "vocab_min_freq must be an integer >= 1"),
             (

@@ -62,7 +62,6 @@ class TestTagScheme:
         assert scheme.num_tags == 9
         assert scheme.tag_index("O") == 0
         assert scheme.tag_name(scheme.tag_index("B-Modifier")) == "B-Modifier"
-        assert scheme.kind(scheme.tag_index("I-Composite")) == ("I", "Composite")
 
     def test_bijection(self):
         scheme = TagScheme(["A", "B"])
@@ -99,7 +98,7 @@ class TestTagsToSpans:
     @given(data=st.data(), classes=st.integers(1, 4), mode=st.sampled_from(["strict", "repair"]))
     def test_matches_oracle(self, data, classes, mode):
         """The flat loop gives the spans, or the error text, of the decoder
-        that goes through ``TagScheme.kind``."""
+        that goes through ``oracles.kind``."""
         scheme = TagScheme([f"C{k}" for k in range(classes)])
         tags = data.draw(st.lists(st.integers(0, scheme.num_tags - 1), max_size=14))
         try:

@@ -37,7 +37,7 @@ def reference_encode(ids, params, config, training=False, dropout_seed=None):
     """The per-sentence, per-head encoder built on ``attention``: the packed path's oracle."""
     dropping = training and config.dropout_rate > 0.0
     rng = np.random.default_rng(np.random.SeedSequence([dropout_seed])) if dropping else None
-    n, d_k = len(ids), config.d_k
+    n, d_k = len(ids), config.d_model // config.heads
     x = T.add(T.gather(params.tok_emb, ids), T.gather(params.pos_emb, slice(0, n)))
     for layer in params.layers:
         q, k, v = (T.matmul(x, w) for w in (layer.w_q, layer.w_k, layer.w_v))
@@ -91,7 +91,17 @@ def loss_and_grads(loss_fn, params):
 
 class TestConfig:
     def test_head_split_arithmetic(self):
-        assert tiny_config(d_model=8, heads=2).d_k == 4
+        """d_model=8 over 2 heads gives each head 4 columns: changing q, k and
+        v in columns 4:8 leaves output columns 0:4 as they were."""
+        config = tiny_config(d_model=8, heads=2)
+        rng = np.random.default_rng(5)
+        q, k, v = (rng.standard_normal((3, config.d_model)) for _ in range(3))
+        before = T.segment_attention(Tensor(q), Tensor(k), Tensor(v), [3], config.heads).values
+        for a in (q, k, v):
+            a[:, 4:] += rng.standard_normal((3, 4))
+        after = T.segment_attention(Tensor(q), Tensor(k), Tensor(v), [3], config.heads).values
+        assert np.array_equal(before[:, :4], after[:, :4])
+        assert not np.allclose(before[:, 4:], after[:, 4:])
 
     def test_indivisible_heads_rejected(self):
         with pytest.raises(ContractError):

@@ -77,12 +77,12 @@ class TestRelationLogits:
         assert np.allclose(one_pair(a, b, params), one_pair(b, a, params))
 
     def test_hand_affine_case(self):
-        params = init_relation(1, seed=3, labels=["no-relation", "r"])
-        params.w.values[:] = [[1.0, 2.0], [3.0, 4.0]]
-        params.b.values[:] = [0.5, -0.5]
+        params = init_relation(1, seed=3)
+        params.w.values[:] = [[1.0, 2.0, -1.0], [3.0, 4.0, 0.5]]
+        params.b.values[:] = [0.5, -0.5, 1.0]
         out = one_pair([2.0], [5.0], params)
-        # concat [2,5]: [2*1+5*3+0.5, 2*2+5*4-0.5] = [17.5, 23.5]
-        assert out.tolist() == [17.5, 23.5]
+        # concat [2,5]: [2*1+5*3+0.5, 2*2+5*4-0.5, 2*-1+5*0.5+1] = [17.5, 23.5, 1.5]
+        assert out.tolist() == [17.5, 23.5, 1.5]
 
 
 class TestRelationLoss:

@@ -2,17 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medext import tensor as T
-from medext.corpus import TagScheme
+from medext.corpus import TagScheme, invalid_transition_rate
 from medext.errors import ContractError
-from medext.seq2seq_head import (
-    greedy_decode,
-    init_seq2seq,
-    invalid_transition_rate,
-    teacher_forced_loss,
-)
+from medext.seq2seq_head import greedy_decode, init_seq2seq, teacher_forced_loss
 from medext.tensor import Tensor
+import oracles
 
 
 def setup_function(_):
@@ -89,7 +87,7 @@ class TestGreedyDecode:
         h = Tensor(np.zeros((3, 4)))
         [tags] = greedy_decode(h, params, [3])
         assert tags == [scheme.inside_index("D")] * 3
-        assert invalid_transition_rate([tags], scheme) > 0.0
+        assert invalid_transition_rate([tags]) > 0.0
 
     def test_ties_toward_lower_tag(self):
         params = init_seq2seq(4, num_tags=4, seed=8)
@@ -100,31 +98,41 @@ class TestGreedyDecode:
 
 
 class TestInvalidTransitionRate:
-    def test_all_outside_is_zero(self, scheme):
-        assert invalid_transition_rate([[0, 0, 0], [0]], scheme) == 0.0
+    def test_all_outside_is_zero(self):
+        assert invalid_transition_rate([[0, 0, 0], [0]]) == 0.0
 
     def test_dangling_inside_rate(self, scheme):
         tags = [0, scheme.inside_index("D")]
-        assert invalid_transition_rate([tags], scheme) == pytest.approx(0.5)
+        assert invalid_transition_rate([tags]) == pytest.approx(0.5)
 
     def test_proper_entity_is_valid(self, scheme):
         tags = [scheme.begin_index("D"), scheme.inside_index("D")]
-        assert invalid_transition_rate([tags], scheme) == 0.0
+        assert invalid_transition_rate([tags]) == 0.0
 
     def test_inside_at_start_counts(self, scheme):
-        assert invalid_transition_rate([[scheme.inside_index("D")]], scheme) == 1.0
+        assert invalid_transition_rate([[scheme.inside_index("D")]]) == 1.0
 
     def test_class_switch_counts(self, scheme):
         tags = [scheme.begin_index("D"), scheme.inside_index("E")]
-        assert invalid_transition_rate([tags], scheme) == pytest.approx(0.5)
+        assert invalid_transition_rate([tags]) == pytest.approx(0.5)
 
-    def test_gold_corpus_rate_is_zero(self, scheme):
+    def test_gold_corpus_rate_is_zero(self):
         from medext.corpus import generate_synthetic_corpus
 
         corpus = generate_synthetic_corpus(100, seed=21)
         batch = [s.tags for s in corpus.sentences]
-        assert invalid_transition_rate(batch, corpus.scheme) == 0.0
+        assert invalid_transition_rate(batch) == 0.0
 
-    def test_empty_batch_rejected(self, scheme):
+    def test_empty_batch_rejected(self):
         with pytest.raises(ContractError):
-            invalid_transition_rate([], scheme)
+            invalid_transition_rate([])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), classes=st.integers(1, 5))
+    def test_matches_oracle(self, data, classes):
+        """The index arithmetic gives exactly the rate of the oracle that
+        compares class names through ``oracles.kind``, empty sentences included."""
+        scheme = TagScheme([f"C{k}" for k in range(classes)])
+        sentence = st.lists(st.integers(0, scheme.num_tags - 1), max_size=12)
+        batch = data.draw(st.lists(sentence, min_size=1, max_size=6))
+        assert invalid_transition_rate(batch) == oracles.invalid_transition_rate(batch, scheme)
