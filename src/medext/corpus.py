@@ -241,36 +241,49 @@ def parse_json(text: str):
 
 def load_conll(path: str | Path, scheme: TagScheme) -> Corpus:
     """Load a two-column "token<TAB>tag" file, one sentence per blank-line
-    block.  Each distinct surface's ``Token`` is built once and shared."""
+    block.  Each distinct line is parsed once, each distinct tag sequence's
+    spans derived once; sentences share those ``Token``s and ``EntitySpan``s."""
     lines = read_utf8(path).split("\n")
     lines.append("")  # closes the last sentence
     index = scheme._index
     shared: dict[str, Token] = {}
-    sentences: list[Sentence] = []
-    tokens: list[Token] = []
-    tags: list[int] = []
-    for line_no, line in enumerate(lines, start=1):
-        surface, tab, tag_name = line.partition("\t")
+    # each distinct line's (Token, tag); None for a separator, False if malformed
+    parsed: dict[str, tuple[Token, int] | None | Literal[False]] = dict.fromkeys(lines)
+    for line in parsed:
+        surface, _, tag_name = line.partition("\t")
         tag = index.get(tag_name)
-        # the common line first: a surface and a known tag (never blank, no tab)
-        if tag is not None and surface:
+        if tag is not None and surface:  # a surface and a known tag: never blank, no tab
             token = shared.get(surface)
             if token is None:
                 token = shared[surface] = Token(surface)
+            parsed[line] = token, tag
+        elif line.strip():
+            parsed[line] = False
+    derived: dict[tuple[int, ...], list[EntitySpan]] = {}
+    sentences: list[Sentence] = []
+    tokens: list[Token] = []
+    tags: list[int] = []
+    for line_no, entry in enumerate(map(parsed.__getitem__, lines), start=1):
+        if entry:
+            token, tag = entry
             tokens.append(token)
             tags.append(tag)
-            continue
-        if line.strip():
+        elif entry is False:
+            line = lines[line_no - 1]
+            surface, tab, tag_name = line.partition("\t")
             if not tab or not surface or "\t" in tag_name:
                 raise ParseError(f"{path} line {line_no}: expected 'token<TAB>tag', got {line!r}")
             raise ParseError(f"{path} line {line_no}: unknown tag {tag_name!r}")
-        if tags:
-            try:
-                spans = tags_to_spans(tags, scheme)
-            except ValidationError as exc:
-                bad_line = line_no - len(tags) + exc.index
-                raise ValidationError(f"{path} line {bad_line}: {exc}") from None
-            sentences.append(Sentence(tokens, tags, spans))
+        elif tags:
+            key = tuple(tags)
+            spans = derived.get(key)
+            if spans is None:
+                try:
+                    spans = derived[key] = tags_to_spans(tags, scheme)
+                except ValidationError as exc:
+                    bad_line = line_no - len(tags) + exc.index
+                    raise ValidationError(f"{path} line {bad_line}: {exc}") from None
+            sentences.append(Sentence(tokens, tags, list(spans)))
             tokens, tags = [], []
     return Corpus(sentences, scheme)
 
@@ -288,28 +301,34 @@ def save_conll(corpus: Corpus, path: str | Path) -> None:
 
 def load_annotations(corpus: Corpus, path: str | Path) -> Corpus:
     """Attach spans/relations from a JSON-lines sidecar (order matches the tag
-    file).  The spans are ``corpus``'s own objects, in the sidecar's order."""
+    file).  The spans are ``corpus``'s own objects, in the sidecar's order.
+    Each distinct line is decoded and field-checked once, and checked against
+    each sentence it annotates."""
     lines = [(n, ln) for n, ln in enumerate(read_utf8(path).split("\n"), 1) if ln.strip()]
     if len(lines) != len(corpus.sentences):
         raise ParseError(
             f"annotation file {path} has {len(lines)} records for {len(corpus.sentences)} sentences"
         )
     decode = json.JSONDecoder().decode
+    decoded: dict[str, tuple[list[tuple], list[RelationInstance]]] = {}
     sentences = []
     for (line_no, line), sentence in zip(lines, corpus.sentences):
         where = f"annotation file {path} line {line_no}"
-        try:
-            record = decode(line)
-        except (ValueError, RecursionError):
-            try:  # again through json.loads, for its own message (a leading BOM)
-                record = parse_json(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{where}: {exc}") from None
-        if not isinstance(record, dict):
-            raise ParseError(f"{where}: expected a JSON object, got {type(record).__name__}")
-        triples = _records(record, "spans", _SPAN_FIELDS, where)
-        relations = _records(record, "relations", _RELATION_FIELDS, where)
-        relations = [RelationInstance(*triple) for triple in relations]
+        fields = decoded.get(line)
+        if fields is None:
+            try:
+                record = decode(line)
+            except (ValueError, RecursionError):
+                try:  # again through json.loads, for its own message (a leading BOM)
+                    record = parse_json(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"{where}: {exc}") from None
+            if not isinstance(record, dict):
+                raise ParseError(f"{where}: expected a JSON object, got {type(record).__name__}")
+            triples = _records(record, "spans", _SPAN_FIELDS, where)
+            relations = _records(record, "relations", _RELATION_FIELDS, where)
+            fields = decoded[line] = triples, [RelationInstance(*t) for t in relations]
+        triples, relations = fields
         if len(sentence.tags) != len(sentence.tokens):
             raise ParseError(
                 f"{where}: {len(sentence.tags)} tags for {len(sentence.tokens)} tokens"
@@ -332,7 +351,7 @@ def load_annotations(corpus: Corpus, path: str | Path) -> Corpus:
                     raise ParseError(f"{where}: relation {rel} references missing span {idx}")
             if rel.label not in RELATION_LABELS:
                 raise ParseError(f"{where}: relation {rel} has a label not in {RELATION_LABELS}")
-        sentences.append(Sentence(sentence.tokens, sentence.tags, list(spans), relations))
+        sentences.append(Sentence(sentence.tokens, sentence.tags, list(spans), list(relations)))
     return Corpus(sentences, corpus.scheme, list(corpus.splits))
 
 

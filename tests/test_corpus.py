@@ -240,14 +240,16 @@ class TestConllIO:
         save_annotations(loaded, ann2)
         assert ann.read_bytes() == ann2.read_bytes()
 
-    def test_one_span_derivation_per_sentence(self, tmp_path, monkeypatch):
+    def test_one_span_derivation_per_distinct_tag_sequence(self, tmp_path, monkeypatch):
         corpus = generate_synthetic_corpus(30, seed=3)
         save_conll(corpus, tmp_path / "c.tsv")
         save_annotations(corpus, tmp_path / "c.jsonl")
         calls, derive = [], C.tags_to_spans
         monkeypatch.setattr(C, "tags_to_spans", lambda *a, **k: calls.append(1) or derive(*a, **k))
-        load_annotations(load_conll(tmp_path / "c.tsv", corpus.scheme), tmp_path / "c.jsonl")
-        assert len(calls) == len(corpus)
+        tagged = load_conll(tmp_path / "c.tsv", corpus.scheme)
+        assert len(calls) == len({tuple(s.tags) for s in corpus.sentences}) == 20
+        load_annotations(tagged, tmp_path / "c.jsonl")
+        assert len(calls) == 20
 
     @PROPERTY
     @given(data=st.data())
@@ -338,6 +340,83 @@ class TestConllIO:
         assert str(ann) in str(info.value)
         assert f"line {row + 1}:" in str(info.value)
         assert message in str(info.value)
+
+
+def failure(load, *args) -> tuple[type, str]:
+    with pytest.raises((ParseError, ValidationError)) as info:
+        load(*args)
+    return type(info.value), str(info.value)
+
+
+class TestRepeatedLines:
+    """The loaders parse each distinct line once, but a line's checks that
+    depend on its place still run at every place: nothing one occurrence
+    found carries over to another."""
+
+    @pytest.mark.parametrize(
+        "lines, bad_line",
+        [
+            (["a\tO", "x", "", "x\tB-Bogus", "x", "x\tB-Bogus"], 2),
+            (["a\tO", "x\tB-Bogus", "", "x", "x\tB-Bogus", "x"], 2),
+            (["a\tI-D", "", "x", "x"], 1),  # a sentence that ends first fails first
+            (["a\tB-D", "b\tI-D", "", "a\tO", "b\tI-D"], 5),  # valid at line 2, not at 5
+        ],
+        ids=["malformed-first", "unknown-tag-first", "invalid-bio-first", "line-valid-once"],
+    )
+    def test_tag_file_error_names_the_first_bad_line(self, tmp_path, scheme_d, lines, bad_line):
+        path = tmp_path / "bad.tsv"
+        path.write_text("\n".join(lines) + "\n")
+        got = failure(load_conll, path, scheme_d)
+        assert got == failure(oracles.load_conll, path, scheme_d)
+        assert f"bad.tsv line {bad_line}:" in got[1]
+
+    @pytest.mark.parametrize(
+        "records, bad_line",
+        [
+            (["{}", '{"spans": 1}', "{}", '{"spans": 1}'], 2),
+            (["{}", "nul", "[]", "nul", "[]"], 2),
+            (['{"relations": [{"head": 0, "tail": 0, "label": "treats"}]}', "nul", "nul"], 1),
+        ],
+        ids=["field-check", "decode", "sentence-check-first"],
+    )
+    def test_sidecar_error_names_the_first_bad_line(self, tmp_path, scheme_d, records, bad_line):
+        corpus = Corpus([make_sentence(["a"], [], scheme_d) for _ in records], scheme_d)
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(records) + "\n")
+        got = failure(load_annotations, corpus, path)
+        assert got == failure(oracles.load_annotations, corpus, path)
+        assert f"bad.jsonl line {bad_line}:" in got[1]
+
+    @pytest.mark.parametrize(
+        "tags, record",
+        [
+            ("flu\tB-D\n\nflu\tO\n", {"spans": [{"start": 0, "end": 0, "cls": "D"}]}),
+            ("flu\tO\n\nflu\tB-D\n", {}),
+        ],
+    )
+    def test_sidecar_line_is_checked_against_each_sentence(self, tmp_path, scheme_d, tags, record):
+        """One record line fits the first sentence's tags, not the second's."""
+        (tmp_path / "c.tsv").write_text(tags)
+        corpus = load_conll(tmp_path / "c.tsv", scheme_d)
+        path = tmp_path / "a.jsonl"
+        path.write_text(f"{json.dumps(record)}\n" * 2)
+        got = failure(load_annotations, corpus, path)
+        assert got == failure(oracles.load_annotations, corpus, path)
+        assert got[1].startswith(f"annotation file {path} line 2: spans")
+
+    def test_sentences_with_equal_lines_get_their_own_lists(self, tmp_path, scheme_d):
+        (tmp_path / "c.tsv").write_text("a\tB-D\nb\tB-D\n\na\tB-D\nb\tB-D\n")
+        spans = [{"start": 0, "end": 0, "cls": "D"}, {"start": 1, "end": 1, "cls": "D"}]
+        record = {"spans": spans, "relations": [{"head": 0, "tail": 1, "label": "treats"}]}
+        sidecar = tmp_path / "c.jsonl"
+        sidecar.write_text(f"{json.dumps(record)}\n" * 2)
+        corpus = load_conll(tmp_path / "c.tsv", scheme_d)
+        loaded = load_annotations(corpus, sidecar)
+        assert loaded == oracles.load_annotations(corpus, sidecar)
+        for first, second in (corpus.sentences, loaded.sentences):
+            assert first == second
+            for name in ("tags", "spans", "relations"):
+                assert getattr(first, name) is not getattr(second, name), name
 
 
 class TestVocab:

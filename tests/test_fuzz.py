@@ -177,6 +177,63 @@ def test_loaders_equal_the_oracles_on_generated_corpora(scratch, size, seed, reo
         assert all(a is b for a, b in zip(after.spans, before.spans[order], strict=True))
 
 
+RELATED_BLOCKS = [
+    [f"{t.surface}\t{RELATED.scheme.tag_name(tag)}" for t, tag in zip(s.tokens, s.tags)]
+    for s in RELATED.sentences
+]
+# RELATED's lines, lines malformed anywhere, and one whose BIO validity depends on its place
+TAG_LINE_POOL = sorted(
+    {line for block in RELATED_BLOCKS for line in block}
+    | {"x", "x\tB-Bogus", "\tO", " ", "of\tI-Specific"}
+)
+BLOCK = st.sampled_from(RELATED_BLOCKS) | st.lists(
+    st.sampled_from(TAG_LINE_POOL), min_size=1, max_size=4
+)
+RECORD_POOL = [
+    "{}",
+    '{"spans": 1}',
+    "[]",
+    "nul",
+    '{"spans": [{"start": 0}]}',
+    '{"relations": [{"head": 0, "tail": 0, "label": "treats"}]}',
+    '{"relations": [{"head": 0, "tail": 1, "label": "prevents"}]}',
+]
+
+
+def own_record(sentence) -> dict:
+    """The record that fits ``sentence``'s tags, linking its first two spans."""
+    spans = [{"start": s.start, "end": s.end, "cls": s.cls} for s in sentence.spans]
+    relations = [{"head": 0, "tail": 1, "label": "treats"}] if len(spans) > 1 else []
+    return {"spans": spans, "relations": relations}
+
+
+@FUZZ
+@given(blocks=st.lists(BLOCK, max_size=8), data=st.data())
+def test_repeated_lines_load_as_the_oracles_do(scratch, blocks, data):
+    """A tag file and a sidecar built from small pools of repeated lines, bad
+    ones among them, so that one distinct line stands in many places."""
+    tags = scratch / "repeated.tsv"
+    tags.write_text("\n\n".join("\n".join(block) for block in blocks), encoding="utf-8")
+    tagged = outcome(load_conll, tags, TagScheme())
+    assert tagged == outcome(oracles.load_conll, tags, TagScheme())
+    if isinstance(tagged, tuple):
+        return
+    pool = RECORD_POOL + (scratch / "related.jsonl").read_text().splitlines()
+    lines = []
+    for sentence in tagged.sentences:
+        how = data.draw(st.sampled_from(["own", "own", "reordered", "pool"]))
+        record = own_record(sentence)
+        if how == "pool":
+            lines.append(data.draw(st.sampled_from(pool)))
+        else:
+            lines.append(json.dumps(reorder_spans(record) if how == "reordered" else record))
+    sidecar = scratch / "repeated.jsonl"
+    sidecar.write_text("\n".join(lines), encoding="utf-8")
+    assert outcome(load_annotations, tagged, sidecar) == outcome(
+        oracles.load_annotations, tagged, sidecar
+    )
+
+
 TAG_FIELD = st.sampled_from(
     ["", " ", "\t", "O", "B-Specific", "I-Specific", "I-Modifier", "B-Bogus", "x\ty", "\ufeffO"]
 ) | TEXT

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import importlib.util
 import json
 import math
@@ -639,6 +640,37 @@ class TestNoRecordEvaluation:
         assert T.active_tape().records
         T.reset_tape()
         assert quiet == recorded
+
+
+class TestNoCyclicGarbage:
+    """Training, pretraining and loading leave nothing that only the cyclic
+    collector can free, so pausing it would cost no memory."""
+
+    @pytest.fixture(autouse=True)
+    def paused(self):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        gc.collect()
+        yield
+        if was_enabled:
+            gc.enable()
+
+    @pytest.mark.parametrize("steps", [2, 20])
+    @pytest.mark.parametrize("head", pipeline.HEAD_KINDS)
+    def test_train(self, head, steps):
+        train(small_corpus(), TrainConfig(steps=steps, head=head))
+        assert gc.collect() == 0
+
+    def test_pretrain(self):
+        pretrain(small_corpus(), PretrainConfig(steps=5))
+        assert gc.collect() == 0
+
+    def test_load(self, tmp_path):
+        corpus = generate_synthetic_corpus(60, seed=2)
+        C.save_conll(corpus, tmp_path / "c.tsv")
+        C.save_annotations(corpus, tmp_path / "c.jsonl")
+        C.load_annotations(C.load_conll(tmp_path / "c.tsv", corpus.scheme), tmp_path / "c.jsonl")
+        assert gc.collect() == 0
 
 
 class TestPretrain:
