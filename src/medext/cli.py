@@ -398,7 +398,7 @@ def cmd_predict(config: dict, args) -> int:
     out_file = args.out_file and _output_path(args.out_file, "--out-file", directory=False)
     model = _open_model(args.checkpoint)
     input_path = _existing(args.input, "input file")
-    lines = read_utf8(input_path).splitlines()
+    lines = read_utf8(input_path).split("\n")
     numbered = [(number, line.split()) for number, line in enumerate(lines, 1) if line.split()]
     sentences = [Sentence([Token(w) for w in words], [0] * len(words)) for _, words in numbered]
     errors = length_errors(sentences, model.vocab, model.config.max_len)

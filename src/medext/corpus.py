@@ -309,7 +309,6 @@ def load_annotations(corpus: Corpus, path: str | Path) -> Corpus:
         raise ParseError(
             f"annotation file {path} has {len(lines)} records for {len(corpus.sentences)} sentences"
         )
-    decode = json.JSONDecoder().decode
     decoded: dict[str, tuple[list[tuple], list[RelationInstance]]] = {}
     sentences = []
     for (line_no, line), sentence in zip(lines, corpus.sentences):
@@ -317,12 +316,9 @@ def load_annotations(corpus: Corpus, path: str | Path) -> Corpus:
         fields = decoded.get(line)
         if fields is None:
             try:
-                record = decode(line)
-            except (ValueError, RecursionError):
-                try:  # again through json.loads, for its own message (a leading BOM)
-                    record = parse_json(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"{where}: {exc}") from None
+                record = parse_json(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{where}: {exc}") from None
             if not isinstance(record, dict):
                 raise ParseError(f"{where}: expected a JSON object, got {type(record).__name__}")
             triples = _records(record, "spans", _SPAN_FIELDS, where)

@@ -107,7 +107,6 @@ def encode_batch(
     seqs: Sequence[Sequence[int]],
     params: EncoderParams,
     config: EncoderConfig,
-    training: bool = False,
     dropout_seeds: Sequence[int] | None = None,
 ) -> Tensor:
     """Run the encoder stack over a batch of subword-id sequences in one pass.
@@ -116,9 +115,9 @@ def encode_batch(
     rows per sequence in batch order, and positions restart at 0 for each.
     Attention stays within a sequence, so every block equals what a
     one-sequence call gives.  Each sequence is checked against ``max_len``
-    on its own.  Deterministic when ``training`` is false; dropout requires
-    one seed per sequence, and each sequence draws its masks from its own
-    generator.
+    on its own.  Dropout runs exactly when ``dropout_seeds`` is given and
+    ``dropout_rate > 0``: one seed per sequence, and each sequence draws its
+    masks from its own generator.  Without seeds the pass is deterministic.
     """
     lengths = [len(ids) for ids in seqs]
     if not lengths:
@@ -128,14 +127,11 @@ def encode_batch(
             raise ContractError("encode requires a nonempty sequence")
         if n > config.max_len:
             raise ContractError(f"sequence length {n} exceeds max_len {config.max_len}")
-    dropping = training and config.dropout_rate > 0.0
-    if dropping and (dropout_seeds is None or len(dropout_seeds) != len(lengths)):
-        raise ContractError("training with dropout requires a dropout_seed per sequence")
-    rngs = (
-        [np.random.default_rng(np.random.SeedSequence([seed])) for seed in dropout_seeds]
-        if dropping
-        else None
-    )
+    if dropout_seeds is not None and len(dropout_seeds) != len(lengths):
+        raise ContractError(f"{len(dropout_seeds)} dropout seeds for {len(lengths)} sequences")
+    drop = dropout_seeds is not None and config.dropout_rate > 0.0
+    if drop:
+        rngs = [np.random.default_rng(np.random.SeedSequence([seed])) for seed in dropout_seeds]
 
     ids = [i for seq in seqs for i in seq]
     positions = np.concatenate([np.arange(n) for n in lengths])
@@ -149,13 +145,13 @@ def encode_batch(
             config.heads,
         )
         attn = T.matmul(attn, layer.w_o)
-        if dropping:
+        if drop:
             attn = T.dropout(attn, config.dropout_rate, rngs, lengths)
         x = T.layer_norm(T.add(x, attn), layer.ln1_gain, layer.ln1_bias)
 
         hidden = T.relu(T.add_rowwise(T.matmul(x, layer.ff_w1), layer.ff_b1))
         ff = T.add_rowwise(T.matmul(hidden, layer.ff_w2), layer.ff_b2)
-        if dropping:
+        if drop:
             ff = T.dropout(ff, config.dropout_rate, rngs, lengths)
         x = T.layer_norm(T.add(x, ff), layer.ln2_gain, layer.ln2_bias)
     return x
@@ -165,14 +161,10 @@ def encode(
     ids: Sequence[int],
     params: EncoderParams,
     config: EncoderConfig,
-    training: bool = False,
     dropout_seed: int | None = None,
 ) -> Tensor:
     """Run the full encoder stack over one subword-id sequence -> [n, d_model]."""
-    return encode_batch(
-        [ids], params, config, training=training,
-        dropout_seeds=None if dropout_seed is None else [dropout_seed],
-    )
+    return encode_batch([ids], params, config, None if dropout_seed is None else [dropout_seed])
 
 
 def plan_masking(
@@ -221,8 +213,6 @@ def mlm_step(
         rows.extend(offset + p for p in positions)
         targets.extend(ids[p] for p in positions)
         offset += len(ids)
-    seeds = (
-        None if config.dropout_rate == 0.0 else [seed * 100003 + i for i in range(len(batch))]
-    )
-    h = encode_batch(corrupted, params, config, training=True, dropout_seeds=seeds)
+    seeds = [seed * 100003 + i for i in range(len(batch))]
+    h = encode_batch(corrupted, params, config, seeds)
     return T.mean_cross_entropy(T.matmul(T.gather(h, rows), params.mlm_proj), targets)

@@ -128,19 +128,15 @@ def word_ids(sentence: Sentence, vocab: Vocab) -> tuple[list[int], list[int]]:
 def encode_words(
     model: Model,
     sentence: Sentence,
-    training: bool = False,
     dropout_seed: int | None = None,
 ) -> Tensor:
     """Encoder rows for each word (first-subword selection) -> [n_words, d_model]."""
-    return encode_words_batch(
-        model, [sentence], training, None if dropout_seed is None else [dropout_seed]
-    )
+    return encode_words_batch(model, [sentence], None if dropout_seed is None else [dropout_seed])
 
 
 def encode_words_batch(
     model: Model,
     sentences: Sequence[Sentence],
-    training: bool = False,
     dropout_seeds: Sequence[int] | None = None,
 ) -> Tensor:
     """Encoder word rows for a batch in one packed encoder pass.
@@ -150,10 +146,7 @@ def encode_words_batch(
     output; sentence b's block equals what a one-sentence batch gives.
     """
     flat = [word_ids(sentence, model.vocab) for sentence in sentences]
-    h = encode_batch(
-        [ids for ids, _ in flat], model.encoder, model.config,
-        training=training, dropout_seeds=dropout_seeds,
-    )
+    h = encode_batch([ids for ids, _ in flat], model.encoder, model.config, dropout_seeds)
     rows, offset = [], 0
     for ids, starts in flat:
         rows.extend(offset + s for s in starts)

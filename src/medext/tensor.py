@@ -36,11 +36,10 @@ class Tensor:
     convention: replace it, never write into it.
     """
 
-    __slots__ = ("values", "requires_grad", "grad")
+    __slots__ = ("values", "grad")
 
-    def __init__(self, values, requires_grad: bool = False):
+    def __init__(self, values):
         self.values = np.asarray(values, dtype=np.float64)
-        self.requires_grad = requires_grad
         self.grad: Array | None = None
 
     @property
@@ -55,11 +54,10 @@ class Tensor:
 
     def __deepcopy__(self, memo) -> "Tensor":
         """A copy of the values, without the gradient."""
-        return Tensor(self.values.copy(), self.requires_grad)
+        return Tensor(self.values.copy())
 
     def __repr__(self) -> str:
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}{flag})"
+        return f"Tensor(shape={self.shape})"
 
     def sum(self) -> "Tensor":
         return sum_all(self)
@@ -122,14 +120,14 @@ def no_grad() -> Iterator[None]:
 
 def record_op(values: Array, inputs: Sequence[Tensor], rule: Callable) -> Tensor:
     """The one op constructor: a tensor holding ``values``, with one tape
-    record when an input requires grad and the tape is recording.
+    record while the tape is recording (outside ``no_grad()``).
 
     ``rule`` maps the output gradient to one gradient (or None) per input.
     It may return the output gradient itself, one array for several inputs,
     or views, since no gradient is ever written in place.
     """
-    out = Tensor(values, any(t.requires_grad for t in inputs))
-    if out.requires_grad and _TAPE.recording:
+    out = Tensor(values)
+    if _TAPE.recording:
         _TAPE.records.append((out, tuple(inputs), rule))
     return out
 
@@ -211,14 +209,14 @@ def shapes_only() -> Iterator[None]:
 
 def param(shape, fill: float = 0.0) -> Tensor:
     values = np.broadcast_to(fill, shape) if _SHAPES_ONLY else np.full(shape, fill)
-    return Tensor(values, requires_grad=True)
+    return Tensor(values)
 
 
 def xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
     if _SHAPES_ONLY:
         return param((fan_in, fan_out))
     limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return Tensor(rng.uniform(-limit, limit, size=(fan_in, fan_out)), requires_grad=True)
+    return Tensor(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
 
 
 # ---------------------------------------------------------------------------
@@ -550,9 +548,7 @@ def finite_diff_check(
 
     for t in tensors:
         t.zero_grad()
-    root = evaluate()
-    if root.requires_grad:
-        backward(root)
+    backward(evaluate())
     analytic = [
         t.grad.copy() if t.grad is not None else np.zeros_like(t.values) for t in tensors
     ]

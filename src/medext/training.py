@@ -32,7 +32,7 @@ from .corpus import (
     tokenize_corpus,  # noqa: F401  (perfbench/tracer.py wraps training.tokenize_corpus)
 )
 from .encoder import EncoderConfig, init_params, mlm_step
-from .errors import CheckpointError, ContractError, NumericError, ParseError
+from .errors import CheckpointError, ConfigError, ContractError, NumericError, ParseError
 from .pipeline import (
     HEAD_KINDS,
     Model,
@@ -162,26 +162,22 @@ def step_losses(
     sentences: Sequence[Sentence],
     seeds: Sequence[int],
     lambda_re: float,
-    dropping: bool,
-) -> tuple[Tensor, Tensor]:
+) -> tuple[Tensor, Tensor | None]:
     """(ner, re) losses of one batch: one packed encoder pass, one head pass
     and one relation pass over the batch's packed word rows.
 
     ``seeds`` (one per sentence) drive dropout and negative subsampling.
-    The relation loss is 0 when lambda_re is 0 or no sentence has two spans.
+    The relation loss is None when lambda_re is 0 or no sentence has two spans.
     """
-    words = encode_words_batch(
-        model, sentences, training=dropping, dropout_seeds=seeds if dropping else None
-    )
+    words = encode_words_batch(model, sentences, seeds)
     ner = ner_loss(model, words, sentences, seeds)
     pairs = gold_relation_pairs(words, sentences) if lambda_re > 0.0 else None
-    re = pair_loss(*pairs, model.relation) if pairs else Tensor(0.0)
-    return ner, re
+    return ner, pair_loss(*pairs, model.relation) if pairs else None
 
 
-def joint_loss(ner: Tensor, re: Tensor, lambda_re: float) -> Tensor:
-    """ner + lambda_re * re; with lambda_re = 0 the relation term drops out."""
-    if lambda_re == 0.0:
+def joint_loss(ner: Tensor, re: Tensor | None, lambda_re: float) -> Tensor:
+    """ner + lambda_re * re; without a relation loss, or at lambda_re = 0, ner."""
+    if re is None or lambda_re == 0.0:
         return ner
     return T.add(ner, T.scale(re, lambda_re))
 
@@ -318,16 +314,19 @@ def train(
     model, optimizer, start_step, lineage = _prepare_model(
         corpus, config, init, encoder_config
     )
+    if config.lambda_re > 0.0 and model.relation is None:
+        raise ConfigError(f"the init checkpoint has no relation head; train.lambda_re must be 0 "
+                          f"to train without one, got {config.lambda_re:g}")
     lineage.append(f"train:{config.seed}")
     sampler = _BatchSampler(corpus, config.batch_size, config.seed, config.class_balanced)
-    dropping = model.config.dropout_rate > 0.0
 
     def loss_at(step: int):
         sentences = [corpus.sentences[index] for index in sampler.batch(step)]
         seeds = [(config.seed * 1_000_003 + step) * 64 + slot for slot in range(len(sentences))]
-        ner, re = step_losses(model, sentences, seeds, config.lambda_re, dropping)
+        ner, re = step_losses(model, sentences, seeds, config.lambda_re)
         loss = joint_loss(ner, re, config.lambda_re)
-        return loss, (step, float(loss.values), float(ner.values), float(re.values))
+        re_value = 0.0 if re is None else float(re.values)
+        return loss, (step, float(loss.values), float(ner.values), re_value)
 
     steps = range(start_step, start_step + config.steps)
     _optimize(model, optimizer, steps, config.learning_rate, config.clip_norm, loss_at, log)

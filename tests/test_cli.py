@@ -1,5 +1,6 @@
 import base64
 import contextlib
+import dataclasses
 import gc
 import json
 from collections import Counter
@@ -13,6 +14,7 @@ from medext import corpus as C
 from medext import tensor as T
 from medext.cli import DEFAULT_CONFIG, build_parser, main
 from medext.corpus import TagScheme, load_annotations, load_conll
+from medext.training import Checkpoint, load_checkpoint, save_checkpoint
 
 
 def edit_floats(section: dict, key: str, edit) -> None:
@@ -304,6 +306,21 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "non-finite loss at step 1 with learning_rate=1e+300 and clip_norm=1\n" in err
+
+    def test_resume_without_relation_head_needs_lambda_zero(
+        self, tmp_path, capsys, corpus_files, trained_model
+    ):
+        model = load_checkpoint(trained_model).model
+        init = tmp_path / "no-relation.json"
+        save_checkpoint(Checkpoint(dataclasses.replace(model, relation=None)), init)
+        tags, ann = corpus_files
+        argv = ("train", "--init", str(init), "--tags", str(tags), "--annotations", str(ann),
+                "--steps", "2")
+        assert run(*argv, "--out", str(tmp_path / "a")) == 1
+        err = capsys.readouterr().err
+        assert "no relation head" in err and "train.lambda_re" in err
+        assert "runtime error" not in err
+        assert run(*argv, "--set", "train.lambda_re=0", "--out", str(tmp_path / "b")) == 0
 
     def test_unknown_tag_names_the_tag_file(self, tmp_path, capsys):
         tags = tmp_path / "two.tsv"
@@ -653,6 +670,29 @@ class TestPredict:
             "--input", str(text), "--out-file", str(out_file),
         ) == 0
         assert out_file.read_text().splitlines() == [records[0], records[2]]
+
+    def test_lines_end_only_at_newline(self, tmp_path, capsys, trained_model):
+        """U+2028 and a form feed inside a line are whitespace between words,
+        not line breaks, so the over-long third line is reported as line 3."""
+        long_line = " ".join(["qwerty", "zxcvbn", "poiuyt", "lkjhgf"] * 3)  # 72 subwords
+        text = tmp_path / "raw.txt"
+        text.write_text(
+            f"the patient\u2028presented with influenza\naspirin\ftreats migraine\n{long_line}\n",
+            encoding="utf-8",
+        )
+        out_file = tmp_path / "pred.jsonl"
+        code = run(
+            "predict", "--checkpoint", str(trained_model),
+            "--input", str(text), "--out-file", str(out_file),
+        )
+        assert code == 1
+        assert "raw.txt line 3:" in capsys.readouterr().err
+        records = [json.loads(r) for r in out_file.read_text(encoding="utf-8").split("\n")[:-1]]
+        assert [r.get("tokens") for r in records[:2]] == [
+            ["the", "patient", "presented", "with", "influenza"],
+            ["aspirin", "treats", "migraine"],
+        ]
+        assert records[2] == {"line": 3, "error": "sequence length 72 exceeds max_len 64"}
 
     def test_missing_input_file(self, trained_model):
         assert run("predict", "--checkpoint", str(trained_model), "--input", "/nope.txt") == 1

@@ -22,10 +22,10 @@ def setup_function(_):
     T.reset_tape()
 
 
-def random_instance(rng, n=None, k=None, requires_grad=False):
+def random_instance(rng, n=None, k=None):
     n = n or int(rng.integers(1, 7))
     k = k or int(rng.integers(1, 5))
-    make = lambda *shape: Tensor(rng.standard_normal(shape), requires_grad=requires_grad)
+    make = lambda *shape: Tensor(rng.standard_normal(shape))
     return make(n, k), make(k, k), make(k), make(k)
 
 
@@ -76,7 +76,7 @@ class TestEmissions:
 
     def test_gradient(self):
         params = init_crf(3, 2, seed=1)
-        h = Tensor(np.random.default_rng(1).standard_normal((2, 3)), requires_grad=True)
+        h = Tensor(np.random.default_rng(1).standard_normal((2, 3)))
         err = T.finite_diff_check(
             lambda: emissions(h, params).sum(), [h, params.w_emit, params.b_emit]
         )
@@ -163,7 +163,7 @@ class TestCrfNll:
 
     def test_gradient_full_parameter_set(self):
         rng = np.random.default_rng(14)
-        e, trans, start, stop = random_instance(rng, n=3, k=3, requires_grad=True)
+        e, trans, start, stop = random_instance(rng, n=3, k=3)
         err = T.finite_diff_check(
             lambda: crf_nll(e, trans, start, stop, [0, 2, 1], [3]),
             [e, trans, start, stop],
@@ -172,7 +172,7 @@ class TestCrfNll:
 
     def test_emission_gradient_equals_marginals_minus_onehot(self):
         rng = np.random.default_rng(15)
-        e, trans, start, stop = random_instance(rng, n=4, k=3, requires_grad=True)
+        e, trans, start, stop = random_instance(rng, n=4, k=3)
         y = [2, 0, 1, 1]
         T.reset_tape()
         T.backward(crf_nll(e, trans, start, stop, y, [4]))
@@ -291,9 +291,9 @@ class TestOracleEquivalence:
         assert viterbi(shifted, trans, start, stop)[0] == viterbi(e, trans, start, stop)[0]
 
 
-def ragged_batch(rng, lengths, k, requires_grad=False):
+def ragged_batch(rng, lengths, k):
     """Packed emissions for sentences of the given lengths, plus shared params."""
-    make = lambda *shape: Tensor(rng.standard_normal(shape), requires_grad=requires_grad)
+    make = lambda *shape: Tensor(rng.standard_normal(shape))
     return make(sum(lengths), k), make(k, k), make(k), make(k)
 
 
@@ -317,7 +317,7 @@ class TestLogPartitionBatch:
 
     def test_finite_differences_on_ragged_batch(self):
         rng = np.random.default_rng(31)
-        e, trans, start, stop = ragged_batch(rng, [3, 1, 4], 3, requires_grad=True)
+        e, trans, start, stop = ragged_batch(rng, [3, 1, 4], 3)
         upstream = Tensor(rng.standard_normal(3))  # distinct weight per sentence
 
         def f():
@@ -328,7 +328,7 @@ class TestLogPartitionBatch:
     def test_emission_gradient_is_node_marginals(self):
         rng = np.random.default_rng(32)
         lengths = [2, 1, 3]
-        e, trans, start, stop = ragged_batch(rng, lengths, 3, requires_grad=True)
+        e, trans, start, stop = ragged_batch(rng, lengths, 3)
         T.backward(log_partition_batch(e, lengths, trans, start, stop).sum())
         expected = np.vstack([brute_marginals(b, trans, start, stop) for b in blocks(e, lengths)])
         assert np.abs(e.grad - expected).max() < 1e-10

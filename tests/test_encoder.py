@@ -33,9 +33,9 @@ def head_columns(a, h, d_k):
     return T.matmul(a, Tensor(np.eye(a.shape[1])[:, h * d_k:(h + 1) * d_k]))
 
 
-def reference_encode(ids, params, config, training=False, dropout_seed=None):
+def reference_encode(ids, params, config, dropout_seed=None):
     """The per-sentence, per-head encoder built on ``attention``: the packed path's oracle."""
-    dropping = training and config.dropout_rate > 0.0
+    dropping = dropout_seed is not None and config.dropout_rate > 0.0
     rng = np.random.default_rng(np.random.SeedSequence([dropout_seed])) if dropping else None
     n, d_k = len(ids), config.d_model // config.heads
     x = T.add(T.gather(params.tok_emb, ids), T.gather(params.pos_emb, slice(0, n)))
@@ -63,8 +63,7 @@ def per_sentence_mlm(batch, params, config, mask_prob, seed):
     total, count = None, 0
     for i, ids in enumerate(batch):
         corrupted, positions = plan_masking(ids, mask_prob, config.vocab_size, rng)
-        dropout_seed = None if config.dropout_rate == 0.0 else seed * 100003 + i
-        h = reference_encode(corrupted, params, config, training=True, dropout_seed=dropout_seed)
+        h = reference_encode(corrupted, params, config, seed * 100003 + i)
         logits = T.matmul(T.gather(h, positions), params.mlm_proj)
         targets = [ids[p] for p in positions]
         picked = T.gather(logits, (np.arange(len(positions)), np.asarray(targets)))
@@ -151,7 +150,7 @@ class TestAttention:
 
 
 def packed(rng, lengths, d):
-    return [Tensor(rng.standard_normal((sum(lengths), d)), requires_grad=True) for _ in range(3)]
+    return [Tensor(rng.standard_normal((sum(lengths), d))) for _ in range(3)]
 
 
 class TestSegmentAttention:
@@ -205,7 +204,7 @@ class TestSegmentAttention:
         results = []
         for op in (T.segment_attention, padded_segment_attention):
             T.reset_tape()
-            q, k, v = (Tensor(a.copy(), requires_grad=True) for a in values)
+            q, k, v = (Tensor(a.copy()) for a in values)
             out = op(q, k, v, lengths, heads)
             T.backward(T.sum_all(T.mul(out, weights)))
             results.append([out.values, q.grad, k.grad, v.grad])
@@ -252,18 +251,21 @@ class TestEncodeBatch:
         config = tiny_config(layers=2, dropout_rate=0.3)
         params = init_params(config, seed=6)
         seeds = [11, 12, 13, 14]
-        h = encode_batch(self.BATCH, params, config, training=True, dropout_seeds=seeds)
+        h = encode_batch(self.BATCH, params, config, seeds)
         offset = 0
         for ids, seed in zip(self.BATCH, seeds):
-            want = reference_encode(ids, params, config, training=True, dropout_seed=seed)
+            want = reference_encode(ids, params, config, seed)
             assert np.abs(h.values[offset:offset + len(ids)] - want.values).max() < 1e-12
             offset += len(ids)
 
     def test_dropout_requires_a_seed_per_sentence(self):
         config = tiny_config(dropout_rate=0.5)
         params = init_params(config, seed=0)
-        with pytest.raises(ContractError, match="seed"):
-            encode_batch([[1, 2], [3]], params, config, training=True, dropout_seeds=[1])
+        for seeds in ([1], [1, 2, 3], []):
+            with pytest.raises(ContractError, match="seed"):
+                encode_batch([[1, 2], [3]], params, config, seeds)
+        with pytest.raises(ContractError, match="seed"):  # checked at any dropout rate
+            encode_batch([[1, 2], [3]], params, tiny_config(), [1])
 
     def test_each_sentence_checked_against_max_len(self):
         config = tiny_config(max_len=4)
@@ -309,11 +311,13 @@ class TestEncode:
     def test_dropout_requires_seed(self):
         config = tiny_config(dropout_rate=0.5)
         params = init_params(config, seed=0)
-        with pytest.raises(ContractError, match="seed"):
-            encode([1, 2], params, config, training=True)
-        deterministic = encode([1, 2], params, config, training=True, dropout_seed=9)
-        again = encode([1, 2], params, config, training=True, dropout_seed=9)
+        inference = encode([1, 2], params, tiny_config()).values
+        # without a seed, nothing is dropped: bitwise the dropout-free pass
+        assert np.array_equal(encode([1, 2], params, config).values, inference)
+        deterministic = encode([1, 2], params, config, dropout_seed=9)
+        again = encode([1, 2], params, config, dropout_seed=9)
         assert np.array_equal(deterministic.values, again.values)
+        assert not np.array_equal(deterministic.values, inference)
 
 
 class TestPlanMasking:

@@ -51,7 +51,7 @@ class TestTeacherForcedLoss:
 
     def test_gradient(self):
         params = init_seq2seq(4, num_tags=3, seed=3, d_t=3)
-        h = Tensor(np.random.default_rng(3).standard_normal((3, 4)), requires_grad=True)
+        h = Tensor(np.random.default_rng(3).standard_normal((3, 4)))
         err = T.finite_diff_check(
             lambda: teacher_forced_loss(h, [0, 2, 1], params, [3]),
             [h] + list(params.named().values()),

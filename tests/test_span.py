@@ -136,7 +136,7 @@ class TestSpanLoss:
 
     def test_gradient(self):
         params = init_span(4, CLASSES, seed=7, max_width=2, d_w=3)
-        h = Tensor(np.random.default_rng(8).standard_normal((3, 4)), requires_grad=True)
+        h = Tensor(np.random.default_rng(8).standard_normal((3, 4)))
         gold = [EntitySpan(1, 2, "B")]
 
         def f():
@@ -257,7 +257,7 @@ class TestPackedTable:
 
     def test_batch_loss_gradient(self):
         params = init_span(4, CLASSES, seed=26, max_width=2, d_w=3)
-        h = Tensor(np.random.default_rng(27).standard_normal((6, 4)), requires_grad=True)
+        h = Tensor(np.random.default_rng(27).standard_normal((6, 4)))
         golds = [[EntitySpan(1, 2, "B")], [EntitySpan(0, 0, "A")], []]
 
         def f():

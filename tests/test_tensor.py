@@ -128,7 +128,7 @@ class TestLayerNorm:
         results = []
         for op in (T.layer_norm, layer_norm):
             T.reset_tape()
-            x, gain, bias = (Tensor(a.copy(), requires_grad=True) for a in values)
+            x, gain, bias = (Tensor(a.copy()) for a in values)
             out = op(x, gain, bias)
             T.backward(T.sum_all(T.mul(out, weights)))
             results.append([out.values, x.grad, gain.grad, bias.grad])
@@ -138,21 +138,21 @@ class TestLayerNorm:
 
 class TestBackward:
     def test_product_rule_on_scalars(self):
-        x = Tensor(3.0, requires_grad=True)
-        y = Tensor(5.0, requires_grad=True)
+        x = Tensor(3.0)
+        y = Tensor(5.0)
         T.backward(T.mul(x, y))
         assert float(x.grad) == 5.0
         assert float(y.grad) == 3.0
 
     def test_sum_gradient_is_ones(self):
-        x = Tensor(np.arange(6, dtype=float).reshape(2, 3), requires_grad=True)
+        x = Tensor(np.arange(6, dtype=float).reshape(2, 3))
         T.backward(x.sum())
         assert np.array_equal(x.grad, np.ones((2, 3)))
 
     def test_logsumexp_gradient_is_softmax(self):
         rng = np.random.default_rng(5)
         vals = rng.standard_normal(5)
-        x = Tensor(vals, requires_grad=True)
+        x = Tensor(vals)
         T.backward(logsumexp(x))
         expected = np.exp(vals - vals.max())
         expected /= expected.sum()
@@ -161,15 +161,15 @@ class TestBackward:
         assert err < 1e-7
 
     def test_reuse_sums_contributions(self):
-        x = Tensor(2.0, requires_grad=True)
+        x = Tensor(2.0)
         T.backward(T.add(T.mul(x, x), x))  # d/dx (x^2 + x) = 2x + 1
         assert float(x.grad) == pytest.approx(5.0)
 
     def test_shared_gradient_is_not_written_through(self):
         # add hands a and b the same gradient array; a's later contribution
         # must land in a new array, leaving b's untouched
-        a = Tensor(np.ones(3), requires_grad=True)
-        b = Tensor(np.ones(3), requires_grad=True)
+        a = Tensor(np.ones(3))
+        b = Tensor(np.ones(3))
         c = Tensor(np.array([1.0, 2.0, 3.0]))
         doubled = T.scale(a, 2.0)  # replayed after add(a, b)
         T.backward(T.add(T.mul(T.add(a, b), c).sum(), doubled.sum()))
@@ -178,19 +178,19 @@ class TestBackward:
         assert np.array_equal(a.grad, [3.0, 4.0, 5.0])
 
     def test_three_uses_sum_three_contributions(self):
-        x = Tensor(np.ones(3), requires_grad=True)
+        x = Tensor(np.ones(3))
         w1, w2 = Tensor(np.array([1.0, 2.0, 3.0])), Tensor(np.array([4.0, 5.0, 6.0]))
         parts = [T.mul(x, w1).sum(), T.mul(x, w2).sum(), T.scale(x, 3.0).sum()]
         T.backward(T.add(T.add(parts[0], parts[1]), parts[2]))
         assert np.array_equal(x.grad, [8.0, 10.0, 12.0])
 
     def test_non_scalar_root_rejected(self):
-        x = Tensor(np.zeros(3), requires_grad=True)
+        x = Tensor(np.zeros(3))
         with pytest.raises(ContractError):
             T.backward(x)
 
     def test_grad_accumulates_across_calls(self):
-        x = Tensor(4.0, requires_grad=True)
+        x = Tensor(4.0)
         T.backward(T.mul(x, x))
         T.reset_tape()
         T.backward(T.mul(x, x))
@@ -200,27 +200,22 @@ class TestBackward:
 class TestTape:
     def test_records_are_topologically_ordered(self):
         T.reset_tape()
-        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        x = Tensor(np.ones((2, 2)))
         y = T.matmul(x, x)
         z = y.sum()
         records = T.active_tape().records
         seen = {id(x)}
         for out, inputs, _ in records:
             for inp in inputs:
-                assert id(inp) in seen or not inp.requires_grad
+                assert id(inp) in seen
             seen.add(id(out))
         assert records[-1][0] is z
-
-    def test_constants_not_recorded(self):
-        T.reset_tape()
-        T.matmul(Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2))))
-        assert not T.active_tape().records
 
 
 class TestNoGrad:
     def test_nothing_recorded_inside(self):
         T.reset_tape()
-        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        x = Tensor(np.ones((2, 2)))
         with T.no_grad():
             T.matmul(x, x).sum()
         assert not T.active_tape().records
@@ -229,7 +224,7 @@ class TestNoGrad:
 
     def test_restored_after_exception_and_nesting(self):
         T.reset_tape()
-        x = Tensor(np.ones(2), requires_grad=True)
+        x = Tensor(np.ones(2))
         with pytest.raises(ShapeError):
             with T.no_grad():
                 with T.no_grad():
@@ -241,10 +236,10 @@ class TestNoGrad:
 
 class TestDeepCopy:
     def test_copies_values_and_drops_the_gradient(self):
-        x = Tensor(np.arange(4.0).reshape(2, 2), requires_grad=True)
+        x = Tensor(np.arange(4.0).reshape(2, 2))
         x.grad = np.ones((2, 2))
         y = copy.deepcopy(x)
-        assert y.requires_grad and y.grad is None
+        assert y.grad is None
         assert np.array_equal(y.values, x.values) and not np.shares_memory(y.values, x.values)
         view = Tensor(np.broadcast_to(0.0, (2, 3)))  # a shapes_only skeleton's values
         assert copy.deepcopy(view).values.flags.writeable
@@ -271,7 +266,7 @@ class TestCrossEntropy:
 
     def test_gradient(self):
         rng = np.random.default_rng(6)
-        logits = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+        logits = Tensor(rng.standard_normal((5, 3)))
         w = rng.random(5)
         err = T.finite_diff_check(lambda: T.cross_entropy(logits, [0, 1, 2, 2, 0], w), logits)
         assert err < 1e-6
@@ -295,7 +290,7 @@ class TestRangeMeans:
 
     def test_gradient_with_overlapping_ranges(self):
         rng = np.random.default_rng(8)
-        a = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
+        a = Tensor(rng.standard_normal((5, 2)))
         w = Tensor(rng.standard_normal((4, 2)))
         assert T.finite_diff_check(
             lambda: T.mul(T.range_means(a, [0, 1, 1, 4], [3, 2, 5, 5]), w).sum(), a
@@ -310,13 +305,13 @@ class TestRangeMeans:
 
 class TestFiniteDiffCheck:
     def test_sum_of_squares_against_analytic(self):
-        p = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        p = Tensor([1.0, 2.0, 3.0])
         err = T.finite_diff_check(lambda: T.mul(p, p).sum(), p)
         assert err < 1e-7
         assert np.abs(p.grad - 2 * p.values).max() < 1e-9  # grad of sum p_i^2 is 2p
 
     def test_constant_function(self):
-        p = Tensor([1.0, 2.0], requires_grad=True)
+        p = Tensor([1.0, 2.0])
         err = T.finite_diff_check(lambda: Tensor(7.0), p)
         assert err < 1e-9
 
@@ -324,11 +319,11 @@ class TestFiniteDiffCheck:
     def test_random_composed_graphs(self, seed):
         rng = np.random.default_rng(seed)
         m, n, k = rng.integers(2, 5, size=3)
-        a = Tensor(rng.standard_normal((m, n)), requires_grad=True)
-        w = Tensor(rng.standard_normal((n, k)), requires_grad=True)
-        v = Tensor(rng.standard_normal(k), requires_grad=True)
-        gain = Tensor(rng.standard_normal(k), requires_grad=True)
-        bias = Tensor(rng.standard_normal(k), requires_grad=True)
+        a = Tensor(rng.standard_normal((m, n)))
+        w = Tensor(rng.standard_normal((n, k)))
+        v = Tensor(rng.standard_normal(k))
+        gain = Tensor(rng.standard_normal(k))
+        bias = Tensor(rng.standard_normal(k))
 
         def f():
             h = T.relu(T.add_rowwise(T.matmul(a, w), v))
@@ -343,8 +338,8 @@ class TestFiniteDiffCheck:
     @pytest.mark.parametrize("seed", range(4))
     def test_indexing_and_concat_graphs(self, seed):
         rng = np.random.default_rng(100 + seed)
-        a = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
-        b = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
+        a = Tensor(rng.standard_normal((5, 3)))
+        b = Tensor(rng.standard_normal((5, 2)))
 
         def f():
             g = T.gather(a, [0, 2, 2, 4])
@@ -368,7 +363,7 @@ class TestFiniteDiffCheck:
     )
     def test_gather_index_forms(self, index):
         rng = np.random.default_rng(7)
-        a = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+        a = Tensor(rng.standard_normal((5, 3)))
         got = T.gather(a, index)
         assert np.array_equal(got.values, a.values[index])
         w = Tensor(rng.standard_normal(got.shape))
@@ -378,7 +373,7 @@ class TestFiniteDiffCheck:
     def test_concat_axes(self, axis):
         rng = np.random.default_rng(9)
         shapes = [(2, 3), (4, 3)] if axis == 0 else [(2, 3), (2, 1)]
-        parts = [Tensor(rng.standard_normal(shape), requires_grad=True) for shape in shapes]
+        parts = [Tensor(rng.standard_normal(shape)) for shape in shapes]
         got = T.concat(parts, axis=axis)
         assert np.array_equal(got.values, np.concatenate([p.values for p in parts], axis=axis))
         w = Tensor(rng.standard_normal(got.shape))
@@ -387,8 +382,8 @@ class TestFiniteDiffCheck:
 
     def test_stack_and_take1d_graph(self):
         rng = np.random.default_rng(42)
-        u = Tensor(rng.standard_normal(4), requires_grad=True)
-        v = Tensor(rng.standard_normal(4), requires_grad=True)
+        u = Tensor(rng.standard_normal(4))
+        v = Tensor(rng.standard_normal(4))
 
         def f():
             m = T.concat([T.gather(x, None) for x in (u, v, T.add(u, v))], axis=0)
@@ -423,7 +418,7 @@ class TestGatherBackward:
     )
     def test_equals_add_at_bitwise(self, shape, index):
         rng = np.random.default_rng(3)
-        a = Tensor(rng.standard_normal(shape), requires_grad=True)
+        a = Tensor(rng.standard_normal(shape))
         T.reset_tape()
         out = T.gather(a, index)
         g = rng.standard_normal(out.shape)
@@ -439,7 +434,7 @@ class TestGatherBackward:
         for _ in range(50):
             rows, n = int(rng.integers(1, 40)), int(rng.integers(0, 120))
             shape = (rows, 4) if rng.random() < 0.5 else (rows,)
-            a = Tensor(rng.standard_normal(shape), requires_grad=True)
+            a = Tensor(rng.standard_normal(shape))
             index = rng.integers(0, rows, n)
             if rng.random() < 0.3:
                 index = np.unique(index)
@@ -454,7 +449,7 @@ class TestGatherBackward:
 
     def test_range_means_scatter_equals_add_at_bitwise(self):
         rng = np.random.default_rng(5)
-        a = Tensor(rng.standard_normal((9, 3)), requires_grad=True)
+        a = Tensor(rng.standard_normal((9, 3)))
         starts, stops = [0, 2, 2, 5, 0], [3, 4, 9, 6, 1]
         T.reset_tape()
         out = T.range_means(a, starts, stops)

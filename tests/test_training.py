@@ -63,6 +63,10 @@ class TestJointLoss:
         ner, re = Tensor(2.0), Tensor(9.0)
         assert joint_loss(ner, re, 0.0) is ner
 
+    def test_no_relation_loss_is_ner_only(self):
+        ner = Tensor(2.0)
+        assert joint_loss(ner, None, 1.0) is ner
+
     def test_weighted_sum(self):
         assert joint_loss(Tensor(2.0), Tensor(3.0), 1.0).item() == pytest.approx(5.0)
         assert joint_loss(Tensor(2.0), Tensor(3.0), 0.5).item() == pytest.approx(3.5)
@@ -70,8 +74,8 @@ class TestJointLoss:
     def test_gradient_reaches_both_terms_iff_weighted(self):
         for lam, expect_re_grad in ((0.0, False), (1.0, True)):
             T.reset_tape()
-            ner = Tensor(2.0, requires_grad=True)
-            re = Tensor(3.0, requires_grad=True)
+            ner = Tensor(2.0)
+            re = Tensor(3.0)
             T.backward(joint_loss(T.mul(ner, ner), T.mul(re, re), lam))
             assert ner.grad is not None
             assert (re.grad is not None) == expect_re_grad
@@ -84,17 +88,17 @@ class TestAdam:
         grad = rng.standard_normal((3, 4)) * 10
         norm = np.sqrt((grad**2).sum())
 
-        a = Tensor(values.copy(), requires_grad=True)
+        a = Tensor(values.copy())
         a.grad = grad.copy()
         adam_step(T.FlatParams({"p": a}), OptimizerState(), 1e-2, clip_norm=1.0)
 
-        b = Tensor(values.copy(), requires_grad=True)
+        b = Tensor(values.copy())
         b.grad = grad / norm  # pre-clipped by hand
         adam_step(T.FlatParams({"p": b}), OptimizerState(), 1e-2, clip_norm=1e9)
         assert np.allclose(a.values, b.values, atol=1e-15)
 
     def test_zero_grad_leaves_parameter_fixed(self):
-        p = Tensor(np.ones(3), requires_grad=True)
+        p = Tensor(np.ones(3))
         params, state = T.FlatParams({"p": p}), OptimizerState()
         for _ in range(5):
             p.grad = None
@@ -102,7 +106,7 @@ class TestAdam:
         assert np.array_equal(p.values, np.ones(3))
 
     def test_descends_a_quadratic(self):
-        p = Tensor([5.0], requires_grad=True)
+        p = Tensor([5.0])
         params, state = T.FlatParams({"p": p}), OptimizerState()
         for _ in range(300):
             p.grad = 2 * p.values
@@ -189,8 +193,8 @@ class TestFlatAdam:
             assert "encoder/mlm_proj" in record["none"]
 
     def test_moments_follow_the_layout(self):
-        a = Tensor(np.arange(6.0).reshape(2, 3).copy(), requires_grad=True)
-        b = Tensor(np.ones(2), requires_grad=True)
+        a = Tensor(np.arange(6.0).reshape(2, 3).copy())
+        b = Tensor(np.ones(2))
         a.grad, b.grad = np.full((2, 3), 0.5), None
         state = OptimizerState()
         adam_step(T.FlatParams({"a": a, "b": b}), state, 1e-2, 1.0)
@@ -218,11 +222,11 @@ class TestFlatAdam:
         assert_packed(twin)
 
     def test_state_of_another_layout_rejected(self):
-        p = Tensor(np.ones(3), requires_grad=True)
+        p = Tensor(np.ones(3))
         state = OptimizerState()
         adam_step(T.FlatParams({"p": p}), state, 1e-2, 1.0)
         with pytest.raises(ContractError, match="does not match"):
-            adam_step(T.FlatParams({"q": Tensor(np.ones(3), requires_grad=True)}), state, 1e-2, 1.0)
+            adam_step(T.FlatParams({"q": Tensor(np.ones(3))}), state, 1e-2, 1.0)
 
     def test_every_parameter_views_the_flat_vector(self, tmp_path):
         corpus = small_corpus(20, seed=3)
@@ -298,8 +302,8 @@ class TestParameterWalk:
             batch = [[i for t in s.tokens for i in t.subword_ids] for s in sentences]
             loss = mlm_step(batch, model.encoder, model.config, seed=3)
         else:
-            ner, re = training.step_losses(model, sentences, list(range(6)), 1.0, True)
-            assert re.requires_grad
+            ner, re = training.step_losses(model, sentences, list(range(6)), 1.0)
+            assert re is not None
             loss = joint_loss(ner, re, 1.0)
         records = list(T.active_tape().records)
         T.backward(loss)
@@ -423,21 +427,18 @@ class TestTrain:
         assert 0.0 <= report.entities.micro.f1 <= 1.0
 
 
-def sentence_words(model, sentence, training=False, dropout_seed=None):
+def sentence_words(model, sentence, dropout_seed=None):
     """One sentence's word rows from a one-sequence ``encode`` call and a row
     gather, without the packed path."""
     ids, starts = pipeline.word_ids(sentence, model.vocab)
-    h = encode(ids, model.encoder, model.config, training=training, dropout_seed=dropout_seed)
+    h = encode(ids, model.encoder, model.config, dropout_seed)
     return T.gather(h, starts)
 
 
-def per_sentence_words(model, sentences, training=False, dropout_seeds=None):
+def per_sentence_words(model, sentences, dropout_seeds=None):
     """``encode_words_batch`` one sentence per encoder call: the packed path's oracle."""
     seeds = dropout_seeds if dropout_seeds is not None else [None] * len(sentences)
-    blocks = [
-        sentence_words(model, sentence, training=training, dropout_seed=seed)
-        for sentence, seed in zip(sentences, seeds)
-    ]
+    blocks = [sentence_words(model, sentence, seed) for sentence, seed in zip(sentences, seeds)]
     return T.concat(blocks, axis=0)
 
 
@@ -450,14 +451,12 @@ def oracle_log_partition(e, trans, start, stop):
     return logsumexp(T.add(alpha, stop))
 
 
-def per_sentence_losses(model, sentences, seeds, lambda_re, dropping):
+def per_sentence_losses(model, sentences, seeds, lambda_re):
     """``training.step_losses`` one sentence, one word and one pair at a time."""
     head = model.head
     terms, pairs = [], []
     for sentence, seed in zip(sentences, seeds):
-        h = sentence_words(
-            model, sentence, training=dropping, dropout_seed=seed if dropping else None
-        )
+        h = sentence_words(model, sentence, seed)
         if isinstance(head, CRFParams):
             e = emissions(h, head)
             terms.append(T.sub(
@@ -482,7 +481,7 @@ def per_sentence_losses(model, sentences, seeds, lambda_re, dropping):
     for extra in terms[1:]:
         ner = T.add(ner, extra)
     ner = T.scale(ner, 1.0 / len(terms))
-    return ner, relation_loss(pairs, model.relation) if pairs else Tensor(0.0)
+    return ner, relation_loss(pairs, model.relation) if pairs else None
 
 
 class TestBatchedHeads:
@@ -508,19 +507,41 @@ class TestBatchedHeads:
                 value.values, second.model.parameters()[key].values, rtol=1e-9, atol=1e-12
             )
 
+    # tape nodes of one step at lambda_re = 1: (a batch with relation pairs,
+    # a batch of sentences with fewer than two spans each)
+    TAPE_NODES = {"crf": (58, 49), "span": (50, 41), "seq2seq": (46, 37)}
+
     @pytest.mark.parametrize("head", ["crf", "span", "seq2seq"])
     def test_tape_nodes_per_step_do_not_grow_with_batch(self, head):
-        corpus = generate_synthetic_corpus(40, seed=5)
+        corpus = generate_synthetic_corpus(200, seed=7)
         model = train(corpus, TrainConfig(steps=0, seed=1, head=head)).model
-        tokenized = tokenize_corpus(corpus, model.vocab)
-        counts = []
-        for size in (2, 8):
+        sentences = tokenize_corpus(corpus, model.vocab).sentences
+        no_pairs = [s for s in sentences if len(s.spans) < 2]
+        pinned = self.TAPE_NODES[head]
+        for size in (4, 16):
+            counts = []
+            for batch in (sentences[:size], no_pairs[:size]):
+                T.reset_tape()
+                ner, re = training.step_losses(model, batch, list(range(size)), 1.0)
+                joint_loss(ner, re, 1.0)
+                counts.append(len(T.active_tape().records))
             T.reset_tape()
-            sentences = tokenized.sentences[:size]
-            training.step_losses(model, sentences, list(range(size)), 1.0, False)
-            counts.append(len(T.active_tape().records))
-        T.reset_tape()
-        assert counts[0] == counts[1]
+            assert tuple(counts) == pinned, (
+                f"{head} head at batch {size}: pinned {pinned} tape nodes "
+                f"(with pairs, without), got {tuple(counts)}"
+            )
+
+    def test_mlm_tape_nodes_per_step_do_not_grow_with_batch(self):
+        corpus = generate_synthetic_corpus(200, seed=7)
+        model = train(corpus, TrainConfig(steps=0, seed=1)).model
+        sentences = tokenize_corpus(corpus, model.vocab).sentences
+        for size in (4, 16):
+            T.reset_tape()
+            batch = [[i for t in s.tokens for i in t.subword_ids] for s in sentences[:size]]
+            mlm_step(batch, model.encoder, model.config, seed=3)
+            count = len(T.active_tape().records)
+            T.reset_tape()
+            assert count == 34, f"mlm at batch {size}: pinned 34 tape nodes, got {count}"
 
 
 class TestPackedEncoding:
