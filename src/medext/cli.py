@@ -72,6 +72,8 @@ class CorpusConfig:
     def __post_init__(self):
         if self.size < 0:
             raise ContractError(f"size must be >= 0, got {self.size}")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
 
 
 SECTIONS = {
@@ -347,10 +349,11 @@ def cmd_eval(config: dict, args) -> int:
     out = _output_dir(config)
     result = evaluate_split(model, corpus, args.split)
     _write_json(out / "report.json", result.as_dict())
-    rows = [(f"{model.head_kind} entities", result.entities)]
-    if result.relations_gold_spans is not None:
-        rows.append(("relations (gold spans)", result.relations_gold_spans))
-        rows.append(("relations (predicted spans)", result.relations_predicted_spans))
+    rows = [
+        (f"{model.head_kind} entities", result.entities),
+        ("relations (gold spans)", result.relations_gold_spans),
+        ("relations (predicted spans)", result.relations_predicted_spans),
+    ]
     (out / "report.md").write_text(report_markdown(rows), encoding="utf-8")
     _echo_config(config, out)
     print(f"entity F1 on {args.split}: {result.entities.micro.f1:.3f}")

@@ -410,13 +410,12 @@ class Vocab:
     """Ordered subword inventory with fixed reserved entries.  It memoizes
     ``tokenize_subword``, so each surface is segmented once per vocab."""
 
-    def __init__(self, entries: Sequence[str], min_freq: int = 1):
+    def __init__(self, entries: Sequence[str]):
         if tuple(entries[:4]) != RESERVED_ENTRIES:
             raise ContractError("vocab must start with the reserved entries")
         if len(set(entries)) != len(entries):
             raise ContractError("vocab has duplicate entries")
         self.entries = list(entries)
-        self.min_freq = min_freq
         self._index = {entry: i for i, entry in enumerate(self.entries)}
         self._max_piece = max((len(e) for e in self.entries[4:]), default=0)
         self._pieces: dict[str, list[int]] = {}
@@ -455,7 +454,7 @@ def build_vocab(corpus: Corpus | Iterable[Sentence], min_freq: int = 1) -> Vocab
         if char not in seen:
             entries.append(char)
             seen.add(char)
-    return Vocab(entries, min_freq)
+    return Vocab(entries)
 
 
 def tokenize_subword(surface: str, vocab: Vocab) -> list[int]:
@@ -566,6 +565,8 @@ def generate_synthetic_corpus(size: int, seed: int) -> Corpus:
     """
     if size < 0:
         raise ContractError(f"size must be >= 0, got {size}")
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(np.random.SeedSequence([size, seed]))
     scheme = TagScheme(DEFAULT_CLASSES)
     templates = [(t, None) for t in _SINGLE_TEMPLATES] + list(_PAIR_TEMPLATES)

@@ -74,6 +74,8 @@ class Model:
     relation: RelationHeadParams | None = None
 
     def __post_init__(self):
+        if (self.head is None) != (self.relation is None):
+            raise ContractError("a model has an extraction head and a relation head, or neither")
         parts = copy.deepcopy((self.encoder, self.head, self.relation))
         for name, part in zip(("encoder", "head", "relation"), parts):
             object.__setattr__(self, name, part)
@@ -256,16 +258,15 @@ def gold_relation_pairs(
 @dataclass
 class SplitEvaluation:
     entities: EvalReport
-    relations_gold_spans: EvalReport | None = None
-    relations_predicted_spans: EvalReport | None = None
+    relations_gold_spans: EvalReport
+    relations_predicted_spans: EvalReport
 
     def as_dict(self) -> dict:
-        reports = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {name: report.as_dict() for name, report in reports.items() if report is not None}
+        return {f.name: getattr(self, f.name).as_dict() for f in fields(self)}
 
 
 def evaluate_split(model: Model, corpus: Corpus, split: str = "test") -> SplitEvaluation:
-    """Decode every sentence of a split and score entities (and relations).
+    """Decode every sentence of a split and score entities and relations.
     Each chunk of ``_decode_chunks`` gets one relation pass over its gold
     spans and one over its predicted spans.  Nothing is recorded on the tape."""
     sentences = [corpus.sentences[i] for i in corpus.split_indices(split)]
@@ -276,18 +277,16 @@ def evaluate_split(model: Model, corpus: Corpus, split: str = "test") -> SplitEv
     report.token_accuracy = token_accuracy([s.tags for s in sentences], pred_tags)
     if model.head_kind in ("crf", "seq2seq") and pred_tags:
         report.invalid_transition_rate = invalid_transition_rate(pred_tags)
-    result = SplitEvaluation(entities=report)
-    if model.relation is not None:
-        on_gold, on_pred = [], []
-        with T.no_grad():
-            for h_words, chunk, lengths, decoded in chunks:
-                gold_spans = [s.spans for s in chunk]
-                on_gold += predict_relations(h_words, gold_spans, model.relation, lengths)
-                pred_spans = [spans for spans, _ in decoded]
-                on_pred += predict_relations(h_words, pred_spans, model.relation, lengths)
-        gold = [resolve_relations(s.spans, s.relations) for s in sentences]
-        found = [resolve_relations(s.spans, r) for s, r in zip(sentences, on_gold)]
-        result.relations_gold_spans = relation_prf(gold, found)
-        found = [resolve_relations(spans, r) for (spans, _), r in zip(predicted, on_pred)]
-        result.relations_predicted_spans = relation_prf(gold, found)
-    return result
+    on_gold, on_pred = [], []
+    with T.no_grad():
+        for h_words, chunk, lengths, decoded in chunks:
+            gold_spans = [s.spans for s in chunk]
+            on_gold += predict_relations(h_words, gold_spans, model.relation, lengths)
+            pred_spans = [spans for spans, _ in decoded]
+            on_pred += predict_relations(h_words, pred_spans, model.relation, lengths)
+    gold = [resolve_relations(s.spans, s.relations) for s in sentences]
+    found_on_gold = [resolve_relations(s.spans, r) for s, r in zip(sentences, on_gold)]
+    found_on_pred = [resolve_relations(spans, r) for (spans, _), r in zip(predicted, on_pred)]
+    return SplitEvaluation(
+        report, relation_prf(gold, found_on_gold), relation_prf(gold, found_on_pred)
+    )

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import tensor as T
 from .corpus import (
-    RELATION_LABELS,
     Corpus,
     Sentence,
     TagScheme,
@@ -32,7 +31,7 @@ from .corpus import (
     tokenize_corpus,  # noqa: F401  (perfbench/tracer.py wraps training.tokenize_corpus)
 )
 from .encoder import EncoderConfig, init_params, mlm_step
-from .errors import CheckpointError, ConfigError, ContractError, NumericError, ParseError
+from .errors import CheckpointError, ContractError, NumericError, ParseError
 from .pipeline import (
     HEAD_KINDS,
     Model,
@@ -51,7 +50,7 @@ from .relation_head import (  # noqa: F401  (perfbench/tracer.py wraps training.
 )
 from .tensor import Tensor
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard
 
 
@@ -94,6 +93,8 @@ def _check_optimizer_fields(config: TrainConfig | PretrainConfig) -> None:
     message opens with the field it names."""
     if config.learning_rate <= 0:
         raise ContractError(f"learning_rate must be positive, got {config.learning_rate}")
+    if config.seed < 0:
+        raise ContractError(f"seed must be >= 0, got {config.seed}")
     if config.steps < 0:
         raise ContractError(f"steps must be >= 0, got {config.steps}")
     if config.batch_size < 1:
@@ -185,9 +186,13 @@ def joint_loss(ner: Tensor, re: Tensor | None, lambda_re: float) -> Tensor:
 @dataclass
 class Checkpoint:
     model: Model
-    optimizer: OptimizerState | None = None
-    step: int = 0
-    seed_lineage: list[str] = field(default_factory=list)
+    optimizer: OptimizerState
+    seed_lineage: list[str]
+
+    @property
+    def step(self) -> int:
+        """The number of steps trained: the optimizer's step count."""
+        return self.optimizer.step
 
 
 # ---------------------------------------------------------------------------
@@ -258,17 +263,17 @@ def _prepare_model(
     config: TrainConfig,
     init: Checkpoint | None,
     encoder_config: EncoderConfig | None,
-) -> tuple[Model, OptimizerState, int, list[str]]:
+) -> tuple[Model, OptimizerState, list[str]]:
     if init is None:
         model = _fresh_model(corpus, encoder_config, config.seed)
         model = _attach_head(model, config.head, config.seed)
-        return model, OptimizerState(), 0, [f"fresh-init:{config.seed}"]
+        return model, OptimizerState(), [f"fresh-init:{config.seed}"]
     model, lineage = init.model, list(init.seed_lineage)
     if model.head_kind == config.head:
         # resume: continue the step count from a copy of init's Adam moments
-        return model.clone(), copy.deepcopy(init.optimizer or OptimizerState()), init.step, lineage
+        return model.clone(), copy.deepcopy(init.optimizer), lineage
     model = _attach_head(model, config.head, config.seed)
-    return model, OptimizerState(), 0, lineage + [f"head-init:{config.seed}"]
+    return model, OptimizerState(), lineage + [f"head-init:{config.seed}"]
 
 
 def _optimize(
@@ -311,12 +316,7 @@ def train(
     """
     if len(corpus) == 0:
         raise ContractError("cannot train on an empty corpus")
-    model, optimizer, start_step, lineage = _prepare_model(
-        corpus, config, init, encoder_config
-    )
-    if config.lambda_re > 0.0 and model.relation is None:
-        raise ConfigError(f"the init checkpoint has no relation head; train.lambda_re must be 0 "
-                          f"to train without one, got {config.lambda_re:g}")
+    model, optimizer, lineage = _prepare_model(corpus, config, init, encoder_config)
     lineage.append(f"train:{config.seed}")
     sampler = _BatchSampler(corpus, config.batch_size, config.seed, config.class_balanced)
 
@@ -328,9 +328,9 @@ def train(
         re_value = 0.0 if re is None else float(re.values)
         return loss, (step, float(loss.values), float(ner.values), re_value)
 
-    steps = range(start_step, start_step + config.steps)
+    steps = range(optimizer.step, optimizer.step + config.steps)
     _optimize(model, optimizer, steps, config.learning_rate, config.clip_norm, loss_at, log)
-    return Checkpoint(model, optimizer, steps.stop, lineage)
+    return Checkpoint(model, optimizer, lineage)
 
 
 def pretrain(
@@ -360,7 +360,7 @@ def pretrain(
     optimizer = OptimizerState()
     steps = range(config.steps)
     _optimize(model, optimizer, steps, config.learning_rate, config.clip_norm, loss_at, log)
-    return Checkpoint(model, optimizer, config.steps, [f"pretrain:{config.seed}"])
+    return Checkpoint(model, optimizer, [f"pretrain:{config.seed}"])
 
 
 # ---------------------------------------------------------------------------
@@ -381,30 +381,22 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
     """
     model = checkpoint.model
     params = model.parameters()
-    optimizer = checkpoint.optimizer
-    moments = None if optimizer is None else optimizer.moments
+    moments = checkpoint.optimizer.moments
     T.assert_finite(params.flat, "checkpoint params")
     if moments is not None:
         T.assert_finite(moments, "checkpoint optimizer moments")
-    head_extras = {}
-    if model.head_kind == "span":
-        head_extras["classes"] = model.scheme.classes
-    if model.relation is not None:
-        head_extras["relation_labels"] = RELATION_LABELS
     payload = {
         "format_version": FORMAT_VERSION,
         "encoder_config": asdict(model.config),
         "scheme_classes": model.scheme.classes,
         "vocab_entries": model.vocab.entries,
-        "vocab_min_freq": model.vocab.min_freq,
         "head_kind": model.head_kind,
-        "head_extras": head_extras,
         "param_names": [name for name, _, _ in params.layout],
         "params": _encode(params.flat),
-        "optimizer": None
-        if optimizer is None
-        else {"step": optimizer.step, "moments": None if moments is None else _encode(moments)},
-        "step": checkpoint.step,
+        "optimizer": {
+            "step": checkpoint.step,
+            "moments": None if moments is None else _encode(moments),
+        },
         "seed_lineage": checkpoint.seed_lineage,
     }
     path = Path(path)
@@ -417,8 +409,8 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
 
 
 _PAYLOAD_KEYS = (
-    "encoder_config", "scheme_classes", "vocab_entries", "vocab_min_freq", "head_kind",
-    "head_extras", "param_names", "params", "optimizer", "step", "seed_lineage",
+    "encoder_config", "scheme_classes", "vocab_entries", "head_kind", "param_names", "params",
+    "optimizer", "seed_lineage",
 )
 _ENCODER_KEYS = tuple(f.name for f in fields(EncoderConfig))
 
@@ -487,30 +479,19 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     config = _load_encoder_config(payload["encoder_config"], path)
     for key in ("scheme_classes", "vocab_entries", "seed_lineage", "param_names"):
         _check(_is_strings(payload[key]), path, f"{key} must be a JSON list of strings")
-    _check(_is_count(payload["step"]), path, "step must be an integer >= 0")
-    min_freq = payload["vocab_min_freq"]
-    _check(_is_count(min_freq) and min_freq >= 1, path, "vocab_min_freq must be an integer >= 1")
-    extras, names, head_kind = payload["head_extras"], payload["param_names"], payload["head_kind"]
-    _check(isinstance(extras, dict), path, "head_extras must be a JSON object")
-    classes, labels = payload["scheme_classes"], list(RELATION_LABELS)  # w_cls's and w's columns
-    ok = extras.get("classes", classes) == classes
-    _check(ok, path, f"head_extras key 'classes' must hold the scheme's classes {classes} in order")
-    ok = extras.get("relation_labels", labels) == labels
-    _check(ok, path, f"head_extras key 'relation_labels' must be {labels} in order")
+    names, head_kind = payload["param_names"], payload["head_kind"]
     known = head_kind in (None, *HEAD_KINDS)
     _check(known, path, f"unknown head_kind {head_kind!r}; expected one of {HEAD_KINDS} or null")
 
     try:
-        vocab = Vocab(payload["vocab_entries"], min_freq)
+        vocab = Vocab(payload["vocab_entries"])
         scheme = TagScheme(payload["scheme_classes"])
         size = f"encoder_config key 'vocab_size' is {config.vocab_size}"
         _check(len(vocab) == config.vocab_size, path, f"{size}, but vocab has {len(vocab)} entries")
         with T.shapes_only():  # the layout, before any parameter memory is allocated
             encoder = init_params(config, seed=0)
             head = None if head_kind is None else init_head(head_kind, config, scheme, seed=0)
-            relation = None
-            if any(name.startswith("relation/") for name in names):
-                relation = init_relation(config.d_model, seed=0)
+            relation = None if head_kind is None else init_relation(config.d_model, seed=0)
     except ContractError as exc:
         raise CheckpointError(f"checkpoint {path}: {exc}") from None
     named = named_parameters(encoder, head, relation)
@@ -521,15 +502,13 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     optimizer = _load_optimizer(payload["optimizer"], layout, path)
     model = Model(config, encoder, vocab, scheme, head, relation)  # allocates, all checks passed
     model.parameters().flat[...] = values
-    return Checkpoint(model, optimizer, payload["step"], payload["seed_lineage"])
+    return Checkpoint(model, optimizer, payload["seed_lineage"])
 
 
-def _load_optimizer(section, layout: T.Layout, path) -> OptimizerState | None:
-    """Adam state from the optimizer section (null for none): the step count
-    and the moments, or null moments before the first step."""
-    if section is None:
-        return None
-    _check(isinstance(section, dict), path, "optimizer must be a JSON object or null")
+def _load_optimizer(section, layout: T.Layout, path) -> OptimizerState:
+    """Adam state from the optimizer section: the step count and the
+    moments, or null moments before the first step."""
+    _check(isinstance(section, dict), path, "optimizer must be a JSON object")
     for key in ("step", "moments"):
         _check(key in section, path, f"optimizer is missing key {key!r}")
     _check(_is_count(section["step"]), path, "optimizer step must be an integer >= 0")

@@ -393,18 +393,17 @@ def evaluate_split_one(model, corpus, split: str) -> dict:
     if model.head_kind in ("crf", "seq2seq") and pred_tags:
         report.invalid_transition_rate = invalid_transition_rate(pred_tags, model.scheme)
     out = {"entities": report.as_dict()}
-    if model.relation is not None:
-        gold = [resolve_relations(s.spans, s.relations) for s in sentences]
-        with T.no_grad():
-            for name, span_lists in (
-                ("relations_gold_spans", [s.spans for s in sentences]),
-                ("relations_predicted_spans", [spans for spans, _ in predicted]),
-            ):
-                found = [
-                    resolve_relations(spans, predict_relations_one(h, spans, model.relation))
-                    for spans, h in zip(span_lists, rows)
-                ]
-                out[name] = relation_prf(gold, found).as_dict()
+    gold = [resolve_relations(s.spans, s.relations) for s in sentences]
+    with T.no_grad():
+        for name, span_lists in (
+            ("relations_gold_spans", [s.spans for s in sentences]),
+            ("relations_predicted_spans", [spans for spans, _ in predicted]),
+        ):
+            found = [
+                resolve_relations(spans, predict_relations_one(h, spans, model.relation))
+                for spans, h in zip(span_lists, rows)
+            ]
+            out[name] = relation_prf(gold, found).as_dict()
     return out
 
 

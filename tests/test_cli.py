@@ -1,6 +1,5 @@
 import base64
 import contextlib
-import dataclasses
 import gc
 import json
 from collections import Counter
@@ -14,7 +13,6 @@ from medext import corpus as C
 from medext import tensor as T
 from medext.cli import DEFAULT_CONFIG, build_parser, main
 from medext.corpus import TagScheme, load_annotations, load_conll
-from medext.training import Checkpoint, load_checkpoint, save_checkpoint
 
 
 def edit_floats(section: dict, key: str, edit) -> None:
@@ -156,8 +154,17 @@ class TestExitCodes:
             (lambda p: p["optimizer"].pop("step"), "optimizer is missing key 'step'"),
             (lambda p: p.update(optimizer=[]), "optimizer must be a JSON object"),
             (lambda p: p.update(head_kind="bogus"), "unknown head_kind 'bogus'"),
-            (lambda p: p.update(head_extras=[]), "head_extras must be a JSON object"),
             (lambda p: p.update(format_version=1), "unsupported checkpoint version 1"),
+            pytest.param(
+                lambda p: p.update(format_version=2),
+                "unsupported checkpoint version 2",
+                id="format_version-2",
+            ),
+            pytest.param(
+                lambda p: p.update(optimizer=None),
+                "optimizer must be a JSON object",
+                id="optimizer-null",
+            ),
             (lambda p: p.update(params=[0.0]), "params is not valid base64: argument should"),
             (lambda p: p.update(params=p["params"][:-2]), "params is not valid base64: Incorrect"),
             (lambda p: p.update(params="*" + p["params"][1:]), "params is not valid base64: Only"),
@@ -191,26 +198,7 @@ class TestExitCodes:
                 "optimizer moments holds",
             ),
             (lambda p: p["optimizer"].update(moments=7), "optimizer moments is not valid base64"),
-            (lambda p: p.update(step="x"), "step must be an integer >= 0"),
             (lambda p: p["optimizer"].update(step=-1), "optimizer step must be an integer >= 0"),
-            (
-                lambda p: p["head_extras"].update(classes=p["scheme_classes"][:-1]),
-                "head_extras key 'classes' must hold the scheme's classes",
-            ),
-            pytest.param(
-                lambda p: p["head_extras"].update(classes=p["scheme_classes"][::-1]),
-                "head_extras key 'classes' must hold the scheme's classes",
-                id="head_extras-classes-reversed",
-            ),
-            pytest.param(
-                lambda p: p["head_extras"].update(
-                    relation_labels=["no-relation", "causes", "treats"]
-                ),
-                "head_extras key 'relation_labels' must be",
-                id="head_extras-relation_labels-swapped",
-            ),
-            (lambda p: p.update(vocab_min_freq="x"), "vocab_min_freq must be an integer >= 1"),
-            (lambda p: p.update(vocab_min_freq=0), "vocab_min_freq must be an integer >= 1"),
             (
                 lambda p: p["encoder_config"].update(heads=0),
                 "encoder_config: heads must be an integer >= 1, got 0",
@@ -285,7 +273,7 @@ class TestExitCodes:
             argv += ["--config", str(edited)]
         elif where == "checkpoint":
             payload = json.loads(trained_model.read_text())
-            payload["step"] = "BIG"
+            payload["optimizer"]["step"] = "BIG"
             edited.write_text(json.dumps(payload).replace('"BIG"', big))
             argv = ["eval", "--checkpoint", str(edited), "--out", str(tmp_path / "out")]
         else:
@@ -307,20 +295,36 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "non-finite loss at step 1 with learning_rate=1e+300 and clip_norm=1\n" in err
 
-    def test_resume_without_relation_head_needs_lambda_zero(
-        self, tmp_path, capsys, corpus_files, trained_model
+    @pytest.mark.parametrize("command", ["eval", "train", "compare-heads"])
+    @pytest.mark.parametrize("source", ["MODEL", "HEADLESS"])
+    def test_relation_names_must_follow_head_kind(
+        self, tmp_path, monkeypatch, capsys, failing_inputs, source, command
     ):
-        model = load_checkpoint(trained_model).model
-        init = tmp_path / "no-relation.json"
-        save_checkpoint(Checkpoint(dataclasses.replace(model, relation=None)), init)
-        tags, ann = corpus_files
-        argv = ("train", "--init", str(init), "--tags", str(tags), "--annotations", str(ann),
-                "--steps", "2")
-        assert run(*argv, "--out", str(tmp_path / "a")) == 1
+        """A checkpoint holds a relation head exactly when its head_kind is
+        not null: a trained model without the relation names, or an encoder
+        with them, exits 1 at load, before any training or output."""
+        payload = json.loads(Path(failing_inputs[source]).read_text())
+        d_model, labels = payload["encoder_config"]["d_model"], len(C.RELATION_LABELS)
+        size = 2 * d_model * labels + labels  # relation/w and relation/b end each flat row
+        grow = source == "HEADLESS"  # add a relation head's names and zero values, or drop them
+        names = payload["param_names"]
+        payload["param_names"] = names + ["relation/w", "relation/b"] if grow else names[:-2]
+
+        def resize(floats, rows):
+            floats = floats.reshape(rows, -1)
+            return (np.pad(floats, ((0, 0), (0, size))) if grow else floats[:, :-size]).ravel()
+
+        for section, key, rows in ((payload, "params", 1), (payload["optimizer"], "moments", 2)):
+            edit_floats(section, key, lambda floats: resize(floats, rows))
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(payload))
+        monkeypatch.setattr(cli, "train", lambda *args, **kwargs: pytest.fail("train was called"))
+        flag = "--checkpoint" if command == "eval" else "--init"
+        out = tmp_path / "out"
+        assert run(command, flag, str(edited), "--out", str(out)) == 1
         err = capsys.readouterr().err
-        assert "no relation head" in err and "train.lambda_re" in err
-        assert "runtime error" not in err
-        assert run(*argv, "--set", "train.lambda_re=0", "--out", str(tmp_path / "b")) == 0
+        assert "edited.json: param_names do not match the model: ['relation/b', 'relation/w']" in err
+        assert list(tmp_path.iterdir()) == [edited]
 
     def test_unknown_tag_names_the_tag_file(self, tmp_path, capsys):
         tags = tmp_path / "two.tsv"
@@ -370,6 +374,10 @@ class TestExitCodes:
             ("train", "--tags", "TAGS", "--annotations", "BAD_ANN"),
             ("eval", "--checkpoint", "BAD_MODEL"),
             ("predict", "--checkpoint", "MODEL", "--input", "BAD_TEXT"),
+            ("train", "--seed", "-1"),
+            ("pretrain", "--seed", "-3"),
+            ("fewshot-curve", "--seed", "-2"),
+            ("gen-corpus", "--corpus-seed", "-1"),
         ],
     )
     def test_failed_run_creates_nothing(self, tmp_path, monkeypatch, capsys, failing_inputs, argv):
@@ -378,7 +386,9 @@ class TestExitCodes:
         assert run(*argv) == 1
         assert list(tmp_path.iterdir()) == []
         # the error names the missing file or the bad key
-        flag_keys = {"--size": "corpus.size", "--steps": "pretrain.steps"}
+        section = "pretrain" if argv[0] == "pretrain" else "train"
+        flag_keys = {"--size": "corpus.size", "--corpus-seed": "corpus.seed",
+                     "--steps": f"{section}.steps", "--seed": f"{section}.seed"}
         named = flag_keys.get(argv[-2], argv[-1].split("=")[0])
         assert named in capsys.readouterr().err
 

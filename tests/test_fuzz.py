@@ -21,7 +21,14 @@ from medext.corpus import (
 )
 from medext.encoder import EncoderConfig
 from medext.errors import CheckpointError, ParseError, ValidationError
-from medext.training import TrainConfig, load_checkpoint, save_checkpoint, train
+from medext.training import (
+    PretrainConfig,
+    TrainConfig,
+    load_checkpoint,
+    pretrain,
+    save_checkpoint,
+    train,
+)
 import oracles
 
 FUZZ = settings(
@@ -296,9 +303,13 @@ def test_undecodable_record_fails_as_the_oracle_does(scratch, line):
 TINY = EncoderConfig(vocab_size=5, d_model=4, heads=2, layers=1, d_ff=4)
 
 
-@pytest.fixture(scope="module", params=["crf", "span"])
+@pytest.fixture(scope="module", params=["crf", "span", "seq2seq", "encoder"])
 def saved_payload(request, scratch):
-    checkpoint = train(CORPUS, TrainConfig(steps=1, head=request.param), encoder_config=TINY)
+    """A one-step checkpoint of each kind: a trained head, or an encoder alone."""
+    if request.param == "encoder":
+        checkpoint = pretrain(CORPUS, PretrainConfig(steps=1, batch_size=2), encoder_config=TINY)
+    else:
+        checkpoint = train(CORPUS, TrainConfig(steps=1, head=request.param), encoder_config=TINY)
     save_checkpoint(checkpoint, scratch / "model.json")
     payload = json.loads((scratch / "model.json").read_text())
     sections = {key: [p for p in key_paths(payload) if p[:1] == (key,)] for key in payload}

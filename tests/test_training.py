@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import gc
 import importlib.util
 import json
@@ -220,6 +221,12 @@ class TestFlatAdam:
         assert model.parameters().flat.tobytes() == before.tobytes()
         assert_packed(model)
         assert_packed(twin)
+
+    def test_a_model_has_both_heads_or_neither(self):
+        model = train(small_corpus(), TrainConfig(steps=0)).model
+        for one_head in ({"relation": None}, {"head": None}):
+            with pytest.raises(ContractError, match="a relation head, or neither"):
+                dataclasses.replace(model, **one_head)
 
     def test_state_of_another_layout_rejected(self):
         p = Tensor(np.ones(3))
@@ -753,7 +760,12 @@ class TestCheckpointIO:
         path = tmp_path / "model.json"
         save_checkpoint(ckpt, path)
         loaded = load_checkpoint(path)
-        assert json.loads(path.read_text())["format_version"] == 2
+        payload = json.loads(path.read_text())
+        assert payload["format_version"] == 3
+        assert set(payload) == {
+            "format_version", "encoder_config", "scheme_classes", "vocab_entries", "head_kind",
+            "param_names", "params", "optimizer", "seed_lineage",
+        }
         assert loaded.model.head_kind == ckpt.model.head_kind
         assert loaded.model.parameters().layout == ckpt.model.parameters().layout
         assert loaded.model.parameters().flat.tobytes() == ckpt.model.parameters().flat.tobytes()
@@ -763,6 +775,7 @@ class TestCheckpointIO:
             assert loaded.optimizer.moments.tobytes() == ckpt.optimizer.moments.tobytes()
             assert loaded.optimizer.moments.flags.writeable
         assert (loaded.step, loaded.seed_lineage) == (ckpt.step, ckpt.seed_lineage)
+        assert loaded.step == loaded.optimizer.step == steps
 
     def test_truncated_file_rejected(self, tmp_path):
         corpus = small_corpus()
