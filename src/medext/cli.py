@@ -53,6 +53,7 @@ from .training import (
     PretrainConfig,
     TrainConfig,
     load_checkpoint,
+    load_model,
     pretrain,
     save_checkpoint,
     train,
@@ -234,7 +235,7 @@ def _open_checkpoint(path: str | None) -> Checkpoint | None:
 
 def _open_model(path: str) -> Model:
     """The model of checkpoint ``path``, which must have an extraction head."""
-    model = _open_checkpoint(path).model
+    model = load_model(_existing(path, "checkpoint"))
     if model.head is None:
         raise ConfigError(f"checkpoint {path} has no extraction head; train one first")
     return model

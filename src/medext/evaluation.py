@@ -60,7 +60,7 @@ class EvalReport:
         """Unweighted mean of per-class F1 (micro stays the headline number)."""
         if not self.per_class:
             return 0.0
-        return sum(c.f1 for c in self.per_class.values()) / len(self.per_class)
+        return sum(self.per_class[cls].f1 for cls in sorted(self.per_class)) / len(self.per_class)
 
     def as_dict(self) -> dict:
         out = {
@@ -83,28 +83,22 @@ def f1_from_pr(p: float, r: float) -> float:
 
 
 def _count_exact_match(gold_items, pred_items, key_of) -> EvalReport:
-    """Per-class and micro counts; a key's class is its third item."""
+    """Per-class and micro counts over the whole split in one pass, keyed by
+    (sentence, key); a key's class is its third item."""
     if len(gold_items) != len(pred_items):
         raise ContractError(f"{len(gold_items)} gold vs {len(pred_items)} predicted sentences")
+    gold = {(i, key_of(g)) for i, items in enumerate(gold_items) for g in items}
+    pred = Counter((i, key_of(p)) for i, items in enumerate(pred_items) for p in items)
     report = EvalReport()
-
-    def bucket(cls: str) -> ClassCounts:
-        return report.per_class.setdefault(cls, ClassCounts())
-
-    for gold, pred in zip(gold_items, pred_items):
-        gold_keys = {key_of(g) for g in gold}
-        matched = set()
-        pred_counts = Counter(key_of(p) for p in pred)
-        for key, copies in pred_counts.items():
-            cls = key[2]
-            if key in gold_keys:
-                bucket(cls).tp += 1
-                bucket(cls).fp += copies - 1  # duplicate copies are spurious
-                matched.add(key)
-            else:
-                bucket(cls).fp += copies
-        for key in gold_keys - matched:
-            bucket(key[2]).fn += 1
+    for item, copies in pred.items():
+        counts = report.per_class.setdefault(item[1][2], ClassCounts())
+        if item in gold:
+            counts.tp += 1
+            counts.fp += copies - 1  # duplicate copies are spurious
+        else:
+            counts.fp += copies
+    for _, key in gold - pred.keys():
+        report.per_class.setdefault(key[2], ClassCounts()).fn += 1
     report.micro = ClassCounts(
         tp=sum(c.tp for c in report.per_class.values()),
         fp=sum(c.fp for c in report.per_class.values()),

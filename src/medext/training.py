@@ -429,10 +429,13 @@ def _is_count(value) -> bool:
     return type(value) is int and value >= 0
 
 
-def _decode(text, layout: T.Layout, rows: int, path, what: str) -> np.ndarray:
+def _decode(text, layout: T.Layout, rows: int, path, what: str, decode=True) -> np.ndarray | None:
     """``rows`` vectors laid out as ``layout``, from base64 ``text`` of their
-    little-endian float64 bytes; the length is checked before they are made."""
+    little-endian float64 bytes; the length is checked before they are made.
+    Unless ``decode``, text of the right base64 length gives None unread."""
     size = sum(math.prod(shape) for _, shape, _ in layout)
+    if not decode and isinstance(text, str) and len(text) == 4 * -(-8 * rows * size // 3):
+        return None
     try:
         raw = base64.b64decode(text, validate=True)
     except (TypeError, ValueError) as exc:  # not a string, not ASCII, or binascii.Error
@@ -464,6 +467,16 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     """Rebuild a checkpoint, checking every section against ``Model.parameters()``,
     names and byte lengths before any parameter memory is allocated; a
     malformed section raises CheckpointError naming the file and the key."""
+    return _read_checkpoint(path, decode_moments=True)
+
+
+def load_model(path: str | Path) -> Model:
+    """The model of checkpoint ``path``, with every check of ``load_checkpoint``
+    except that Adam moments of the right base64 length are not decoded."""
+    return _read_checkpoint(path, decode_moments=False).model
+
+
+def _read_checkpoint(path: str | Path, decode_moments: bool) -> Checkpoint:
     try:
         payload = parse_json(read_utf8(path))
     except ParseError as exc:
@@ -499,20 +512,20 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     _check(names == list(named), path, f"param_names do not match the model: {mismatch}")
     layout = T.layout_of(named)
     values = _decode(payload["params"], layout, 1, path, "params")[0]
-    optimizer = _load_optimizer(payload["optimizer"], layout, path)
+    optimizer = _load_optimizer(payload["optimizer"], layout, path, decode_moments)
     model = Model(config, encoder, vocab, scheme, head, relation)  # allocates, all checks passed
     model.parameters().flat[...] = values
     return Checkpoint(model, optimizer, payload["seed_lineage"])
 
 
-def _load_optimizer(section, layout: T.Layout, path) -> OptimizerState:
-    """Adam state from the optimizer section: the step count and the
-    moments, or null moments before the first step."""
+def _load_optimizer(section, layout: T.Layout, path, decode: bool) -> OptimizerState:
+    """Adam state from the optimizer section: the step count and the moments,
+    None if null (before the first step) or, unless ``decode``, left unread."""
     _check(isinstance(section, dict), path, "optimizer must be a JSON object")
     for key in ("step", "moments"):
         _check(key in section, path, f"optimizer is missing key {key!r}")
     _check(_is_count(section["step"]), path, "optimizer step must be an integer >= 0")
-    optimizer = OptimizerState(step=section["step"], layout=layout)
-    if section["moments"] is not None:
-        optimizer.moments = _decode(section["moments"], layout, 2, path, "optimizer moments")
+    optimizer, moments = OptimizerState(step=section["step"], layout=layout), section["moments"]
+    if moments is not None:
+        optimizer.moments = _decode(moments, layout, 2, path, "optimizer moments", decode)
     return optimizer

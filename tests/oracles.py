@@ -7,8 +7,9 @@ without ``np.mean``/``np.var``, its relation head pools entities with
 rate index arithmetic, ``load_annotations`` checks records against the
 spans ``load_conll`` derived, ``build_vocab`` counts each distinct word's
 characters once, inference decodes and scores relations one packed chunk at
-a time, and the two corpus loaders share one ``Token`` per surface and
-``load_conll``'s span objects."""
+a time, the two corpus loaders share one ``Token`` per surface and
+``load_conll``'s span objects, and exact-match scoring counts a whole split
+in one pass."""
 
 import itertools
 import json
@@ -33,7 +34,7 @@ from medext.corpus import (
 from medext.corpus import tags_to_spans as repair_spans
 from medext.crf_head import CRFParams, emissions
 from medext.errors import ContractError, ShapeError, ValidationError
-from medext.evaluation import entity_prf, relation_prf, resolve_relations, token_accuracy
+from medext.evaluation import ClassCounts, EvalReport, resolve_relations, token_accuracy
 from medext.relation_head import ordered_pairs, pair_logits
 from medext.seq2seq_head import Seq2SeqParams
 from medext.span_head import NULL, SpanHeadParams, score_all_spans
@@ -380,6 +381,40 @@ def decode_one(model, h: Tensor) -> tuple[list[EntitySpan], list[int]]:
     return repair_spans(tags, scheme, mode="repair"), tags
 
 
+def entity_key(span: EntitySpan) -> tuple:
+    return span.start, span.end, span.cls
+
+
+def count_exact_match_one(gold_items, pred_items, key_of) -> EvalReport:
+    """``evaluation._count_exact_match`` one sentence at a time: a set of the
+    gold keys and a ``Counter`` of the predicted keys per sentence."""
+    if len(gold_items) != len(pred_items):
+        raise ContractError(f"{len(gold_items)} gold vs {len(pred_items)} predicted sentences")
+    report = EvalReport()
+
+    def bucket(cls: str) -> ClassCounts:
+        return report.per_class.setdefault(cls, ClassCounts())
+
+    for gold, pred in zip(gold_items, pred_items):
+        gold_keys = {key_of(g) for g in gold}
+        matched = set()
+        for key, copies in Counter(key_of(p) for p in pred).items():
+            if key in gold_keys:
+                bucket(key[2]).tp += 1
+                bucket(key[2]).fp += copies - 1  # duplicate copies are spurious
+                matched.add(key)
+            else:
+                bucket(key[2]).fp += copies
+        for key in gold_keys - matched:
+            bucket(key[2]).fn += 1
+    report.micro = ClassCounts(
+        tp=sum(c.tp for c in report.per_class.values()),
+        fp=sum(c.fp for c in report.per_class.values()),
+        fn=sum(c.fn for c in report.per_class.values()),
+    )
+    return report
+
+
 def evaluate_split_one(model, corpus, split: str) -> dict:
     """``evaluate_split(...).as_dict()`` one sentence at a time: each
     sentence's own encoder pass, decode and two relation passes."""
@@ -388,7 +423,8 @@ def evaluate_split_one(model, corpus, split: str) -> dict:
         rows = [pipeline.encode_words(model, s) for s in sentences]
         predicted = [decode_one(model, h) for h in rows]
     pred_tags = [tags for _, tags in predicted]
-    report = entity_prf([s.spans for s in sentences], [spans for spans, _ in predicted])
+    gold_spans, pred_spans = [s.spans for s in sentences], [spans for spans, _ in predicted]
+    report = count_exact_match_one(gold_spans, pred_spans, entity_key)
     report.token_accuracy = token_accuracy([s.tags for s in sentences], pred_tags)
     if model.head_kind in ("crf", "seq2seq") and pred_tags:
         report.invalid_transition_rate = invalid_transition_rate(pred_tags, model.scheme)
@@ -396,14 +432,14 @@ def evaluate_split_one(model, corpus, split: str) -> dict:
     gold = [resolve_relations(s.spans, s.relations) for s in sentences]
     with T.no_grad():
         for name, span_lists in (
-            ("relations_gold_spans", [s.spans for s in sentences]),
-            ("relations_predicted_spans", [spans for spans, _ in predicted]),
+            ("relations_gold_spans", gold_spans),
+            ("relations_predicted_spans", pred_spans),
         ):
             found = [
                 resolve_relations(spans, predict_relations_one(h, spans, model.relation))
                 for spans, h in zip(span_lists, rows)
             ]
-            out[name] = relation_prf(gold, found).as_dict()
+            out[name] = count_exact_match_one(gold, found, lambda triple: triple).as_dict()
     return out
 
 

@@ -1,6 +1,7 @@
 import base64
 import contextlib
 import gc
+import inspect
 import json
 from collections import Counter
 from pathlib import Path
@@ -22,6 +23,23 @@ def edit_floats(section: dict, key: str, edit) -> None:
     floats = np.frombuffer(base64.b64decode(section[key]), dtype="<f8").copy()
     edited = edit(floats)
     section[key] = base64.b64encode((floats if edited is None else edited).tobytes()).decode()
+
+
+# malformed optimizer moments, each with the message it exits 1 with
+MOMENTS = {
+    "missing": (lambda p: p["optimizer"].pop("moments"), "optimizer is missing key 'moments'"),
+    "not-a-string": (
+        lambda p: p["optimizer"].update(moments=7), "optimizer moments is not valid base64"
+    ),
+    "wrong-length": (
+        lambda p: edit_floats(p["optimizer"], "moments", lambda f: f[:-1]),
+        "optimizer moments holds",
+    ),
+    "non-finite": (
+        lambda p: edit_floats(p["optimizer"], "moments", lambda f: f.fill(np.inf)),
+        "optimizer moments has non-finite values",
+    ),
+}
 
 
 def run(*argv):
@@ -150,7 +168,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda p: p["optimizer"].pop("moments"), "optimizer is missing key 'moments'"),
+            MOMENTS["missing"],
             (lambda p: p["optimizer"].pop("step"), "optimizer is missing key 'step'"),
             (lambda p: p.update(optimizer=[]), "optimizer must be a JSON object"),
             (lambda p: p.update(head_kind="bogus"), "unknown head_kind 'bogus'"),
@@ -173,10 +191,6 @@ class TestExitCodes:
                 lambda p: edit_floats(p, "params", lambda f: f.__setitem__(-1, np.nan)),
                 "params has non-finite values",
             ),
-            (
-                lambda p: edit_floats(p["optimizer"], "moments", lambda f: f.fill(np.inf)),
-                "optimizer moments has non-finite values",
-            ),
             (lambda p: p.update(vocab_entries=3), "vocab_entries must be a JSON list of strings"),
             pytest.param(
                 lambda p: p["param_names"].remove("head/trans"),
@@ -193,11 +207,8 @@ class TestExitCodes:
                 "param_names do not match the model: the same names, reordered or repeated",
                 id="param_names-reordered",
             ),
-            (
-                lambda p: edit_floats(p["optimizer"], "moments", lambda f: f[:-1]),
-                "optimizer moments holds",
-            ),
-            (lambda p: p["optimizer"].update(moments=7), "optimizer moments is not valid base64"),
+            MOMENTS["wrong-length"],
+            MOMENTS["not-a-string"],
             (lambda p: p["optimizer"].update(step=-1), "optimizer step must be an integer >= 0"),
             (
                 lambda p: p["encoder_config"].update(heads=0),
@@ -218,6 +229,47 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "edited.json" in err and message in err
         assert "runtime error" not in err
+
+    @pytest.mark.parametrize(
+        "command, case",
+        [("predict", case) for case in ("missing", "not-a-string", "wrong-length")]
+        + [(command, case) for command in ("train", "compare-heads") for case in MOMENTS],
+    )
+    def test_malformed_moments_exit_1(self, tmp_path, capsys, trained_model, command, case):
+        """eval and predict check the moments' shape only; a resume (--init)
+        decodes them, so only there do non-finite values exit 1."""
+        edit, message = MOMENTS[case]
+        payload = json.loads(trained_model.read_text())
+        edit(payload)
+        ckpt = tmp_path / "edited.json"
+        ckpt.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        if command == "predict":
+            lines = tmp_path / "lines.txt"
+            lines.write_text("aspirin for pain\n")
+            argv = ["predict", "--checkpoint", str(ckpt), "--input", str(lines)]
+        else:
+            argv = [command, "--init", str(ckpt), "--steps", "1", "--out", str(out)]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert "edited.json" in err and message in err
+        assert "runtime error" not in err
+        assert not out.exists()
+
+    def test_eval_does_not_decode_the_moments(self, tmp_path, capsys, corpus_files, trained_model):
+        """Non-finite moments, which only a resume reads, leave eval's report as it was."""
+        payload = json.loads(trained_model.read_text())
+        MOMENTS["non-finite"][0](payload)
+        ckpt = tmp_path / "edited.json"
+        ckpt.write_text(json.dumps(payload))
+        tags, ann = corpus_files
+        reports = []
+        for name, model in (("edited", ckpt), ("saved", trained_model)):
+            out = tmp_path / name
+            argv = ["--tags", str(tags), "--annotations", str(ann), "--out", str(out)]
+            assert run("eval", "--checkpoint", str(model), *argv) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
 
     def test_malformed_annotation_exits_1(self, tmp_path, capsys, corpus_files):
         tags, ann = corpus_files
@@ -783,3 +835,25 @@ class TestCollector:
             assert main(argv[command]) == 0
             found.append(gc.collect())
         assert found[1] == found[2]
+
+    def test_eval_leaves_only_the_cycles_of_its_two_json_writes(
+        self, tmp_path, inputs, trained_model
+    ):
+        """The cyclic garbage of one eval is the closures of the stdlib JSON
+        encoder (``json.encoder._make_iterencode``, which ``indent=2`` selects),
+        once for each ``_write_json``: report.json and resolved_config.json."""
+        gc.disable()
+        argv = self.commands(inputs / "60", trained_model, tmp_path)["eval"]
+        assert main(argv) == 0  # fills the process's caches
+        gc.collect()
+        cli._write_json(tmp_path / "probe.json", {"f1": [0.5]})
+        per_write = gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert main(argv) == 0
+            assert gc.collect() == 2 * per_write
+            functions = [o for o in gc.garbage if inspect.isfunction(o)]
+            assert functions and {f.__module__ for f in functions} == {"json.encoder"}
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()

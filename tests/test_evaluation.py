@@ -1,9 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from medext.corpus import EntitySpan, RelationInstance
 from medext.errors import ContractError
 from medext.evaluation import (
+    ClassCounts,
+    EvalReport,
     entity_prf,
     f1_from_pr,
     relation_prf,
@@ -11,6 +17,7 @@ from medext.evaluation import (
     resolve_relations,
     token_accuracy,
 )
+import oracles
 
 
 def spans(*triples):
@@ -155,6 +162,61 @@ class TestRelationPrf:
         ]
         triples = resolve_relations(span_list, relations)
         assert triples == [((0, 0, "A"), (2, 2, "B"), "treats")]
+
+
+# (start, end, class) over a small range, so that draws repeat and match often
+KEY = st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from("ABC"))
+TRIPLE = st.tuples(KEY, KEY, st.sampled_from(["treats", "causes"]))
+
+
+@st.composite
+def split_pair(draw, item):
+    """Gold and predicted items of the same number of sentences, any of them empty."""
+    n = draw(st.integers(0, 6))
+    sentences = st.lists(st.lists(item, max_size=6), min_size=n, max_size=n)
+    return draw(sentences), draw(sentences)
+
+
+class TestOnePassCount:
+    """The split-wide count equals the per-sentence oracle, class by class."""
+
+    def assert_same_counts(self, got: EvalReport, want: EvalReport):
+        assert got.per_class == want.per_class
+        assert got.micro == want.micro
+        assert got.macro_f1 == want.macro_f1
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair=split_pair(KEY.map(lambda key: EntitySpan(*key))))
+    @example(pair=(  # duplicates on both sides, empty sentences, a key in two sentences
+        [spans((0, 1, "A"), (0, 1, "A"), (2, 2, "B")), [], spans((1, 1, "A"))],
+        [spans((0, 1, "A"), (0, 1, "A"), (0, 1, "A")), spans((0, 0, "B"), (1, 1, "A")), []],
+    ))
+    def test_entities(self, pair):
+        gold, pred = pair
+        want = oracles.count_exact_match_one(gold, pred, oracles.entity_key)
+        self.assert_same_counts(entity_prf(gold, pred), want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair=split_pair(TRIPLE))
+    def test_relations(self, pair):
+        gold, pred = pair
+        want = oracles.count_exact_match_one(gold, pred, lambda triple: triple)
+        self.assert_same_counts(relation_prf(gold, pred), want)
+
+
+class TestMacroF1Order:
+    # (tp, fp, fn) per class, whose F1 sum rounds differently in different orders
+    COUNTS = {"A": (9, 2, 4), "B": (3, 1, 9), "C": (5, 8, 9), "D": (3, 4, 1)}
+
+    def test_macro_f1_does_not_depend_on_class_order(self):
+        """The per-class F1 are summed in sorted class order, so the insertion
+        order of ``per_class`` (a set's iteration order, which depends on
+        PYTHONHASHSEED) cannot change the last bit."""
+        values = {
+            EvalReport(per_class={c: ClassCounts(*self.COUNTS[c]) for c in order}).macro_f1
+            for order in itertools.permutations(self.COUNTS)
+        }
+        assert values == {0.510206228956229}
 
 
 class TestTokenAccuracy:

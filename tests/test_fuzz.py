@@ -25,6 +25,7 @@ from medext.training import (
     PretrainConfig,
     TrainConfig,
     load_checkpoint,
+    load_model,
     pretrain,
     save_checkpoint,
     train,
@@ -422,10 +423,9 @@ def edit_names(names: list, data) -> list:
     return names
 
 
-@FUZZ
-@given(data=st.data())
-def test_mutated_flat_vectors_load_or_raise_checkpoint_error(scratch, saved_payload, data):
-    payload = json.loads(json.dumps(saved_payload[0]))
+def mutated_vectors(payload: dict, data) -> dict:
+    """A copy of ``payload`` with one or more of params, moments and param_names edited."""
+    payload = json.loads(json.dumps(payload))
     fields = st.sets(st.sampled_from(["params", "moments", "param_names"]), min_size=1)
     for field in data.draw(fields):
         if field == "param_names":
@@ -434,9 +434,32 @@ def test_mutated_flat_vectors_load_or_raise_checkpoint_error(scratch, saved_payl
             payload[field] = edit_vector(payload[field], data)
         else:
             payload["optimizer"]["moments"] = edit_vector(payload["optimizer"]["moments"], data)
+    return payload
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_flat_vectors_load_or_raise_checkpoint_error(scratch, saved_payload, data):
     path = scratch / "mutated-vectors.json"
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    path.write_text(json.dumps(mutated_vectors(saved_payload[0], data)), encoding="utf-8")
     try:
         load_checkpoint(path)
     except CheckpointError:
         pass
+
+
+@FUZZ
+@given(data=st.data())
+def test_load_model_is_load_checkpoint_without_the_moments(scratch, saved_payload, data):
+    """load_model fails only where load_checkpoint fails, with its message;
+    it passes moments of the right length that load_checkpoint would refuse;
+    otherwise it gives bitwise the parameters load_checkpoint gives."""
+    path = scratch / "mutated-model.json"
+    path.write_text(json.dumps(mutated_vectors(saved_payload[0], data)), encoding="utf-8")
+    got, want = outcome(load_model, path), outcome(load_checkpoint, path)
+    if isinstance(got, tuple):
+        assert got[0] is CheckpointError and got == want
+    elif isinstance(want, tuple):
+        assert want[0] is CheckpointError and "optimizer moments" in want[1]
+    else:
+        assert got.parameters().flat.tobytes() == want.model.parameters().flat.tobytes()
