@@ -280,6 +280,8 @@ def load_experiment_corpus(config: dict, model: Model | None, split: str | None)
 
 
 def _output_dir(config: dict) -> Path:
+    """The output directory, made now: call it once the work is done and
+    its first file is about to be written, so a failed run leaves none."""
     out = Path(config["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -320,9 +322,9 @@ def cmd_gen_corpus(config: dict, args) -> int:
 def cmd_pretrain(config: dict, args) -> int:
     corpus = load_experiment_corpus(config, None, "train")
     pretrain_config, encoder_config = _section(config, "pretrain"), _section(config, "encoder")
-    out = _output_dir(config)
     log: list = []
     checkpoint = pretrain(corpus, pretrain_config, encoder_config=encoder_config, log=log)
+    out = _output_dir(config)
     save_checkpoint(checkpoint, out / "encoder.json")
     _write_csv(out / "pretrain_log.csv", "step,loss", log)
     _echo_config(config, out)
@@ -334,9 +336,9 @@ def cmd_train(config: dict, args) -> int:
     init = _open_checkpoint(args.init)
     corpus = load_experiment_corpus(config, init and init.model, None)
     train_config, encoder_config = _section(config, "train"), _section(config, "encoder")
-    out = _output_dir(config)
     log: list = []
     checkpoint = train(corpus, train_config, init=init, encoder_config=encoder_config, log=log)
+    out = _output_dir(config)
     save_checkpoint(checkpoint, out / "model.json")
     _write_csv(out / "loss_log.csv", "step,loss,ner_loss,re_loss", log)
     _echo_config(config, out)
@@ -347,8 +349,8 @@ def cmd_train(config: dict, args) -> int:
 def cmd_eval(config: dict, args) -> int:
     model = _open_model(args.checkpoint)
     corpus = load_experiment_corpus(config, model, args.split)
-    out = _output_dir(config)
     result = evaluate_split(model, corpus, args.split)
+    out = _output_dir(config)
     _write_json(out / "report.json", result.as_dict())
     rows = [
         (f"{model.head_kind} entities", result.entities),
@@ -365,8 +367,8 @@ def cmd_fewshot_curve(config: dict, args) -> int:
     init = _open_checkpoint(args.init)
     corpus = load_experiment_corpus(config, init and init.model, None)
     curve_config, encoder_config = _section(config, "curve"), _section(config, "encoder")
-    out = _output_dir(config)
     result = run_curve(corpus, curve_config, init=init, encoder_config=encoder_config)
+    out = _output_dir(config)
     (out / "curve.csv").write_text(curve_csv(result), encoding="utf-8")
     (out / "curve_summary.csv").write_text(summary_csv(result), encoding="utf-8")
     _echo_config(config, out)
@@ -380,7 +382,6 @@ def cmd_compare_heads(config: dict, args) -> int:
     corpus = load_experiment_corpus(config, init and init.model, None)
     _split_indices(corpus, _corpus_source(config), args.split)  # checked before any training
     base, encoder_config = _section(config, "train"), _section(config, "encoder")
-    out = _output_dir(config)
     rows, details = [], {}
     for head in HEAD_KINDS:
         checkpoint = train(
@@ -389,6 +390,7 @@ def cmd_compare_heads(config: dict, args) -> int:
         result = evaluate_split(checkpoint.model, corpus, args.split)
         rows.append((head, result.entities))
         details[head] = result.as_dict()
+    out = _output_dir(config)
     (out / "comparison.md").write_text(report_markdown(rows), encoding="utf-8")
     _write_json(out / "comparison.json", details)
     _echo_config(config, out)

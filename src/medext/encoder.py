@@ -5,7 +5,11 @@ stacked self-attention blocks (post-norm, learned positional embeddings,
 ReLU feed-forward).  A batch runs in one pass: its sequences are packed into
 one matrix and attention stays within each sequence.  ``mlm_step`` is the
 small-scale stand-in for domain pretraining: corrupt a seeded subset of
-positions and score the model's reconstruction.
+positions and score the model's reconstruction.  It runs the top layer only
+at those positions (``encode_batch``'s ``rows``): keys and values at every
+row, everything else at the masked rows, with each sequence's dropout masks
+drawn whole and the masked rows' kept.  Its checkpoints may differ from a
+full top layer's in the last bits, since BLAS sums over fewer rows.
 """
 
 from __future__ import annotations
@@ -108,6 +112,7 @@ def encode_batch(
     params: EncoderParams,
     config: EncoderConfig,
     dropout_seeds: Sequence[int] | None = None,
+    rows: Sequence[int] | None = None,
 ) -> Tensor:
     """Run the encoder stack over a batch of subword-id sequences in one pass.
 
@@ -118,6 +123,14 @@ def encode_batch(
     on its own.  Dropout runs exactly when ``dropout_seeds`` is given and
     ``dropout_rate > 0``: one seed per sequence, and each sequence draws its
     masks from its own generator.  Without seeds the pass is deterministic.
+
+    ``rows`` are the packed rows the caller reads, grouped by sequence in
+    batch order (any order within a sequence), at least one per sequence;
+    the result is then [len(rows), d_model] in ``rows`` order.  The top
+    layer computes keys and values at every row, since attention reads
+    every key, and everything else only at ``rows``; its dropout still
+    draws each sequence's whole masks and keeps the rows it holds, so every
+    generator advances as in the full pass.  ``rows=None`` is every row.
     """
     lengths = [len(ids) for ids in seqs]
     if not lengths:
@@ -132,27 +145,40 @@ def encode_batch(
     drop = dropout_seeds is not None and config.dropout_rate > 0.0
     if drop:
         rngs = [np.random.default_rng(np.random.SeedSequence([seed])) for seed in dropout_seeds]
+    q_lengths = None
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.intp)
+        owner = np.searchsorted(np.cumsum(lengths), rows, side="right").ravel()  # rows' sequences
+        q_lengths = np.bincount(owner, minlength=len(lengths)).tolist()
+        if (rows.ndim != 1 or rows.min(initial=0) < 0 or len(q_lengths) != len(lengths)
+                or 0 in q_lengths or (np.diff(owner) < 0).any()):
+            raise ContractError("encode_batch: rows must be packed rows grouped by sequence "
+                                "in batch order, at least one of each")
 
     ids = [i for seq in seqs for i in seq]
     positions = np.concatenate([np.arange(n) for n in lengths])
     x = T.add(T.gather(params.tok_emb, ids), T.gather(params.pos_emb, positions))
-    for layer in params.layers:
+    top = len(params.layers) - 1
+    for depth, layer in enumerate(params.layers):
+        keep = rows if depth == top else None  # the rows this layer computes beyond k and v
+        xq = x if keep is None else T.gather(x, keep)
         attn = T.segment_attention(
-            T.matmul(x, layer.w_q),
+            T.matmul(xq, layer.w_q),
             T.matmul(x, layer.w_k),
             T.matmul(x, layer.w_v),
             lengths,
             config.heads,
+            None if keep is None else q_lengths,
         )
         attn = T.matmul(attn, layer.w_o)
         if drop:
-            attn = T.dropout(attn, config.dropout_rate, rngs, lengths)
-        x = T.layer_norm(T.add(x, attn), layer.ln1_gain, layer.ln1_bias)
+            attn = T.dropout(attn, config.dropout_rate, rngs, lengths, keep)
+        x = T.layer_norm(T.add(xq, attn), layer.ln1_gain, layer.ln1_bias)
 
         hidden = T.relu(T.add_rowwise(T.matmul(x, layer.ff_w1), layer.ff_b1))
         ff = T.add_rowwise(T.matmul(hidden, layer.ff_w2), layer.ff_b2)
         if drop:
-            ff = T.dropout(ff, config.dropout_rate, rngs, lengths)
+            ff = T.dropout(ff, config.dropout_rate, rngs, lengths, keep)
         x = T.layer_norm(T.add(x, ff), layer.ln2_gain, layer.ln2_bias)
     return x
 
@@ -214,5 +240,5 @@ def mlm_step(
         targets.extend(ids[p] for p in positions)
         offset += len(ids)
     seeds = [seed * 100003 + i for i in range(len(batch))]
-    h = encode_batch(corrupted, params, config, seeds)
-    return T.mean_cross_entropy(T.matmul(T.gather(h, rows), params.mlm_proj), targets)
+    h = encode_batch(corrupted, params, config, seeds, rows)
+    return T.mean_cross_entropy(T.matmul(h, params.mlm_proj), targets)

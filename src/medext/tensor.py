@@ -258,20 +258,26 @@ def relu(a: Tensor) -> Tensor:
 
 
 def dropout(
-    a: Tensor, rate: float, rngs: Sequence[np.random.Generator], lengths: Sequence[int]
+    a: Tensor, rate: float, rngs: Sequence[np.random.Generator], lengths: Sequence[int],
+    rows: Array | None = None,
 ) -> Tensor:
     """Inverted dropout over blocks of rows, one seeded generator per block.
 
     Block i is the next ``lengths[i]`` rows and draws its mask from
     ``rngs[i]``, so its mask is the one it would get if dropped on its own.
+    With ``rows``, ``a`` holds only those rows of the blocks, in that order:
+    every block still draws its whole mask, so each generator advances as
+    it would without ``rows``, and ``a`` keeps the mask rows it holds.
     """
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
-    if len(rngs) != len(lengths) or sum(lengths) != a.shape[0]:
+    if len(rngs) != len(lengths) or (sum(lengths) if rows is None else len(rows)) != a.shape[0]:
         raise ContractError(f"dropout: {len(rngs)} generators for row blocks {list(lengths)}")
     if rate == 0.0:
         return a
     draws = np.concatenate([g.random((n, *a.shape[1:])) for g, n in zip(rngs, lengths)])
+    if rows is not None:
+        draws = draws[rows]
     mask = (draws >= rate) / (1.0 - rate)
     return record_op(a.values * mask, (a,), lambda g: (g * mask,))
 
@@ -345,58 +351,74 @@ def segment_attention(
     v: Tensor,
     lengths: Sequence[int],
     heads: int,
+    q_lengths: Sequence[int] | None = None,
 ) -> Tensor:
     """Multi-head scaled dot-product attention within each segment of packed rows.
 
-    ``q``, ``k`` and ``v`` are [sum(lengths), d]: consecutive blocks of rows,
-    one per segment, with head h in columns h*d_k:(h+1)*d_k.  Every row
-    attends only to the rows of its own segment, so each segment's output
-    equals ``softmax(q kᵀ / sqrt(d_k)) v`` per head over that segment alone.
+    ``k`` and ``v`` are [sum(lengths), d]: consecutive blocks of rows, one
+    per segment, with head h in columns h*d_k:(h+1)*d_k.  ``q`` is
+    [sum(q_lengths), d], its blocks in the same segment order; ``q_lengths``
+    defaults to ``lengths``, and a shorter block holds the queries of only
+    some of its segment's rows, in any order.  Every query attends only to
+    the keys of its own segment, so each segment's output equals
+    ``softmax(q kᵀ / sqrt(d_k)) v`` per head over that segment alone.
 
-    One tape record for all segments and heads.  When every segment has the
-    longest length (one segment, or equal lengths) the rows are only
-    reshaped to [B, heads, L, d_k] and no score is masked.  Otherwise the
-    segments are padded to [B, heads, L_max, d_k] inside the op and padded
-    key columns get a MASK_BIAS score, so the work is B·heads·L_max², not
-    (sum(lengths))².
+    One tape record for all segments and heads.  When every block of queries
+    and every block of keys has its longest length (one segment, or equal
+    lengths) the rows are only reshaped to [B, heads, L, d_k] and no score is
+    masked.  Otherwise queries and keys are each padded to their own
+    [B, heads, L_max, d_k] inside the op and padded key columns get a
+    MASK_BIAS score, so the work is B·heads·Lq_max·Lk_max, not
+    sum(q_lengths)·sum(lengths).
     """
-    if q.values.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
+    if q.values.ndim != 2 or k.shape != v.shape or k.shape[1:] != q.shape[1:]:
         raise ShapeError(f"segment_attention: shapes {q.shape}, {k.shape}, {v.shape} disagree")
-    n_rows, d = q.shape
+    d = q.shape[1]
     if heads < 1 or d % heads:
         raise ShapeError(f"segment_attention: width {d} is not divisible by {heads} heads")
-    sizes = tiling(lengths, n_rows, "segment_attention")
-    batch, longest, d_k = len(sizes), max(sizes), d // heads
+    sizes = tiling(lengths, k.shape[0], "segment_attention")
+    q_sizes = sizes if q_lengths is None else tiling(q_lengths, q.shape[0], "segment_attention")
+    if len(q_sizes) != len(sizes):
+        raise ContractError(f"segment_attention: query lengths {q_sizes} for {len(sizes)} segments")
+    batch, d_k = len(sizes), d // heads
     c = 1.0 / np.sqrt(d_k)
-    padded = batch * longest != n_rows  # else pad and unpad are views and nothing is masked
-    if padded:
-        _, segment, position = segments(sizes, n_rows, "segment_attention")
 
-    def pad(a: Array) -> Array:  # [N, d] -> [B, H, L, d_k], padded rows zero
+    def layout(blocks: list[int]):  # -> pad, unpad, and whether any block is padded
+        n, longest = sum(blocks), max(blocks)
+        padded = batch * longest != n  # else pad and unpad are views
         if padded:
-            a, rows = np.zeros((batch, longest, d)), a
-            a[segment, position] = rows
-        return a.reshape(batch, longest, heads, d_k).transpose(0, 2, 1, 3)
+            _, segment, position = segments(blocks, n, "segment_attention")
 
-    def unpad(a: Array) -> Array:  # [B, H, L, d_k] -> [N, d]
-        a = a.transpose(0, 2, 1, 3)
-        return a.reshape(batch, longest, d)[segment, position] if padded else a.reshape(n_rows, d)
+        def pad(a: Array) -> Array:  # [n, d] -> [B, H, L, d_k], padded rows zero
+            if padded:
+                a, rows = np.zeros((batch, longest, d)), a
+                a[segment, position] = rows
+            return a.reshape(batch, longest, heads, d_k).transpose(0, 2, 1, 3)
 
-    qp, kp, vp = pad(q.values), pad(k.values), pad(v.values)
+        def unpad(a: Array) -> Array:  # [B, H, L, d_k] -> [n, d]
+            a = a.transpose(0, 2, 1, 3)
+            return a.reshape(batch, longest, d)[segment, position] if padded else a.reshape(n, d)
+
+        return pad, unpad, padded
+
+    pad_k, unpad_k, keys_padded = layout(sizes)
+    pad_q, unpad_q, _ = (pad_k, unpad_k, None) if q_sizes is sizes else layout(q_sizes)
+    qp, kp, vp = pad_q(q.values), pad_k(k.values), pad_k(v.values)
     scores = (qp @ kp.swapaxes(-1, -2)) * c
-    if padded:
-        visible = np.arange(longest) < np.array(sizes)[:, None]  # [B, L] real key columns
+    if keys_padded:
+        visible = np.arange(max(sizes)) < np.array(sizes)[:, None]  # [B, L] real key columns
         scores = np.where(visible[:, None, None, :], scores, MASK_BIAS)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
 
     def rule(g):
-        gp = pad(g)
+        gp = pad_q(g)
         dp = gp @ vp.swapaxes(-1, -2)
         ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * c
-        return unpad(ds @ kp), unpad(ds.swapaxes(-1, -2) @ qp), unpad(p.swapaxes(-1, -2) @ gp)
+        return (unpad_q(ds @ kp), unpad_k(ds.swapaxes(-1, -2) @ qp),
+                unpad_k(p.swapaxes(-1, -2) @ gp))
 
-    return record_op(unpad(p @ vp), (q, k, v), rule)
+    return record_op(unpad_q(p @ vp), (q, k, v), rule)
 
 
 # ---------------------------------------------------------------------------

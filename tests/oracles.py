@@ -2,7 +2,8 @@
 calls them: its CRF runs the fused forward-backward op, its losses the fused
 cross-entropy, its encoder the packed multi-head ``segment_attention`` (which
 pads only when a segment is shorter than the longest) and a ``layer_norm``
-without ``np.mean``/``np.var``, its relation head pools entities with
+without ``np.mean``/``np.var``, its masked-token step runs the top encoder
+layer only at the masked rows, its relation head pools entities with
 ``range_means``, its BIO decoder is one flat loop and its invalid-transition
 rate index arithmetic, ``load_annotations`` checks records against the
 spans ``load_conll`` derived, ``build_vocab`` counts each distinct word's
@@ -33,6 +34,7 @@ from medext.corpus import (
 )
 from medext.corpus import tags_to_spans as repair_spans
 from medext.crf_head import CRFParams, emissions
+from medext.encoder import plan_masking
 from medext.errors import ContractError, ShapeError, ValidationError
 from medext.evaluation import ClassCounts, EvalReport, resolve_relations, token_accuracy
 from medext.relation_head import ordered_pairs, pair_logits
@@ -121,6 +123,74 @@ def padded_segment_attention(q: Tensor, k: Tensor, v: Tensor, lengths, heads: in
         return unpad(ds @ kp), unpad(ds.swapaxes(-1, -2) @ qp), unpad(p.swapaxes(-1, -2) @ gp)
 
     return record_op(unpad(p @ vp), (q, k, v), rule)
+
+
+def head_columns(a, h, d_k):
+    """Columns h*d_k:(h+1)*d_k of ``a``, as an exact 0/1 selector product."""
+    return T.matmul(a, Tensor(np.eye(a.shape[1])[:, h * d_k:(h + 1) * d_k]))
+
+
+def reference_encode(ids, params, config, dropout_seed=None):
+    """The per-sentence, per-head encoder built on ``attention``: the packed path's oracle."""
+    dropping = dropout_seed is not None and config.dropout_rate > 0.0
+    rng = np.random.default_rng(np.random.SeedSequence([dropout_seed])) if dropping else None
+    n, d_k = len(ids), config.d_model // config.heads
+    x = T.add(T.gather(params.tok_emb, ids), T.gather(params.pos_emb, slice(0, n)))
+    for layer in params.layers:
+        q, k, v = (T.matmul(x, w) for w in (layer.w_q, layer.w_k, layer.w_v))
+        heads = [
+            attention(head_columns(q, h, d_k), head_columns(k, h, d_k), head_columns(v, h, d_k))
+            for h in range(config.heads)
+        ]
+        attn = T.matmul(T.concat(heads, axis=1), layer.w_o)
+        if dropping:
+            attn = T.dropout(attn, config.dropout_rate, [rng], [n])
+        x = T.layer_norm(T.add(x, attn), layer.ln1_gain, layer.ln1_bias)
+        hidden = T.relu(T.add_rowwise(T.matmul(x, layer.ff_w1), layer.ff_b1))
+        ff = T.add_rowwise(T.matmul(hidden, layer.ff_w2), layer.ff_b2)
+        if dropping:
+            ff = T.dropout(ff, config.dropout_rate, [rng], [n])
+        x = T.layer_norm(T.add(x, ff), layer.ln2_gain, layer.ln2_bias)
+    return x
+
+
+def every_row_encode_batch(seqs, params, config, dropout_seeds=None):
+    """The packed encoder loop with every layer at every row, as it ran
+    before ``encode_batch`` took ``rows``: ``rows=None`` gives this bit for bit."""
+    lengths = [len(ids) for ids in seqs]
+    drop = dropout_seeds is not None and config.dropout_rate > 0.0
+    rngs = [np.random.default_rng(np.random.SeedSequence([s])) for s in dropout_seeds or ()]
+    ids = [i for seq in seqs for i in seq]
+    positions = np.concatenate([np.arange(n) for n in lengths])
+    x = T.add(T.gather(params.tok_emb, ids), T.gather(params.pos_emb, positions))
+    for layer in params.layers:
+        q, k, v = (T.matmul(x, w) for w in (layer.w_q, layer.w_k, layer.w_v))
+        attn = T.matmul(T.segment_attention(q, k, v, lengths, config.heads), layer.w_o)
+        if drop:
+            attn = T.dropout(attn, config.dropout_rate, rngs, lengths)
+        x = T.layer_norm(T.add(x, attn), layer.ln1_gain, layer.ln1_bias)
+        hidden = T.relu(T.add_rowwise(T.matmul(x, layer.ff_w1), layer.ff_b1))
+        ff = T.add_rowwise(T.matmul(hidden, layer.ff_w2), layer.ff_b2)
+        if drop:
+            ff = T.dropout(ff, config.dropout_rate, rngs, lengths)
+        x = T.layer_norm(T.add(x, ff), layer.ln2_gain, layer.ln2_bias)
+    return x
+
+
+def per_sentence_mlm(batch, params, config, mask_prob, seed):
+    """``mlm_step`` one sentence per encoder call: the packed step's oracle."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    total, count = None, 0
+    for i, ids in enumerate(batch):
+        corrupted, positions = plan_masking(ids, mask_prob, config.vocab_size, rng)
+        h = reference_encode(corrupted, params, config, seed * 100003 + i)
+        logits = T.matmul(T.gather(h, positions), params.mlm_proj)
+        targets = [ids[p] for p in positions]
+        picked = T.gather(logits, (np.arange(len(positions)), np.asarray(targets)))
+        ce = T.sub(logsumexp_rows(logits), picked)
+        total = ce.sum() if total is None else T.add(total, ce.sum())
+        count += len(positions)
+    return T.scale(total, 1.0 / count)
 
 
 def logsumexp(a: Tensor) -> Tensor:

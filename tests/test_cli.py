@@ -347,6 +347,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "non-finite loss at step 1 with learning_rate=1e+300 and clip_norm=1\n" in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["train", "pretrain"])
+    def test_a_run_that_fails_leaves_no_output_directory(self, tmp_path, capsys, command):
+        out = tmp_path / "new" / "out"
+        code = run(
+            command, "--size", "30", "--steps", "2", "--set", f"{command}.learning_rate=1e300",
+            "--out", str(out),
+        )
+        assert code == 2 and "non-finite loss" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
     @pytest.mark.parametrize("command", ["eval", "train", "compare-heads"])
     @pytest.mark.parametrize("source", ["MODEL", "HEADLESS"])
     def test_relation_names_must_follow_head_kind(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medext import tensor as T
 from medext.corpus import MASK
@@ -15,7 +17,13 @@ from medext.encoder import (
 )
 from medext.errors import ContractError, ShapeError
 from medext.tensor import Tensor
-from oracles import attention, logsumexp_rows, padded_segment_attention
+from oracles import (
+    attention,
+    every_row_encode_batch,
+    padded_segment_attention,
+    per_sentence_mlm,
+    reference_encode,
+)
 
 
 def tiny_config(**overrides):
@@ -26,51 +34,6 @@ def tiny_config(**overrides):
 
 def setup_function(_):
     T.reset_tape()
-
-
-def head_columns(a, h, d_k):
-    """Columns h*d_k:(h+1)*d_k of ``a``, as an exact 0/1 selector product."""
-    return T.matmul(a, Tensor(np.eye(a.shape[1])[:, h * d_k:(h + 1) * d_k]))
-
-
-def reference_encode(ids, params, config, dropout_seed=None):
-    """The per-sentence, per-head encoder built on ``attention``: the packed path's oracle."""
-    dropping = dropout_seed is not None and config.dropout_rate > 0.0
-    rng = np.random.default_rng(np.random.SeedSequence([dropout_seed])) if dropping else None
-    n, d_k = len(ids), config.d_model // config.heads
-    x = T.add(T.gather(params.tok_emb, ids), T.gather(params.pos_emb, slice(0, n)))
-    for layer in params.layers:
-        q, k, v = (T.matmul(x, w) for w in (layer.w_q, layer.w_k, layer.w_v))
-        heads = [
-            attention(head_columns(q, h, d_k), head_columns(k, h, d_k), head_columns(v, h, d_k))
-            for h in range(config.heads)
-        ]
-        attn = T.matmul(T.concat(heads, axis=1), layer.w_o)
-        if dropping:
-            attn = T.dropout(attn, config.dropout_rate, [rng], [n])
-        x = T.layer_norm(T.add(x, attn), layer.ln1_gain, layer.ln1_bias)
-        hidden = T.relu(T.add_rowwise(T.matmul(x, layer.ff_w1), layer.ff_b1))
-        ff = T.add_rowwise(T.matmul(hidden, layer.ff_w2), layer.ff_b2)
-        if dropping:
-            ff = T.dropout(ff, config.dropout_rate, [rng], [n])
-        x = T.layer_norm(T.add(x, ff), layer.ln2_gain, layer.ln2_bias)
-    return x
-
-
-def per_sentence_mlm(batch, params, config, mask_prob, seed):
-    """``mlm_step`` one sentence per encoder call: the packed step's oracle."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    total, count = None, 0
-    for i, ids in enumerate(batch):
-        corrupted, positions = plan_masking(ids, mask_prob, config.vocab_size, rng)
-        h = reference_encode(corrupted, params, config, seed * 100003 + i)
-        logits = T.matmul(T.gather(h, positions), params.mlm_proj)
-        targets = [ids[p] for p in positions]
-        picked = T.gather(logits, (np.arange(len(positions)), np.asarray(targets)))
-        ce = T.sub(logsumexp_rows(logits), picked)
-        total = ce.sum() if total is None else T.add(total, ce.sum())
-        count += len(positions)
-    return T.scale(total, 1.0 / count)
 
 
 def loss_and_grads(loss_fn, params):
@@ -232,6 +195,73 @@ class TestSegmentAttention:
             T.segment_attention(x, x, x, [2], 4)
 
 
+@st.composite
+def query_rows(draw):
+    """Segment lengths (ragged, equal, or one segment), a nonempty subset of
+    each segment's rows in any order as packed rows, the subsets' sizes, a
+    head count and a seed."""
+    shape = draw(st.sampled_from(["ragged", "equal", "one"]))
+    if shape == "one":
+        lengths = [draw(st.integers(1, 7))]
+    elif shape == "equal":
+        lengths = [draw(st.integers(1, 5))] * draw(st.integers(2, 4))
+    else:
+        lengths = draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))
+    rows, q_lengths, offset = [], [], 0
+    for n in lengths:
+        picked = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        rows.extend(offset + p for p in picked)
+        q_lengths.append(len(picked))
+        offset += n
+    return lengths, rows, q_lengths, draw(st.sampled_from([1, 2, 4])), draw(st.integers(0, 2**16))
+
+
+def attention_and_grads(values, lengths, heads, upstream, q_lengths=None):
+    """segment_attention's output and q, k, v gradients under ``upstream``."""
+    T.reset_tape()
+    q, k, v = (Tensor(a.copy()) for a in values)
+    out = T.segment_attention(q, k, v, lengths, heads, q_lengths)
+    T.backward(T.sum_all(T.mul(out, Tensor(upstream))))
+    return out.values, q.grad, k.grad, v.grad
+
+
+class TestSegmentAttentionQueryRows:
+    """``q_lengths``: queries at only some rows of each segment equal the
+    full op at those rows, forward and backward."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=query_rows())
+    def test_equals_the_full_op_at_the_chosen_rows(self, case):
+        lengths, rows, q_lengths, heads, seed = case
+        rng = np.random.default_rng(seed)
+        q, k, v = (t.values for t in packed(rng, lengths, 8))
+        weights = rng.standard_normal((len(rows), 8))
+        upstream = np.zeros((sum(lengths), 8))  # the full op's gradient: zero off the rows
+        upstream[rows] = weights
+        out, dq, dk, dv = attention_and_grads((q[rows], k, v), lengths, heads, weights, q_lengths)
+        full, full_dq, full_dk, full_dv = attention_and_grads((q, k, v), lengths, heads, upstream)
+        for got, want in ((out, full[rows]), (dq, full_dq[rows]), (dk, full_dk), (dv, full_dv)):
+            assert np.abs(got - want).max() < 1e-12
+
+    @pytest.mark.parametrize("lengths, q_lengths", [([3, 5, 1], [2, 3, 1]), ([4, 4], [1, 3])])
+    def test_gradients_match_finite_differences(self, lengths, q_lengths):
+        rng = np.random.default_rng(12)
+        _, k, v = packed(rng, lengths, 4)
+        q = Tensor(rng.standard_normal((sum(q_lengths), 4)))
+        weights = Tensor(rng.standard_normal((sum(q_lengths), 4)))
+        err = T.finite_diff_check(
+            lambda: T.sum_all(T.mul(T.segment_attention(q, k, v, lengths, 2, q_lengths), weights)),
+            [q, k, v],
+        )
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("q_lengths", [[2, 1], [1, 1, 1, 1], [4], [2, 0, 2], [1, 2, 1, 0]])
+    def test_query_lengths_must_tile_the_queries_per_segment(self, q_lengths):
+        q, kv = Tensor(np.zeros((4, 4))), Tensor(np.zeros((6, 4)))
+        with pytest.raises(ContractError, match="segment_attention"):
+            T.segment_attention(q, kv, kv, [2, 3, 1], 2, q_lengths)
+
+
 class TestEncodeBatch:
     BATCH = [[4, 5, 6], [7, 8, 9, 10, 11], [3], [5, 6, 7, 8, 9, 10, 11, 4]]
 
@@ -276,6 +306,58 @@ class TestEncodeBatch:
             encode_batch([[1, 2], []], params, config)
         with pytest.raises(ContractError):
             encode_batch([], params, config)
+
+    ROWS = [2, 0, 7, 4, 3, 8, 16, 9, 12]  # BATCH's packed rows, out of order in each sentence
+
+    def outputs_and_grads(self, encoded, params):
+        """``encoded()``'s output and the parameter gradients of a fixed
+        random weighting of it."""
+        out = []
+
+        def loss():
+            out.append(encoded())
+            weights = np.random.default_rng(1).standard_normal(out[0].shape)
+            return T.sum_all(T.mul(out[0], Tensor(weights)))
+
+        _, grads = loss_and_grads(loss, params)
+        return out[0].values, grads
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("dropout_rate", [0.0, 0.2])
+    def test_rows_equal_gathering_the_full_output(self, layers, dropout_rate):
+        config = tiny_config(layers=layers, dropout_rate=dropout_rate)
+        params = init_params(config, seed=6)
+        seeds = [11, 12, 13, 14]
+        pruned, pruned_grads = self.outputs_and_grads(
+            lambda: encode_batch(self.BATCH, params, config, seeds, self.ROWS), params
+        )
+        full, full_grads = self.outputs_and_grads(
+            lambda: T.gather(encode_batch(self.BATCH, params, config, seeds), self.ROWS), params
+        )
+        assert np.abs(pruned - full).max() < 1e-12
+        for key, grad in full_grads.items():
+            assert np.abs(pruned_grads[key] - grad).max() < 1e-12, key
+
+    @pytest.mark.parametrize("dropout_rate", [0.0, 0.2])
+    def test_every_row_is_bitwise_the_unpruned_loop(self, dropout_rate):
+        config = tiny_config(layers=2, dropout_rate=dropout_rate)
+        params = init_params(config, seed=6)
+        seeds = [11, 12, 13, 14]
+        got = self.outputs_and_grads(lambda: encode_batch(self.BATCH, params, config, seeds), params)
+        want = self.outputs_and_grads(
+            lambda: every_row_encode_batch(self.BATCH, params, config, seeds), params
+        )
+        assert got[0].tobytes() == want[0].tobytes()
+        for key, grad in want[1].items():
+            assert got[1][key].tobytes() == grad.tobytes(), key
+
+    @pytest.mark.parametrize(
+        "rows", [[3, 0, 8, 9], [0, 3, 8, 17], [-1, 3, 8, 9], [], [0, 3, 9], [[0, 3, 8, 9]]]
+    )
+    def test_rows_must_be_grouped_by_sentence_and_cover_each(self, rows):
+        config = tiny_config()
+        with pytest.raises(ContractError, match="rows"):
+            encode_batch(self.BATCH, init_params(config, seed=0), config, rows=rows)
 
 
 class TestEncode:
