@@ -150,10 +150,9 @@ def checkpoint_digest(load_checkpoint, path: Path) -> str:
     checkpoint = load_checkpoint(path)
     h = hashlib.sha256(json.dumps([checkpoint.step, checkpoint.seed_lineage]).encode())
     arrays = {f"param {k}": p.values for k, p in checkpoint.model.parameters().items()}
-    if checkpoint.optimizer is not None:
-        h.update(f"adam step {checkpoint.optimizer.step}".encode())
-        arrays.update({f"m {k}": a for k, a in checkpoint.optimizer.m.items()})
-        arrays.update({f"v {k}": a for k, a in checkpoint.optimizer.v.items()})
+    h.update(f"adam step {checkpoint.optimizer.step}".encode())
+    arrays.update({f"m {k}": a for k, a in checkpoint.optimizer.m.items()})
+    arrays.update({f"v {k}": a for k, a in checkpoint.optimizer.v.items()})
     for name in sorted(arrays):
         h.update(f"{name} {arrays[name].shape}".encode())
         h.update(arrays[name].astype("<f8").tobytes())

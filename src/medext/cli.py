@@ -75,6 +75,8 @@ class CorpusConfig:
             raise ContractError(f"size must be >= 0, got {self.size}")
         if self.seed < 0:
             raise ContractError(f"seed must be >= 0, got {self.seed}")
+        if self.annotations is not None and not self.tags:
+            raise ContractError(f"annotations {self.annotations!r} needs a tag file, corpus.tags")
 
 
 SECTIONS = {

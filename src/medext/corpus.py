@@ -247,10 +247,10 @@ def load_conll(path: str | Path, scheme: TagScheme) -> Corpus:
     lines.append("")  # closes the last sentence
     index = scheme._index
     shared: dict[str, Token] = {}
-    # each distinct line's (Token, tag); None for a separator, False if malformed
-    parsed: dict[str, tuple[Token, int] | None | Literal[False]] = dict.fromkeys(lines)
+    # each distinct line's (Token, tag); None for a separator, the error if malformed
+    parsed: dict[str, tuple[Token, int] | str | None] = dict.fromkeys(lines)
     for line in parsed:
-        surface, _, tag_name = line.partition("\t")
+        surface, tab, tag_name = line.partition("\t")
         tag = index.get(tag_name)
         if tag is not None and surface:  # a surface and a known tag: never blank, no tab
             token = shared.get(surface)
@@ -258,22 +258,19 @@ def load_conll(path: str | Path, scheme: TagScheme) -> Corpus:
                 token = shared[surface] = Token(surface)
             parsed[line] = token, tag
         elif line.strip():
-            parsed[line] = False
+            parsed[line] = (f"unknown tag {tag_name!r}" if tab and surface and "\t" not in tag_name
+                            else f"expected 'token<TAB>tag', got {line!r}")
     derived: dict[tuple[int, ...], list[EntitySpan]] = {}
     sentences: list[Sentence] = []
     tokens: list[Token] = []
     tags: list[int] = []
     for line_no, entry in enumerate(map(parsed.__getitem__, lines), start=1):
-        if entry:
+        if entry.__class__ is tuple:
             token, tag = entry
             tokens.append(token)
             tags.append(tag)
-        elif entry is False:
-            line = lines[line_no - 1]
-            surface, tab, tag_name = line.partition("\t")
-            if not tab or not surface or "\t" in tag_name:
-                raise ParseError(f"{path} line {line_no}: expected 'token<TAB>tag', got {line!r}")
-            raise ParseError(f"{path} line {line_no}: unknown tag {tag_name!r}")
+        elif entry:
+            raise ParseError(f"{path} line {line_no}: {entry}")
         elif tags:
             key = tuple(tags)
             spans = derived.get(key)

@@ -438,40 +438,21 @@ def mean_all(a: Tensor) -> Tensor:
 # indexing, slicing, concatenation
 
 
-def scatter_rows(rows: int, index: Array, g: Array) -> Array:
-    """``np.add.at(zeros((rows, ...)), index, g)`` for a 1-D index from 0 up
-    into a vector or the rows of an array, bit for bit: ``np.bincount`` adds each element's terms in the
-    same order onto the same 0.0, without ``np.add.at``'s per-element loop."""
-    width = math.prod(g.shape[1:])
-    cells = index if width == 1 else (index[:, None] * width + np.arange(width)).reshape(-1)
-    return np.bincount(cells, g.reshape(-1), rows * width).reshape(rows, *g.shape[1:])
+def scatter(shape: tuple[int, ...], index, g: Array) -> Array:
+    """``g`` summed into zeros of ``shape`` at any numpy ``index``, each cell's terms
+    onto 0.0 in index order: one ``np.bincount`` over the cells ``index`` picks."""
+    size = math.prod(shape)
+    cells = np.arange(size).reshape(shape)[index].reshape(-1)
+    return np.bincount(cells, g.reshape(-1), size).reshape(shape).astype(float, copy=False)
 
 
 def gather(a: Tensor, index) -> Tensor:
-    """``a.values[index]`` for any numpy index: an int, a slice, an index
-    array (repeats allowed), a tuple of equal-length index arrays, or None (a
-    new leading axis).  A basic index gives a view, as in numpy.
-
-    Backward gives what ``np.add.at`` gives when it scatters the gradient into
-    zeros, bit for bit, so repeated entries sum: ``scatter_rows`` for a 1-D
-    integer array from 0 up, ``+=`` for a basic index (no entry repeats), and
-    ``np.add.at`` for the rest.
-    """
+    """``a.values[index]`` for any numpy index: an int, a slice, None, an index
+    array or list (repeats and negative entries allowed), a boolean mask, or a
+    tuple of them; a basic index gives a view.  Backward is one ``scatter``."""
     if isinstance(index, (list, range)):
         index = np.asarray(index, dtype=np.intp)
-    rows = isinstance(index, np.ndarray) and index.ndim == 1 and index.dtype.kind == "i"
-
-    def rule(g):
-        if rows and not (index < 0).any():
-            return (scatter_rows(a.shape[0], index, g),)
-        da = np.zeros_like(a.values)
-        if isinstance(index, (tuple, np.ndarray)):
-            np.add.at(da, index, g)
-        else:
-            da[index] += g
-        return (da,)
-
-    return record_op(a.values[index], (a,), rule)
+    return record_op(a.values[index], (a,), lambda g: (scatter(a.shape, index, g),))
 
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
@@ -501,7 +482,7 @@ def range_means(a: Tensor, starts: Sequence[int], stops: Sequence[int]) -> Tenso
 
     def rule(g):
         share = g * inverse[:, None]
-        steps = scatter_rows(a.shape[0] + 1, np.concatenate([lo, hi]), np.vstack([share, -share]))
+        steps = scatter(prefix.shape, np.concatenate([lo, hi]), np.vstack([share, -share]))
         return (np.cumsum(steps[:-1], axis=0),)
 
     return record_op(out_values, (a,), rule)

@@ -504,6 +504,24 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ("train", "--annotations", "x.jsonl"),
+            ("train", "--set", "corpus.annotations=x.jsonl"),
+            ("train", "--tags", "", "--annotations", "x.jsonl"),
+            ("pretrain", "--annotations", "x.jsonl"),
+        ],
+    )
+    def test_annotations_without_tags_exit_1(self, tmp_path, monkeypatch, capsys, argv):
+        """An annotation file describes the sentences of a tag file: without
+        one the run fails before any work instead of ignoring it and training
+        on the synthetic corpus."""
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv, "--steps", "1", "--out", "out") == 1
+        assert capsys.readouterr().err.startswith("error: corpus.annotations ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "argv, key",
         [
             (("gen-corpus", "--size", "1", "--out", "afile"), "output_dir"),

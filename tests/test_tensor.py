@@ -395,9 +395,9 @@ class TestFiniteDiffCheck:
 
 class TestGatherBackward:
     """gather's backward against the ``np.add.at`` scatter it replaced, bit for
-    bit (tolerance 0, the sign of zero included): ``scatter_rows``
-    (``np.bincount``) for 1-D integer arrays from 0 up, ``+=`` for a basic
-    index, ``np.add.at`` for the rest."""
+    bit (tolerance 0, the sign of zero included): one ``scatter``, a
+    ``np.bincount`` over the cell numbers the index selects, for every kind
+    of numpy index."""
 
     @pytest.mark.parametrize(
         "shape, index",
@@ -411,9 +411,15 @@ class TestGatherBackward:
             ((7, 3), [1, 1, 4, 1, 0, 6, 6]),  # repeated rows: bincount
             ((7,), [0, 3, 6]),  # rising entries of a vector: bincount
             ((7,), [3, 3, 0, 3, 6]),  # repeated entries of a vector: bincount
-            ((7, 3), [-1, 0, 6]),  # negative: np.add.at
-            ((7, 3), (np.arange(4), np.array([0, 2, 1, 1]))),  # a tuple: np.add.at
-            ((7, 3), (np.array([1, 1, 2, 1]), np.array([0, 0, 2, 0]))),  # repeated: np.add.at
+            ((7, 3), [-1, 0, 6]),  # negative
+            ((7, 3), (np.arange(4), np.array([0, 2, 1, 1]))),  # a tuple
+            ((7, 3), (np.array([1, 1, 2, 1]), np.array([0, 0, 2, 0]))),  # repeated cells of a tuple
+            ((7, 3), np.array([True, False, True, True, False, False, True])),  # a row mask
+            ((7, 3), np.arange(21).reshape(7, 3) % 4 == 1),  # a mask of cells
+            ((7, 3), np.array([[0, 6, 6], [-1, 2, 0]])),  # a 2-D integer array
+            ((7, 3), (np.array([-1, 0, -1, 6]), np.array([-3, 2, 0, -1]))),  # a negative tuple
+            ((7, 3), np.int64(4)),  # a NumPy integer scalar
+            ((7,), np.intp(-2)),  # a NumPy integer scalar into a vector
         ],
     )
     def test_equals_add_at_bitwise(self, shape, index):
@@ -428,6 +434,15 @@ class TestGatherBackward:
         expected = np.zeros(shape)
         np.add.at(expected, np.asarray(index, np.intp) if isinstance(index, list) else index, g)
         assert a.grad.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("index", [[], slice(3, 3), np.zeros(7, dtype=bool)])
+    def test_empty_index_gives_float_zeros(self, index):
+        """``np.bincount`` of no cells gives integer zeros; scatter's are float64."""
+        a = Tensor(np.ones((7, 3)))
+        T.reset_tape()
+        T.backward(T.gather(a, index).sum())
+        T.reset_tape()
+        assert a.grad.dtype == np.float64 and a.grad.tobytes() == np.zeros((7, 3)).tobytes()
 
     def test_random_row_gathers_equal_add_at_bitwise(self):
         rng = np.random.default_rng(4)
