@@ -427,14 +427,12 @@ class Vocab:
         return isinstance(other, Vocab) and self.entries == other.entries
 
 
-def build_vocab(corpus: Corpus | Iterable[Sentence], min_freq: int = 1) -> Vocab:
-    """Reserved entries, then whole tokens with freq >= min_freq, then characters.
+def build_vocab(corpus: Corpus | Iterable[Sentence]) -> Vocab:
+    """Reserved entries, then whole tokens, then characters.
 
     Each section is ordered by (-frequency, lexicographic) so builds are
     deterministic.
     """
-    if min_freq < 1:
-        raise ContractError(f"min_freq must be >= 1, got {min_freq}")
     sentences = corpus.sentences if isinstance(corpus, Corpus) else corpus
     word_freq = Counter([token.surface for sentence in sentences for token in sentence.tokens])
     char_freq: Counter[str] = Counter()
@@ -443,14 +441,11 @@ def build_vocab(corpus: Corpus | Iterable[Sentence], min_freq: int = 1) -> Vocab
             char_freq[char] += count
     entries = list(RESERVED_ENTRIES)
     seen = set(entries)
-    for word, count in sorted(word_freq.items(), key=lambda kv: (-kv[1], kv[0])):
-        if count >= min_freq and word not in seen:
-            entries.append(word)
-            seen.add(word)
-    for char, _ in sorted(char_freq.items(), key=lambda kv: (-kv[1], kv[0])):
-        if char not in seen:
-            entries.append(char)
-            seen.add(char)
+    for freq in (word_freq, char_freq):
+        for entry, _ in sorted(freq.items(), key=lambda kv: (-kv[1], kv[0])):
+            if entry not in seen:
+                entries.append(entry)
+                seen.add(entry)
     return Vocab(entries)
 
 

@@ -119,7 +119,7 @@ def sequence_score(
     y: Sequence[int],
     lengths: Sequence[int] | None = None,
 ) -> Tensor:
-    """start[y1] + sum_i e[i, yi] + sum_i trans[y(i-1), yi] + stop[yn].
+    """start[y1] + sum_i e[i, yi] + sum_i trans[y(i-1), yi] + stop[yn], as one tape record.
 
     With ``lengths``, ``e`` and ``y`` pack several sentences and the result
     is the sum of their scores.
@@ -129,15 +129,17 @@ def sequence_score(
         raise ContractError(f"{len(y)} tags for {n} positions")
     sizes, _, position = T.segments([n] if lengths is None else lengths, n, "sequence_score")
     y = np.asarray(y, dtype=np.intp)
-    ends = np.cumsum(sizes)
-    score = T.add(
-        T.gather(e, (np.arange(n), y)).sum(),
-        T.add(T.gather(start, y[ends - sizes]).sum(), T.gather(stop, y[ends - 1]).sum()),
-    )
-    inner = np.flatnonzero(position > 0)
-    if inner.size:
-        score = T.add(score, T.gather(trans, (y[inner - 1], y[inner])).sum())
-    return score
+    ends, inner = np.cumsum(sizes), np.flatnonzero(position > 0)
+    inputs = (e, start, stop, trans)
+    cells = ((np.arange(n), y), y[ends - sizes], y[ends - 1], (y[inner - 1], y[inner]))
+    picked = [a.values[c] for a, c in zip(inputs, cells)]
+    on_e, on_start, on_stop, on_trans = (p.sum() for p in picked)
+
+    def rule(g):
+        parts = zip(inputs, cells, picked)
+        return [T.scatter(a.shape, c, np.full_like(p, float(g))) for a, c, p in parts]
+
+    return T.record_op(on_e + (on_start + on_stop) + on_trans, inputs, rule)
 
 
 def crf_nll(
@@ -150,7 +152,7 @@ def crf_nll(
 ) -> Tensor:
     """Mean over the sentences that ``e`` and ``y`` pack, ``lengths`` rows
     each, of log partition - sequence_score(y); always >= 0."""
-    log_z = T.sum_all(log_partition_batch(e, lengths, trans, start, stop))
+    log_z = log_partition_batch(e, lengths, trans, start, stop).sum()
     nll = T.sub(log_z, sequence_score(e, trans, start, stop, y, lengths))
     return T.scale(nll, 1.0 / len(lengths))
 

@@ -10,6 +10,7 @@ for any larger k under the same seed.
 
 from __future__ import annotations
 
+import logging
 import statistics
 from dataclasses import dataclass, field, replace
 
@@ -19,6 +20,8 @@ from .corpus import Corpus
 from .errors import ContractError, ValidationError
 from .pipeline import evaluate_split
 from .training import Checkpoint, TrainConfig, train
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -39,10 +42,9 @@ class CurveConfig:
     base: TrainConfig = TrainConfig()
 
     def __post_init__(self):
-        if not self.k_values or any(k < 1 for k in self.k_values):
-            raise ContractError("k_values must be positive")
-        if list(self.k_values) != sorted(self.k_values):
-            raise ContractError("k_values must be ascending")
+        ks = self.k_values  # strictly ascending, so only the first can be below 1
+        if not ks or ks[0] < 1 or any(a >= b for a, b in zip(ks, ks[1:])):
+            raise ContractError(f"k_values must be positive and strictly ascending, got {ks}")
         if self.seeds_per_k < 1:
             raise ContractError("seeds_per_k must be >= 1")
 
@@ -139,14 +141,15 @@ def run_curve(
             episode = sample_k_shot(corpus, k, episode_seed)
             if not episode.support:
                 raise ValidationError(f"empty support set for k={k} (no train entities?)")
+            if not episode.feasible():
+                short = {cls: n for cls, n in episode.achieved.items() if n < k}
+                logger.warning("k=%d seed %d: fewer than k support sentences for %s", k, rep, short)
             subcorpus = corpus.select(episode.support)
             run_config = replace(config.base, seed=config.base.seed * 911 + 31 * k + rep)
             checkpoint = train(subcorpus, run_config, init=init)
-            report = evaluate_split(checkpoint.model, corpus, "test").entities
-            rows.append(
-                CurveRow(k, rep, report.micro.precision, report.micro.recall, report.micro.f1)
-            )
-            f1s.append(report.micro.f1)
+            micro = evaluate_split(checkpoint.model, corpus, "test").entities.micro
+            rows.append(CurveRow(k, rep, micro.precision, micro.recall, micro.f1))
+            f1s.append(micro.f1)
         summary.append(CurveSummary(k, statistics.median(f1s), min(f1s), max(f1s)))
     return CurveResult(rows, summary)
 

@@ -1,8 +1,9 @@
 """Reference ops that tests compare the package against.  The package never
-calls them: its CRF runs the fused forward-backward op, its losses the fused
-cross-entropy, its encoder the packed multi-head ``segment_attention`` (which
-pads only when a segment is shorter than the longest) and a ``layer_norm``
-without ``np.mean``/``np.var``, its masked-token step runs the top encoder
+calls them: its CRF runs the fused forward-backward op and scores the gold
+path in one record, its losses the fused cross-entropy, its encoder the
+packed multi-head ``segment_attention`` (which pads only when a segment is
+shorter than the longest) and a ``layer_norm`` without
+``np.mean``/``np.var``, its masked-token step runs the top encoder
 layer only at the masked rows, its relation head pools entities with
 ``range_means``, its BIO decoder is one flat loop and its invalid-transition
 rate index arithmetic, ``load_annotations`` checks records against the
@@ -229,6 +230,22 @@ def entity_pool(h: Tensor, span: EntitySpan) -> Tensor:
     return mean0(gather(h, slice(span.start, span.end + 1)))
 
 
+def sequence_score(e, trans, start, stop, y, lengths=None) -> Tensor:
+    """``crf_head.sequence_score`` as four gathers, four sums and three adds."""
+    n = e.shape[0]
+    sizes, _, position = T.segments([n] if lengths is None else lengths, n, "sequence_score")
+    y = np.asarray(y, dtype=np.intp)
+    ends = np.cumsum(sizes)
+    score = T.add(
+        T.gather(e, (np.arange(n), y)).sum(),
+        T.add(T.gather(start, y[ends - sizes]).sum(), T.gather(stop, y[ends - 1]).sum()),
+    )
+    inner = np.flatnonzero(position > 0)
+    if inner.size:
+        score = T.add(score, T.gather(trans, (y[inner - 1], y[inner])).sum())
+    return score
+
+
 def brute_force_oracle(
     e: Tensor, trans: Tensor, start: Tensor, stop: Tensor
 ) -> tuple[float, list[int], float]:
@@ -346,7 +363,7 @@ def validate_sentence(sentence: Sentence, scheme: TagScheme) -> None:
                 raise ValidationError(f"relation {rel} references missing span {idx}")
 
 
-def vocab_entries(sentences, min_freq: int = 1) -> list[str]:
+def vocab_entries(sentences) -> list[str]:
     """``build_vocab``'s entries, characters counted token by token."""
     word_freq: Counter[str] = Counter()
     char_freq: Counter[str] = Counter()
@@ -357,7 +374,7 @@ def vocab_entries(sentences, min_freq: int = 1) -> list[str]:
     entries = list(RESERVED_ENTRIES)
     seen = set(entries)
     for word, _ in sorted(word_freq.items(), key=lambda kv: (-kv[1], kv[0])):
-        if word_freq[word] >= min_freq and word not in seen:
+        if word not in seen:
             entries.append(word)
             seen.add(word)
     for char, _ in sorted(char_freq.items(), key=lambda kv: (-kv[1], kv[0])):

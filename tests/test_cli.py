@@ -13,7 +13,8 @@ from medext import cli
 from medext import corpus as C
 from medext import tensor as T
 from medext.cli import DEFAULT_CONFIG, build_parser, main
-from medext.corpus import TagScheme, load_annotations, load_conll
+from medext.corpus import TagScheme, generate_synthetic_corpus, load_annotations, load_conll
+from medext.fewshot import sample_k_shot
 
 
 def edit_floats(section: dict, key: str, edit) -> None:
@@ -699,6 +700,30 @@ class TestFewshotCurve:
         assert run("fewshot-curve", "--tags", str(tags), "--out", str(tmp_path / "o")) == 1
         err = capsys.readouterr().err
         assert "empty support set for k=1" in err and "runtime error" not in err
+
+    def test_repeated_k_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["--size", "40", "--steps", "2", "--set", "curve.k_values=[1,1]"]
+        assert run("fewshot-curve", *argv, "--out", str(out)) == 1
+        assert "curve.k_values must be positive and strictly ascending" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_short_support_set_is_reported(self, tmp_path, caplog):
+        """One warning per (k, seed) whose support set holds fewer than k
+        sentences for some class, naming each such class and its count; the
+        run still writes its files and exits 0."""
+        out = tmp_path / "o"
+        argv = ["--size", "30", "--corpus-seed", "4", "--seed", "0", "--steps", "2"]
+        curve = ["--set", "curve.k_values=[2,1000]", "--set", "curve.seeds_per_k=2"]
+        assert run("fewshot-curve", *argv, *curve, "--out", str(out)) == 0
+        assert len((out / "curve_summary.csv").read_text().splitlines()) == 3
+        corpus = generate_synthetic_corpus(30, seed=4)
+        expected = []
+        for rep in range(2):
+            achieved = sample_k_shot(corpus, 1000, rep).achieved
+            expected.append(f"k=1000 seed {rep}: fewer than k support sentences for {achieved}")
+        warned = [r.getMessage() for r in caplog.records if r.name == "medext.fewshot"]
+        assert warned == expected
 
 
 class TestPredict:

@@ -421,16 +421,8 @@ class TestRepeatedLines:
 
 class TestVocab:
     def test_empty_corpus_reserved_only(self, scheme_d):
-        vocab = build_vocab(Corpus([], scheme_d), min_freq=1)
+        vocab = build_vocab(Corpus([], scheme_d))
         assert vocab.entries == list(C.RESERVED_ENTRIES)
-
-    def test_frequency_threshold(self, scheme_d):
-        sentence = make_sentence(["flu", "flu", "cough"], [], scheme_d)
-        vocab = build_vocab([sentence], min_freq=2)
-        assert vocab.index("flu") is not None
-        assert vocab.index("cough") is None  # below threshold: chars only
-        for ch in "cough":
-            assert vocab.index(ch) is not None
 
     def test_determinism(self):
         corpus = generate_synthetic_corpus(50, seed=9)
@@ -447,13 +439,10 @@ class TestVocabOracle:
     )
 
     @PROPERTY
-    @given(
-        sentences=st.lists(st.lists(SURFACE, min_size=1, max_size=6), max_size=8),
-        min_freq=st.integers(1, 3),
-    )
-    def test_entries_match_per_token_count(self, sentences, min_freq):
+    @given(sentences=st.lists(st.lists(SURFACE, min_size=1, max_size=6), max_size=8))
+    def test_entries_match_per_token_count(self, sentences):
         corpus = [Sentence([Token(w) for w in words], [0] * len(words)) for words in sentences]
-        assert build_vocab(corpus, min_freq).entries == oracles.vocab_entries(corpus, min_freq)
+        assert build_vocab(corpus).entries == oracles.vocab_entries(corpus)
 
 
 class TestTokenizeSubword:

@@ -15,6 +15,7 @@ from medext.crf_head import (
 )
 from medext.errors import ContractError, ShapeError
 from medext.tensor import Tensor
+import oracles
 from oracles import brute_force_oracle, logsumexp
 
 
@@ -102,6 +103,56 @@ class TestSequenceScore:
         # start[0] + e[0,0] + trans[0,1] + e[1,1] + stop[1] = 0.5+1+6+4+0.75
         score = sequence_score(e, trans, start, stop, [0, 1])
         assert score.item() == pytest.approx(12.25)
+
+
+class TestOneRecordSequenceScore:
+    """The one-record ``sequence_score`` against the same score built from
+    gathers, sums and adds (``oracles.sequence_score``): the same bits in the
+    value and in every gradient, with a None gradient taken as zeros."""
+
+    @staticmethod
+    def value_and_grads(score_of, params, y, lengths, upstream, with_partition):
+        T.reset_tape()
+        e, trans, start, stop = (Tensor(p.copy()) for p in params)
+        out = T.scale(score_of(e, trans, start, stop, y, lengths), upstream)
+        if with_partition:  # crf_nll's composition: the partition's grads add to the score's
+            sizes = [e.shape[0]] if lengths is None else lengths
+            out = T.sub(log_partition_batch(e, sizes, trans, start, stop).sum(), out)
+        T.backward(out)
+        leaves = (e, trans, start, stop)
+        grads = [np.zeros_like(t.values) if t.grad is None else t.grad for t in leaves]
+        return [a.tobytes() for a in (out.values, *grads)]
+
+    def cases(self):
+        rng = np.random.default_rng(35)
+        yield 3, [0, 2, 1], [1, 1, 1]  # one-position sentences: no inner transitions
+        yield 2, [1] * 7, [7]  # one transition, repeated
+        yield 4, [3], None  # one position, one-sentence form
+        yield 2, [0, 1, 1, 0, 0], None
+        for _ in range(150):
+            k = int(rng.integers(2, 10))
+            lengths = [int(n) for n in rng.integers(1, 8, size=int(rng.integers(1, 6)))]
+            y = [int(t) for t in rng.integers(k, size=sum(lengths))]
+            yield k, y, None if len(lengths) == 1 and rng.random() < 0.5 else lengths
+
+    @pytest.mark.parametrize("with_partition", [False, True])
+    def test_bitwise_equal_to_gather_composition(self, with_partition):
+        rng = np.random.default_rng(36)
+        for k, y, lengths in self.cases():
+            params = [rng.standard_normal(shape) for shape in ((len(y), k), (k, k), (k,), (k,))]
+            upstream = float(rng.standard_normal())
+            got, want = (
+                self.value_and_grads(f, params, y, lengths, upstream, with_partition)
+                for f in (sequence_score, oracles.sequence_score)
+            )
+            assert got == want, (k, y, lengths)
+
+    def test_one_tape_record(self):
+        rng = np.random.default_rng(37)
+        e, trans, start, stop = ragged_batch(rng, [3, 1], 3)
+        T.reset_tape()
+        sequence_score(e, trans, start, stop, [0, 1, 1, 2], [3, 1])
+        assert len(T.active_tape().records) == 1
 
 
 class TestLogPartition:

@@ -136,6 +136,10 @@ class TestCurveConfig:
         with pytest.raises(ContractError):
             CurveConfig(k_values=(5, 1))
 
+    def test_repeated_k_rejected(self):
+        with pytest.raises(ContractError, match="k_values must be positive and strictly ascending"):
+            CurveConfig(k_values=(1, 5, 5))
+
     def test_nonpositive_k_rejected(self):
         with pytest.raises(ContractError):
             CurveConfig(k_values=(0, 1))

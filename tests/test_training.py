@@ -516,7 +516,7 @@ class TestBatchedHeads:
 
     # tape nodes of one step at lambda_re = 1: (a batch with relation pairs,
     # a batch of sentences with fewer than two spans each)
-    TAPE_NODES = {"crf": (58, 49), "span": (50, 41), "seq2seq": (46, 37)}
+    TAPE_NODES = {"crf": (48, 39), "span": (50, 41), "seq2seq": (46, 37)}
 
     @pytest.mark.parametrize("head", ["crf", "span", "seq2seq"])
     def test_tape_nodes_per_step_do_not_grow_with_batch(self, head):
