@@ -47,7 +47,7 @@ def emissions(h: Tensor, params: CRFParams) -> Tensor:
     """Per-position tag scores: h @ w_emit + b_emit -> [n, K]."""
     if h.values.ndim != 2 or h.shape[1] != params.w_emit.shape[0]:
         raise ShapeError(f"emissions: h {h.shape} vs w_emit {params.w_emit.shape}")
-    return T.add_rowwise(T.matmul(h, params.w_emit), params.b_emit)
+    return T.affine(h, params.w_emit, params.b_emit)
 
 
 def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:

@@ -155,9 +155,11 @@ def encode_batch(
             raise ContractError("encode_batch: rows must be packed rows grouped by sequence "
                                 "in batch order, at least one of each")
 
-    ids = [i for seq in seqs for i in seq]
+    ids = np.array([i for seq in seqs for i in seq], dtype=np.intp)
     positions = np.concatenate([np.arange(n) for n in lengths])
-    x = T.add(T.gather(params.tok_emb, ids), T.gather(params.pos_emb, positions))
+    tok, pos = params.tok_emb, params.pos_emb
+    x = T.record_op(tok.values[ids] + pos.values[positions], (tok, pos),
+                    lambda g: (T.scatter(tok.shape, ids, g), T.scatter(pos.shape, positions, g)))
     top = len(params.layers) - 1
     for depth, layer in enumerate(params.layers):
         keep = rows if depth == top else None  # the rows this layer computes beyond k and v
@@ -173,13 +175,12 @@ def encode_batch(
         attn = T.matmul(attn, layer.w_o)
         if drop:
             attn = T.dropout(attn, config.dropout_rate, rngs, lengths, keep)
-        x = T.layer_norm(T.add(xq, attn), layer.ln1_gain, layer.ln1_bias)
+        x = T.add_norm(xq, attn, layer.ln1_gain, layer.ln1_bias)
 
-        hidden = T.relu(T.add_rowwise(T.matmul(x, layer.ff_w1), layer.ff_b1))
-        ff = T.add_rowwise(T.matmul(hidden, layer.ff_w2), layer.ff_b2)
+        ff = T.feed_forward(x, layer.ff_w1, layer.ff_b1, layer.ff_w2, layer.ff_b2)
         if drop:
             ff = T.dropout(ff, config.dropout_rate, rngs, lengths, keep)
-        x = T.layer_norm(T.add(x, ff), layer.ln2_gain, layer.ln2_bias)
+        x = T.add_norm(x, ff, layer.ln2_gain, layer.ln2_bias)
     return x
 
 

@@ -43,7 +43,7 @@ def pair_logits(heads: Tensor, tails: Tensor, params: RelationHeadParams) -> Ten
         or 2 * heads.shape[1] != params.w.shape[0]
     ):
         raise ContractError(f"pair_logits: rows {heads.shape}/{tails.shape} vs w {params.w.shape}")
-    return T.add_rowwise(T.matmul(T.concat([heads, tails], axis=1), params.w), params.b)
+    return T.affine(T.concat([heads, tails], axis=1), params.w, params.b)
 
 
 def pair_loss(

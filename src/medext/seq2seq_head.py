@@ -55,7 +55,7 @@ def teacher_forced_loss(
     previous = np.roll(np.asarray(y, dtype=np.intp), 1)
     previous[position == 0] = params.bos
     feats = T.concat([h, T.gather(params.tag_emb, previous)], axis=1)
-    logits = T.add_rowwise(T.matmul(feats, params.w_out), params.b_out)
+    logits = T.affine(feats, params.w_out, params.b_out)
     return T.cross_entropy(logits, y, np.repeat(1.0 / (sizes.size * sizes), sizes))
 
 

@@ -97,7 +97,7 @@ def score_all_spans(h: Tensor, params: SpanHeadParams, lengths: Sequence[int]) -
         T.range_means(h, first, last + 1),
         T.gather(params.width_emb, ends - starts),
     ], axis=1)
-    logits = T.add_rowwise(T.matmul(rep, params.w_cls), params.b_cls)
+    logits = T.affine(rep, params.w_cls, params.b_cls)
     return SpanTable(logits, starts, ends, np.repeat(np.arange(len(sizes)), counts))
 
 

@@ -4,7 +4,9 @@ A single module-level tape records every differentiable operation in
 execution order (which is already a topological order).  ``backward`` seeds
 the root gradient and replays the tape in reverse, accumulating gradients by
 summation so that multiple uses of one tensor add their contributions.
-Every op builds its output with ``record_op``.  No code writes a gradient
+Every op builds its output with ``record_op``; ``affine``, ``add_norm`` and
+``feed_forward`` each stand for a chain of ops, and their rules return the
+chain's gradients bit for bit, in its order.  No code writes a gradient
 in place, so the backward pass stores gradient arrays as the rules return
 them, shared or not.
 ``reset_tape`` must be called between training steps; nothing is freed
@@ -245,18 +247,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return record_op(a.values * c, (a,), lambda g: (g * c,))
 
 
-def add_rowwise(m: Tensor, v: Tensor) -> Tensor:
-    """Add a length-n vector to every row of an m-by-n matrix."""
-    if m.values.ndim != 2 or v.values.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise ShapeError(f"add_rowwise: shapes {m.shape} and {v.shape}")
-    return record_op(m.values + v.values, (m, v), lambda g: (g, g.sum(axis=0)))
-
-
-def relu(a: Tensor) -> Tensor:
-    mask = a.values > 0
-    return record_op(np.maximum(a.values, 0.0), (a,), lambda g: (g * mask,))
-
-
 def dropout(
     a: Tensor, rate: float, rngs: Sequence[np.random.Generator], lengths: Sequence[int],
     rows: Array | None = None,
@@ -292,20 +282,49 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return record_op(a.values @ b.values, (a, b), lambda g: (g @ b.values.T, a.values.T @ g))
 
 
+def _affine(op: str, x: Array, w: Array, b: Array) -> Array:
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"{op}: incompatible shapes {x.shape} x {w.shape} + {b.shape}")
+    out = x @ w
+    out += b
+    return out
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b``, ``b`` added to every row: a matmul and a row-wise add."""
+    out = _affine("affine", x.values, w.values, b.values)
+    return record_op(out, (x, w, b), lambda g: (g @ w.values.T, x.values.T @ g, g.sum(axis=0)))
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """The position-wise feed-forward block ``relu(x @ w1 + b1) @ w2 + b2``."""
+    pre = _affine("feed_forward", x.values, w1.values, b1.values)
+    mask, hidden = pre > 0, np.maximum(pre, 0.0)
+
+    def rule(g):  # the affine, relu, affine chain's rules, last first
+        d = (g @ w2.values.T) * mask
+        return d @ w1.values.T, x.values.T @ d, d.sum(axis=0), hidden.T @ g, g.sum(axis=0)
+
+    out = _affine("feed_forward", hidden, w2.values, b2.values)
+    return record_op(out, (x, w1, b1, w2, b2), rule)
+
+
 # ---------------------------------------------------------------------------
 # normalization and attention (softmaxes max-shifted for stability)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize each row to zero mean / unit variance, then scale and shift."""
-    if eps <= 0:
-        raise ContractError(f"layer_norm eps must be positive, got {eps}")
-    if x.values.ndim != 2 or gain.shape != (x.shape[1],) or bias.shape != (x.shape[1],):
-        raise ShapeError(f"layer_norm: shapes {x.shape}, {gain.shape}, {bias.shape}")
+LAYER_NORM_EPS = 1e-5
+
+
+def add_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Add & Norm: ``x + y`` with rows normalized, then scaled and shifted."""
+    if x.values.ndim != 2 or y.shape != x.shape or {gain.shape, bias.shape} != {x.shape[1:]}:
+        raise ShapeError(f"add_norm: shapes {x.shape}, {y.shape}, {gain.shape}, {bias.shape}")
     # np.mean / np.var's arithmetic without their wrappers, centering once
-    n, add = x.shape[1], np.add.reduce
-    centered = x.values - add(x.values, axis=1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(add(centered * centered, axis=1, keepdims=True) / n + eps)
+    s = x.values + y.values
+    n, add = s.shape[1], np.add.reduce
+    centered = s - add(s, axis=1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(add(centered * centered, axis=1, keepdims=True) / n + LAYER_NORM_EPS)
     xhat = centered * inv
 
     def rule(g):
@@ -315,9 +334,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             - add(dxhat, axis=1, keepdims=True) / n
             - xhat * (add(dxhat * xhat, axis=1, keepdims=True) / n)
         )
-        return dx, add(g * xhat, axis=0), add(g, axis=0)
+        return dx, dx, add(g * xhat, axis=0), add(g, axis=0)
 
-    return record_op(xhat * gain.values + bias.values, (x, gain, bias), rule)
+    return record_op(xhat * gain.values + bias.values, (x, y, gain, bias), rule)
 
 
 MASK_BIAS = -1e9  # additive stand-in for -inf; keeps arithmetic finite

@@ -2,7 +2,9 @@
 calls them: its CRF runs the fused forward-backward op and scores the gold
 path in one record, its losses the fused cross-entropy, its encoder the
 packed multi-head ``segment_attention`` (which pads only when a segment is
-shorter than the longest) and a ``layer_norm`` without
+shorter than the longest), one tape record per embedding sum, affine
+map, Add & Norm and feed-forward block where ``add_rowwise``, ``relu`` and
+``layer_norm`` chained several, a layer norm without
 ``np.mean``/``np.var``, its masked-token step runs the top encoder
 layer only at the masked rows, its relation head pools entities with
 ``range_means``, its BIO decoder is one flat loop and its invalid-transition
@@ -73,9 +75,46 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     return T.matmul(softmax_rows(scores), v)
 
 
+def add_rowwise(m: Tensor, v: Tensor) -> Tensor:
+    """Add a length-n vector to every row of an m-by-n matrix."""
+    if m.values.ndim != 2 or v.values.ndim != 1 or m.shape[1] != v.shape[0]:
+        raise ShapeError(f"add_rowwise: shapes {m.shape} and {v.shape}")
+    return record_op(m.values + v.values, (m, v), lambda g: (g, g.sum(axis=0)))
+
+
+def relu(a: Tensor) -> Tensor:
+    mask = a.values > 0
+    return record_op(np.maximum(a.values, 0.0), (a,), lambda g: (g * mask,))
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize each row to zero mean / unit variance, then scale and shift:
+    the package's ``add_norm`` of ``x`` and zeros, as one op on ``x``."""
+    if eps <= 0:
+        raise ContractError(f"layer_norm eps must be positive, got {eps}")
+    if x.values.ndim != 2 or gain.shape != (x.shape[1],) or bias.shape != (x.shape[1],):
+        raise ShapeError(f"layer_norm: shapes {x.shape}, {gain.shape}, {bias.shape}")
+    # np.mean / np.var's arithmetic without their wrappers, centering once
+    n, add = x.shape[1], np.add.reduce
+    centered = x.values - add(x.values, axis=1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(add(centered * centered, axis=1, keepdims=True) / n + eps)
+    xhat = centered * inv
+
+    def rule(g):
+        dxhat = g * gain.values
+        dx = inv * (
+            dxhat
+            - add(dxhat, axis=1, keepdims=True) / n
+            - xhat * (add(dxhat * xhat, axis=1, keepdims=True) / n)
+        )
+        return dx, add(g * xhat, axis=0), add(g, axis=0)
+
+    return record_op(xhat * gain.values + bias.values, (x, gain, bias), rule)
+
+
+def mean_var_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Row normalization through ``np.mean`` and ``np.var``: the package's
-    ``layer_norm`` takes the same sums without the wrappers."""
+    ``add_norm`` takes the same sums without the wrappers."""
     mu = x.values.mean(axis=1, keepdims=True)
     var = x.values.var(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
@@ -131,50 +170,66 @@ def head_columns(a, h, d_k):
     return T.matmul(a, Tensor(np.eye(a.shape[1])[:, h * d_k:(h + 1) * d_k]))
 
 
+def embed(params, ids, positions):
+    """The embedding sum as two gathers and an add."""
+    return T.add(T.gather(params.tok_emb, ids), T.gather(params.pos_emb, positions))
+
+
+def sublayers(xq, attn, layer, dropped):
+    """A layer past its attention output as the chain of elementary ops the
+    package fuses into ``add_norm``, ``feed_forward`` and ``add_norm``;
+    ``dropped`` is the dropout of a sublayer's output."""
+    x = layer_norm(T.add(xq, dropped(attn)), layer.ln1_gain, layer.ln1_bias)
+    hidden = relu(add_rowwise(T.matmul(x, layer.ff_w1), layer.ff_b1))
+    ff = add_rowwise(T.matmul(hidden, layer.ff_w2), layer.ff_b2)
+    return layer_norm(T.add(x, dropped(ff)), layer.ln2_gain, layer.ln2_bias)
+
+
 def reference_encode(ids, params, config, dropout_seed=None):
     """The per-sentence, per-head encoder built on ``attention``: the packed path's oracle."""
     dropping = dropout_seed is not None and config.dropout_rate > 0.0
     rng = np.random.default_rng(np.random.SeedSequence([dropout_seed])) if dropping else None
     n, d_k = len(ids), config.d_model // config.heads
-    x = T.add(T.gather(params.tok_emb, ids), T.gather(params.pos_emb, slice(0, n)))
+
+    def dropped(a):
+        return T.dropout(a, config.dropout_rate, [rng], [n]) if dropping else a
+
+    x = embed(params, ids, slice(0, n))
     for layer in params.layers:
         q, k, v = (T.matmul(x, w) for w in (layer.w_q, layer.w_k, layer.w_v))
         heads = [
             attention(head_columns(q, h, d_k), head_columns(k, h, d_k), head_columns(v, h, d_k))
             for h in range(config.heads)
         ]
-        attn = T.matmul(T.concat(heads, axis=1), layer.w_o)
-        if dropping:
-            attn = T.dropout(attn, config.dropout_rate, [rng], [n])
-        x = T.layer_norm(T.add(x, attn), layer.ln1_gain, layer.ln1_bias)
-        hidden = T.relu(T.add_rowwise(T.matmul(x, layer.ff_w1), layer.ff_b1))
-        ff = T.add_rowwise(T.matmul(hidden, layer.ff_w2), layer.ff_b2)
-        if dropping:
-            ff = T.dropout(ff, config.dropout_rate, [rng], [n])
-        x = T.layer_norm(T.add(x, ff), layer.ln2_gain, layer.ln2_bias)
+        x = sublayers(x, T.matmul(T.concat(heads, axis=1), layer.w_o), layer, dropped)
     return x
 
 
-def every_row_encode_batch(seqs, params, config, dropout_seeds=None):
-    """The packed encoder loop with every layer at every row, as it ran
-    before ``encode_batch`` took ``rows``: ``rows=None`` gives this bit for bit."""
+def unfused_encode_batch(seqs, params, config, dropout_seeds=None, rows=None):
+    """``encode_batch`` as a chain of elementary ops: the embedding sum, each
+    Add & Norm and each feed-forward block as several tape records.  With
+    ``rows=None`` it is the packed loop with every layer at every row, as it
+    ran before ``encode_batch`` took ``rows``."""
     lengths = [len(ids) for ids in seqs]
     drop = dropout_seeds is not None and config.dropout_rate > 0.0
     rngs = [np.random.default_rng(np.random.SeedSequence([s])) for s in dropout_seeds or ()]
-    ids = [i for seq in seqs for i in seq]
     positions = np.concatenate([np.arange(n) for n in lengths])
-    x = T.add(T.gather(params.tok_emb, ids), T.gather(params.pos_emb, positions))
-    for layer in params.layers:
-        q, k, v = (T.matmul(x, w) for w in (layer.w_q, layer.w_k, layer.w_v))
-        attn = T.matmul(T.segment_attention(q, k, v, lengths, config.heads), layer.w_o)
-        if drop:
-            attn = T.dropout(attn, config.dropout_rate, rngs, lengths)
-        x = T.layer_norm(T.add(x, attn), layer.ln1_gain, layer.ln1_bias)
-        hidden = T.relu(T.add_rowwise(T.matmul(x, layer.ff_w1), layer.ff_b1))
-        ff = T.add_rowwise(T.matmul(hidden, layer.ff_w2), layer.ff_b2)
-        if drop:
-            ff = T.dropout(ff, config.dropout_rate, rngs, lengths)
-        x = T.layer_norm(T.add(x, ff), layer.ln2_gain, layer.ln2_bias)
+    x = embed(params, [i for seq in seqs for i in seq], positions)
+    top = len(params.layers) - 1
+    for depth, layer in enumerate(params.layers):
+        keep = rows if depth == top else None
+        xq, q_lengths = x, None
+        if keep is not None:
+            xq = T.gather(x, keep)
+            owner = np.searchsorted(np.cumsum(lengths), keep, side="right")
+            q_lengths = np.bincount(owner, minlength=len(lengths)).tolist()
+
+        def dropped(a):
+            return T.dropout(a, config.dropout_rate, rngs, lengths, keep) if drop else a
+
+        q, k, v = (T.matmul(xq, layer.w_q), T.matmul(x, layer.w_k), T.matmul(x, layer.w_v))
+        attn = T.segment_attention(q, k, v, lengths, config.heads, q_lengths)
+        x = sublayers(xq, T.matmul(attn, layer.w_o), layer, dropped)
     return x
 
 

@@ -19,10 +19,10 @@ from medext.errors import ContractError, ShapeError
 from medext.tensor import Tensor
 from oracles import (
     attention,
-    every_row_encode_batch,
     padded_segment_attention,
     per_sentence_mlm,
     reference_encode,
+    unfused_encode_batch,
 )
 
 
@@ -345,11 +345,42 @@ class TestEncodeBatch:
         seeds = [11, 12, 13, 14]
         got = self.outputs_and_grads(lambda: encode_batch(self.BATCH, params, config, seeds), params)
         want = self.outputs_and_grads(
-            lambda: every_row_encode_batch(self.BATCH, params, config, seeds), params
+            lambda: unfused_encode_batch(self.BATCH, params, config, seeds), params
         )
         assert got[0].tobytes() == want[0].tobytes()
         for key, grad in want[1].items():
             assert got[1][key].tobytes() == grad.tobytes(), key
+
+    @pytest.mark.parametrize("dropout_rate", [0.0, 0.2])
+    @pytest.mark.parametrize(
+        "batch, rows", [(BATCH, ROWS), ([[3]], None), ([[3]], [0])],
+        ids=["ragged-rows", "one-row", "one-row-rows"],
+    )
+    def test_rows_and_one_row_are_bitwise_the_unfused_chain(self, batch, rows, dropout_rate):
+        """The embedding sum, Add & Norm and feed-forward records give the
+        output and every parameter gradient of the elementary-op chain; the
+        every-row ragged batch is the test above."""
+        config = tiny_config(layers=2, dropout_rate=dropout_rate)
+        params = init_params(config, seed=7)
+        seeds = list(range(21, 21 + len(batch)))
+        got = self.outputs_and_grads(lambda: encode_batch(batch, params, config, seeds, rows), params)
+        want = self.outputs_and_grads(
+            lambda: unfused_encode_batch(batch, params, config, seeds, rows), params
+        )
+        assert got[0].tobytes() == want[0].tobytes()
+        for key, grad in want[1].items():
+            assert got[1][key].tobytes() == grad.tobytes(), key
+
+    def test_embedding_gradient_matches_finite_differences(self):
+        config = tiny_config(vocab_size=7, d_model=4, d_ff=4, max_len=4)
+        params = init_params(config, seed=8)
+        batch = [[4, 5, 4], [4], [6, 5]]  # repeated ids and positions
+        weights = Tensor(np.random.default_rng(2).standard_normal((6, 4)))
+        err = T.finite_diff_check(
+            lambda: T.sum_all(T.mul(encode_batch(batch, params, config), weights)),
+            [params.tok_emb, params.pos_emb],
+        )
+        assert err < 1e-6
 
     @pytest.mark.parametrize(
         "rows", [[3, 0, 8, 9], [0, 3, 8, 17], [-1, 3, 8, 9], [], [0, 3, 9], [[0, 3, 8, 9]]]

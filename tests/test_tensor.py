@@ -7,7 +7,16 @@ import pytest
 from medext import tensor as T
 from medext.errors import ContractError, ShapeError
 from medext.tensor import Tensor
-from oracles import layer_norm, logsumexp, logsumexp_rows, mean0, softmax_rows
+from oracles import (
+    add_rowwise,
+    layer_norm,
+    logsumexp,
+    logsumexp_rows,
+    mean0,
+    mean_var_layer_norm,
+    relu,
+    softmax_rows,
+)
 
 
 def setup_function(_):
@@ -98,42 +107,122 @@ class TestLogsumexp:
             logsumexp(Tensor(np.zeros(0)))
 
 
+def zeros_like(x: Tensor) -> Tensor:
+    return Tensor(np.zeros(x.shape))
+
+
 class TestLayerNorm:
     def test_constant_row_collapses_to_bias(self):
         x = Tensor([[3.0, 3.0, 3.0]])
-        out = T.layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), eps=1e-5)
+        out = T.add_norm(x, zeros_like(x), Tensor(np.ones(3)), Tensor(np.zeros(3)))
         assert np.abs(out.values).max() < 1e-12
 
     def test_already_normalized_row(self):
-        out = T.layer_norm(
-            Tensor([[1.0, -1.0]]), Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=1e-12
-        )
+        x = Tensor([[1.0, -1.0]])
+        out = T.add_norm(x, zeros_like(x), Tensor(np.ones(2)), Tensor(np.zeros(2)))
         assert np.allclose(out.values, [[1.0, -1.0]], atol=1e-6)
 
     def test_zero_gain_broadcasts_bias(self):
         x = Tensor(np.random.default_rng(4).standard_normal((3, 4)))
         bias = Tensor([1.0, 2.0, 3.0, 4.0])
-        out = T.layer_norm(x, Tensor(np.zeros(4)), bias, eps=1e-5)
+        out = T.add_norm(x, zeros_like(x), Tensor(np.zeros(4)), bias)
         assert np.array_equal(out.values, np.tile(bias.values, (3, 1)))
-
-    def test_rejects_nonpositive_eps(self):
-        with pytest.raises(ContractError):
-            T.layer_norm(Tensor([[1.0]]), Tensor([1.0]), Tensor([0.0]), eps=0.0)
 
     @pytest.mark.parametrize("rows", [1, 18, 400])
     def test_bitwise_equal_to_mean_var_oracle(self, rows):
         rng = np.random.default_rng(rows)
-        values = [rng.standard_normal((rows, 16)), rng.standard_normal(16), rng.standard_normal(16)]
+        values = [rng.standard_normal((rows, 16)), rng.standard_normal((rows, 16)),
+                  rng.standard_normal(16), rng.standard_normal(16)]
         weights = Tensor(rng.standard_normal((rows, 16)))
         results = []
-        for op in (T.layer_norm, layer_norm):
+        for op in (T.add_norm, lambda x, y, gain, bias: mean_var_layer_norm(T.add(x, y), gain, bias)):
             T.reset_tape()
-            x, gain, bias = (Tensor(a.copy()) for a in values)
-            out = op(x, gain, bias)
+            x, y, gain, bias = (Tensor(a.copy()) for a in values)
+            out = op(x, y, gain, bias)
             T.backward(T.sum_all(T.mul(out, weights)))
-            results.append([out.values, x.grad, gain.grad, bias.grad])
+            results.append([out.values, x.grad, y.grad, gain.grad, bias.grad])
         for got, want in zip(*results):
             assert np.array_equal(got, want)
+
+
+# Each fused op and the chain of elementary ops it replaces, with its
+# operands' shapes at ``rows`` rows.
+FUSED = {
+    "affine": (
+        T.affine,
+        lambda x, w, b: add_rowwise(T.matmul(x, w), b),
+        lambda rows: [(rows, 5), (5, 3), (3,)],
+    ),
+    "add_norm": (
+        T.add_norm,
+        lambda x, y, gain, bias: layer_norm(T.add(x, y), gain, bias),
+        lambda rows: [(rows, 6), (rows, 6), (6,), (6,)],
+    ),
+    "feed_forward": (
+        T.feed_forward,
+        lambda x, w1, b1, w2, b2: add_rowwise(
+            T.matmul(relu(add_rowwise(T.matmul(x, w1), b1)), w2), b2
+        ),
+        lambda rows: [(rows, 4), (4, 7), (7,), (7, 4), (4,)],
+    ),
+}
+
+
+def output_and_grads(op, values, upstream):
+    """``op``'s output and every operand's gradient under ``upstream``."""
+    T.reset_tape()
+    operands = [Tensor(a.copy()) for a in values]
+    out = op(*operands)
+    T.backward(T.sum_all(T.mul(out, Tensor(upstream))))
+    T.reset_tape()
+    return [out.values, *(t.grad for t in operands)]
+
+
+class TestFusedOps:
+    """Each fused op against the chain of ops it replaces, bit for bit: its
+    rule returns the chain's gradients, computed in the chain's order."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 13])
+    @pytest.mark.parametrize("name", sorted(FUSED))
+    def test_bitwise_equal_to_the_chain(self, name, rows):
+        fused, chain, shapes = FUSED[name]
+        rng = np.random.default_rng(rows)
+        for _ in range(5):
+            values = [rng.standard_normal(shape) for shape in shapes(rows)]
+            upstream = rng.standard_normal(fused(*map(Tensor, values)).shape)
+            upstream[rng.random(upstream.shape) < 0.2] = -0.0
+            got = output_and_grads(fused, values, upstream)
+            want = output_and_grads(chain, values, upstream)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(FUSED))
+    def test_gradients_match_finite_differences(self, name):
+        fused, _, shapes = FUSED[name]
+        rng = np.random.default_rng(21)
+        operands = [Tensor(rng.standard_normal(shape)) for shape in shapes(3)]
+        weights = Tensor(rng.standard_normal(fused(*operands).shape))
+        err = T.finite_diff_check(lambda: T.sum_all(T.mul(fused(*operands), weights)), operands)
+        assert err < 1e-6
+
+    @pytest.mark.parametrize(
+        "name, shapes",
+        [
+            ("affine", [(2, 5), (4, 3), (3,)]),
+            ("affine", [(2, 5), (5, 3), (2,)]),
+            ("affine", [(5,), (5, 3), (3,)]),
+            ("add_norm", [(2, 6), (3, 6), (6,), (6,)]),
+            ("add_norm", [(2, 6), (2, 6), (5,), (6,)]),
+            ("add_norm", [(2, 6), (2, 6), (6,), (5,)]),
+            ("feed_forward", [(2, 4), (3, 7), (7,), (7, 4), (4,)]),
+            ("feed_forward", [(2, 4), (4, 7), (7,), (6, 4), (4,)]),
+            ("feed_forward", [(2, 4), (4, 7), (7,), (7, 4), (3,)]),
+        ],
+    )
+    def test_shape_mismatch_names_the_op(self, name, shapes):
+        with pytest.raises(ShapeError, match=name):
+            getattr(T, name)(*(Tensor(np.zeros(shape)) for shape in shapes))
 
 
 class TestBackward:
@@ -326,8 +415,7 @@ class TestFiniteDiffCheck:
         bias = Tensor(rng.standard_normal(k))
 
         def f():
-            h = T.relu(T.add_rowwise(T.matmul(a, w), v))
-            h = T.layer_norm(h, gain, bias, eps=1e-3)
+            h = T.add_norm(relu(T.affine(a, w, v)), T.affine(a, w, v), gain, bias)
             p = softmax_rows(h)
             pooled = mean0(T.mul(p, h))
             return T.add(logsumexp_rows(h).sum(), logsumexp(pooled))

@@ -27,7 +27,7 @@ from medext.corpus import (
 from medext.crf_head import CRFParams, emissions, sequence_score
 from medext.encoder import EncoderConfig, encode, init_params, mlm_step
 from medext.errors import CheckpointError, ContractError
-from medext.pipeline import EVAL_CHUNK, encode_words, evaluate_split
+from medext.pipeline import EVAL_CHUNK, decode_entities, encode_words, evaluate_split
 from medext.relation_head import relation_loss
 from medext.seq2seq_head import teacher_forced_loss
 from medext.span_head import SpanHeadParams, batch_span_loss, score_all_spans
@@ -44,7 +44,14 @@ from medext.training import (
     save_checkpoint,
     train,
 )
-from oracles import entity_pool, logsumexp, logsumexp_rows, per_sentence_mlm, transpose
+from oracles import (
+    add_rowwise,
+    entity_pool,
+    logsumexp,
+    logsumexp_rows,
+    per_sentence_mlm,
+    transpose,
+)
 
 
 def small_corpus(size=20, seed=1):
@@ -454,7 +461,7 @@ def oracle_log_partition(e, trans, start, stop):
     alpha = T.add(start, T.gather(e, 0))
     trans_t = transpose(trans)
     for i in range(1, e.shape[0]):
-        alpha = T.add(T.gather(e, i), logsumexp_rows(T.add_rowwise(trans_t, alpha)))
+        alpha = T.add(T.gather(e, i), logsumexp_rows(add_rowwise(trans_t, alpha)))
     return logsumexp(T.add(alpha, stop))
 
 
@@ -516,7 +523,7 @@ class TestBatchedHeads:
 
     # tape nodes of one step at lambda_re = 1: (a batch with relation pairs,
     # a batch of sentences with fewer than two spans each)
-    TAPE_NODES = {"crf": (48, 39), "span": (50, 41), "seq2seq": (46, 37)}
+    TAPE_NODES = {"crf": (32, 24), "span": (34, 26), "seq2seq": (30, 22)}
 
     @pytest.mark.parametrize("head", ["crf", "span", "seq2seq"])
     def test_tape_nodes_per_step_do_not_grow_with_batch(self, head):
@@ -548,7 +555,23 @@ class TestBatchedHeads:
             mlm_step(batch, model.encoder, model.config, seed=3)
             count = len(T.active_tape().records)
             T.reset_tape()
-            assert count == 34, f"mlm at batch {size}: pinned 34 tape nodes, got {count}"
+            assert count == 20, f"mlm at batch {size}: pinned 20 tape nodes, got {count}"
+
+    # records of one raw line through encode_words and decode_entities, as
+    # an inference loop outside no_grad() makes them
+    INFER_NODES = {"crf": 19, "span": 24, "seq2seq": 18}
+
+    @pytest.mark.parametrize("head", ["crf", "span", "seq2seq"])
+    def test_tape_nodes_per_predicted_line(self, head):
+        corpus = generate_synthetic_corpus(20, seed=7)
+        model = train(corpus, TrainConfig(steps=0, seed=1, head=head)).model
+        counts = set()
+        for sentence in corpus.sentences:
+            T.reset_tape()
+            decode_entities(model, encode_words(model, sentence))
+            counts.add(len(T.active_tape().records))
+        T.reset_tape()
+        assert counts == {self.INFER_NODES[head]}, f"{head}: got {sorted(counts)} tape nodes"
 
 
 class TestPackedEncoding:
