@@ -20,7 +20,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .corpus import (
     Corpus,
@@ -231,10 +231,6 @@ def _output_path(path: str, what: str, directory: bool) -> Path:
     return target
 
 
-def _open_checkpoint(path: str | None) -> Checkpoint | None:
-    return None if path is None else load_checkpoint(_existing(path, "checkpoint"))
-
-
 def _open_model(path: str) -> Model:
     """The model of checkpoint ``path``, which must have an extraction head."""
     model = load_model(_existing(path, "checkpoint"))
@@ -281,29 +277,37 @@ def load_experiment_corpus(config: dict, model: Model | None, split: str | None)
     return corpus
 
 
-def _output_dir(config: dict) -> Path:
-    """The output directory, made now: call it once the work is done and
-    its first file is about to be written, so a failed run leaves none."""
-    out = Path(config["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _training_inputs(config: dict, args) -> tuple[Checkpoint | None, Corpus]:
+    """The ``--init`` checkpoint, or None, and the corpus checked under its vocabulary."""
+    init = None if args.init is None else load_checkpoint(_existing(args.init, "checkpoint"))
+    return init, load_experiment_corpus(config, init and init.model, None)
 
 
-def _write_json(path: Path, value) -> None:
-    path.write_text(json.dumps(value, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def _json(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
-def _echo_config(config: dict, out: Path) -> None:
-    # output_dir is omitted so re-runs into different directories match
-    echo = {key: value for key, value in config.items() if key != "output_dir"}
-    _write_json(out / "resolved_config.json", echo)
-
-
-def _write_csv(path: Path, header: str, rows) -> None:
+def _csv(header: str, rows) -> str:
     lines = [header]
     for row in rows:
         lines.append(",".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
+
+
+def _write_outputs(config: dict, files: dict[str, str | Callable[[Path], None]]) -> Path:
+    """Make the output directory, write each file of ``files`` (its text, or a
+    function that writes it at the path it is given), then resolved_config.json.
+    Commands call it once their work is done, so a failed run leaves no directory."""
+    # output_dir is omitted so re-runs into different directories match
+    echo = {key: value for key, value in config.items() if key != "output_dir"}
+    out = Path(config["output_dir"])
+    out.mkdir(parents=True, exist_ok=True)
+    for name, content in {**files, "resolved_config.json": _json(echo)}.items():
+        if callable(content):
+            content(out / name)
+        else:
+            (out / name).write_text(content, encoding="utf-8")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +317,8 @@ def _write_csv(path: Path, header: str, rows) -> None:
 def cmd_gen_corpus(config: dict, args) -> int:
     section = _section(config, "corpus")
     corpus = generate_synthetic_corpus(section.size, section.seed)
-    out = _output_dir(config)
-    save_conll(corpus, out / "corpus.tsv")
-    save_annotations(corpus, out / "annotations.jsonl")
-    _echo_config(config, out)
+    out = _write_outputs(config, {"corpus.tsv": functools.partial(save_conll, corpus),
+                                  "annotations.jsonl": functools.partial(save_annotations, corpus)})
     print(f"wrote {len(corpus)} sentences to {out / 'corpus.tsv'}")
     return 0
 
@@ -326,24 +328,19 @@ def cmd_pretrain(config: dict, args) -> int:
     pretrain_config, encoder_config = _section(config, "pretrain"), _section(config, "encoder")
     log: list = []
     checkpoint = pretrain(corpus, pretrain_config, encoder_config=encoder_config, log=log)
-    out = _output_dir(config)
-    save_checkpoint(checkpoint, out / "encoder.json")
-    _write_csv(out / "pretrain_log.csv", "step,loss", log)
-    _echo_config(config, out)
+    out = _write_outputs(config, {"encoder.json": functools.partial(save_checkpoint, checkpoint),
+                                  "pretrain_log.csv": _csv("step,loss", log)})
     print(f"pretrained encoder saved to {out / 'encoder.json'}")
     return 0
 
 
 def cmd_train(config: dict, args) -> int:
-    init = _open_checkpoint(args.init)
-    corpus = load_experiment_corpus(config, init and init.model, None)
+    init, corpus = _training_inputs(config, args)
     train_config, encoder_config = _section(config, "train"), _section(config, "encoder")
     log: list = []
     checkpoint = train(corpus, train_config, init=init, encoder_config=encoder_config, log=log)
-    out = _output_dir(config)
-    save_checkpoint(checkpoint, out / "model.json")
-    _write_csv(out / "loss_log.csv", "step,loss,ner_loss,re_loss", log)
-    _echo_config(config, out)
+    out = _write_outputs(config, {"model.json": functools.partial(save_checkpoint, checkpoint),
+                                  "loss_log.csv": _csv("step,loss,ner_loss,re_loss", log)})
     print(f"model saved to {out / 'model.json'}")
     return 0
 
@@ -352,37 +349,33 @@ def cmd_eval(config: dict, args) -> int:
     model = _open_model(args.checkpoint)
     corpus = load_experiment_corpus(config, model, args.split)
     result = evaluate_split(model, corpus, args.split)
-    out = _output_dir(config)
-    _write_json(out / "report.json", result.as_dict())
     rows = [
         (f"{model.head_kind} entities", result.entities),
         ("relations (gold spans)", result.relations_gold_spans),
         ("relations (predicted spans)", result.relations_predicted_spans),
     ]
-    (out / "report.md").write_text(report_markdown(rows), encoding="utf-8")
-    _echo_config(config, out)
+    _write_outputs(config, {"report.json": _json(result.as_dict()),
+                            "report.md": report_markdown(rows)})
     print(f"entity F1 on {args.split}: {result.entities.micro.f1:.3f}")
     return 0
 
 
 def cmd_fewshot_curve(config: dict, args) -> int:
-    init = _open_checkpoint(args.init)
-    corpus = load_experiment_corpus(config, init and init.model, None)
+    init, corpus = _training_inputs(config, args)
     curve_config, encoder_config = _section(config, "curve"), _section(config, "encoder")
     result = run_curve(corpus, curve_config, init=init, encoder_config=encoder_config)
-    out = _output_dir(config)
-    (out / "curve.csv").write_text(curve_csv(result), encoding="utf-8")
-    (out / "curve_summary.csv").write_text(summary_csv(result), encoding="utf-8")
-    _echo_config(config, out)
+    _write_outputs(config, {"curve.csv": curve_csv(result),
+                            "curve_summary.csv": summary_csv(result)})
     for row in result.summary:
         print(f"k={row.k}: median F1 {row.median_f1:.3f}")
     return 0
 
 
 def cmd_compare_heads(config: dict, args) -> int:
-    init = _open_checkpoint(args.init)
-    corpus = load_experiment_corpus(config, init and init.model, None)
+    init, corpus = _training_inputs(config, args)
     _split_indices(corpus, _corpus_source(config), args.split)  # checked before any training
+    # every row trains a fresh head on the checkpoint's encoder, none resumes one
+    init = init and replace(init, model=replace(init.model, head=None, relation=None))
     base, encoder_config = _section(config, "train"), _section(config, "encoder")
     rows, details = [], {}
     for head in HEAD_KINDS:
@@ -392,10 +385,8 @@ def cmd_compare_heads(config: dict, args) -> int:
         result = evaluate_split(checkpoint.model, corpus, args.split)
         rows.append((head, result.entities))
         details[head] = result.as_dict()
-    out = _output_dir(config)
-    (out / "comparison.md").write_text(report_markdown(rows), encoding="utf-8")
-    _write_json(out / "comparison.json", details)
-    _echo_config(config, out)
+    _write_outputs(config, {"comparison.md": report_markdown(rows),
+                            "comparison.json": _json(details)})
     print(report_markdown(rows), end="")
     return 0
 
@@ -452,54 +443,48 @@ def build_parser() -> _Parser:
         if init_flag:
             p.add_argument("--init", help="checkpoint to fine-tune from")
 
-    p = sub.add_parser("gen-corpus", help="write a synthetic corpus")
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
+
+    p = command("gen-corpus", cmd_gen_corpus, "write a synthetic corpus")
     common(p)
 
-    p = sub.add_parser("pretrain", help="masked-token pretraining of the encoder")
+    p = command("pretrain", cmd_pretrain, "masked-token pretraining of the encoder")
     common(p)
     p.add_argument("--steps", dest="pretrain.steps", type=int, help="optimizer steps")
     p.add_argument("--seed", dest="pretrain.seed", type=int, help="pretraining seed")
 
-    p = sub.add_parser("train", help="fine-tune an extraction head")
+    p = command("train", cmd_train, "fine-tune an extraction head")
     common(p, init_flag=True)
     p.add_argument("--steps", dest="train.steps", type=int, help="optimizer steps")
     p.add_argument("--seed", dest="train.seed", type=int, help="training seed")
     p.add_argument("--head", dest="train.head", choices=HEAD_KINDS,
                    help="extraction head")
 
-    p = sub.add_parser("eval", help="score a checkpoint against a corpus split")
+    p = command("eval", cmd_eval, "score a checkpoint against a corpus split")
     common(p)
     p.add_argument("--checkpoint", required=True, help="model checkpoint to score")
     p.add_argument("--split", default="test", choices=["train", "val", "test"])
 
-    p = sub.add_parser("fewshot-curve", help="k-shot learning-curve experiment")
+    p = command("fewshot-curve", cmd_fewshot_curve, "k-shot learning-curve experiment")
     common(p, init_flag=True)
     p.add_argument("--steps", dest="train.steps", type=int, help="optimizer steps per episode")
     p.add_argument("--seed", dest="train.seed", type=int, help="base seed for the curve")
 
-    p = sub.add_parser("compare-heads", help="train all three heads and tabulate")
+    p = command("compare-heads", cmd_compare_heads, "train all three heads and tabulate")
     common(p, init_flag=True)
     p.add_argument("--steps", dest="train.steps", type=int, help="optimizer steps per head")
     p.add_argument("--seed", dest="train.seed", type=int, help="training seed")
     p.add_argument("--split", default="test", choices=["train", "val", "test"])
 
-    p = sub.add_parser("predict", help="tag raw text and emit JSON-lines spans")
+    p = command("predict", cmd_predict, "tag raw text and emit JSON-lines spans")
     p.add_argument("--checkpoint", required=True, help="model checkpoint")
     p.add_argument("--input", required=True, help="text file, one sentence per line")
     p.add_argument("--out-file", dest="out_file", help="output JSONL path (default stdout)")
 
     return parser
-
-
-COMMANDS = {
-    "gen-corpus": cmd_gen_corpus,
-    "pretrain": cmd_pretrain,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "fewshot-curve": cmd_fewshot_curve,
-    "compare-heads": cmd_compare_heads,
-    "predict": cmd_predict,
-}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -515,7 +500,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         # predict takes no experiment config
         config = DEFAULT_CONFIG if args.command == "predict" else resolve_config(args)
-        return COMMANDS[args.command](config, args)
+        return args.run(config, args)
     except VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

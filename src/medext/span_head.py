@@ -22,6 +22,7 @@ from .tensor import Params, Tensor, param, xavier
 logger = logging.getLogger(__name__)
 
 NULL = 0  # classifier index for "not an entity"
+NEG_RATIO = 3.0  # a sentence trains on at most NEG_RATIO * max(1, gold spans) nulls
 
 
 @dataclass
@@ -106,12 +107,11 @@ def batch_span_loss(
     golds: Sequence[Sequence[EntitySpan]],
     classes: Sequence[str],
     seeds: Sequence[int],
-    neg_ratio: float = 3.0,
 ) -> Tensor:
     """Mean over sentences of each one's cross-entropy over its gold-labeled
     candidates with subsampled negatives, from one table.
 
-    A sentence's null candidates are cut down to at most neg_ratio *
+    A sentence's null candidates are cut down to at most NEG_RATIO *
     max(1, positives) by a draw from its own seed, so training steps stay
     reproducible.  Gold spans wider than the candidate cap cannot be matched
     and are dropped with a warning.  A sentence's retained rows are weighted
@@ -138,18 +138,18 @@ def batch_span_loss(
                 continue
             gold_by_bounds[(span.start, span.end)] = class_index[span.cls]
         labels = [gold_by_bounds.get(bound, NULL) for bound in rows]
-        retained = subsample_negatives(labels, neg_ratio, seed)
+        retained = subsample_negatives(labels, seed)
         picked.extend(lo + i for i in retained)
         targets.extend(labels[i] for i in retained)
         weights.extend([1.0 / (len(golds) * len(retained))] * len(retained))
     return T.cross_entropy(T.gather(table.logits, picked), targets, weights)
 
 
-def subsample_negatives(labels: Sequence[int], neg_ratio: float, seed: int) -> list[int]:
-    """Indices to train on: all positives plus at most neg_ratio * max(1, P) nulls."""
+def subsample_negatives(labels: Sequence[int], seed: int) -> list[int]:
+    """Indices to train on: all positives plus at most NEG_RATIO * max(1, P) nulls."""
     positives = [i for i, lab in enumerate(labels) if lab != NULL]
     negatives = [i for i, lab in enumerate(labels) if lab == NULL]
-    cap = int(neg_ratio * max(1, len(positives)))
+    cap = int(NEG_RATIO * max(1, len(positives)))
     if len(negatives) > cap:
         rng = np.random.default_rng(np.random.SeedSequence([seed]))
         picked = rng.choice(len(negatives), size=cap, replace=False)

@@ -349,11 +349,12 @@ class TestExitCodes:
         assert "non-finite loss at step 1 with learning_rate=1e+300 and clip_norm=1\n" in err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("command", ["train", "pretrain"])
+    @pytest.mark.parametrize("command", ["train", "pretrain", "fewshot-curve", "compare-heads"])
     def test_a_run_that_fails_leaves_no_output_directory(self, tmp_path, capsys, command):
         out = tmp_path / "new" / "out"
+        section = "pretrain" if command == "pretrain" else "train"
         code = run(
-            command, "--size", "30", "--steps", "2", "--set", f"{command}.learning_rate=1e300",
+            command, "--size", "30", "--steps", "2", "--set", f"{section}.learning_rate=1e300",
             "--out", str(out),
         )
         assert code == 2 and "non-finite loss" in capsys.readouterr().err
@@ -659,6 +660,37 @@ class TestPretrain:
         assert len(log) == 6
 
 
+# the files each command writes into --out, besides resolved_config.json
+OUTPUT_FILES = {
+    "gen-corpus": ["annotations.jsonl", "corpus.tsv"],
+    "pretrain": ["encoder.json", "pretrain_log.csv"],
+    "train": ["loss_log.csv", "model.json"],
+    "eval": ["report.json", "report.md"],
+    "fewshot-curve": ["curve.csv", "curve_summary.csv"],
+    "compare-heads": ["comparison.json", "comparison.md"],
+}
+
+
+@pytest.mark.parametrize("command", list(OUTPUT_FILES))
+def test_each_command_writes_exactly_its_files(tmp_path, corpus_files, trained_model, command):
+    tags, ann = map(str, corpus_files)
+    corpus = ["--tags", tags, "--annotations", ann]
+    argv = {
+        "gen-corpus": ["--size", "5"],
+        "pretrain": [*corpus, "--steps", "1"],
+        "train": [*corpus, "--steps", "1"],
+        "eval": [*corpus, "--checkpoint", str(trained_model)],
+        "fewshot-curve": [
+            *corpus, "--steps", "1", "--set", "curve.k_values=[1]", "--set", "curve.seeds_per_k=1",
+        ],
+        "compare-heads": [*corpus, "--steps", "1"],
+    }[command]
+    out = tmp_path / "out"
+    assert run(command, *argv, "--out", str(out)) == 0
+    names = sorted(p.name for p in out.iterdir())
+    assert names == sorted(OUTPUT_FILES[command] + ["resolved_config.json"])
+
+
 class TestCompareHeads:
     def test_three_row_table(self, tmp_path, corpus_files):
         tags, ann = corpus_files
@@ -675,6 +707,27 @@ class TestCompareHeads:
         ]
         details = json.loads((out / "comparison.json").read_text())
         assert set(details) == {"crf", "span", "seq2seq"}
+
+    def test_init_with_a_head_gives_every_row_a_fresh_head(
+        self, tmp_path, monkeypatch, corpus_files, trained_model
+    ):
+        """A trained crf model as the init: the crf row does not resume its
+        head, steps and Adam moments; every row trains a new head for --steps."""
+        tags, ann = corpus_files
+        trained, call = [], cli.train
+
+        def spy(*args, **kwargs):
+            trained.append(call(*args, **kwargs))
+            return trained[-1]
+
+        monkeypatch.setattr(cli, "train", spy)
+        code = run(
+            "compare-heads", "--tags", str(tags), "--annotations", str(ann),
+            "--init", str(trained_model), "--steps", "2", "--out", str(tmp_path / "cmp"),
+        )
+        assert code == 0
+        assert [c.model.head_kind for c in trained] == ["crf", "span", "seq2seq"]
+        assert [c.step for c in trained] == [2, 2, 2]
 
 
 class TestFewshotCurve:
@@ -895,12 +948,12 @@ class TestCollector:
     ):
         """The cyclic garbage of one eval is the closures of the stdlib JSON
         encoder (``json.encoder._make_iterencode``, which ``indent=2`` selects),
-        once for each ``_write_json``: report.json and resolved_config.json."""
+        once for each ``_json``: report.json and resolved_config.json."""
         gc.disable()
         argv = self.commands(inputs / "60", trained_model, tmp_path)["eval"]
         assert main(argv) == 0  # fills the process's caches
         gc.collect()
-        cli._write_json(tmp_path / "probe.json", {"f1": [0.5]})
+        cli._json({"f1": [0.5]})
         per_write = gc.collect()
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:

@@ -88,24 +88,24 @@ class TestScoreAllSpans:
 class TestSubsampleNegatives:
     def test_cap_rule(self):
         labels = [0, 1, 0, 0, 0]  # 1 positive, 4 negatives
-        retained = subsample_negatives(labels, neg_ratio=3.0, seed=0)
+        retained = subsample_negatives(labels, seed=0)
         assert len(retained) == 4  # 1 positive + 3 sampled negatives
         assert 1 in retained
 
     def test_no_positives_keeps_min_one_budget(self):
         labels = [0, 0, 0, 0, 0]
-        retained = subsample_negatives(labels, neg_ratio=3.0, seed=0)
+        retained = subsample_negatives(labels, seed=0)
         assert len(retained) == 3  # 3 * max(1, 0)
 
     def test_under_cap_keeps_all(self):
         labels = [1, 0, 0]
-        assert subsample_negatives(labels, neg_ratio=3.0, seed=0) == [0, 1, 2]
+        assert subsample_negatives(labels, seed=0) == [0, 1, 2]
 
     def test_deterministic(self):
         labels = [0] * 40 + [2]
-        a = subsample_negatives(labels, 3.0, seed=5)
-        assert a == subsample_negatives(labels, 3.0, seed=5)
-        assert a != subsample_negatives(labels, 3.0, seed=6)
+        a = subsample_negatives(labels, seed=5)
+        assert a == subsample_negatives(labels, seed=5)
+        assert a != subsample_negatives(labels, seed=6)
 
 
 class TestSpanLoss:
@@ -114,7 +114,7 @@ class TestSpanLoss:
         params.w_cls.values[:] = 0.0
         params.width_emb.values[:] = 0.0
         candidates = score_all_spans(make_h(3), params, [3])
-        loss = batch_span_loss(candidates, [[]], CLASSES, [0], neg_ratio=3.0)
+        loss = batch_span_loss(candidates, [[]], CLASSES, [0])
         assert loss.item() == pytest.approx(math.log(3.0), abs=1e-12)  # ln(C+1)
 
     def test_near_one_hot_correct(self):
@@ -125,7 +125,7 @@ class TestSpanLoss:
     def test_retained_budget_example(self):
         # n=3, max_width=2 -> 5 candidates; 1 gold positive, cap 3 negatives
         labels = [0, 0, 1, 0, 0]
-        assert len(subsample_negatives(labels, 3.0, seed=0)) <= 4
+        assert len(subsample_negatives(labels, seed=0)) <= 4
 
     def test_too_wide_gold_dropped_with_warning(self, caplog):
         params = init_span(6, CLASSES, seed=0, max_width=2)
