@@ -294,12 +294,16 @@ def _csv(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_outputs(config: dict, files: dict[str, str | Callable[[Path], None]]) -> Path:
+def _write_outputs(config: dict, files: dict[str, str | Callable[[Path], None]],
+                   model: Model | None = None) -> Path:
     """Make the output directory, write each file of ``files`` (its text, or a
     function that writes it at the path it is given), then resolved_config.json.
-    Commands call it once their work is done, so a failed run leaves no directory."""
+    Commands call it once their work is done, so a failed run leaves no directory.
+    The --init or --checkpoint ``model``'s config, which governed, is the echoed encoder."""
     # output_dir is omitted so re-runs into different directories match
     echo = {key: value for key, value in config.items() if key != "output_dir"}
+    if model is not None:
+        echo["encoder"] = {key: getattr(model.config, key) for key in config["encoder"]}
     out = Path(config["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     for name, content in {**files, "resolved_config.json": _json(echo)}.items():
@@ -340,7 +344,8 @@ def cmd_train(config: dict, args) -> int:
     log: list = []
     checkpoint = train(corpus, train_config, init=init, encoder_config=encoder_config, log=log)
     out = _write_outputs(config, {"model.json": functools.partial(save_checkpoint, checkpoint),
-                                  "loss_log.csv": _csv("step,loss,ner_loss,re_loss", log)})
+                                  "loss_log.csv": _csv("step,loss,ner_loss,re_loss", log)},
+                         init and init.model)
     print(f"model saved to {out / 'model.json'}")
     return 0
 
@@ -355,7 +360,7 @@ def cmd_eval(config: dict, args) -> int:
         ("relations (predicted spans)", result.relations_predicted_spans),
     ]
     _write_outputs(config, {"report.json": _json(result.as_dict()),
-                            "report.md": report_markdown(rows)})
+                            "report.md": report_markdown(rows)}, model)
     print(f"entity F1 on {args.split}: {result.entities.micro.f1:.3f}")
     return 0
 
@@ -365,7 +370,7 @@ def cmd_fewshot_curve(config: dict, args) -> int:
     curve_config, encoder_config = _section(config, "curve"), _section(config, "encoder")
     result = run_curve(corpus, curve_config, init=init, encoder_config=encoder_config)
     _write_outputs(config, {"curve.csv": curve_csv(result),
-                            "curve_summary.csv": summary_csv(result)})
+                            "curve_summary.csv": summary_csv(result)}, init and init.model)
     for row in result.summary:
         print(f"k={row.k}: median F1 {row.median_f1:.3f}")
     return 0
@@ -386,7 +391,7 @@ def cmd_compare_heads(config: dict, args) -> int:
         rows.append((head, result.entities))
         details[head] = result.as_dict()
     _write_outputs(config, {"comparison.md": report_markdown(rows),
-                            "comparison.json": _json(details)})
+                            "comparison.json": _json(details)}, init and init.model)
     print(report_markdown(rows), end="")
     return 0
 

@@ -195,14 +195,11 @@ def invalid_transition_rate(batch: Sequence[Sequence[int]]) -> float:
 def spans_to_tags(spans: Sequence[EntitySpan], n: int, scheme: TagScheme) -> list[int]:
     """Encode non-overlapping spans as a BIO tag sequence of length n."""
     tags = [0] * n
-    occupied = [False] * n
     for span in spans:
         if not 0 <= span.start <= span.end < n:
             raise ContractError(f"span {span} out of range for length {n}")
-        if any(occupied[span.start : span.end + 1]):
+        if any(tags[span.start : span.end + 1]):  # every B and I tag is nonzero
             raise ContractError(f"span {span} overlaps another span")
-        for i in range(span.start, span.end + 1):
-            occupied[i] = True
         tags[span.start] = scheme.begin_index(span.cls)
         for i in range(span.start + 1, span.end + 1):
             tags[i] = scheme.inside_index(span.cls)

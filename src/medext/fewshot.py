@@ -58,32 +58,24 @@ def sample_k_shot(corpus: Corpus, k: int, seed: int) -> Episode:
     if k < 0:
         raise ContractError(f"k must be >= 0, got {k}")
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    train_ids = corpus.split_indices("train")
     classes = corpus.scheme.classes
-    containing = {
-        cls: [
-            i
-            for i in train_ids
-            if any(span.cls == cls for span in corpus.sentences[i].spans)
-        ]
-        for cls in classes
-    }
     credit = {cls: 0 for cls in classes}
-    unused = set(train_ids)
+    unused = {  # each unused train sentence, in split order: the scheme classes its spans hold
+        i: {span.cls for span in corpus.sentences[i].spans if span.cls in credit}
+        for i in corpus.split_indices("train")
+    }
     support: list[int] = []
     for round_index in range(k):
         for cls in classes:
             if credit[cls] > round_index:
                 continue
-            candidates = [i for i in containing[cls] if i in unused]
+            candidates = [i for i, held in unused.items() if cls in held]
             if not candidates:
                 continue
             pick = candidates[int(rng.integers(len(candidates)))]
-            unused.remove(pick)
             support.append(pick)
-            for other in classes:
-                if any(span.cls == other for span in corpus.sentences[pick].spans):
-                    credit[other] += 1
+            for other in unused.pop(pick):
+                credit[other] += 1
     return Episode(support, k, seed, dict(credit))
 
 
@@ -134,6 +126,7 @@ def run_curve(
         init = train(corpus, replace(config.base, steps=0), encoder_config=encoder_config)
     rows: list[CurveRow] = []
     summary: list[CurveSummary] = []
+    stride = max(31, config.seeds_per_k)  # each k's run seeds, one per rep, overlap no other k's
     for k in config.k_values:
         f1s = []
         for rep in range(config.seeds_per_k):
@@ -145,7 +138,7 @@ def run_curve(
                 short = {cls: n for cls, n in episode.achieved.items() if n < k}
                 logger.warning("k=%d seed %d: fewer than k support sentences for %s", k, rep, short)
             subcorpus = corpus.select(episode.support)
-            run_config = replace(config.base, seed=config.base.seed * 911 + 31 * k + rep)
+            run_config = replace(config.base, seed=config.base.seed * 911 + stride * k + rep)
             checkpoint = train(subcorpus, run_config, init=init)
             micro = evaluate_split(checkpoint.model, corpus, "test").entities.micro
             rows.append(CurveRow(k, rep, micro.precision, micro.recall, micro.f1))

@@ -36,7 +36,7 @@ from .evaluation import (
     resolve_relations,
     token_accuracy,
 )
-from .relation_head import RelationHeadParams, predict_relations, span_pairs
+from .relation_head import RelationHeadParams, init_relation, predict_relations, span_pairs
 from .seq2seq_head import (
     Seq2SeqParams,
     greedy_decode,
@@ -104,14 +104,18 @@ def named_parameters(
     return {f"{p}/{k}": v for p, part in parts.items() if part for k, v in part.named().items()}
 
 
-def init_head(kind: str, config: EncoderConfig, scheme: TagScheme, seed: int) -> HeadParams:
+def init_heads(kind: str, config: EncoderConfig, scheme: TagScheme,
+               seed: int) -> tuple[HeadParams, RelationHeadParams]:
+    """A fresh extraction head of ``kind`` from ``seed`` and its relation head from ``seed + 1``."""
     if kind == "crf":
-        return init_crf(config.d_model, scheme.num_tags, seed)
-    if kind == "span":
-        return init_span(config.d_model, scheme.classes, seed)
-    if kind == "seq2seq":
-        return init_seq2seq(config.d_model, scheme.num_tags, seed)
-    raise ContractError(f"unknown head kind {kind!r}; expected one of {HEAD_KINDS}")
+        head = init_crf(config.d_model, scheme.num_tags, seed)
+    elif kind == "span":
+        head = init_span(config.d_model, scheme.classes, seed)
+    elif kind == "seq2seq":
+        head = init_seq2seq(config.d_model, scheme.num_tags, seed)
+    else:
+        raise ContractError(f"unknown head kind {kind!r}; expected one of {HEAD_KINDS}")
+    return head, init_relation(config.d_model, seed + 1)
 
 
 def word_ids(sentence: Sentence, vocab: Vocab) -> tuple[list[int], list[int]]:

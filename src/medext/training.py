@@ -38,13 +38,12 @@ from .pipeline import (
     encode_words,  # noqa: F401  (perfbench/tracer.py wraps training.encode_words)
     encode_words_batch,
     gold_relation_pairs,
-    init_head,
+    init_heads,
     named_parameters,
     ner_loss,
     word_ids,
 )
 from .relation_head import (  # noqa: F401  (perfbench/tracer.py wraps training.relation_loss)
-    init_relation,
     pair_loss,
     relation_loss,
 )
@@ -253,8 +252,7 @@ def _fresh_model(corpus: Corpus, encoder_config: EncoderConfig | None, seed: int
 def _attach_head(model: Model, kind: str, seed: int) -> Model:
     """A new model: a copy of ``model``'s encoder with a fresh extraction head
     of ``kind`` and a fresh relation head; ``model`` is left as it was."""
-    head = init_head(kind, model.config, model.scheme, seed)
-    relation = init_relation(model.config.d_model, seed + 1)
+    head, relation = init_heads(kind, model.config, model.scheme, seed)
     return replace(model, head=head, relation=relation)
 
 
@@ -319,10 +317,11 @@ def train(
     model, optimizer, lineage = _prepare_model(corpus, config, init, encoder_config)
     lineage.append(f"train:{config.seed}")
     sampler = _BatchSampler(corpus, config.batch_size, config.seed, config.class_balanced)
+    stride = max(64, config.batch_size)  # each step's slot seeds overlap no other step's
 
     def loss_at(step: int):
         sentences = [corpus.sentences[index] for index in sampler.batch(step)]
-        seeds = [(config.seed * 1_000_003 + step) * 64 + slot for slot in range(len(sentences))]
+        seeds = [(config.seed * 1_000_003 + step) * stride + slot for slot in range(len(sentences))]
         ner, re = step_losses(model, sentences, seeds, config.lambda_re)
         loss = joint_loss(ner, re, config.lambda_re)
         re_value = 0.0 if re is None else float(re.values)
@@ -503,17 +502,16 @@ def _read_checkpoint(path: str | Path, decode_moments: bool) -> Checkpoint:
         _check(len(vocab) == config.vocab_size, path, f"{size}, but vocab has {len(vocab)} entries")
         with T.shapes_only():  # the layout, before any parameter memory is allocated
             encoder = init_params(config, seed=0)
-            head = None if head_kind is None else init_head(head_kind, config, scheme, seed=0)
-            relation = None if head_kind is None else init_relation(config.d_model, seed=0)
+            heads = (None, None) if head_kind is None else init_heads(head_kind, config, scheme, 0)
     except ContractError as exc:
         raise CheckpointError(f"checkpoint {path}: {exc}") from None
-    named = named_parameters(encoder, head, relation)
+    named = named_parameters(encoder, *heads)
     mismatch = sorted(set(names) ^ set(named)) or "the same names, reordered or repeated"
     _check(names == list(named), path, f"param_names do not match the model: {mismatch}")
     layout = T.layout_of(named)
     values = _decode(payload["params"], layout, 1, path, "params")[0]
     optimizer = _load_optimizer(payload["optimizer"], layout, path, decode_moments)
-    model = Model(config, encoder, vocab, scheme, head, relation)  # allocates, all checks passed
+    model = Model(config, encoder, vocab, scheme, *heads)  # allocates, all checks passed
     model.parameters().flat[...] = values
     return Checkpoint(model, optimizer, payload["seed_lineage"])
 

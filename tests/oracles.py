@@ -12,8 +12,9 @@ rate index arithmetic, ``load_annotations`` checks records against the
 spans ``load_conll`` derived, ``build_vocab`` counts each distinct word's
 characters once, inference decodes and scores relations one packed chunk at
 a time, the two corpus loaders share one ``Token`` per surface and
-``load_conll``'s span objects, and exact-match scoring counts a whole split
-in one pass."""
+``load_conll``'s span objects, exact-match scoring counts a whole split
+in one pass, and the k-shot sampler reads each train sentence's classes
+once."""
 
 import itertools
 import json
@@ -40,6 +41,7 @@ from medext.crf_head import CRFParams, emissions
 from medext.encoder import plan_masking
 from medext.errors import ContractError, ShapeError, ValidationError
 from medext.evaluation import ClassCounts, EvalReport, resolve_relations, token_accuracy
+from medext.fewshot import Episode
 from medext.relation_head import ordered_pairs, pair_logits
 from medext.seq2seq_head import Seq2SeqParams
 from medext.span_head import NULL, SpanHeadParams, score_all_spans
@@ -673,3 +675,38 @@ def _records(record: dict, key: str, fields: tuple, make, where: str) -> list:
             C._reject(item, fields, key[:-1], where)
         out.append(make(x, y, z))
     return out
+
+
+def sample_k_shot(corpus: C.Corpus, k: int, seed: int) -> Episode:
+    """The k-shot sampler that lists each class's train sentences, then scans
+    a pick's spans once per class to credit it."""
+    if k < 0:
+        raise ContractError(f"k must be >= 0, got {k}")
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    train_ids = corpus.split_indices("train")
+    classes = corpus.scheme.classes
+    containing = {
+        cls: [
+            i
+            for i in train_ids
+            if any(span.cls == cls for span in corpus.sentences[i].spans)
+        ]
+        for cls in classes
+    }
+    credit = {cls: 0 for cls in classes}
+    unused = set(train_ids)
+    support: list[int] = []
+    for round_index in range(k):
+        for cls in classes:
+            if credit[cls] > round_index:
+                continue
+            candidates = [i for i in containing[cls] if i in unused]
+            if not candidates:
+                continue
+            pick = candidates[int(rng.integers(len(candidates)))]
+            unused.remove(pick)
+            support.append(pick)
+            for other in classes:
+                if any(span.cls == other for span in corpus.sentences[pick].spans):
+                    credit[other] += 1
+    return Episode(support, k, seed, dict(credit))

@@ -645,6 +645,49 @@ class TestTrainEval:
         assert read_tree(a) == read_tree(b)
 
 
+class TestCheckpointEncoderEcho:
+    """Under --init or --checkpoint the checkpoint's encoder config governs and
+    every encoder.* key is ignored, so resolved_config.json echoes the
+    checkpoint's encoder section, not the keys that were set."""
+
+    @pytest.fixture(scope="class")
+    def encoder(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("enc")
+        assert run("pretrain", "--size", "30", "--steps", "1", "--out", str(out)) == 0
+        return out / "encoder.json"
+
+    @staticmethod
+    def echoed_and_governing(out: Path, checkpoint: Path) -> tuple[dict, dict]:
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        governing = json.loads(checkpoint.read_text())["encoder_config"]
+        governing.pop("vocab_size")
+        return resolved["encoder"], governing
+
+    def test_train_init(self, tmp_path, encoder):
+        out = tmp_path / "run"
+        argv = ["--size", "30", "--steps", "1", "--init", str(encoder)]
+        assert run("train", *argv, "--set", "encoder.d_model=8", "--out", str(out)) == 0
+        echoed, governing = self.echoed_and_governing(out, encoder)
+        assert echoed == governing and echoed["d_model"] == 32
+        model = json.loads((out / "model.json").read_text())["encoder_config"]
+        assert model["d_model"] == 32
+
+    def test_eval_checkpoint(self, tmp_path, corpus_files, trained_model):
+        tags, ann = corpus_files
+        out = tmp_path / "eval"
+        argv = ["--checkpoint", str(trained_model), "--tags", str(tags), "--annotations", str(ann)]
+        assert run("eval", *argv, "--set", "encoder.max_len=4", "--out", str(out)) == 0
+        echoed, governing = self.echoed_and_governing(out, trained_model)
+        assert echoed == governing and echoed["max_len"] == 64
+
+    def test_without_a_checkpoint_the_set_keys_are_echoed(self, tmp_path):
+        out = tmp_path / "run"
+        argv = ["--size", "30", "--steps", "1", "--set", "encoder.d_model=8"]
+        assert run("train", *argv, "--out", str(out)) == 0
+        echoed, governing = self.echoed_and_governing(out, out / "model.json")
+        assert echoed == governing and echoed["d_model"] == 8
+
+
 class TestPretrain:
     def test_outputs_and_determinism(self, tmp_path, corpus_files):
         tags, ann = corpus_files

@@ -120,8 +120,13 @@ class TestSpansToTags:
         assert tags == [scheme_d.begin_index("D"), scheme_d.inside_index("D"), 0]
 
     def test_overlap_rejected(self, scheme_d):
-        with pytest.raises(ContractError):
-            spans_to_tags([EntitySpan(0, 2, "D"), EntitySpan(2, 3, "D")], 5, scheme_d)
+        # the later span overlaps the earlier one at its last, then at its first position
+        for spans in (
+            [EntitySpan(0, 2, "D"), EntitySpan(2, 3, "D")],
+            [EntitySpan(2, 3, "D"), EntitySpan(0, 2, "D")],
+        ):
+            with pytest.raises(ContractError, match="overlaps another span"):
+                spans_to_tags(spans, 5, scheme_d)
 
     def test_out_of_range_rejected(self, scheme_d):
         with pytest.raises(ContractError):

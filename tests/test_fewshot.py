@@ -1,5 +1,8 @@
+import numpy as np
 import pytest
 
+import oracles
+from medext import fewshot
 from medext.corpus import (
     Corpus,
     EntitySpan,
@@ -17,7 +20,7 @@ from medext.fewshot import (
     sample_k_shot,
     summary_csv,
 )
-from medext.training import PretrainConfig, TrainConfig, pretrain
+from medext.training import PretrainConfig, TrainConfig, pretrain, train
 
 
 def single_entity_corpus(per_class=3):
@@ -32,6 +35,48 @@ def single_entity_corpus(per_class=3):
                 Sentence([Token(w) for w in words], spans_to_tags(spans, 3, scheme), spans)
             )
     return Corpus(sentences, scheme, ["train"] * len(sentences))
+
+
+def corpus_of(span_classes, splits):
+    """Four-word sentences, one per entry of ``span_classes``: the entry's
+    classes in turn are the spans on words 0 and 2.  A class outside the
+    scheme (no loader makes one) gets no tag."""
+    scheme = TagScheme(["A", "B", "C", "D"])
+    sentences = []
+    for classes in span_classes:
+        spans = [EntitySpan(2 * j, 2 * j, cls) for j, cls in enumerate(classes)]
+        tags = spans_to_tags([s for s in spans if s.cls in scheme.classes], 4, scheme)
+        sentences.append(Sentence([Token(f"w{j}") for j in range(4)], tags, spans))
+    return Corpus(sentences, scheme, splits)
+
+
+def assert_same_episodes(corpus, ks, seeds):
+    """sample_k_shot and the two-pass sampler it replaced pick the same support
+    sentences in the same order and credit each class alike, key order included."""
+    for k in ks:
+        for seed in seeds:
+            new, old = sample_k_shot(corpus, k, seed), oracles.sample_k_shot(corpus, k, seed)
+            assert new.support == old.support, (k, seed)
+            assert list(new.achieved.items()) == list(old.achieved.items()), (k, seed)
+
+
+class TestOnePassSampler:
+    @pytest.mark.parametrize("size", [0, 5, 30, 200, 1000])
+    def test_equals_the_two_pass_sampler(self, size):
+        assert_same_episodes(generate_synthetic_corpus(size, seed=size + 1), range(101), (0, 7, 11))
+
+    def test_class_missing_from_the_train_split(self):
+        classes = [("A",), ("B",), ("A", "B"), ("C",), ("D",), ("D",)]
+        corpus = corpus_of(classes, ["train"] * 4 + ["test"] * 2)
+        assert_same_episodes(corpus, range(8), range(10))
+        assert sample_k_shot(corpus, 3, seed=0).achieved == {"A": 2, "B": 2, "C": 1, "D": 0}
+
+    def test_sentences_that_hold_two_classes(self):
+        rng = np.random.default_rng(3)
+        pairs = [tuple(rng.permutation(["A", "B", "C", "D"])[:2].tolist()) for _ in range(30)]
+        classes = pairs + [("A",), ("D",), ("Z", "B"), ("C", "Z")]  # Z is outside the scheme
+        corpus = corpus_of(classes, ["train"] * 30 + ["val", "train", "train", "train"])
+        assert_same_episodes(corpus, range(16), range(10))
 
 
 class TestSampleKShot:
@@ -129,6 +174,23 @@ class TestRunCurve:
         summary_lines = summary_csv(result).strip().split("\n")
         assert summary_lines[0] == "k,median_f1,min_f1,max_f1"
         assert len(summary_lines) == 1 + len(config.k_values)
+
+
+def test_run_seeds_are_distinct_above_31_seeds_per_k(monkeypatch):
+    """Run seeds are base.seed * 911 + stride * k + rep with a stride of at
+    least seeds_per_k, so (k, rep 31) and (k + 1, rep 0) differ."""
+    corpus = generate_synthetic_corpus(30, seed=5)
+    config = CurveConfig(k_values=(1, 2), seeds_per_k=32, base=TrainConfig(steps=0, lambda_re=0.0))
+    init = train(corpus, config.base)
+    seeds = []
+
+    def spy(corpus, config, init=None):
+        seeds.append(config.seed)
+        return train(corpus, config, init=init)
+
+    monkeypatch.setattr(fewshot, "train", spy)
+    fewshot.run_curve(corpus, config, init=init)
+    assert len(seeds) == 64 and len(set(seeds)) == 64
 
 
 class TestCurveConfig:

@@ -370,6 +370,20 @@ class TestTrain:
         cfg = TrainConfig(steps=30, batch_size=4, seed=4)
         assert params_equal(train(corpus, cfg).model, train(corpus, cfg).model)
 
+    def test_step_seeds_are_distinct_above_batch_64(self, monkeypatch):
+        """Slot s of step t is seeded (seed * 1_000_003 + t) * stride + s with a
+        stride of at least the batch size, so slot 64 of step 0 and slot 0 of
+        step 1 differ: the seeds drive dropout and negative subsampling."""
+        seeds, losses = [], training.step_losses
+
+        def spy(model, sentences, slot_seeds, lambda_re):
+            seeds.extend(slot_seeds)
+            return losses(model, sentences, slot_seeds, lambda_re)
+
+        monkeypatch.setattr(training, "step_losses", spy)
+        train(small_corpus(), TrainConfig(steps=2, batch_size=65, seed=0, head="span"))
+        assert len(seeds) == 130 and len(set(seeds)) == 130
+
     def test_chunked_resume_matches_one_shot(self):
         corpus = small_corpus()
         cfg40 = TrainConfig(steps=40, batch_size=4, seed=6)
