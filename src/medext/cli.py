@@ -128,7 +128,10 @@ def _check_type(name: str, value, default) -> None:
     elif isinstance(default, int):
         ok, kind = type(value) is int, "an integer"
     elif isinstance(default, float):
-        ok = type(value) is int or type(value) is float and math.isfinite(value)
+        try:
+            ok = type(value) in (int, float) and math.isfinite(value)
+        except OverflowError:  # an integer too large for a float
+            ok = False
         kind = "a finite number"
     elif isinstance(default, list):
         ok = isinstance(value, list) and all(type(v) is int for v in value)
@@ -168,7 +171,8 @@ def _nested(dotted: str, value) -> dict:
 
 def resolve_config(args: argparse.Namespace) -> dict:
     """Defaults, then the config file, then each --set, then the direct flags;
-    an ``output_dir`` that cannot be made fails here, before any work."""
+    an ``output_dir`` that cannot be made, or any section that is not valid,
+    fails here, before any work."""
     config = DEFAULT_CONFIG
     if args.config:
         path = _existing(args.config, "config file")
@@ -193,6 +197,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if dest.split(".")[0] in DEFAULT_CONFIG and value is not None:
             config = _merge(config, _nested(dest, value))
     _output_path(config["output_dir"], "output_dir", directory=True)
+    for name in SECTIONS:  # also the sections the command does not read
+        _section(config, name)
     return config
 
 
@@ -223,6 +229,8 @@ def _existing(path: str, what: str) -> Path:
 def _output_path(path: str, what: str, directory: bool) -> Path:
     """``path`` if it can be made: its nearest existing part is a directory,
     or is ``path`` itself, an output file, and not a directory."""
+    if "\0" in path:  # the OS takes no such path, and Path.exists() says False
+        raise ConfigError(f"{what} {path!r} holds a NUL character")
     target = Path(path)
     found = next(p for p in (target, *target.parents) if p.exists())
     if found.is_dir() == (found == target and not directory):

@@ -184,14 +184,9 @@ def encode_batch(
     return x
 
 
-def encode(
-    ids: Sequence[int],
-    params: EncoderParams,
-    config: EncoderConfig,
-    dropout_seed: int | None = None,
-) -> Tensor:
-    """Run the full encoder stack over one subword-id sequence -> [n, d_model]."""
-    return encode_batch([ids], params, config, None if dropout_seed is None else [dropout_seed])
+def encode(ids: Sequence[int], params: EncoderParams, config: EncoderConfig) -> Tensor:
+    """Run the full encoder stack over one subword-id sequence, without dropout -> [n, d_model]."""
+    return encode_batch([ids], params, config)
 
 
 def plan_masking(

@@ -131,13 +131,9 @@ def word_ids(sentence: Sentence, vocab: Vocab) -> tuple[list[int], list[int]]:
     return ids, starts
 
 
-def encode_words(
-    model: Model,
-    sentence: Sentence,
-    dropout_seed: int | None = None,
-) -> Tensor:
-    """Encoder rows for each word (first-subword selection) -> [n_words, d_model]."""
-    return encode_words_batch(model, [sentence], None if dropout_seed is None else [dropout_seed])
+def encode_words(model: Model, sentence: Sentence) -> Tensor:
+    """Encoder rows for each word (first subwords), without dropout -> [n_words, d_model]."""
+    return encode_words_batch(model, [sentence])
 
 
 def encode_words_batch(

@@ -244,16 +244,8 @@ def _fresh_model(corpus: Corpus, encoder_config: EncoderConfig | None, seed: int
     vocab = build_vocab(corpus.subset("train"))
     if encoder_config is None:
         encoder_config = EncoderConfig(vocab_size=len(vocab))
-    elif encoder_config.vocab_size != len(vocab):
-        encoder_config = replace(encoder_config, vocab_size=len(vocab))
+    encoder_config = replace(encoder_config, vocab_size=len(vocab))
     return Model(encoder_config, init_params(encoder_config, seed), vocab, corpus.scheme)
-
-
-def _attach_head(model: Model, kind: str, seed: int) -> Model:
-    """A new model: a copy of ``model``'s encoder with a fresh extraction head
-    of ``kind`` and a fresh relation head; ``model`` is left as it was."""
-    head, relation = init_heads(kind, model.config, model.scheme, seed)
-    return replace(model, head=head, relation=relation)
 
 
 def _prepare_model(
@@ -262,16 +254,19 @@ def _prepare_model(
     init: Checkpoint | None,
     encoder_config: EncoderConfig | None,
 ) -> tuple[Model, OptimizerState, list[str]]:
+    """(model, Adam state, seed lineage) to start from: a copy of ``init`` with a head of
+    ``config.head``, else fresh heads on a copy of ``init``'s encoder or a fresh one."""
+    if init is not None and init.model.head_kind == config.head:
+        # resume: continue the step count from a copy of init's Adam moments
+        return init.model.clone(), copy.deepcopy(init.optimizer), list(init.seed_lineage)
     if init is None:
         model = _fresh_model(corpus, encoder_config, config.seed)
-        model = _attach_head(model, config.head, config.seed)
-        return model, OptimizerState(), [f"fresh-init:{config.seed}"]
-    model, lineage = init.model, list(init.seed_lineage)
-    if model.head_kind == config.head:
-        # resume: continue the step count from a copy of init's Adam moments
-        return model.clone(), copy.deepcopy(init.optimizer), lineage
-    model = _attach_head(model, config.head, config.seed)
-    return model, OptimizerState(), lineage + [f"head-init:{config.seed}"]
+        lineage = [f"fresh-init:{config.seed}"]
+    else:
+        model = init.model
+        lineage = init.seed_lineage + [f"head-init:{config.seed}"]
+    head, relation = init_heads(config.head, model.config, model.scheme, config.seed)
+    return replace(model, head=head, relation=relation), OptimizerState(), lineage
 
 
 def _optimize(

@@ -121,6 +121,9 @@ class TestGenCorpus:
         assert read_tree(a) == read_tree(b)
 
 
+NO_FLOAT = "1" + "0" * 400  # a JSON integer that float() cannot hold
+
+
 class TestExitCodes:
     def test_unknown_flag(self, capsys):
         assert run("train", "--bogus") == 1
@@ -443,6 +446,18 @@ class TestExitCodes:
             ("pretrain", "--seed", "-3"),
             ("fewshot-curve", "--seed", "-2"),
             ("gen-corpus", "--corpus-seed", "-1"),
+            ("train", "--size", "30", "--steps", "1", "--set", f"train.lambda_re={NO_FLOAT}"),
+            ("train", "--size", "30", "--steps", "1", "--set", f"train.learning_rate={NO_FLOAT}"),
+            ("pretrain", "--size", "30", "--steps", "1",
+             "--set", f"pretrain.learning_rate={NO_FLOAT}"),
+            ("train", "--size", "30", "--steps", "1", "--set", f"train.clip_norm={NO_FLOAT}"),
+            ("eval", "--checkpoint", "MODEL", "--set", "train.learning_rate=-1"),
+            ("eval", "--checkpoint", "MODEL", "--set", "pretrain.mask_prob=7"),
+            ("eval", "--checkpoint", "MODEL", "--set", "curve.k_values=[]"),
+            ("gen-corpus", "--set", "curve.k_values=[]"),
+            ("train", "--size", "30", "--steps", "1", "--set", "curve.k_values=[]"),
+            ("pretrain", "--size", "30", "--steps", "1", "--set", "train.head=\"x\""),
+            ("eval", "--checkpoint", "MODEL", "--set", "encoder.heads=0"),
         ],
     )
     def test_failed_run_creates_nothing(self, tmp_path, monkeypatch, capsys, failing_inputs, argv):
@@ -530,6 +545,7 @@ class TestExitCodes:
             (("gen-corpus", "--size", "1", "--out", "afile/sub"), "output_dir"),
             (("predict", "--out-file", "afile/x.jsonl"), "--out-file"),
             (("predict", "--out-file", "run"), "--out-file"),
+            (("train", "--size", "20", "--steps", "2", "--config", "nul.json"), "output_dir"),
         ],
     )
     def test_output_path_in_the_way_exits_1(
@@ -537,6 +553,8 @@ class TestExitCodes:
     ):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "afile").write_text("")
+        # argv cannot carry a NUL character, a config file can
+        (tmp_path / "nul.json").write_text(json.dumps({"output_dir": "o\0x"}))
         (tmp_path / "run").mkdir()
         (tmp_path / "in.txt").write_text("aspirin for pain\n")
         if argv[0] == "predict":

@@ -427,8 +427,8 @@ class TestEncode:
         inference = encode([1, 2], params, tiny_config()).values
         # without a seed, nothing is dropped: bitwise the dropout-free pass
         assert np.array_equal(encode([1, 2], params, config).values, inference)
-        deterministic = encode([1, 2], params, config, dropout_seed=9)
-        again = encode([1, 2], params, config, dropout_seed=9)
+        deterministic = encode_batch([[1, 2]], params, config, [9])
+        again = encode_batch([[1, 2]], params, config, [9])
         assert np.array_equal(deterministic.values, again.values)
         assert not np.array_equal(deterministic.values, inference)
 

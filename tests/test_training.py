@@ -25,7 +25,7 @@ from medext.corpus import (
     tokenize_corpus,
 )
 from medext.crf_head import CRFParams, emissions, sequence_score
-from medext.encoder import EncoderConfig, encode, init_params, mlm_step
+from medext.encoder import EncoderConfig, encode_batch, init_params, mlm_step
 from medext.errors import CheckpointError, ContractError
 from medext.pipeline import EVAL_CHUNK, decode_entities, encode_words, evaluate_split
 from medext.relation_head import relation_loss
@@ -393,6 +393,26 @@ class TestTrain:
         assert params_equal(one_shot.model, resumed.model)
         assert resumed.step == 40
 
+    def test_seed_lineage_of_each_start(self):
+        """A fresh start, a fresh head on an init's encoder, and a resume of a
+        head of the run's kind each extend the lineage; the init's is kept."""
+        corpus = small_corpus()
+        fresh = train(corpus, TrainConfig(steps=2, seed=3))
+        assert fresh.seed_lineage == ["fresh-init:3", "train:3"]
+        assert fresh.step == 2
+        pre = pretrain(corpus, PretrainConfig(steps=1, batch_size=4, seed=5))
+        tuned = train(corpus, TrainConfig(steps=2, seed=4), init=pre)
+        assert tuned.seed_lineage == ["pretrain:5", "head-init:4", "train:4"]
+        assert tuned.step == 2
+        other = train(corpus, TrainConfig(steps=1, seed=8, head="span"), init=fresh)
+        assert other.seed_lineage == ["fresh-init:3", "train:3", "head-init:8", "train:8"]
+        assert other.step == 1
+        resumed = train(corpus, TrainConfig(steps=3, seed=6), init=fresh)
+        assert resumed.seed_lineage == ["fresh-init:3", "train:3", "train:6"]
+        assert resumed.step == 5
+        assert fresh.seed_lineage == ["fresh-init:3", "train:3"]
+        assert pre.seed_lineage == ["pretrain:5"]
+
     def test_resume_leaves_init_optimizer_unchanged(self):
         corpus = small_corpus()
         init = train(corpus, TrainConfig(steps=5, batch_size=4, seed=6))
@@ -456,10 +476,11 @@ class TestTrain:
 
 
 def sentence_words(model, sentence, dropout_seed=None):
-    """One sentence's word rows from a one-sequence ``encode`` call and a row
-    gather, without the packed path."""
+    """One sentence's word rows from a one-sequence ``encode_batch`` call and
+    a row gather, without the packed path."""
     ids, starts = pipeline.word_ids(sentence, model.vocab)
-    h = encode(ids, model.encoder, model.config, dropout_seed)
+    seeds = None if dropout_seed is None else [dropout_seed]
+    h = encode_batch([ids], model.encoder, model.config, seeds)
     return T.gather(h, starts)
 
 
