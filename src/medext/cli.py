@@ -181,7 +181,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path}: {exc}") from None
         if not isinstance(loaded, dict):
-            raise ConfigError("config file must hold a JSON object")
+            kind = type(loaded).__name__
+            raise ConfigError(f"config file {path} must hold a JSON object, got {kind}")
         config = _merge(config, loaded)
     for assignment in args.set or []:
         if "=" not in assignment:

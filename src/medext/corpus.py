@@ -333,6 +333,7 @@ def load_annotations(corpus: Corpus, path: str | Path) -> Corpus:
                 raise ParseError(f"{where}: spans {listed} disagree with tags {sentence.tags}")
             by_triple = dict(zip(derived, spans))
             spans = [by_triple[triple] for triple in triples]
+        pairs = set()
         for rel in relations:
             if rel.head == rel.tail:
                 raise ParseError(f"{where}: relation {rel} links a span to itself")
@@ -341,6 +342,9 @@ def load_annotations(corpus: Corpus, path: str | Path) -> Corpus:
                     raise ParseError(f"{where}: relation {rel} references missing span {idx}")
             if rel.label not in RELATION_LABELS:
                 raise ParseError(f"{where}: relation {rel} has a label not in {RELATION_LABELS}")
+            if (rel.head, rel.tail) in pairs:
+                raise ParseError(f"{where}: relation {rel} gives its span pair a second relation")
+            pairs.add((rel.head, rel.tail))
         sentences.append(Sentence(sentence.tokens, sentence.tags, list(spans), list(relations)))
     return Corpus(sentences, corpus.scheme, list(corpus.splits))
 

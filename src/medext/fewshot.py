@@ -60,12 +60,15 @@ def sample_k_shot(corpus: Corpus, k: int, seed: int) -> Episode:
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     classes = corpus.scheme.classes
     credit = {cls: 0 for cls in classes}
-    unused = {  # each unused train sentence, in split order: the scheme classes its spans hold
-        i: {span.cls for span in corpus.sentences[i].spans if span.cls in credit}
-        for i in corpus.split_indices("train")
-    }
+    unused = {}  # the scheme classes of each unused train sentence that holds one, in split order
+    for i in corpus.split_indices("train"):
+        held = {span.cls for span in corpus.sentences[i].spans if span.cls in credit}
+        if held:
+            unused[i] = held
     support: list[int] = []
     for round_index in range(k):
+        if not unused:  # every candidate is used, so later rounds would pick nothing
+            break
         for cls in classes:
             if credit[cls] > round_index:
                 continue

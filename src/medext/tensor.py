@@ -73,10 +73,8 @@ class Tape:
 
     Each record is ``(output, inputs, rule)`` where ``rule`` maps the
     output gradient to one gradient (or ``None``) per input.  Records are
-    appended in execution order, so the list is topologically sorted and a
-    reverse replay visits every node exactly once.  A tensor's first
-    gradient is stored as the rule returned it and each later one is added
-    into a new array, which is safe because no gradient is written in place.
+    appended in execution order, so the list is topologically sorted and
+    ``backward``'s reverse replay visits every node exactly once.
     """
 
     __slots__ = ("records", "recording")
@@ -84,18 +82,6 @@ class Tape:
     def __init__(self):
         self.records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
         self.recording = True
-
-    def reset(self) -> None:
-        self.records.clear()
-
-    def run_backward(self, root: Tensor) -> None:
-        root.grad = np.ones_like(root.values)
-        for out, inputs, rule in reversed(self.records):
-            if out.grad is None:
-                continue
-            for tensor, grad in zip(inputs, rule(out.grad)):
-                if grad is not None:
-                    tensor.grad = grad if tensor.grad is None else tensor.grad + grad
 
 
 _TAPE = Tape()
@@ -106,7 +92,7 @@ def active_tape() -> Tape:
 
 
 def reset_tape() -> None:
-    _TAPE.reset()
+    _TAPE.records.clear()
 
 
 @contextmanager
@@ -135,14 +121,23 @@ def record_op(values: Array, inputs: Sequence[Tensor], rule: Callable) -> Tensor
 
 
 def backward(root: Tensor) -> None:
-    """Accumulate d(root)/d(leaf) into every reachable tensor's grad slot.
+    """Accumulate d(root)/d(leaf) into every reachable tensor's grad slot by
+    replaying the tape in reverse.  A tensor's first gradient is stored as the
+    rule returned it and each later one is added into a new array, which is
+    safe because no gradient is written in place.
 
     ``root`` must be a scalar.  Intended to run once per tape; call
     ``reset_tape`` before building the next graph.
     """
     if root.values.shape != ():
         raise ContractError(f"backward requires a scalar root, got shape {root.shape}")
-    _TAPE.run_backward(root)
+    root.grad = np.ones_like(root.values)
+    for out, inputs, rule in reversed(_TAPE.records):
+        if out.grad is None:
+            continue
+        for tensor, grad in zip(inputs, rule(out.grad)):
+            if grad is not None:
+                tensor.grad = grad if tensor.grad is None else tensor.grad + grad
 
 
 def assert_finite(values: Array, what: str) -> None:

@@ -241,24 +241,27 @@ class _BatchSampler:
 
 def _fresh_model(corpus: Corpus, encoder_config: EncoderConfig | None, seed: int) -> Model:
     """A headless model: vocab from the train split, encoder initialized from seed."""
-    vocab = build_vocab(corpus.subset("train"))
+    train_corpus = corpus.subset("train")
+    if len(train_corpus) == 0:
+        raise ContractError("the train split holds no sentences to build a vocabulary from")
+    vocab = build_vocab(train_corpus)
     if encoder_config is None:
         encoder_config = EncoderConfig(vocab_size=len(vocab))
     encoder_config = replace(encoder_config, vocab_size=len(vocab))
     return Model(encoder_config, init_params(encoder_config, seed), vocab, corpus.scheme)
 
 
-def _prepare_model(
+def _start(
     corpus: Corpus,
     config: TrainConfig,
     init: Checkpoint | None,
     encoder_config: EncoderConfig | None,
-) -> tuple[Model, OptimizerState, list[str]]:
-    """(model, Adam state, seed lineage) to start from: a copy of ``init`` with a head of
-    ``config.head``, else fresh heads on a copy of ``init``'s encoder or a fresh one."""
+) -> Checkpoint:
+    """The run to start from: a copy of ``init`` with a head of ``config.head``,
+    else fresh heads on a copy of ``init``'s encoder or a fresh one."""
     if init is not None and init.model.head_kind == config.head:
         # resume: continue the step count from a copy of init's Adam moments
-        return init.model.clone(), copy.deepcopy(init.optimizer), list(init.seed_lineage)
+        return Checkpoint(init.model.clone(), copy.deepcopy(init.optimizer), init.seed_lineage[:])
     if init is None:
         model = _fresh_model(corpus, encoder_config, config.seed)
         lineage = [f"fresh-init:{config.seed}"]
@@ -266,29 +269,30 @@ def _prepare_model(
         model = init.model
         lineage = init.seed_lineage + [f"head-init:{config.seed}"]
     head, relation = init_heads(config.head, model.config, model.scheme, config.seed)
-    return replace(model, head=head, relation=relation), OptimizerState(), lineage
+    return Checkpoint(replace(model, head=head, relation=relation), OptimizerState(), lineage)
 
 
 def _optimize(
-    model: Model, optimizer: OptimizerState, steps: range, learning_rate: float,
-    clip_norm: float, loss_at: Callable[[int], tuple[Tensor, tuple]], log: list | None,
-) -> None:
-    """One Adam update per step: ``loss_at(step)`` builds the step's graph and
-    returns (loss, log row); a non-finite loss stops the run."""
-    params = model.parameters()
-    for step in steps:
+    run: Checkpoint, config: TrainConfig | PretrainConfig, loss_at: Callable, log: list | None
+) -> Checkpoint:
+    """``config.steps`` Adam updates of ``run``, from its step count on.  ``loss_at(step)``
+    builds the step's graph and returns its loss and the further columns of its log
+    row, (step, loss, *columns), appended after the update; a non-finite loss stops the run."""
+    params = run.model.parameters()
+    for step in range(run.step, run.step + config.steps):
         T.reset_tape()
         for p in params.values():
             p.zero_grad()
-        loss, row = loss_at(step)
+        loss, columns = loss_at(step)
         if not np.isfinite(loss.values):
             raise NumericError(f"non-finite loss at step {step} with learning_rate="
-                               f"{learning_rate:g} and clip_norm={clip_norm:g}")
+                               f"{config.learning_rate:g} and clip_norm={config.clip_norm:g}")
         T.backward(loss)
-        adam_step(params, optimizer, learning_rate, clip_norm)
+        adam_step(params, run.optimizer, config.learning_rate, config.clip_norm)
         if log is not None:
-            log.append(row)
+            log.append((step, float(loss.values), *columns))
     T.reset_tape()
+    return run
 
 
 def train(
@@ -309,22 +313,20 @@ def train(
     """
     if len(corpus) == 0:
         raise ContractError("cannot train on an empty corpus")
-    model, optimizer, lineage = _prepare_model(corpus, config, init, encoder_config)
-    lineage.append(f"train:{config.seed}")
+    run = _start(corpus, config, init, encoder_config)
+    run.seed_lineage.append(f"train:{config.seed}")
     sampler = _BatchSampler(corpus, config.batch_size, config.seed, config.class_balanced)
     stride = max(64, config.batch_size)  # each step's slot seeds overlap no other step's
 
     def loss_at(step: int):
         sentences = [corpus.sentences[index] for index in sampler.batch(step)]
         seeds = [(config.seed * 1_000_003 + step) * stride + slot for slot in range(len(sentences))]
-        ner, re = step_losses(model, sentences, seeds, config.lambda_re)
+        ner, re = step_losses(run.model, sentences, seeds, config.lambda_re)
         loss = joint_loss(ner, re, config.lambda_re)
         re_value = 0.0 if re is None else float(re.values)
-        return loss, (step, float(loss.values), float(ner.values), re_value)
+        return loss, (float(ner.values), re_value)
 
-    steps = range(optimizer.step, optimizer.step + config.steps)
-    _optimize(model, optimizer, steps, config.learning_rate, config.clip_norm, loss_at, log)
-    return Checkpoint(model, optimizer, lineage)
+    return _optimize(run, config, loss_at, log)
 
 
 def pretrain(
@@ -334,13 +336,9 @@ def pretrain(
     log: list | None = None,
 ) -> Checkpoint:
     """Masked-token pretraining of a fresh encoder on the train split."""
-    if len(corpus) == 0:
-        raise ContractError("cannot pretrain on an empty corpus")
     model = _fresh_model(corpus, encoder_config, config.seed)
     train_corpus = corpus.subset("train")
     sequences = [word_ids(sentence, model.vocab)[0] for sentence in train_corpus.sentences]
-    if not sequences:
-        raise ContractError("train split is empty; nothing to pretrain on")
     sampler = _BatchSampler(train_corpus, config.batch_size, config.seed)
 
     def loss_at(step: int):
@@ -349,12 +347,10 @@ def pretrain(
             batch, model.encoder, model.config, config.mask_prob,
             seed=config.seed * 1_000_003 + step,
         )
-        return loss, (step, float(loss.values))
+        return loss, ()
 
-    optimizer = OptimizerState()
-    steps = range(config.steps)
-    _optimize(model, optimizer, steps, config.learning_rate, config.clip_norm, loss_at, log)
-    return Checkpoint(model, optimizer, [f"pretrain:{config.seed}"])
+    run = Checkpoint(model, OptimizerState(), [f"pretrain:{config.seed}"])
+    return _optimize(run, config, loss_at, log)
 
 
 # ---------------------------------------------------------------------------

@@ -412,12 +412,14 @@ def validate_sentence(sentence: Sentence, scheme: TagScheme) -> None:
     derived = tags_to_spans(sentence.tags, scheme, mode="strict")
     if sorted(derived, key=astuple) != sorted(sentence.spans, key=astuple):
         raise ValidationError(f"spans {sentence.spans} disagree with tags {sentence.tags}")
-    for rel in sentence.relations:
+    for index, rel in enumerate(sentence.relations):
         if rel.head == rel.tail:
             raise ValidationError(f"relation {rel} links a span to itself")
         for idx in (rel.head, rel.tail):
             if not 0 <= idx < len(sentence.spans):
                 raise ValidationError(f"relation {rel} references missing span {idx}")
+        if any((r.head, r.tail) == (rel.head, rel.tail) for r in sentence.relations[:index]):
+            raise ValidationError(f"relation {rel} gives its span pair a second relation")
 
 
 def vocab_entries(sentences) -> list[str]:
@@ -645,7 +647,7 @@ def load_annotations(corpus: C.Corpus, path) -> C.Corpus:
             )
         if spans != sentence.spans and sorted(spans, key=astuple) != sentence.spans:
             raise C.ParseError(f"{where}: spans {spans} disagree with tags {sentence.tags}")
-        for rel in relations:
+        for index, rel in enumerate(relations):
             if rel.head == rel.tail:
                 raise C.ParseError(f"{where}: relation {rel} links a span to itself")
             for idx in (rel.head, rel.tail):
@@ -655,6 +657,8 @@ def load_annotations(corpus: C.Corpus, path) -> C.Corpus:
                 raise C.ParseError(
                     f"{where}: relation {rel} has a label not in {C.RELATION_LABELS}"
                 )
+            if any((r.head, r.tail) == (rel.head, rel.tail) for r in relations[:index]):
+                raise C.ParseError(f"{where}: relation {rel} gives its span pair a second relation")
         sentences.append(Sentence(sentence.tokens, sentence.tags, spans, relations))
     return C.Corpus(sentences, corpus.scheme, list(corpus.splits))
 

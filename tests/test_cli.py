@@ -78,8 +78,9 @@ def failing_inputs(tmp_path_factory, corpus_files, trained_model):
     last sentence (60, in the test split) gains 14 unseen words and whose
     first gains 70 words, both over max_len; the trained model; a
     pretrain-only checkpoint, which has no head; tag files of 0, 1 and 5
-    sentences, whose test, train and val splits are empty; and a copy of
-    each kind of input file with one 0xFF byte on its first line."""
+    sentences, whose test, train and val splits are empty; a config file
+    that holds a JSON list; and a copy of each kind of input file with one
+    0xFF byte on its first line."""
     out = tmp_path_factory.mktemp("failing")
     blocks = corpus_files[0].read_text().rstrip("\n").split("\n\n")
     for name, size in (("EMPTY", 0), ("ONE", 1), ("FIVE", 5)):
@@ -92,6 +93,8 @@ def failing_inputs(tmp_path_factory, corpus_files, trained_model):
     inputs = {"LONG": str(out / "long.tsv"), "MODEL": str(trained_model),
               "HEADLESS": str(out / "encoder.json"), "TAGS": str(corpus_files[0])}
     inputs.update({name: str(out / f"{name}.tsv") for name in ("EMPTY", "ONE", "FIVE")})
+    (out / "list.json").write_text("[1, 2]\n")
+    inputs["LIST_CONFIG"] = str(out / "list.json")
     texts = {"TAGS": corpus_files[0], "ANN": corpus_files[1], "MODEL": trained_model,
              "CONFIG": out / "resolved_config.json", "TEXT": None}
     for name, source in texts.items():
@@ -221,6 +224,16 @@ class TestExitCodes:
             (
                 lambda p: p["encoder_config"].update(d_ff=-1),
                 "encoder_config: d_ff must be an integer >= 1, got -1",
+            ),
+            pytest.param(
+                lambda p: p["vocab_entries"].append(p["vocab_entries"][-1]),
+                "vocab has duplicate entries",
+                id="vocab_entries-repeated",
+            ),
+            pytest.param(
+                lambda p: p["scheme_classes"].append(p["scheme_classes"][0]),
+                "classes must be nonempty and unique",
+                id="scheme_classes-repeated",
             ),
         ],
     )
@@ -458,6 +471,10 @@ class TestExitCodes:
             ("train", "--size", "30", "--steps", "1", "--set", "curve.k_values=[]"),
             ("pretrain", "--size", "30", "--steps", "1", "--set", "train.head=\"x\""),
             ("eval", "--checkpoint", "MODEL", "--set", "encoder.heads=0"),
+            ("train", "--set", "train=1"),
+            ("train", "--set", "trainsteps"),
+            ("train", "--set", "encoder.dropout_rate=1.0"),
+            ("train", "--config", "LIST_CONFIG"),
         ],
     )
     def test_failed_run_creates_nothing(self, tmp_path, monkeypatch, capsys, failing_inputs, argv):

@@ -301,6 +301,24 @@ class TestConllIO:
         with pytest.raises(ParseError, match=r"a.jsonl line 4: relation .* links a span to itself"):
             load_annotations(ANNOTATED, path)
 
+    def test_a_span_pair_takes_one_relation(self, tmp_path):
+        """A second relation on a (head, tail) pair is rejected; the reverse
+        pair is another pair."""
+        path = tmp_path / "a.jsonl"
+        save_annotations(ANNOTATED, path)
+        first, second, third = path.read_text().split("\n")[:3]
+        record = json.loads(first)
+        record["relations"] = [{"head": 0, "tail": 1, "label": "causes"},
+                               {"head": 1, "tail": 0, "label": "treats"}]
+        path.write_text("\n".join([json.dumps(record), second, third]))
+        assert len(load_annotations(ANNOTATED, path).sentences[0].relations) == 2
+        record["relations"].append({"head": 0, "tail": 1, "label": "treats"})
+        path.write_text("\n".join([json.dumps(record), second, third]))
+        repeated = RelationInstance(0, 1, "treats")
+        message = f"a.jsonl line 1: relation {repeated} gives its span pair a second relation"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_annotations(ANNOTATED, path)
+
     def test_records_are_decoded_line_by_line(self, tmp_path, scheme_d):
         """A record split over two lines fails on its first line, although a
         line of two records makes up the count and the whole file would

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -128,6 +134,31 @@ class TestSampleKShot:
         corpus = generate_synthetic_corpus(300, seed=19)
         episode = sample_k_shot(corpus, 12, seed=4)
         assert len(episode.support) == len(set(episode.support))
+
+    def test_k_beyond_the_split_stops_with_the_split(self):
+        """k = 10**12 picks what k = the train split's size picks, every
+        sentence that holds a class, and returns at once.  It runs in a child
+        process with a time limit, so rounds that never stop fail the test."""
+        corpus = generate_synthetic_corpus(200, seed=7)
+        train_ids = corpus.split_indices("train")
+        expected = sample_k_shot(corpus, len(train_ids), seed=3)
+        script = (
+            "import json\n"
+            "from medext.corpus import generate_synthetic_corpus\n"
+            "from medext.fewshot import sample_k_shot\n"
+            "episode = sample_k_shot(generate_synthetic_corpus(200, seed=7), 10**12, seed=3)\n"
+            "print(json.dumps([episode.support, list(episode.achieved.items())]))\n"
+        )
+        src = str(Path(fewshot.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+            timeout=60, env={**os.environ, "PYTHONPATH": path},
+        )
+        support, achieved = json.loads(out.stdout)
+        assert support == expected.support
+        assert [tuple(item) for item in achieved] == list(expected.achieved.items())
+        assert sorted(support) == [i for i in train_ids if corpus.sentences[i].spans]
 
 
 @pytest.fixture(scope="module")

@@ -223,7 +223,8 @@ class TestFlatAdam:
         def loss_at(step):  # the loop train() runs, on the twin's encoder
             return mlm_step(batch, twin.encoder, twin.config, 0.5, seed=step), ()
 
-        training._optimize(twin, OptimizerState(), range(1), 1e-2, 1.0, loss_at, None)
+        run = training.Checkpoint(twin, OptimizerState(), [])
+        training._optimize(run, PretrainConfig(steps=1, learning_rate=1e-2), loss_at, None)
         assert twin.parameters().flat.tobytes() != before.tobytes()
         assert model.parameters().flat.tobytes() == before.tobytes()
         assert_packed(model)
@@ -463,6 +464,24 @@ class TestTrain:
 
         with pytest.raises(ContractError):
             train(Corpus([], TagScheme()), TrainConfig(steps=1))
+
+    @pytest.mark.parametrize("run", ["train", "pretrain", "run_curve", "pretrain-empty"])
+    def test_no_train_sentences_names_the_train_split(self, run):
+        """A fresh vocabulary is built from the train split; without one
+        sentence there, every run that builds one says so."""
+        from medext.corpus import TagScheme
+        from medext.fewshot import CurveConfig, run_curve
+
+        corpus = small_corpus()
+        held_out = Corpus(corpus.sentences, corpus.scheme, ["test"] * len(corpus))
+        calls = {
+            "train": lambda: train(held_out, TrainConfig(steps=1)),
+            "pretrain": lambda: pretrain(held_out, PretrainConfig(steps=1)),
+            "run_curve": lambda: run_curve(held_out, CurveConfig(k_values=(1,), seeds_per_k=1)),
+            "pretrain-empty": lambda: pretrain(Corpus([], TagScheme()), PretrainConfig(steps=1)),
+        }
+        with pytest.raises(ContractError, match="the train split holds no sentences"):
+            calls[run]()
 
     def test_fine_tune_from_pretrained_checkpoint(self):
         corpus = small_corpus(30, seed=12)
