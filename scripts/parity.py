@@ -15,7 +15,9 @@ stderr), and per checkpoint as loaded (``<file>#loaded``: its parameter and
 Adam-moment bytes, step and seed lineage), so that a checkpoint whose file
 format changed can still be shown to hold the same numbers.  With
 ``--against`` the two lists are compared and the script exits 1 when they
-differ.
+differ; for each ``#loaded`` entry that differs it also prints the largest
+absolute and the largest relative difference of any parameter between the
+two trees' checkpoints, and which parameter holds it.
 """
 
 from __future__ import annotations
@@ -145,9 +147,8 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def checkpoint_digest(load_checkpoint, path: Path) -> str:
+def checkpoint_digest(checkpoint) -> str:
     """The loaded checkpoint's numbers, independent of the file format."""
-    checkpoint = load_checkpoint(path)
     h = hashlib.sha256(json.dumps([checkpoint.step, checkpoint.seed_lineage]).encode())
     arrays = {f"param {k}": p.values for k, p in checkpoint.model.parameters().items()}
     h.update(f"adam step {checkpoint.optimizer.step}".encode())
@@ -159,10 +160,18 @@ def checkpoint_digest(load_checkpoint, path: Path) -> str:
     return h.hexdigest()
 
 
-def collect(src: Path) -> dict[str, str]:
+def params_file(name: str) -> str:
+    """The file, in a ``--params`` directory, of checkpoint ``name``'s parameters."""
+    return name.replace("/", "__") + ".npz"
+
+
+def collect(src: Path, params: Path | None) -> dict[str, str]:
     """Run every command in the current directory (empty) with medext from
-    ``src``, and digest what they wrote."""
+    ``src``, and digest what they wrote; with ``params``, save each
+    checkpoint's parameters there as it loads them."""
     sys.path.insert(0, str(src))
+    import numpy as np
+
     import medext
     from medext.cli import main
     from medext.training import load_checkpoint
@@ -181,17 +190,43 @@ def collect(src: Path) -> dict[str, str]:
     for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
         digests[path.as_posix()] = sha(path.read_bytes())
         if path.name in ("model.json", "encoder.json"):
-            digests[f"{path.as_posix()}#loaded"] = checkpoint_digest(load_checkpoint, path)
+            checkpoint = load_checkpoint(path)
+            digests[f"{path.as_posix()}#loaded"] = checkpoint_digest(checkpoint)
+            if params is not None:
+                arrays = {k: p.values for k, p in checkpoint.model.parameters().items()}
+                np.savez(params / params_file(f"{path.as_posix()}#loaded"), **arrays)
     return digests
+
+
+def largest_differences(mine: Path, theirs: Path) -> str:
+    """The largest absolute and relative (|a - b| / max(|a|, |b|)) difference
+    of any parameter between two saved checkpoints, with where each is."""
+    import numpy as np
+
+    with np.load(mine) as a, np.load(theirs) as b:
+        if sorted(a.files) != sorted(b.files) or any(a[k].shape != b[k].shape for k in a.files):
+            return "parameter names or shapes differ"
+        worst = {"absolute": (0.0, "-"), "relative": (0.0, "-")}
+        for name in sorted(a.files):
+            x, y = a[name], b[name]
+            gap = np.abs(x - y)
+            scale = np.maximum(np.abs(x), np.abs(y))
+            ratio = np.divide(gap, scale, out=np.zeros_like(gap), where=scale > 0)
+            for kind, value in (("absolute", gap.max(initial=0.0)),
+                                ("relative", ratio.max(initial=0.0))):
+                if value > worst[kind][0]:
+                    worst[kind] = (float(value), name)
+    return ", ".join(f"{kind} {value:.2g} ({name})" for kind, (value, name) in worst.items())
 
 
 def listing(digests: dict[str, str]) -> str:
     return "".join(f"{digest}  {name}\n" for name, digest in sorted(digests.items()))
 
 
-def run_tree(rev: str | None) -> dict[str, str]:
+def run_tree(rev: str | None, params: Path | None = None) -> dict[str, str]:
     """The digests of the working tree (``rev`` None) or of commit ``rev``,
-    from a fresh interpreter running ``--collect`` in an empty directory."""
+    from a fresh interpreter running ``--collect`` in an empty directory;
+    with ``params``, each checkpoint's parameters are saved there too."""
     with tempfile.TemporaryDirectory(prefix="medext-parity-") as tmp:
         src = ROOT / "src"
         if rev is not None:
@@ -205,6 +240,9 @@ def run_tree(rev: str | None) -> dict[str, str]:
                    MKL_NUM_THREADS="1", PYTHONHASHSEED="0")
         env.pop("PYTHONPATH", None)
         argv = [sys.executable, str(Path(__file__).resolve()), "--collect", str(src)]
+        if params is not None:
+            params.mkdir()
+            argv += ["--params", str(params.resolve())]
         done = subprocess.run(argv, cwd=work, env=env, capture_output=True, text=True)
         if done.returncode != 0:
             raise SystemExit(f"collecting {rev or 'the working tree'} failed:\n{done.stderr}")
@@ -217,22 +255,29 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--against", metavar="REV", help="commit to compare the list with")
     parser.add_argument("--out", help="write the list here (default: stdout, without --against)")
     parser.add_argument("--collect", metavar="SRC", help=argparse.SUPPRESS)
+    parser.add_argument("--params", metavar="DIR", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.collect:
-        sys.stdout.write(listing(collect(Path(args.collect))))
+        sys.stdout.write(listing(collect(Path(args.collect), args.params and Path(args.params))))
         return 0
-    mine = run_tree(args.rev)
-    if args.out:
-        Path(args.out).write_text(listing(mine), encoding="utf-8")
-    if args.against is None:
-        if not args.out:
-            sys.stdout.write(listing(mine))
-        return 0
-    theirs = run_tree(args.against)
-    label = args.rev or "working tree"
-    changed = sorted(n for n in mine.keys() & theirs.keys() if mine[n] != theirs[n])
-    for name in changed:
-        print(f"differs: {name}")
+    with tempfile.TemporaryDirectory(prefix="medext-params-") as tmp:
+        saved = {tree: Path(tmp) / tree for tree in ("mine", "theirs")}
+        mine = run_tree(args.rev, saved["mine"])
+        if args.out:
+            Path(args.out).write_text(listing(mine), encoding="utf-8")
+        if args.against is None:
+            if not args.out:
+                sys.stdout.write(listing(mine))
+            return 0
+        theirs = run_tree(args.against, saved["theirs"])
+        label = args.rev or "working tree"
+        changed = sorted(n for n in mine.keys() & theirs.keys() if mine[n] != theirs[n])
+        for name in changed:
+            if name.endswith("#loaded"):
+                gaps = largest_differences(*(path / params_file(name) for path in saved.values()))
+                print(f"differs: {name}: largest parameter difference {gaps}")
+            else:
+                print(f"differs: {name}")
     for name in sorted(mine.keys() - theirs.keys()):
         print(f"only in {label}: {name}")
     for name in sorted(theirs.keys() - mine.keys()):

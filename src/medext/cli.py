@@ -52,6 +52,7 @@ from .training import (
     Checkpoint,
     PretrainConfig,
     TrainConfig,
+    check_batch_size,
     load_checkpoint,
     load_model,
     pretrain,
@@ -198,8 +199,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if dest.split(".")[0] in DEFAULT_CONFIG and value is not None:
             config = _merge(config, _nested(dest, value))
     _output_path(config["output_dir"], "output_dir", directory=True)
-    for name in SECTIONS:  # also the sections the command does not read
-        _section(config, name)
+    built = {name: _section(config, name) for name in SECTIONS}  # also those the command skips
+    for name in ("train", "pretrain"):
+        _check_batch_size(config, name, built["encoder"].max_len)
     return config
 
 
@@ -216,6 +218,14 @@ def _section(config: dict, name: str):
         values["base"] = _section(config, "train")
     try:
         return SECTIONS[name](**values)
+    except ContractError as exc:
+        raise ConfigError(f"{name}.{exc}") from None
+
+
+def _check_batch_size(config: dict, name: str, max_len: int) -> None:
+    """``training.check_batch_size`` of section ``name``, naming its key."""
+    try:
+        check_batch_size(config[name]["batch_size"], max_len)
     except ContractError as exc:
         raise ConfigError(f"{name}.{exc}") from None
 
@@ -287,8 +297,11 @@ def load_experiment_corpus(config: dict, model: Model | None, split: str | None)
 
 
 def _training_inputs(config: dict, args) -> tuple[Checkpoint | None, Corpus]:
-    """The ``--init`` checkpoint, or None, and the corpus checked under its vocabulary."""
+    """The ``--init`` checkpoint, or None, and the corpus checked under its vocabulary;
+    the train batch is checked at the checkpoint's max_len too."""
     init = None if args.init is None else load_checkpoint(_existing(args.init, "checkpoint"))
+    if init is not None:
+        _check_batch_size(config, "train", init.model.config.max_len)
     return init, load_experiment_corpus(config, init and init.model, None)
 
 

@@ -36,7 +36,7 @@ from .evaluation import (
     resolve_relations,
     token_accuracy,
 )
-from .relation_head import RelationHeadParams, init_relation, predict_relations, span_pairs
+from .relation_head import Ranges, RelationHeadParams, init_relation, predict_relations, span_pairs
 from .seq2seq_head import (
     Seq2SeqParams,
     greedy_decode,
@@ -239,12 +239,13 @@ def predict(model: Model, sentences: Sequence[Sentence]) -> list[Decoded]:
 
 def gold_relation_pairs(
     h_words: Tensor, sentences: Sequence[Sentence]
-) -> tuple[Tensor, Tensor, list[str]] | None:
+) -> tuple[Ranges, Ranges, list[str]] | None:
     """Training pairs over a batch's gold spans, from its packed word rows.
 
     Every ordered pair of distinct gold spans within a sentence is one pair
     (``span_pairs``); unannotated pairs are no-relation.  Returns the head
-    rows, tail rows and labels, or None when no sentence has two spans.
+    and tail row ranges in ``h_words`` and the labels, or None when no
+    sentence has two spans.
     """
     lengths = [len(sentence.tokens) for sentence in sentences]
     pairs = span_pairs(h_words, [sentence.spans for sentence in sentences], lengths)

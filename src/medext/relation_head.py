@@ -1,8 +1,9 @@
 """Relation extraction over entity pairs.
 
 Each entity is summarized by the mean of its encoder rows; ordered pairs are
-scored together by one affine map over their concatenated representations
-(``pair_logits``) and trained with cross-entropy.  Label index 0 is always
+scored together by one affine map over their concatenated means
+(``pair_logits``, one ``T.pooled_affine`` over the pairs' row ranges) and
+trained with cross-entropy.  Label index 0 is always
 "no-relation" and is never emitted as a prediction.
 """
 
@@ -35,37 +36,36 @@ def init_relation(d_model: int, seed: int) -> RelationHeadParams:
     )
 
 
-def pair_logits(heads: Tensor, tails: Tensor, params: RelationHeadParams) -> Tensor:
-    """Affine scores of P ordered pairs: concat(heads, tails) @ w + b -> [P, R]."""
-    if (
-        heads.values.ndim != 2
-        or heads.shape != tails.shape
-        or 2 * heads.shape[1] != params.w.shape[0]
-    ):
-        raise ContractError(f"pair_logits: rows {heads.shape}/{tails.shape} vs w {params.w.shape}")
-    return T.affine(T.concat([heads, tails], axis=1), params.w, params.b)
+Ranges = tuple[np.ndarray, np.ndarray]  # (starts, stops): one packed row range per pair
+
+
+def pair_logits(h: Tensor, heads: Ranges, tails: Ranges, params: RelationHeadParams) -> Tensor:
+    """Affine scores of P ordered pairs of row ranges of ``h``:
+    concat(mean(h[head]), mean(h[tail])) @ w + b -> [P, R], one ``T.pooled_affine``."""
+    return T.pooled_affine([(h, *heads), (h, *tails)], params.w, params.b)
 
 
 def pair_loss(
-    heads: Tensor, tails: Tensor, labels: Sequence[str], params: RelationHeadParams
+    h: Tensor, heads: Ranges, tails: Ranges, labels: Sequence[str], params: RelationHeadParams
 ) -> Tensor:
     """Mean cross-entropy of the P pairs' ``pair_logits`` against their gold labels."""
     for label in labels:
         if label not in _LABEL_INDEX:
             raise ContractError(f"unknown relation label {label!r}")
     targets = [_LABEL_INDEX[label] for label in labels]
-    return T.mean_cross_entropy(pair_logits(heads, tails, params), targets)
+    return T.mean_cross_entropy(pair_logits(h, heads, tails, params), targets)
 
 
 def relation_loss(
     pairs: Sequence[tuple[Tensor, Tensor, str]], params: RelationHeadParams
 ) -> Tensor:
-    """Mean cross-entropy of one ``pair_logits`` row per (head, tail, label) triple."""
+    """Mean cross-entropy of one ``pair_logits`` row per (head, tail, label) triple,
+    over the vectors stacked as rows head, tail, head, tail, ..."""
     if not pairs:
         raise ContractError("relation_loss requires a nonempty pair list")
-    heads = T.concat([T.gather(h1, None) for h1, _, _ in pairs], axis=0)
-    tails = T.concat([T.gather(h2, None) for _, h2, _ in pairs], axis=0)
-    return pair_loss(heads, tails, [label for _, _, label in pairs], params)
+    rows = T.concat([T.gather(v, None) for h1, h2, _ in pairs for v in (h1, h2)], axis=0)
+    at = np.arange(0, 2 * len(pairs), 2)
+    return pair_loss(rows, (at, at + 1), (at + 1, at + 2), [label for *_, label in pairs], params)
 
 
 def ordered_pairs(k: int) -> tuple[list[int], list[int]]:
@@ -76,14 +76,13 @@ def ordered_pairs(k: int) -> tuple[list[int], list[int]]:
 
 def span_pairs(
     h: Tensor, groups: Sequence[Sequence[EntitySpan]], lengths: Sequence[int]
-) -> tuple[Tensor, Tensor, list[tuple[int, int, int]]] | None:
+) -> tuple[Ranges, Ranges, list[tuple[int, int, int]]] | None:
     """Every ordered pair of distinct spans within one sentence of packed rows.
 
     ``h`` packs the sentences' word rows, ``lengths`` rows each, and
-    ``groups`` holds each sentence's spans.  Returns the pairs' head rows and
-    tail rows, and each pair's (sentence, head span, tail span) indices; None
-    when no sentence has two spans.  The spans of all sentences are pooled in
-    one ``range_means`` and the pair rows are two gathers.
+    ``groups`` holds each sentence's spans.  Returns the pairs' head and tail
+    row ranges in ``h``, and each pair's (sentence, head span, tail span)
+    indices; None when no sentence has two spans.
     """
     sizes = T.tiling(lengths, h.shape[0], "span_pairs")
     if len(groups) != len(sizes):
@@ -108,8 +107,8 @@ def span_pairs(
         offset += n
     if not index:
         return None
-    pooled = T.range_means(h, starts, stops)
-    return T.gather(pooled, heads), T.gather(pooled, tails), index
+    lo, hi = np.array(starts), np.array(stops)
+    return (lo[heads], hi[heads]), (lo[tails], hi[tails]), index
 
 
 def predict_relations(
@@ -125,7 +124,7 @@ def predict_relations(
     found: list[list[RelationInstance]] = [[] for _ in spans]
     if pairs is not None:
         heads, tails, index = pairs
-        best = pair_logits(heads, tails, params).values.argmax(axis=1).tolist()
+        best = pair_logits(h, heads, tails, params).values.argmax(axis=1).tolist()
         for (b, i, j), label in zip(index, best):
             if label != 0:
                 found[b].append(RelationInstance(i, j, RELATION_LABELS[label]))

@@ -80,25 +80,26 @@ def _candidates(n: int, max_width: int) -> tuple[np.ndarray, np.ndarray]:
 def score_all_spans(h: Tensor, params: SpanHeadParams, lengths: Sequence[int]) -> SpanTable:
     """Classify every span (i, j) with j - i < max_width -> one table row each.
 
-    Representation per span: concat(h[i], h[j], mean(h[i..j]), width_emb[j-i]).
-    ``h`` packs ``lengths`` word rows per sentence; spans stay inside their
-    sentence.  All candidates are scored in one batched affine map; the
-    logits stay differentiable back to h and the head parameters.
+    Logits per span: concat(h[i], h[j], mean(h[i..j]), width_emb[j-i]) @ w_cls
+    + b_cls, as one ``T.pooled_affine`` over the four blocks of w_cls, so each
+    block projects its rows once and no span representation is built.  ``h``
+    packs ``lengths`` word rows per sentence; spans stay inside their
+    sentence.  The logits stay differentiable back to h and the head parameters.
     """
     sizes = T.tiling(lengths, h.shape[0], "score_all_spans")
-    bounds = [_candidates(int(n), params.max_width) for n in sizes]
+    max_width = params.max_width
+    bounds = [_candidates(int(n), max_width) for n in sizes]
     counts = [len(i) for i, _ in bounds]
     starts = np.concatenate([i for i, _ in bounds])
     ends = np.concatenate([j for _, j in bounds])
     offsets = np.repeat(np.cumsum(sizes) - sizes, counts)
-    first, last = starts + offsets, ends + offsets
-    rep = T.concat([
-        T.gather(h, first),
-        T.gather(h, last),
-        T.range_means(h, first, last + 1),
-        T.gather(params.width_emb, ends - starts),
-    ], axis=1)
-    logits = T.affine(rep, params.w_cls, params.b_cls)
+    first, last, width = starts + offsets, ends + offsets, ends - starts
+    logits = T.pooled_affine([
+        (h, first, first + 1),
+        (h, last, last + 1),
+        (h, first, last + 1),
+        (params.width_emb, width, width + 1),
+    ], params.w_cls, params.b_cls)
     return SpanTable(logits, starts, ends, np.repeat(np.arange(len(sizes)), counts))
 
 

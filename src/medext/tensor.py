@@ -6,9 +6,11 @@ the root gradient and replays the tape in reverse, accumulating gradients by
 summation so that multiple uses of one tensor add their contributions.
 Every op builds its output with ``record_op``; ``affine``, ``add_norm`` and
 ``feed_forward`` each stand for a chain of ops, and their rules return the
-chain's gradients bit for bit, in its order.  No code writes a gradient
-in place, so the backward pass stores gradient arrays as the rules return
-them, shared or not.
+chain's gradients bit for bit, in its order.  ``pooled_affine`` stands for
+range means, a concatenation and an affine map, but sums its partial dot
+products in another order, so it matches that chain closely, not bitwise.
+No code writes a gradient in place, so the backward pass stores gradient
+arrays as the rules return them, shared or not.
 ``reset_tape`` must be called between training steps; nothing is freed
 implicitly.  Inside ``no_grad()`` nothing is recorded (inference).
 
@@ -478,28 +480,63 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     return record_op(values, parts, lambda g: tuple(np.split(g, splits, axis=axis)))
 
 
-def range_means(a: Tensor, starts: Sequence[int], stops: Sequence[int]) -> Tensor:
-    """Mean of rows starts[s]:stops[s] of a matrix for every range s -> [S, n].
+def pooled_affine(
+    parts: Sequence[tuple[Tensor, Sequence[int], Sequence[int]]], w: Tensor, b: Tensor
+) -> Tensor:
+    """``concat([pooled(x, starts, stops) for each part], axis=1) @ w + b`` -> [R, C],
+    where row r of a part's pooled block is the mean of rows starts[r]:stops[r]
+    of its matrix x.  One tape record; the pooled [R, sum of widths] matrix is
+    never built.
 
-    Forward pools each range as a difference of prefix sums; backward spreads
-    g[s] / width over the range.  One tape record however many ranges.
+    Part k owns the next ``x.shape[1]`` rows of ``w`` and projects x onto them
+    once ([n, C]); every range then takes its mean of that projection in C
+    columns, as a difference of prefix sums times 1 / width, or as a row
+    gather when every range of the part is one row.  The partial dot products
+    are summed in another order than the chain's, so the two are close, not
+    bitwise equal.
     """
-    lo = np.asarray(starts, dtype=np.intp)
-    hi = np.asarray(stops, dtype=np.intp)
-    if a.values.ndim != 2 or lo.ndim != 1 or lo.shape != hi.shape:
-        raise ShapeError(f"range_means: matrix {a.shape} with ranges {lo.shape}/{hi.shape}")
-    if lo.size and (lo.min() < 0 or (hi <= lo).any() or hi.max() > a.shape[0]):
-        raise ContractError(f"range_means: empty or out-of-range row range for {a.shape[0]} rows")
-    prefix = np.vstack([np.zeros((1, a.shape[1])), np.cumsum(a.values, axis=0)])
-    inverse = 1.0 / (hi - lo)
-    out_values = (prefix[hi] - prefix[lo]) * inverse[:, None]
+    ranges = [(np.asarray(lo, dtype=np.intp), np.asarray(hi, dtype=np.intp)) for _, lo, hi in parts]
+    shapes = [(x.shape, lo.shape, hi.shape) for (x, _, _), (lo, hi) in zip(parts, ranges)]
+    if (
+        not parts or w.values.ndim != 2 or b.shape != w.shape[1:]
+        or any(len(xs) != 2 or len(lo) != 1 or {lo, hi} != {shapes[0][1]} for xs, lo, hi in shapes)
+        or sum(xs[1] for xs, _, _ in shapes) != w.shape[0]
+    ):
+        raise ShapeError(f"pooled_affine: parts (x, starts, stops) of shapes {shapes} "
+                         f"for w {w.shape} and b {b.shape}")
+    out, plans, at = b.values, [], 0
+    for (x, _, _), (lo, hi) in zip(parts, ranges):
+        n, rows, width = x.shape[0], slice(at, at + x.shape[1]), hi - lo
+        at = rows.stop
+        if lo.size and (lo.min() < 0 or width.min() < 1 or hi.max() > n):
+            raise ContractError(f"pooled_affine: empty or out-of-range row range for {n} rows")
+        proj = x.values @ w.values[rows]
+        inverse = None if (width == 1).all() else 1.0 / width
+        if inverse is None:  # ``take`` gathers rows several times faster than ``proj[lo]``
+            out = out + proj.take(lo, axis=0)
+        else:
+            prefix = np.zeros((n + 1, proj.shape[1]))
+            np.cumsum(proj, axis=0, out=prefix[1:])
+            out = out + (prefix.take(hi, axis=0) - prefix.take(lo, axis=0)) * inverse[:, None]
+        plans.append((x, rows, lo, hi, inverse))
+    sources = {id(x): x for x, _, _ in parts}
 
     def rule(g):
-        share = g * inverse[:, None]
-        steps = scatter(prefix.shape, np.concatenate([lo, hi]), np.vstack([share, -share]))
-        return (np.cumsum(steps[:-1], axis=0),)
+        dx = dict.fromkeys(sources, 0.0)
+        dw = np.empty_like(w.values)
+        for x, rows, lo, hi, inverse in plans:
+            if inverse is None:
+                dproj = scatter((x.shape[0], g.shape[1]), lo, g)
+            else:  # +share at each start, -share at each stop, summed down the rows
+                share = g * inverse[:, None]
+                steps = scatter((x.shape[0] + 1, g.shape[1]), np.concatenate([lo, hi]),
+                                np.vstack([share, -share]))
+                dproj = np.cumsum(steps[:-1], axis=0)
+            dw[rows] = x.values.T @ dproj
+            dx[id(x)] = dx[id(x)] + dproj @ w.values[rows].T
+        return (*dx.values(), dw, g.sum(axis=0))
 
-    return record_op(out_values, (a,), rule)
+    return record_op(out, (*sources.values(), w, b), rule)
 
 
 def cross_entropy(logits: Tensor, targets: Sequence[int], weights: Sequence[float]) -> Tensor:

@@ -51,6 +51,7 @@ from .tensor import Tensor
 
 FORMAT_VERSION = 3
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard
+MAX_STEP_ROWS = 1 << 16  # packed subword rows one step may hold: batch_size x max_len
 
 
 @dataclass(frozen=True)
@@ -100,6 +101,15 @@ def _check_optimizer_fields(config: TrainConfig | PretrainConfig) -> None:
         raise ContractError(f"batch_size must be >= 1, got {config.batch_size}")
     if config.clip_norm <= 0:
         raise ContractError(f"clip_norm must be positive, got {config.clip_norm}")
+
+
+def check_batch_size(batch_size: int, max_len: int) -> None:
+    """Refuse, before anything is allocated, a batch whose packed step may hold
+    more than MAX_STEP_ROWS rows: batch_size sequences of up to max_len subwords.
+    A batch larger than the split it samples is fine (few-shot support sets)."""
+    if batch_size * max_len > MAX_STEP_ROWS:
+        raise ContractError(f"batch_size must be <= {MAX_STEP_ROWS // max_len} at max_len "
+                            f"{max_len} ({MAX_STEP_ROWS} packed rows a step), got {batch_size}")
 
 
 @dataclass
@@ -172,7 +182,7 @@ def step_losses(
     words = encode_words_batch(model, sentences, seeds)
     ner = ner_loss(model, words, sentences, seeds)
     pairs = gold_relation_pairs(words, sentences) if lambda_re > 0.0 else None
-    return ner, pair_loss(*pairs, model.relation) if pairs else None
+    return ner, pair_loss(words, *pairs, model.relation) if pairs else None
 
 
 def joint_loss(ner: Tensor, re: Tensor | None, lambda_re: float) -> Tensor:
@@ -313,6 +323,8 @@ def train(
     """
     if len(corpus) == 0:
         raise ContractError("cannot train on an empty corpus")
+    encoder = init.model.config if init else encoder_config or EncoderConfig(vocab_size=5)
+    check_batch_size(config.batch_size, encoder.max_len)
     run = _start(corpus, config, init, encoder_config)
     run.seed_lineage.append(f"train:{config.seed}")
     sampler = _BatchSampler(corpus, config.batch_size, config.seed, config.class_balanced)
@@ -336,6 +348,7 @@ def pretrain(
     log: list | None = None,
 ) -> Checkpoint:
     """Masked-token pretraining of a fresh encoder on the train split."""
+    check_batch_size(config.batch_size, (encoder_config or EncoderConfig(vocab_size=5)).max_len)
     model = _fresh_model(corpus, encoder_config, config.seed)
     train_corpus = corpus.subset("train")
     sequences = [word_ids(sentence, model.vocab)[0] for sentence in train_corpus.sentences]

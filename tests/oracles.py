@@ -6,8 +6,9 @@ shorter than the longest), one tape record per embedding sum, affine
 map, Add & Norm and feed-forward block where ``add_rowwise``, ``relu`` and
 ``layer_norm`` chained several, a layer norm without
 ``np.mean``/``np.var``, its masked-token step runs the top encoder
-layer only at the masked rows, its relation head pools entities with
-``range_means``, its BIO decoder is one flat loop and its invalid-transition
+layer only at the masked rows, its span and relation heads score candidates
+with one ``pooled_affine`` where ``range_means``, gathers, ``concat`` and
+``affine`` chained, its BIO decoder is one flat loop and its invalid-transition
 rate index arithmetic, ``load_annotations`` checks records against the
 spans ``load_conll`` derived, ``build_vocab`` counts each distinct word's
 characters once, inference decodes and scores relations one packed chunk at
@@ -42,9 +43,9 @@ from medext.encoder import plan_masking
 from medext.errors import ContractError, ShapeError, ValidationError
 from medext.evaluation import ClassCounts, EvalReport, resolve_relations, token_accuracy
 from medext.fewshot import Episode
-from medext.relation_head import ordered_pairs, pair_logits
+from medext.relation_head import ordered_pairs
 from medext.seq2seq_head import Seq2SeqParams
-from medext.span_head import NULL, SpanHeadParams, score_all_spans
+from medext.span_head import NULL, SpanHeadParams, SpanTable, _candidates, score_all_spans
 from medext.tensor import Tensor, gather, record_op
 
 
@@ -287,6 +288,75 @@ def entity_pool(h: Tensor, span: EntitySpan) -> Tensor:
     return mean0(gather(h, slice(span.start, span.end + 1)))
 
 
+def range_means(a: Tensor, starts, stops) -> Tensor:
+    """Mean of rows starts[s]:stops[s] of a matrix for every range s -> [S, n].
+
+    Forward pools each range as a difference of prefix sums; backward spreads
+    g[s] / width over the range.  One tape record however many ranges.
+    """
+    lo = np.asarray(starts, dtype=np.intp)
+    hi = np.asarray(stops, dtype=np.intp)
+    if a.values.ndim != 2 or lo.ndim != 1 or lo.shape != hi.shape:
+        raise ShapeError(f"range_means: matrix {a.shape} with ranges {lo.shape}/{hi.shape}")
+    if lo.size and (lo.min() < 0 or (hi <= lo).any() or hi.max() > a.shape[0]):
+        raise ContractError(f"range_means: empty or out-of-range row range for {a.shape[0]} rows")
+    prefix = np.vstack([np.zeros((1, a.shape[1])), np.cumsum(a.values, axis=0)])
+    inverse = 1.0 / (hi - lo)
+    out_values = (prefix[hi] - prefix[lo]) * inverse[:, None]
+
+    def rule(g):
+        share = g * inverse[:, None]
+        steps = T.scatter(prefix.shape, np.concatenate([lo, hi]), np.vstack([share, -share]))
+        return (np.cumsum(steps[:-1], axis=0),)
+
+    return record_op(out_values, (a,), rule)
+
+
+def concat_pooled_affine(parts, w: Tensor, b: Tensor) -> Tensor:
+    """``tensor.pooled_affine`` as the chain it replaced: each part's rows (a
+    ``gather`` when every range is one row wide, else ``range_means``), one
+    ``concat`` of the pooled matrices and one ``affine`` map."""
+    pooled = [
+        gather(x, lo) if (np.asarray(hi) - np.asarray(lo) == 1).all() else range_means(x, lo, hi)
+        for x, lo, hi in parts
+    ]
+    return T.affine(T.concat(pooled, axis=1), w, b)
+
+
+def concat_score_all_spans(h: Tensor, params: SpanHeadParams, lengths) -> SpanTable:
+    """``span_head.score_all_spans`` as it was: each candidate's
+    [h_i; h_j; mean(h_i..j); width_emb] row built by three gathers and a
+    ``range_means``, joined by ``concat``, through one ``affine``."""
+    sizes = T.tiling(lengths, h.shape[0], "score_all_spans")
+    bounds = [_candidates(int(n), params.max_width) for n in sizes]
+    counts = [len(i) for i, _ in bounds]
+    starts = np.concatenate([i for i, _ in bounds])
+    ends = np.concatenate([j for _, j in bounds])
+    offsets = np.repeat(np.cumsum(sizes) - sizes, counts)
+    first, last = starts + offsets, ends + offsets
+    rep = T.concat([
+        gather(h, first),
+        gather(h, last),
+        range_means(h, first, last + 1),
+        gather(params.width_emb, ends - starts),
+    ], axis=1)
+    logits = T.affine(rep, params.w_cls, params.b_cls)
+    return SpanTable(logits, starts, ends, np.repeat(np.arange(len(sizes)), counts))
+
+
+def concat_pair_logits(h: Tensor, heads, tails, params) -> Tensor:
+    """``relation_head.pair_logits`` as it was: each pair's head and tail rows
+    pooled by ``range_means``, joined by ``concat``, through one ``affine``."""
+    pooled = [range_means(h, *heads), range_means(h, *tails)]
+    return T.affine(T.concat(pooled, axis=1), params.w, params.b)
+
+
+def concat_pair_loss(h: Tensor, heads, tails, labels, params) -> Tensor:
+    """``relation_head.pair_loss`` over ``concat_pair_logits``."""
+    targets = [RELATION_LABELS.index(label) for label in labels]
+    return T.mean_cross_entropy(concat_pair_logits(h, heads, tails, params), targets)
+
+
 def sequence_score(e, trans, start, stop, y, lengths=None) -> Tensor:
     """``crf_head.sequence_score`` as four gathers, four sums and three adds."""
     n = e.shape[0]
@@ -499,12 +569,14 @@ def decode_spans_one(table, classes) -> list[EntitySpan]:
 
 
 def predict_relations_one(h: Tensor, spans, params) -> list[RelationInstance]:
-    """One sentence's relations: its own ``range_means`` and ``pair_logits``."""
+    """One sentence's relations: its own ``range_means`` of its spans, gathered
+    per pair, then ``concat`` and ``affine``."""
     heads, tails = ordered_pairs(len(spans))
     if not heads:
         return []
-    pooled = T.range_means(h, [s.start for s in spans], [s.end + 1 for s in spans])
-    logits = pair_logits(gather(pooled, heads), gather(pooled, tails), params)
+    pooled = range_means(h, [s.start for s in spans], [s.end + 1 for s in spans])
+    logits = T.affine(T.concat([gather(pooled, heads), gather(pooled, tails)], axis=1),
+                      params.w, params.b)
     best = logits.values.argmax(axis=1).tolist()
     return [
         RelationInstance(i, j, RELATION_LABELS[label])

@@ -15,6 +15,7 @@ from medext import tensor as T
 from medext.cli import DEFAULT_CONFIG, build_parser, main
 from medext.corpus import TagScheme, generate_synthetic_corpus, load_annotations, load_conll
 from medext.fewshot import sample_k_shot
+from medext.training import MAX_STEP_ROWS
 
 
 def edit_floats(section: dict, key: str, edit) -> None:
@@ -77,10 +78,10 @@ def failing_inputs(tmp_path_factory, corpus_files, trained_model):
     """Inputs that must fail before any work: a copy of the corpus whose
     last sentence (60, in the test split) gains 14 unseen words and whose
     first gains 70 words, both over max_len; the trained model; a
-    pretrain-only checkpoint, which has no head; tag files of 0, 1 and 5
-    sentences, whose test, train and val splits are empty; a config file
-    that holds a JSON list; and a copy of each kind of input file with one
-    0xFF byte on its first line."""
+    pretrain-only checkpoint, which has no head, and one of max_len 128
+    (WIDE); tag files of 0, 1 and 5 sentences, whose test, train and val
+    splits are empty; a config file that holds a JSON list; and a copy of
+    each kind of input file with one 0xFF byte on its first line."""
     out = tmp_path_factory.mktemp("failing")
     blocks = corpus_files[0].read_text().rstrip("\n").split("\n\n")
     for name, size in (("EMPTY", 0), ("ONE", 1), ("FIVE", 5)):
@@ -93,6 +94,9 @@ def failing_inputs(tmp_path_factory, corpus_files, trained_model):
     inputs = {"LONG": str(out / "long.tsv"), "MODEL": str(trained_model),
               "HEADLESS": str(out / "encoder.json"), "TAGS": str(corpus_files[0])}
     inputs.update({name: str(out / f"{name}.tsv") for name in ("EMPTY", "ONE", "FIVE")})
+    wide = ("--size", "20", "--steps", "1", "--set", "encoder.max_len=128")
+    assert run("pretrain", *wide, "--out", str(out / "wide")) == 0
+    inputs["WIDE"] = str(out / "wide" / "encoder.json")
     (out / "list.json").write_text("[1, 2]\n")
     inputs["LIST_CONFIG"] = str(out / "list.json")
     texts = {"TAGS": corpus_files[0], "ANN": corpus_files[1], "MODEL": trained_model,
@@ -125,6 +129,7 @@ class TestGenCorpus:
 
 
 NO_FLOAT = "1" + "0" * 400  # a JSON integer that float() cannot hold
+CEILING = MAX_STEP_ROWS // 64  # the largest batch at the default max_len
 
 
 class TestExitCodes:
@@ -475,6 +480,14 @@ class TestExitCodes:
             ("train", "--set", "trainsteps"),
             ("train", "--set", "encoder.dropout_rate=1.0"),
             ("train", "--config", "LIST_CONFIG"),
+            ("train", "--set", f"train.batch_size={CEILING + 1}"),
+            ("pretrain", "--set", f"pretrain.batch_size={CEILING + 1}"),
+            ("eval", "--checkpoint", "MODEL", "--set", f"pretrain.batch_size={CEILING + 1}"),
+            ("fewshot-curve", "--set", f"train.batch_size={CEILING + 1}"),
+            ("train", "--set", "encoder.max_len=128", "--set",
+             f"train.batch_size={MAX_STEP_ROWS // 128 + 1}"),
+            ("compare-heads", "--init", "WIDE", "--set",
+             f"train.batch_size={MAX_STEP_ROWS // 128 + 1}"),
         ],
     )
     def test_failed_run_creates_nothing(self, tmp_path, monkeypatch, capsys, failing_inputs, argv):

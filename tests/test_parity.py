@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "parity.py"
 
 # Everything scripts/reach.py lists, by why it stays: a new name here is
@@ -29,10 +31,15 @@ UNREACHED = {
 }
 
 
-def test_list_is_complete_and_repeatable():
+def load_parity():
     spec = importlib.util.spec_from_file_location("parity", SCRIPT)
     parity = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(parity)
+    return parity
+
+
+def test_list_is_complete_and_repeatable():
+    parity = load_parity()
     first, second = parity.run_tree(None), parity.run_tree(None)
     assert first == second
     assert sum(name.startswith("command/") for name in first) == len(parity.commands())
@@ -61,3 +68,16 @@ def test_reach_list_is_pinned():
     ).stdout
     listed = sorted(re.sub(r"^medext/(\S+):\d+ ", r"\1 ", line) for line in out.splitlines())
     assert listed == sorted(name for names in UNREACHED.values() for name in names)
+
+
+def test_largest_differences_name_their_parameters(tmp_path):
+    """--against reports, per differing checkpoint, the largest absolute and
+    relative parameter difference; a zero against a zero counts as equal."""
+    largest = load_parity().largest_differences
+    a, b, c = (tmp_path / f"{name}.npz" for name in "abc")
+    np.savez(a, w=np.array([1.0, 2.0]), b=np.array([0.0, 1e-3]))
+    np.savez(b, w=np.array([1.0, 2.5]), b=np.array([0.0, 2e-3]))
+    np.savez(c, w=np.array([1.0, 2.5]))
+    assert largest(a, b) == "absolute 0.5 (w), relative 0.5 (b)"
+    assert largest(a, a) == "absolute 0 (-), relative 0 (-)"
+    assert largest(a, c) == "parameter names or shapes differ"

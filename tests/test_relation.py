@@ -52,7 +52,7 @@ class TestEntityPool:
 
 def one_pair(h_e1, h_e2, params):
     """pair_logits of the single ordered pair (h_e1, h_e2) -> its (R,) row."""
-    return pair_logits(Tensor([h_e1]), Tensor([h_e2]), params).values[0]
+    return pair_logits(Tensor([h_e1, h_e2]), ([0], [1]), ([1], [2]), params).values[0]
 
 
 class TestRelationLogits:

